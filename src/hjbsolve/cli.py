@@ -5,7 +5,8 @@ Verbs:
     suite  NAME [--out DIR] [--threads N] [--include-large] [--only NAMES]
     export RESULT_DIR --format {table,slice} [--slice axis=value] [--out PATH]
 
-Exit codes: 0 success, 2 configuration error, 3 non-convergence, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 non-convergence or solver
+failure, 4 I/O error.  --threads is accepted and validated but has no effect.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import sys
 
 from .bench import ConfigError, ExperimentConfig, export_field, run_experiment, run_suite
+from .solvers import SolverError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -33,12 +35,13 @@ def _build_parser():
     solve.add_argument("--config", required=True, help="path to a key=value config file")
     solve.add_argument("--out", default=None, help="output directory")
     solve.add_argument("--threads", type=int, default=None,
-                       help="worker threads for solver sweeps")
+                       help="accepted for compatibility; has no effect")
 
     suite = sub.add_parser("suite", help="run a named suite")
     suite.add_argument("name", choices=["invariants", "paper_tables", "rates"])
     suite.add_argument("--out", default="suite_results", help="output directory")
-    suite.add_argument("--threads", type=int, default=1)
+    suite.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
     suite.add_argument("--include-large", action="store_true",
                        help="also run rows above the desk-scale defaults")
     suite.add_argument("--only", default=None,
@@ -120,6 +123,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -204,6 +204,24 @@ def locate_cell(grid, point):
     return CellLocation(tuple(int(b) for b in base[0]), local[0])
 
 
+def multilinear_corners(grid, base, local):
+    """The multilinear interpolation weights of located points.
+
+    `base` and `local` are the cell base indices and local coordinates from
+    locate_points.  Yields (flat corner index, weight) for each of the 2^d
+    cell corners, in the fixed order of _corner_offsets, which is also
+    ascending flat index.  Every weight is nonnegative.
+    """
+    strides = np.asarray(grid.strides, dtype=np.int64)
+    flat = base @ strides
+    n = flat.size
+    for corner in _corner_offsets(grid.dim):
+        w = np.ones(n)
+        for axis, bit in enumerate(corner):
+            w = w * (local[:, axis] if bit else 1.0 - local[:, axis])
+        yield flat + int(np.dot(corner, strides)), w
+
+
 def interpolate_values(grid, values, points, exterior_value):
     """Multilinear interpolation of flat nodal `values` at (n, d) `points`.
 
@@ -216,15 +234,9 @@ def interpolate_values(grid, values, points, exterior_value):
     if n == 0:
         return np.empty(0)
     base, local, inside = locate_points(grid, points)
-    strides = np.asarray(grid.strides, dtype=np.int64)
-    flat = base @ strides
     acc = np.zeros(n)
-    for corner in _corner_offsets(grid.dim):
-        offset = int(np.dot(corner, strides))
-        w = np.ones(n)
-        for axis, bit in enumerate(corner):
-            w = w * (local[:, axis] if bit else 1.0 - local[:, axis])
-        acc += w * values[flat + offset]
+    for corner, w in multilinear_corners(grid, base, local):
+        acc += w * values[corner]
     if inside.all():
         return acc
     return np.where(inside, acc, exterior_value)

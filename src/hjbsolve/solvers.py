@@ -5,18 +5,26 @@ Howard policy iteration with either a fixed-point or a direct sparse policy
 evaluation, and the accelerated scheme that warm-starts fine-grid policy
 iteration from a coarse-grid value iteration.
 
+The discretization is one transition operator per (grid, controls, dt).  Its
+row for a (control, node) pair holds the multilinear weights of the node's
+explicit Euler arrival point under that control, at most 2^d nonnegative
+entries; an arrival outside the box gets an empty row.  A constant vector c
+holds the stage cost plus, for those outside arrivals, discount times the
+exterior value.  A Bellman sweep is the min over controls of
+discount * (B_j @ v) + c_j; a frozen-policy evaluation uses the rows
+(policy[i], i).
+
 All sweeps have Jacobi semantics: every node update reads only the previous
 iterate, argmin ties break toward the lowest control index, and the sup-norm
-reduction is a plain max.  Per-node arithmetic never depends on how a sweep
-is split across workers, so any worker count produces bit-identical results.
+reduction is a plain max.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,9 +34,9 @@ import scipy.sparse.linalg as spla
 from .grid import (
     RegularGrid,
     ValueField,
-    _corner_offsets,
     interpolate_values,
     locate_points,
+    multilinear_corners,
     prolongate,
     sup_diff,
 )
@@ -36,12 +44,14 @@ from .problems import target_mask
 
 UNSET_POLICY = -1
 
-# Arrival points are iteration-independent, so interpolation stencils can be
-# precomputed once per (grid, control set).  Cache them while the entry count
-# m * N * 2^d stays below this budget (~16 bytes per entry, so ~2.5 GB);
-# larger sweeps recompute stencils on the fly.
-_STENCIL_CACHE_LIMIT = 160_000_000
-_STAGE_CACHE_LIMIT = 20_000_000
+# The m-control operator has at most m * N * 2^d entries of 12 bytes each
+# (float64 weight, int32 column).  It is stored while that bound stays within
+# this budget (~1.9 GB); larger operators are rebuilt block by block in every
+# sweep.
+_OPERATOR_NNZ_LIMIT = 160_000_000
+# Sweeps take the operator in blocks of consecutive controls with about this
+# many rows, which bounds the sweep's temporaries.
+_BLOCK_ROWS = 2 ** 19
 
 
 class SolverError(RuntimeError):
@@ -53,10 +63,10 @@ class SolverConfig:
     """Shared solver settings.
 
     The stopping test compares consecutive iterates in the sup norm against
-    eps = stop_constant * (min axis spacing)^2, computed once per grid.  The
-    stopping norm is fixed to the sup norm.  `workers` splits the control
-    enumeration of Bellman-style sweeps across threads; it affects wall time
-    only, never results.
+    eps = stop_constant * (min axis spacing)^2, computed once per grid.
+    `workers` is accepted and validated but has no effect: every sweep runs
+    in one thread, because splitting the sweep across threads was slower on
+    every measured grid.
     """
 
     dt: float
@@ -65,7 +75,6 @@ class SolverConfig:
     eval_backend: str = "fixed_point"
     record_residuals: bool = True
     workers: int = 1
-    norm: str = "sup"
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -76,8 +85,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.eval_backend not in ("fixed_point", "direct"):
             raise ValueError(f"unknown eval_backend {self.eval_backend!r}")
-        if self.norm != "sup":
-            raise ValueError("only the sup stopping norm is supported")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -152,227 +159,190 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class _Stencil:
-    """Interpolation data for a batch of arrival points."""
-
-    corners: np.ndarray  # (n, 2^d) flat node indices
-    weights: np.ndarray  # (n, 2^d) multilinear weights
-    inside: np.ndarray  # (n,) in-box mask
-    all_inside: bool
-
-
-def _batch_stencil(grid, points):
-    base, local, inside = locate_points(grid, points)
-    strides = np.asarray(grid.strides, dtype=np.int64)
-    flat = base @ strides
-    n = points.shape[0]
-    offsets = _corner_offsets(grid.dim)
-    corners = np.empty((n, len(offsets)), dtype=np.int64)
-    weights = np.empty((n, len(offsets)))
-    for k, corner in enumerate(offsets):
-        corners[:, k] = flat + int(np.dot(corner, strides))
-        w = np.ones(n)
-        for axis, bit in enumerate(corner):
-            w = w * (local[:, axis] if bit else 1.0 - local[:, axis])
-        weights[:, k] = w
-    return _Stencil(corners, weights, inside, bool(inside.all()))
+def _pins(spec, grid):
+    """(mask, values) of the nodes every sweep pins: fixed boundary values,
+    then 0 on the target of a minimum-time problem."""
+    pin = np.zeros(grid.num_nodes, dtype=bool)
+    pin_values = np.zeros(grid.num_nodes)
+    if spec.boundary_value is not None:
+        bmask = grid.boundary_mask()
+        pin |= bmask
+        pin_values[bmask] = spec.boundary_value
+    if spec.minimum_time:
+        tmask = target_mask(spec, grid).flags
+        pin |= tmask
+        pin_values[tmask] = 0.0
+    return pin, pin_values
 
 
-def _stencil_apply(stencil, values, exterior_value):
-    """Interpolate nodal values at the stencil's points (fixed corner order)."""
-    corners = stencil.corners
-    weights = stencil.weights
-    acc = weights[:, 0] * values[corners[:, 0]]
-    for k in range(1, corners.shape[1]):
-        acc += weights[:, k] * values[corners[:, k]]
-    if stencil.all_inside:
-        return acc
-    return np.where(stencil.inside, acc, exterior_value)
+def _fill_rows(grid, base, local, inside, indptr, indices, data):
+    """Write the rows of located arrival points into CSR arrays.
+
+    Row r holds the 2^d multilinear weights of arrival r when inside[r] and
+    is empty otherwise.  indptr[0] must hold the position of the first entry;
+    indptr[1:] is filled.  Returns the position after the last entry.
+    """
+    width = 2 ** grid.dim
+    start = indptr[0]
+    indptr[1:] = start + width * np.cumsum(inside)
+    end = indptr[-1]
+    cols = indices[start:end].reshape(-1, width)
+    vals = data[start:end].reshape(-1, width)
+    corners = multilinear_corners(grid, base[inside], local[inside])
+    for k, (corner, w) in enumerate(corners):
+        cols[:, k] = corner
+        vals[:, k] = w
+    return end
 
 
-def _control_blocks(n_controls, workers):
-    workers = max(1, min(workers, n_controls))
-    step = (n_controls + workers - 1) // workers
-    return [list(range(lo, min(lo + step, n_controls))) for lo in range(0, n_controls, step)]
+def _csr_arrays(rows, grid):
+    """Zeroed indptr plus uninitialized indices and data for `rows` rows of
+    at most 2^d entries each."""
+    indices = np.empty(rows * 2 ** grid.dim, dtype=np.int32)
+    return np.zeros(rows + 1, dtype=np.int64), indices, np.empty(indices.size)
 
 
 class _Sweeper:
-    """Precomputed per-problem data for Jacobi sweeps on one grid."""
+    """The transition operator of one (problem, grid, controls, dt).
+
+    The m-control operator is built on the first Bellman sweep and kept when
+    its entry bound fits the budget; frozen-policy rows are built on demand
+    by the same row builder.
+    """
 
     def __init__(self, spec, grid, controls, config):
         self.spec = spec
         self.grid = grid
         self.controls = controls
         self.dt = config.dt
-        self.workers = config.workers
         self.nodes = grid.nodes()
         self.minimum_time = spec.minimum_time
-
-        pin = np.zeros(grid.num_nodes, dtype=bool)
-        pin_values = np.zeros(grid.num_nodes)
-        if spec.boundary_value is not None:
-            bmask = grid.boundary_mask()
-            pin |= bmask
-            pin_values[bmask] = spec.boundary_value
-        if self.minimum_time:
-            tmask = target_mask(spec, grid).flags
-            pin |= tmask
-            pin_values[tmask] = 0.0
-        self.pinned = pin
-        self.pinned_values = pin_values
-        self.active_count = int(grid.num_nodes - np.count_nonzero(pin))
-
+        self.pinned, self.pinned_values = _pins(spec, grid)
+        self.active_count = int(grid.num_nodes - np.count_nonzero(self.pinned))
         if self.minimum_time:
             self.discount = math.exp(-self.dt)
             self.stage_scalar = -math.expm1(-self.dt)
-            self._stage_cache = None
         else:
             self.discount = math.exp(-spec.kind.lam * self.dt)
-            self.stage_scalar = None
-            if len(controls) * grid.num_nodes <= _STAGE_CACHE_LIMIT:
-                self._stage_cache = [
-                    self.dt * np.asarray(spec.running_cost(self.nodes, a), dtype=float)
-                    for a in controls.vectors
-                ]
-            else:
-                self._stage_cache = None
 
-        m = len(controls)
-        if m * grid.num_nodes * 2 ** grid.dim <= _STENCIL_CACHE_LIMIT:
-            self._stencils = [
-                self._arrival_stencil(j) for j in range(m)
-            ]
-        else:
-            self._stencils = None
+        m, n = len(controls), grid.num_nodes
+        count = -(-m // max(1, _BLOCK_ROWS // n))
+        step = -(-m // count)
+        self.blocks = [range(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
-    def _arrival_stencil(self, j):
+    def _arrival_rows(self, j, sel):
+        """Control j's arrival points from the nodes `sel`, located on the
+        grid: (base, local, inside, c) with c the stage cost plus, where the
+        arrival leaves the box, discount * exterior_value."""
+        pts = self.nodes[sel]
         a = self.controls.vectors[j]
-        arrivals = self.nodes + self.dt * np.asarray(self.spec.dynamics(self.nodes, a))
+        arrivals = pts + self.dt * np.asarray(self.spec.dynamics(pts, a))
         if not np.isfinite(arrivals).all():
             raise SolverError(f"non-finite arrival under control {j}")
-        return _batch_stencil(self.grid, arrivals)
-
-    def stage(self, j):
+        base, local, inside = locate_points(self.grid, arrivals)
+        c = np.empty(len(pts))
         if self.minimum_time:
-            return self.stage_scalar
-        if self._stage_cache is not None:
-            return self._stage_cache[j]
-        a = self.controls.vectors[j]
-        return self.dt * np.asarray(self.spec.running_cost(self.nodes, a), dtype=float)
-
-    def control_values(self, j, values):
-        """Discounted continuation plus stage cost for one control, all nodes."""
-        if self._stencils is not None:
-            stencil = self._stencils[j]
+            c[:] = self.stage_scalar
         else:
-            stencil = self._arrival_stencil(j)
-        interp = _stencil_apply(stencil, values, self.spec.exterior_value)
-        q = self.discount * interp + self.stage(j)
-        if not np.isfinite(q).all():
-            bad = int(np.flatnonzero(~np.isfinite(q))[0])
-            raise SolverError(f"non-finite update at node {bad} under control {j}")
-        return q
+            c[:] = self.dt * np.asarray(self.spec.running_cost(pts, a), dtype=float)
+        c[~inside] += self.discount * self.spec.exterior_value
+        return base, local, inside, c
+
+    def _control_block(self, js):
+        """(B, c) of the controls `js`, one row per (control, node), control
+        major."""
+        grid = self.grid
+        n = grid.num_nodes
+        rows = len(js) * n
+        indptr, indices, data = _csr_arrays(rows, grid)
+        c = np.empty(rows)
+        for t, j in enumerate(js):
+            lo = t * n
+            base, local, inside, c[lo:lo + n] = self._arrival_rows(j, slice(None))
+            _fill_rows(grid, base, local, inside, indptr[lo:lo + n + 1], indices, data)
+        end = indptr[-1]
+        return sp.csr_matrix((data[:end], indices[:end], indptr), shape=(rows, n)), c
+
+    @cached_property
+    def _stored_blocks(self):
+        """Every block's (B, c), or None when the operator exceeds the nnz
+        budget and each sweep builds its blocks afresh."""
+        grid = self.grid
+        if len(self.controls) * grid.num_nodes * 2 ** grid.dim > _OPERATOR_NNZ_LIMIT:
+            return None
+        return [self._control_block(js) for js in self.blocks]
+
+    def pinned_copy(self, field):
+        """A copy of `field` with the pins applied."""
+        v = field.values.copy()
+        self.apply_pins(v)
+        return ValueField(self.grid, v, copy=False)
 
     def apply_pins(self, values, policy=None):
         values[self.pinned] = self.pinned_values[self.pinned]
         if policy is not None:
             policy[self.pinned] = UNSET_POLICY
 
-    def initial_field(self):
-        """Default initial iterate: 0 everywhere (discounted problems) or the
-        transform's range endpoints 1 off target / 0 on target (minimum
-        time), with any fixed boundary values applied."""
-        if self.minimum_time:
-            v = np.ones(self.grid.num_nodes)
-        else:
-            v = np.zeros(self.grid.num_nodes)
-        self.apply_pins(v)
-        return ValueField(self.grid, v, copy=False)
-
     def bellman_sweep(self, values):
         """One Jacobi sweep of the min-over-controls update.
 
-        Returns (new values, argmin policy, evaluation count).  The control
-        enumeration is split across workers in contiguous blocks and merged
-        in ascending control order, which reproduces the sequential
-        lowest-index tie-breaking exactly.
+        Returns (new values, argmin policy, evaluation count).  Each block of
+        controls gives discount * (B @ values) + c and its lowest-index
+        argmin; blocks merge in ascending control order with a strict <, so
+        the lowest control index wins every tie.
         """
-        m = len(self.controls)
-        blocks = _control_blocks(m, self.workers)
-        results = [None] * len(blocks)
-
-        def run_block(b):
-            js = blocks[b]
-            best = self.control_values(js[0], values)
-            best_idx = np.full(best.size, js[0], dtype=np.int32)
-            for j in js[1:]:
-                q = self.control_values(j, values)
-                better = q < best
-                best[better] = q[better]
-                best_idx[better] = j
-            results[b] = (best, best_idx)
-
-        if len(blocks) == 1:
-            run_block(0)
-        else:
-            with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-                futures = [pool.submit(run_block, b) for b in range(len(blocks))]
-                for fut in futures:
-                    fut.result()
-
-        best, best_idx = results[0]
-        for partial, partial_idx in results[1:]:
-            better = partial < best
-            best[better] = partial[better]
-            best_idx[better] = partial_idx[better]
+        n = self.grid.num_nodes
+        stored = self._stored_blocks
+        best = best_idx = None
+        for b, js in enumerate(self.blocks):
+            B, c = stored[b] if stored is not None else self._control_block(js)
+            q = B @ values
+            q *= self.discount
+            q += c
+            if not np.isfinite(q).all():
+                bad = int(np.flatnonzero(~np.isfinite(q))[0])
+                raise SolverError(
+                    f"non-finite update at node {bad % n} under control {js[bad // n]}"
+                )
+            q = q.reshape(len(js), n)
+            low = np.minimum.reduce(q, axis=0)
+            low_idx = (q == low).argmax(axis=0).astype(np.int32)
+            low_idx += js.start
+            if best is None:
+                best, best_idx = low, low_idx
+            else:
+                better = low < best
+                best[better] = low[better]
+                best_idx[better] = low_idx[better]
         self.apply_pins(best, best_idx)
-        return best, best_idx, self.active_count * m
+        return best, best_idx, self.active_count * len(self.controls)
 
-    def policy_stencil(self, policy):
-        """Frozen-policy interpolation stencil plus stage costs.
-
-        For each node, the arrival point under its assigned control defines
-        up to 2^d corner weights; arrivals outside the box route their full
-        mass to the exterior constant.  Pinned nodes get empty rows.
-        """
+    def policy_rows(self, policy):
+        """The frozen-policy operator (B, c): row i is node i's row under
+        control policy[i]; pinned nodes get empty rows and c = 0."""
+        if ((policy.indices == UNSET_POLICY) & ~self.pinned).any():
+            raise SolverError("policy is undefined on non-pinned nodes")
+        idx = np.where(self.pinned, UNSET_POLICY, policy.indices)
         grid = self.grid
         n = grid.num_nodes
-        ncorner = 2 ** grid.dim
-        corners = np.zeros((n, ncorner), dtype=np.int64)
-        weights = np.zeros((n, ncorner))
+        base = np.zeros((n, grid.dim), dtype=np.int64)
+        local = np.zeros((n, grid.dim))
         inside = np.zeros(n, dtype=bool)
-        stage = np.zeros(n)
-        idx = policy.indices
-        if ((idx == UNSET_POLICY) & ~self.pinned).any():
-            raise SolverError("policy is undefined on non-pinned nodes")
+        c = np.zeros(n)
         for j in range(len(self.controls)):
             sel = np.flatnonzero(idx == j)
-            if sel.size == 0:
-                continue
-            pts = self.nodes[sel]
-            a = self.controls.vectors[j]
-            arrivals = pts + self.dt * np.asarray(self.spec.dynamics(pts, a))
-            if not np.isfinite(arrivals).all():
-                raise SolverError(f"non-finite arrival under control {j}")
-            part = _batch_stencil(grid, arrivals)
-            corners[sel] = part.corners
-            weights[sel] = part.weights
-            inside[sel] = part.inside
-            if self.minimum_time:
-                stage[sel] = self.stage_scalar
-            else:
-                stage[sel] = self.dt * np.asarray(
-                    self.spec.running_cost(pts, a), dtype=float
-                )
-        return _PolicyStencil(
-            _Stencil(corners, weights, inside, bool(inside.all())), stage
-        )
+            if sel.size:
+                base[sel], local[sel], inside[sel], c[sel] = self._arrival_rows(j, sel)
+        indptr, indices, data = _csr_arrays(n, grid)
+        end = _fill_rows(grid, base, local, inside, indptr, indices, data)
+        return sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, n)), c
 
-    def evaluation_sweep(self, values, pstencil):
+    def evaluation_sweep(self, values, rows):
         """One frozen-policy sweep; returns (new values, evaluation count)."""
-        interp = _stencil_apply(pstencil.stencil, values, self.spec.exterior_value)
-        out = pstencil.stage + self.discount * interp
+        B, c = rows
+        out = B @ values
+        out *= self.discount
+        out += c
         self.apply_pins(out)
         if not np.isfinite(out).all():
             bad = int(np.flatnonzero(~np.isfinite(out))[0])
@@ -380,23 +350,13 @@ class _Sweeper:
         return out, self.active_count
 
 
-@dataclass
-class _PolicyStencil:
-    stencil: _Stencil
-    stage: np.ndarray
-
-
 def default_initial_field(spec, grid):
-    """Standard initial iterate for a problem (see _Sweeper.initial_field)."""
-    if spec.minimum_time:
-        v = np.ones(grid.num_nodes)
-        v[target_mask(spec, grid).flags] = 0.0
-    else:
-        v = np.zeros(grid.num_nodes)
-    if spec.boundary_value is not None:
-        v[grid.boundary_mask()] = spec.boundary_value
-        if spec.minimum_time:
-            v[target_mask(spec, grid).flags] = 0.0
+    """Standard initial iterate: 0 everywhere (discounted problems) or the
+    transform's range endpoints 1 off target / 0 on target (minimum time),
+    with any fixed boundary values applied."""
+    v = np.full(grid.num_nodes, 1.0 if spec.minimum_time else 0.0)
+    pinned, pinned_values = _pins(spec, grid)
+    v[pinned] = pinned_values[pinned]
     return ValueField(grid, v, copy=False)
 
 
@@ -414,7 +374,10 @@ def bellman_update(spec, grid, V, controls, config):
 
 
 def policy_improvement(spec, grid, V, controls, dt, workers=1):
-    """Greedy argmin policy extraction against a fixed value field."""
+    """Greedy argmin policy extraction against a fixed value field.
+
+    `workers` is accepted and validated but has no effect (see SolverConfig).
+    """
     config = SolverConfig(dt=dt, workers=workers)
     sweeper = _Sweeper(spec, grid, controls, config)
     _, pol, _ = sweeper.bellman_sweep(V.values)
@@ -478,18 +441,14 @@ def value_iteration(spec, grid, controls, config, V0=None):
     """Fixed-point iteration of the Bellman update to the C*dx^2 stop test.
 
     Returns the last iterate, its greedy policy, and the run report.  Hitting
-    max_iterations is reported as converged=False, not raised.
+    max_iterations is reported as converged=False, not raised.  The reported
+    wall time includes the operator build.
     """
+    t0 = time.perf_counter()
     sweeper = _Sweeper(spec, grid, controls, config)
     eps = config.epsilon(grid)
-    if V0 is None:
-        V = sweeper.initial_field()
-    else:
-        v = V0.values.copy()
-        sweeper.apply_pins(v)
-        V = ValueField(grid, v, copy=False)
+    V = default_initial_field(spec, grid) if V0 is None else sweeper.pinned_copy(V0)
 
-    t0 = time.perf_counter()
     history = []
     updates = 0
     converged = False
@@ -525,20 +484,19 @@ def policy_evaluation_fixed_point(spec, grid, policy, controls, V_init, config):
     cap was hit and the caller should treat the evaluation as failed.
     """
     sweeper = _Sweeper(spec, grid, controls, config)
-    pstencil = sweeper.policy_stencil(policy)
-    eps = config.epsilon(grid)
-    v = V_init.values.copy()
-    sweeper.apply_pins(v)
-    field, count, ok, _ = _fixed_point_loop(sweeper, pstencil, v, eps, config.inner_cap())
+    field, count, ok, _ = _fixed_point_loop(
+        sweeper, sweeper.policy_rows(policy), sweeper.pinned_copy(V_init).values,
+        config.epsilon(grid), config.inner_cap(),
+    )
     return field, count, ok
 
 
-def _fixed_point_loop(sweeper, pstencil, v, eps, cap):
+def _fixed_point_loop(sweeper, rows, v, eps, cap):
     count = 0
     converged = False
     updates = 0
     while count < cap:
-        new, evals = sweeper.evaluation_sweep(v, pstencil)
+        new, evals = sweeper.evaluation_sweep(v, rows)
         count += 1
         updates += evals
         r = float(np.max(np.abs(new - v)))
@@ -552,30 +510,17 @@ def _fixed_point_loop(sweeper, pstencil, v, eps, cap):
 def policy_evaluation_direct(spec, grid, policy, controls, config):
     """Frozen-policy value via a sparse linear solve.
 
-    Assembles (I - discount * L) V = stage + discount * exterior_mass, where
-    L holds the multilinear interpolation weights of each node's arrival
-    point (at most 2^d nonnegative entries per row summing to at most 1; the
-    discount makes the system strictly diagonally dominant), and solves with
-    BiCGStab to residual eps/10.  Stagnation raises, carrying the achieved
-    residual.  Returns (field, solver iteration count).
+    Solves (I - discount * B) V = c, where B holds the frozen-policy rows
+    (at most 2^d nonnegative entries per row summing to at most 1; the
+    discount makes the system strictly diagonally dominant) and c the stage
+    cost plus discount * exterior mass, with BiCGStab to residual eps/10.
+    Stagnation raises, carrying the achieved residual.  Returns (field,
+    solver iteration count).
     """
     sweeper = _Sweeper(spec, grid, controls, config)
-    pstencil = sweeper.policy_stencil(policy)
-    stencil = pstencil.stencil
+    B, rhs = sweeper.policy_rows(policy)
     eps = config.epsilon(grid)
-    n = grid.num_nodes
-    active = ~sweeper.pinned & stencil.inside
-
-    weights = np.where(active[:, None], stencil.weights, 0.0)
-    rows = np.repeat(np.arange(n, dtype=np.int64), stencil.corners.shape[1])
-    cols = stencil.corners.reshape(-1)
-    data = (-sweeper.discount * weights).reshape(-1)
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    matrix = matrix + sp.identity(n, format="csr")
-
-    rhs = pstencil.stage.copy()
-    exterior_rows = ~sweeper.pinned & ~stencil.inside
-    rhs[exterior_rows] += sweeper.discount * spec.exterior_value
+    matrix = sp.identity(grid.num_nodes, format="csr") - sweeper.discount * B
     rhs[sweeper.pinned] = sweeper.pinned_values[sweeper.pinned]
 
     iters = 0
@@ -609,23 +554,25 @@ def policy_iteration(spec, grid, controls, config, policy0=None, V_init=None,
     evaluated value sequence is nodewise nonincreasing up to the evaluation
     tolerance.  sub_iteration_history records the evaluation effort per outer
     step (sweeps, or linear-solver iterations for the direct backend).
-    `on_iterate`, when given, receives every evaluated value field.
+    `on_iterate`, when given, receives every evaluated value field.  The
+    reported wall time includes the operator build.
     """
+    t0 = time.perf_counter()
     sweeper = _Sweeper(spec, grid, controls, config)
+    return _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0)
+
+
+def _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0):
+    """policy_iteration on a given operator; `t0` starts the reported clock."""
+    spec, grid, controls = sweeper.spec, sweeper.grid, sweeper.controls
     eps = config.epsilon(grid)
-    if V_init is None:
-        V = sweeper.initial_field()
-    else:
-        v = V_init.values.copy()
-        sweeper.apply_pins(v)
-        V = ValueField(grid, v, copy=False)
+    V = default_initial_field(spec, grid) if V_init is None else sweeper.pinned_copy(V_init)
     if policy0 is None:
         policy = PolicyField.constant(grid, 0)
     else:
         policy = PolicyField(grid, policy0.indices.copy())
     policy.indices[sweeper.pinned] = UNSET_POLICY
 
-    t0 = time.perf_counter()
     history = []
     subs = []
     updates = 0
@@ -634,9 +581,8 @@ def policy_iteration(spec, grid, controls, config, policy0=None, V_init=None,
     cap = config.inner_cap()
     for _ in range(config.max_iterations):
         if config.eval_backend == "fixed_point":
-            pstencil = sweeper.policy_stencil(policy)
             V_new, inner, _, evals = _fixed_point_loop(
-                sweeper, pstencil, V.values.copy(), eps, cap
+                sweeper, sweeper.policy_rows(policy), V.values, eps, cap
             )
             updates += evals
         else:
@@ -669,8 +615,10 @@ def api_solve(spec, coarse_grid, fine_grid, controls, coarse_config, fine_config
     """Accelerated policy iteration: coarse value iteration, multilinear
     prolongation, greedy policy extraction, then fine-grid policy iteration.
 
-    The grids must be nested by midpoint refinement.  The report separates
-    the coarse and fine phases and aggregates totals.
+    The grids must be nested by midpoint refinement.  The fine operator is
+    built once and serves both the greedy extraction and the policy
+    iteration.  The report separates the coarse and fine phases and
+    aggregates totals.
     """
     if not coarse_grid.nests(fine_grid):
         raise SolverError(
@@ -681,16 +629,12 @@ def api_solve(spec, coarse_grid, fine_grid, controls, coarse_config, fine_config
                                            V0c)
     coarse_report.algorithm = "api.coarse_vi"
 
-    V0f = prolongate(Vc, fine_grid)
-    fine_sweeper = _Sweeper(spec, fine_grid, controls, fine_config)
-    v0 = V0f.values.copy()
-    fine_sweeper.apply_pins(v0)
-    V0f = ValueField(fine_grid, v0, copy=False)
-    _, pol0, seed_evals = fine_sweeper.bellman_sweep(V0f.values)
-    policy0 = PolicyField(fine_grid, pol0)
-
-    Vf, policy, fine_report = policy_iteration(
-        spec, fine_grid, controls, fine_config, policy0, V0f
+    fine_t0 = time.perf_counter()
+    fine = _Sweeper(spec, fine_grid, controls, fine_config)
+    V0f = fine.pinned_copy(prolongate(Vc, fine_grid))
+    _, pol0, seed_evals = fine.bellman_sweep(V0f.values)
+    Vf, policy, fine_report = _policy_iteration(
+        fine, fine_config, PolicyField(fine_grid, pol0), V0f, None, fine_t0
     )
     fine_report.algorithm = "api.fine_pi"
     fine_report.node_updates += seed_evals

@@ -210,6 +210,18 @@ class TestCli:
         assert cli.main(["solve", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 3
 
+    def test_solver_error_exit_code(self, tmp_path, capsys):
+        # BiCGStab stalls on the first frozen-policy solve of this problem
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(
+            "problem.name = test1_1d\nalgorithm = pi\ngrid.fine.nodes = 321\n"
+            "solver.backend = direct\n"
+        )
+        assert cli.main(["solve", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and err.count("\n") == 1
+
     def test_export_without_field_errors(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(SMALL_API)

@@ -1,0 +1,135 @@
+"""The semi-Lagrangian transition operator behind every sweep."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import hjbsolve as h
+from hjbsolve import solvers
+from hjbsolve.grid import interpolate_values
+from hjbsolve.problems import InfiniteHorizon, ProblemSpec
+from hjbsolve.solvers import _Sweeper
+
+SMALL_CASES = [
+    ("test1_1d", 21, {}),
+    ("test2_vdp", 11, {"control_count": 8}),
+    ("test4_eik2d", 11, {"control_count": 8}),
+    ("test6_eik3d", 7, {"control_counts": (4, 3)}),
+    ("heat3_rom", 7, {}),
+    ("test8_min4d", 5, {}),
+]
+
+
+def control_rows(sweeper, j):
+    """(B_j, c_j): the operator rows of control j on every node."""
+    return sweeper._control_block(range(j, j + 1))
+
+
+def oracle(sweeper, j, values):
+    """discount * interpolate_values(arrivals_j) + stage_j, computed without
+    the operator."""
+    spec, nodes, dt = sweeper.spec, sweeper.nodes, sweeper.dt
+    a = sweeper.controls.vectors[j]
+    arrivals = nodes + dt * np.asarray(spec.dynamics(nodes, a))
+    if spec.minimum_time:
+        stage = -math.expm1(-dt)
+    else:
+        stage = dt * np.asarray(spec.running_cost(nodes, a), dtype=float)
+    interp = interpolate_values(sweeper.grid, values, arrivals, spec.exterior_value)
+    return sweeper.discount * interp + stage
+
+
+@pytest.mark.parametrize("name,n,overrides", SMALL_CASES)
+def test_rows_match_interpolation_oracle(name, n, overrides, rng):
+    entry = h.catalog(name, **overrides)
+    grid = entry.spec.domain_grid(n)
+    sweeper = _Sweeper(entry.spec, grid, entry.controls,
+                       h.SolverConfig(dt=entry.dt_for(grid)))
+    values = rng.uniform(0.0, 2.0, grid.num_nodes)
+    for j in range(len(entry.controls)):
+        B, c = control_rows(sweeper, j)
+        q = B @ values
+        q *= sweeper.discount
+        q += c
+        assert np.array_equal(q, oracle(sweeper, j, values)), f"control {j}"
+
+
+def drift_spec(dim, lower, width, drift):
+    """A discounted problem with the given constant-plus-wave drift."""
+    wave = np.linspace(0.2, 0.7, dim)
+    return ProblemSpec(
+        state_dim=dim,
+        dynamics=lambda pts, a: np.asarray(a) + np.sin(pts * 3.0 + wave) * drift,
+        running_cost=lambda pts, a: np.ones(pts.shape[0]),
+        kind=InfiniteHorizon(1.0),
+        lower=(lower,) * dim,
+        upper=(lower + width,) * dim,
+        exterior_value=0.0,
+    )
+
+
+@st.composite
+def operators(draw):
+    dim = draw(st.integers(1, 4))
+    nodes = draw(st.integers(2, 6 if dim < 4 else 4))
+    lower = draw(st.floats(-3.0, 3.0))
+    width = draw(st.floats(0.5, 5.0))
+    drift = draw(st.floats(0.0, 2.0))
+    dt = draw(st.floats(0.01, 1.5))
+    seed = draw(st.integers(0, 2 ** 16))
+    controls = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(3, dim))
+    spec = drift_spec(dim, lower, width, drift)
+    grid = spec.domain_grid(nodes)
+    sweeper = _Sweeper(spec, grid, h.ControlSet(controls), h.SolverConfig(dt=dt))
+    return sweeper, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators())
+def test_rows_are_monotone_and_reproduce_affine_functions(case):
+    sweeper, seed = case
+    grid = sweeper.grid
+    rng = np.random.default_rng(seed)
+    alpha, beta = rng.normal(), rng.normal(size=grid.dim)
+    affine = alpha + grid.nodes() @ beta
+    for j in range(len(sweeper.controls)):
+        B, _ = control_rows(sweeper, j)
+        assert np.all(B.data >= 0.0)
+        sums = np.asarray(B.sum(axis=1)).ravel()
+        in_box = np.diff(B.indptr) > 0
+        assert np.all(sums <= 1.0 + 1e-12)
+        assert np.allclose(sums[in_box], 1.0, rtol=0.0, atol=1e-12)
+        a = sweeper.controls.vectors[j]
+        nodes = sweeper.nodes
+        arrivals = nodes + sweeper.dt * np.asarray(sweeper.spec.dynamics(nodes, a))
+        scale = 1.0 + np.abs(alpha) + np.abs(arrivals) @ np.abs(beta)
+        error = np.abs((B @ affine) - (alpha + arrivals @ beta))
+        assert np.all(error[in_box] <= 1e-12 * scale[in_box])
+
+
+def test_unstored_and_blocked_sweeps_match_stored(monkeypatch):
+    entry = h.catalog("test4_eik2d", control_count=16)
+    grid = entry.spec.domain_grid(41)
+    cfg = h.SolverConfig(dt=entry.dt_for(grid))
+
+    def solve():
+        V, P, rep = h.value_iteration(entry.spec, grid, entry.controls, cfg)
+        # a constant field ties every control at interior nodes
+        ties = h.policy_improvement(entry.spec, grid, h.ValueField.full(grid, 0.5),
+                                    entry.controls, cfg.dt)
+        return V.values, P.indices, rep.outer_iterations, ties.indices
+
+    stored = solve()
+    monkeypatch.setattr(solvers, "_OPERATOR_NNZ_LIMIT", 0)
+    assert _Sweeper(entry.spec, grid, entry.controls, cfg)._stored_blocks is None
+    unstored = solve()
+    # one control per block exercises the cross-block merge
+    monkeypatch.setattr(solvers, "_BLOCK_ROWS", 1)
+    blocked = solve()
+    for other in (unstored, blocked):
+        assert np.array_equal(stored[0], other[0])
+        assert np.array_equal(stored[1], other[1])
+        assert stored[2] == other[2]
+        assert np.array_equal(stored[3], other[3])

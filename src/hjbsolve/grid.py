@@ -7,7 +7,6 @@ fastest, so flat indices match ``numpy.ravel_multi_index`` on the grid shape.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,29 +166,30 @@ class CellLocation:
         return np.asarray(grid.lower) + (base + self.local) * np.asarray(grid.spacing)
 
 
-def _corner_offsets(dim):
-    """All 2^d cell corner offsets in a fixed order (first axis slowest)."""
-    return list(itertools.product((0, 1), repeat=dim))
-
-
 def locate_points(grid, points):
     """Vectorized cell location for an (n, d) batch of points.
 
-    Returns (base, local, inside): integer base indices (n, d) clipped into
-    valid cell range, local coordinates (n, d) clipped into [0, 1], and a
-    boolean in-closed-box mask.  Points on the upper face map into the last
-    cell with local coordinate 1.
+    Returns (base, local, inside): integer cell base indices (d, n) clamped
+    into the valid cell range, local coordinates (d, n) clamped into [0, 1],
+    one contiguous row per axis, and a boolean (n,) in-closed-box mask.
+    Points on the upper face map into the last cell with local coordinate 1.
+    The clamps are NaN-safe: a non-finite or huge coordinate still gets an
+    in-range cell, and the mask marks it outside.
     """
-    points = np.asarray(points, dtype=float)
-    lo = np.asarray(grid.lower)
-    hi = np.asarray(grid.upper_node)
-    h = np.asarray(grid.spacing)
-    inside = np.logical_and(points >= lo, points <= hi).all(axis=1)
-    u = (points - lo) / h
-    base = np.floor(u).astype(np.int64)
-    np.clip(base, 0, np.asarray(grid.nodes_per_axis) - 2, out=base)
-    local = u - base
-    np.clip(local, 0.0, 1.0, out=local)
+    column = (grid.dim, 1)
+    lower = np.reshape(grid.lower, column)
+    local = np.array(np.asarray(points, dtype=float).T, order="C")
+    inside = np.logical_and.reduce(
+        (local >= lower) & (local <= np.reshape(grid.upper_node, column)), axis=0)
+    local -= lower
+    local /= np.reshape(grid.spacing, column)
+    cell = np.floor(local)
+    np.fmax(cell, 0.0, out=cell)
+    np.fmin(cell, np.reshape(grid.nodes_per_axis, column) - 2, out=cell)
+    base = cell.astype(np.int32)
+    local -= cell
+    np.fmax(local, 0.0, out=local)
+    np.fmin(local, 1.0, out=local)
     return base, local, inside
 
 
@@ -201,25 +201,30 @@ def locate_cell(grid, point):
     base, local, inside = locate_points(grid, point[None, :])
     if not inside[0]:
         return None
-    return CellLocation(tuple(int(b) for b in base[0]), local[0])
+    return CellLocation(tuple(int(b) for b in base[:, 0]), local[:, 0])
 
 
 def multilinear_corners(grid, base, local):
     """The multilinear interpolation weights of located points.
 
-    `base` and `local` are the cell base indices and local coordinates from
-    locate_points.  Yields (flat corner index, weight) for each of the 2^d
-    cell corners, in the fixed order of _corner_offsets, which is also
-    ascending flat index.  Every weight is nonnegative.
+    `base` and `local` are the per-axis cell base indices and local
+    coordinates from locate_points.  Returns a list of (flat corner index,
+    weight) for each of the 2^d cell corners in a fixed order (first axis
+    slowest), which is also ascending flat index.  Every weight is
+    nonnegative, and the weight of corner (b_0, ..., b_{d-1}) is the
+    product f_0 * f_1 * ... taken left to right, with f_i = local_i when
+    b_i = 1 and 1 - local_i otherwise.
     """
-    strides = np.asarray(grid.strides, dtype=np.int64)
-    flat = base @ strides
-    n = flat.size
-    for corner in _corner_offsets(grid.dim):
-        w = np.ones(n)
-        for axis, bit in enumerate(corner):
-            w = w * (local[:, axis] if bit else 1.0 - local[:, axis])
-        yield flat + int(np.dot(corner, strides)), w
+    strides = grid.strides
+    flat = base[0] * strides[0]
+    corners = [(0, 1.0 - local[0]), (strides[0], local[0])]
+    for axis in range(1, grid.dim):
+        flat += base[axis] * strides[axis]
+        upper = local[axis]
+        factors = ((0, 1.0 - upper), (strides[axis], upper))
+        corners = [(offset + step, w * f)
+                   for offset, w in corners for step, f in factors]
+    return [(flat + offset, w) for offset, w in corners]
 
 
 def interpolate_values(grid, values, points, exterior_value):

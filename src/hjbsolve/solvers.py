@@ -29,7 +29,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import (
     RegularGrid,
@@ -52,6 +51,8 @@ _OPERATOR_NNZ_LIMIT = 160_000_000
 # Sweeps take the operator in blocks of consecutive controls with about this
 # many rows, which bounds the sweep's temporaries.
 _BLOCK_ROWS = 2 ** 19
+# The row builder writes a block's entries this many rows at a time.
+_FILL_ROWS = 8192
 
 
 class SolverError(RuntimeError):
@@ -120,6 +121,12 @@ class RunReport:
     improvement sweep contributes (active nodes) * (control count), a frozen-
     policy evaluation sweep contributes (active nodes).  This is the portable
     work metric; wall time is reported but machine dependent.
+
+    The operator_* fields describe the m-control transition operator of a
+    VI or PI run: whether it was stored or rebuilt in every sweep, its
+    entries (12 bytes each: float64 weight, int32 column) and the wall time
+    spent building it, summed over every build.  They stay None on the
+    aggregate API report, whose phases carry their own.
     """
 
     algorithm: str
@@ -135,6 +142,13 @@ class RunReport:
     residual_history: list = dataclass_field(default_factory=list)
     sub_iteration_history: list = dataclass_field(default_factory=list)
     phases: Optional[dict] = None
+    operator_stored: Optional[bool] = None
+    operator_nnz: Optional[int] = None
+    operator_build_wall_time_seconds: Optional[float] = None
+
+    @property
+    def operator_bytes(self):
+        return None if self.operator_nnz is None else 12 * self.operator_nnz
 
     def to_text(self):
         lines = [
@@ -152,6 +166,14 @@ class RunReport:
             "residual_history = "
             + ",".join("%.17g" % r for r in self.residual_history),
         ]
+        if self.operator_stored is not None:
+            lines += [
+                f"operator_stored = {self.operator_stored}",
+                f"operator_nnz = {self.operator_nnz}",
+                f"operator_bytes = {self.operator_bytes}",
+                "operator_build_wall_time_seconds = "
+                f"{self.operator_build_wall_time_seconds:.6f}",
+            ]
         if self.phases:
             for key, sub in self.phases.items():
                 for line in sub.to_text().splitlines():
@@ -179,20 +201,31 @@ def _fill_rows(grid, base, local, inside, indptr, indices, data):
     """Write the rows of located arrival points into CSR arrays.
 
     Row r holds the 2^d multilinear weights of arrival r when inside[r] and
-    is empty otherwise.  indptr[0] must hold the position of the first entry;
-    indptr[1:] is filled.  Returns the position after the last entry.
+    is empty otherwise.  indptr[0] must hold the position of the first entry,
+    a multiple of 2^d; indptr[1:] is filled.  Returns the position after the
+    last entry.  Rows are written _FILL_ROWS at a time, so each chunk's
+    columns and weights stay in cache while they are scattered into the
+    row-major (rows, 2^d) views of indices and data.
     """
     width = 2 ** grid.dim
-    start = indptr[0]
-    indptr[1:] = start + width * np.cumsum(inside)
-    end = indptr[-1]
-    cols = indices[start:end].reshape(-1, width)
-    vals = data[start:end].reshape(-1, width)
-    corners = multilinear_corners(grid, base[inside], local[inside])
-    for k, (corner, w) in enumerate(corners):
-        cols[:, k] = corner
-        vals[:, k] = w
-    return end
+    n = len(inside)
+    ends = indptr[1:]
+    np.cumsum(inside, out=ends)
+    ends *= width
+    ends += indptr[0]
+    cols = indices.reshape(-1, width)
+    vals = data.reshape(-1, width)
+    for lo in range(0, n, _FILL_ROWS):
+        hi = min(lo + _FILL_ROWS, n)
+        first, last = indptr[lo] // width, indptr[hi] // width
+        b, w = base[:, lo:hi], local[:, lo:hi]
+        if last - first < hi - lo:
+            keep = inside[lo:hi]
+            b, w = np.compress(keep, b, axis=1), np.compress(keep, w, axis=1)
+        for k, (corner, weight) in enumerate(multilinear_corners(grid, b, w)):
+            cols[first:last, k] = corner
+            vals[first:last, k] = weight
+    return indptr[-1]
 
 
 def _csr_arrays(rows, grid):
@@ -207,7 +240,8 @@ class _Sweeper:
 
     The m-control operator is built on the first Bellman sweep and kept when
     its entry bound fits the budget; frozen-policy rows are built on demand
-    by the same row builder.
+    by the same row builder.  `build_seconds` sums the time spent building
+    the m-control operator's blocks and `nnz` counts its entries.
     """
 
     def __init__(self, spec, grid, controls, config):
@@ -226,6 +260,9 @@ class _Sweeper:
             self.discount = math.exp(-spec.kind.lam * self.dt)
 
         m, n = len(controls), grid.num_nodes
+        self.stored = m * n * 2 ** grid.dim <= _OPERATOR_NNZ_LIMIT
+        self.build_seconds = 0.0
+        self.nnz = 0
         count = -(-m // max(1, _BLOCK_ROWS // n))
         step = -(-m // count)
         self.blocks = [range(lo, min(lo + step, m)) for lo in range(0, m, step)]
@@ -251,6 +288,7 @@ class _Sweeper:
     def _control_block(self, js):
         """(B, c) of the controls `js`, one row per (control, node), control
         major."""
+        t0 = time.perf_counter()
         grid = self.grid
         n = grid.num_nodes
         rows = len(js) * n
@@ -261,14 +299,15 @@ class _Sweeper:
             base, local, inside, c[lo:lo + n] = self._arrival_rows(j, slice(None))
             _fill_rows(grid, base, local, inside, indptr[lo:lo + n + 1], indices, data)
         end = indptr[-1]
-        return sp.csr_matrix((data[:end], indices[:end], indptr), shape=(rows, n)), c
+        B = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(rows, n))
+        self.build_seconds += time.perf_counter() - t0
+        return B, c
 
     @cached_property
     def _stored_blocks(self):
         """Every block's (B, c), or None when the operator exceeds the nnz
         budget and each sweep builds its blocks afresh."""
-        grid = self.grid
-        if len(self.controls) * grid.num_nodes * 2 ** grid.dim > _OPERATOR_NNZ_LIMIT:
+        if not self.stored:
             return None
         return [self._control_block(js) for js in self.blocks]
 
@@ -294,8 +333,10 @@ class _Sweeper:
         n = self.grid.num_nodes
         stored = self._stored_blocks
         best = best_idx = None
+        nnz = 0
         for b, js in enumerate(self.blocks):
             B, c = stored[b] if stored is not None else self._control_block(js)
+            nnz += B.nnz
             q = B @ values
             q *= self.discount
             q += c
@@ -314,6 +355,7 @@ class _Sweeper:
                 better = low < best
                 best[better] = low[better]
                 best_idx[better] = low_idx[better]
+        self.nnz = nnz
         self.apply_pins(best, best_idx)
         return best, best_idx, self.active_count * len(self.controls)
 
@@ -325,14 +367,14 @@ class _Sweeper:
         idx = np.where(self.pinned, UNSET_POLICY, policy.indices)
         grid = self.grid
         n = grid.num_nodes
-        base = np.zeros((n, grid.dim), dtype=np.int64)
-        local = np.zeros((n, grid.dim))
+        base = np.zeros((grid.dim, n), dtype=np.int32)
+        local = np.zeros((grid.dim, n))
         inside = np.zeros(n, dtype=bool)
         c = np.zeros(n)
         for j in range(len(self.controls)):
             sel = np.flatnonzero(idx == j)
             if sel.size:
-                base[sel], local[sel], inside[sel], c[sel] = self._arrival_rows(j, sel)
+                base[:, sel], local[:, sel], inside[sel], c[sel] = self._arrival_rows(j, sel)
         indptr, indices, data = _csr_arrays(n, grid)
         end = _fill_rows(grid, base, local, inside, indptr, indices, data)
         return sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, n)), c
@@ -419,14 +461,15 @@ def greedy_control(spec, V, controls, x, dt):
     return controls.vectors[greedy_control_index(spec, V, controls, x, dt)]
 
 
-def _make_report(algorithm, grid, config, controls, eps, iterations, updates,
-                 wall, converged, history, subs=None):
+def _make_report(algorithm, sweeper, config, eps, iterations, updates, wall,
+                 converged, history, subs=None):
+    grid = sweeper.grid
     return RunReport(
         algorithm=algorithm,
         grid_shape=grid.nodes_per_axis,
         dx=min(grid.spacing),
         dt=config.dt,
-        control_count=len(controls),
+        control_count=len(sweeper.controls),
         epsilon=eps,
         outer_iterations=iterations,
         node_updates=updates,
@@ -434,6 +477,9 @@ def _make_report(algorithm, grid, config, controls, eps, iterations, updates,
         converged=converged,
         residual_history=history,
         sub_iteration_history=subs or [],
+        operator_stored=sweeper.stored,
+        operator_nnz=sweeper.nnz,
+        operator_build_wall_time_seconds=sweeper.build_seconds,
     )
 
 
@@ -470,7 +516,7 @@ def value_iteration(spec, grid, controls, config, V0=None):
     updates += evals
     wall = time.perf_counter() - t0
     report = _make_report(
-        "vi", grid, config, controls, eps, iterations, updates, wall, converged, history
+        "vi", sweeper, config, eps, iterations, updates, wall, converged, history
     )
     return V, PolicyField(grid, pol), report
 
@@ -517,6 +563,8 @@ def policy_evaluation_direct(spec, grid, policy, controls, config):
     Stagnation raises, carrying the achieved residual.  Returns (field,
     solver iteration count).
     """
+    import scipy.sparse.linalg as spla
+
     sweeper = _Sweeper(spec, grid, controls, config)
     B, rhs = sweeper.policy_rows(policy)
     eps = config.epsilon(grid)
@@ -604,8 +652,8 @@ def _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0):
             break
     wall = time.perf_counter() - t0
     report = _make_report(
-        "pi", grid, config, controls, eps, iterations, updates, wall, converged,
-        history, subs,
+        "pi", sweeper, config, eps, iterations, updates, wall, converged, history,
+        subs,
     )
     return V, policy, report
 

@@ -441,3 +441,31 @@ class TestRunReport:
         text = rep.to_text()
         assert "coarse.algorithm = api.coarse_vi" in text
         assert "fine.algorithm = api.fine_pi" in text
+
+    def test_operator_fields(self, solved):
+        entry = solved.entry("test4_eik2d")
+        _, _, vi = solved.vi("test4_eik2d", 41)
+        _, _, api = solved.api("test4_eik2d", 41)
+        full = len(entry.controls) * 41 ** 2 * 4
+        for rep in (vi, api.phases["coarse"], api.phases["fine"]):
+            assert rep.operator_stored is True
+            assert rep.operator_nnz > 0
+            assert rep.operator_bytes == 12 * rep.operator_nnz
+            assert rep.operator_build_wall_time_seconds > 0.0
+        assert vi.operator_nnz == api.phases["fine"].operator_nnz <= full
+        assert "\noperator_stored = True\n" in vi.to_text()
+        text = api.to_text()
+        assert f"fine.operator_nnz = {api.phases['fine'].operator_nnz}" in text
+        assert "coarse.operator_stored = True" in text
+        assert "\noperator_stored" not in text
+
+    def test_operator_fields_unstored(self, monkeypatch):
+        entry = h.catalog("test4_eik2d", control_count=8)
+        grid = entry.spec.domain_grid(21)
+        cfg = h.SolverConfig(dt=entry.dt_for(grid))
+        _, _, stored = h.policy_iteration(entry.spec, grid, entry.controls, cfg)
+        monkeypatch.setattr(h.solvers, "_OPERATOR_NNZ_LIMIT", 0)
+        _, _, unstored = h.policy_iteration(entry.spec, grid, entry.controls, cfg)
+        assert stored.operator_stored is True and unstored.operator_stored is False
+        assert unstored.operator_nnz == stored.operator_nnz
+        assert "operator_stored = False" in unstored.to_text()

@@ -6,7 +6,8 @@ Verbs:
     export RESULT_DIR --format {table,slice} [--slice axis=value] [--out PATH]
 
 Exit codes: 0 success, 2 configuration error, 3 non-convergence or solver
-failure, 4 I/O error.  --threads is accepted and validated but has no effect.
+failure, 4 I/O error.  --threads is accepted and validated but has no effect:
+sweeps run in one thread.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ def _build_parser():
     solve.add_argument("--config", required=True, help="path to a key=value config file")
     solve.add_argument("--out", default=None, help="output directory")
     solve.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; has no effect")
+                       help="has no effect: sweeps run in one thread")
 
     suite = sub.add_parser("suite", help="run a named suite")
     suite.add_argument("name", choices=["invariants", "paper_tables", "rates"])
     suite.add_argument("--out", default="suite_results", help="output directory")
     suite.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
+                       help="has no effect: sweeps run in one thread")
     suite.add_argument("--include-large", action="store_true",
                        help="also run rows above the desk-scale defaults")
     suite.add_argument("--only", default=None,
@@ -100,6 +101,8 @@ def main(argv=None):
             return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
         if args.verb == "suite":
+            if args.threads < 1:
+                raise ConfigError("--threads: must be at least 1")
             only = args.only.split(",") if args.only else None
             ok = run_suite(args.name, args.out, workers=args.threads,
                            include_large=args.include_large, only=only)

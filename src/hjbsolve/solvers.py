@@ -65,9 +65,8 @@ class SolverConfig:
 
     The stopping test compares consecutive iterates in the sup norm against
     eps = stop_constant * (min axis spacing)^2, computed once per grid.
-    `workers` is accepted and validated but has no effect: every sweep runs
-    in one thread, because splitting the sweep across threads was slower on
-    every measured grid.
+    `workers` is accepted and validated but has no effect: sweeps run in one
+    thread.
     """
 
     dt: float
@@ -127,6 +126,9 @@ class RunReport:
     entries (12 bytes each: float64 weight, int32 column) and the wall time
     spent building it, summed over every build.  They stay None on the
     aggregate API report, whose phases carry their own.
+
+    policy_changes, on PI reports (so on API's fine phase), holds per
+    improvement the number of non-pinned nodes whose control changed.
     """
 
     algorithm: str
@@ -145,6 +147,7 @@ class RunReport:
     operator_stored: Optional[bool] = None
     operator_nnz: Optional[int] = None
     operator_build_wall_time_seconds: Optional[float] = None
+    policy_changes: Optional[list] = None
 
     @property
     def operator_bytes(self):
@@ -174,6 +177,8 @@ class RunReport:
                 "operator_build_wall_time_seconds = "
                 f"{self.operator_build_wall_time_seconds:.6f}",
             ]
+        if self.policy_changes is not None:
+            lines.append("policy_changes = " + ",".join(map(str, self.policy_changes)))
         if self.phases:
             for key, sub in self.phases.items():
                 for line in sub.to_text().splitlines():
@@ -322,13 +327,15 @@ class _Sweeper:
         if policy is not None:
             policy[self.pinned] = UNSET_POLICY
 
-    def bellman_sweep(self, values):
+    def bellman_sweep(self, values, policy=True):
         """One Jacobi sweep of the min-over-controls update.
 
         Returns (new values, argmin policy, evaluation count).  Each block of
         controls gives discount * (B @ values) + c and its lowest-index
         argmin; blocks merge in ascending control order with a strict <, so
-        the lowest control index wins every tie.
+        the lowest control index wins every tie.  With policy=False the
+        argmin is skipped and None is returned in its place; the values are
+        the same bits, since the merge of the block minima is unchanged.
         """
         n = self.grid.num_nodes
         stored = self._stored_blocks
@@ -347,14 +354,17 @@ class _Sweeper:
                 )
             q = q.reshape(len(js), n)
             low = np.minimum.reduce(q, axis=0)
-            low_idx = (q == low).argmax(axis=0).astype(np.int32)
-            low_idx += js.start
+            low_idx = None
+            if policy:
+                low_idx = (q == low).argmax(axis=0).astype(np.int32)
+                low_idx += js.start
             if best is None:
                 best, best_idx = low, low_idx
             else:
                 better = low < best
                 best[better] = low[better]
-                best_idx[better] = low_idx[better]
+                if policy:
+                    best_idx[better] = low_idx[better]
         self.nnz = nnz
         self.apply_pins(best, best_idx)
         return best, best_idx, self.active_count * len(self.controls)
@@ -500,7 +510,7 @@ def value_iteration(spec, grid, controls, config, V0=None):
     converged = False
     iterations = 0
     for _ in range(config.max_iterations):
-        new_values, _, evals = sweeper.bellman_sweep(V.values)
+        new_values, _, evals = sweeper.bellman_sweep(V.values, policy=False)
         iterations += 1
         updates += evals
         r = float(np.max(np.abs(new_values - V.values)))
@@ -623,6 +633,7 @@ def _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0):
 
     history = []
     subs = []
+    changes = []
     updates = 0
     converged = False
     iterations = 0
@@ -646,6 +657,8 @@ def _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0):
             on_iterate(V)
         _, pol, evals = sweeper.bellman_sweep(V.values)
         updates += evals
+        # Pinned nodes hold UNSET_POLICY in both, so only active nodes count.
+        changes.append(int(np.count_nonzero(pol != policy.indices)))
         policy = PolicyField(grid, pol)
         if r <= eps:
             converged = True
@@ -655,6 +668,7 @@ def _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0):
         "pi", sweeper, config, eps, iterations, updates, wall, converged, history,
         subs,
     )
+    report.policy_changes = changes
     return V, policy, report
 
 

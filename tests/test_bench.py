@@ -222,6 +222,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("solver error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("suite", [
+        ["paper_tables", "--only", "test1_1d"], ["invariants"]])
+    def test_suite_threads_below_one_is_config_error(self, tmp_path, capsys, suite):
+        out = tmp_path / "suite"
+        rc = cli.main(["suite", *suite, "--threads", "0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        # rejected before any row ran
+        assert not out.exists()
+
     def test_export_without_field_errors(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(SMALL_API)

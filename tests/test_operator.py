@@ -133,3 +133,70 @@ def test_unstored_and_blocked_sweeps_match_stored(monkeypatch):
         assert np.array_equal(stored[1], other[1])
         assert stored[2] == other[2]
         assert np.array_equal(stored[3], other[3])
+
+
+SWEEP_PATHS = {
+    "stored": {},
+    "unstored": {"_OPERATOR_NNZ_LIMIT": 0},
+    # one control per block, so every case with >= 3 controls merges >= 3 blocks
+    "blocked": {"_BLOCK_ROWS": 1},
+}
+
+
+@pytest.mark.parametrize("path", sorted(SWEEP_PATHS))
+@pytest.mark.parametrize("name,n,overrides", SMALL_CASES)
+def test_values_only_sweep_is_bit_identical(name, n, overrides, path, rng,
+                                            monkeypatch):
+    for attr, value in SWEEP_PATHS[path].items():
+        monkeypatch.setattr(solvers, attr, value)
+    entry = h.catalog(name, **overrides)
+    grid = entry.spec.domain_grid(n)
+    sweeper = _Sweeper(entry.spec, grid, entry.controls,
+                       h.SolverConfig(dt=entry.dt_for(grid)))
+    assert sweeper.stored is (path != "unstored")
+    if path == "blocked":
+        assert len(sweeper.blocks) == len(entry.controls) >= 3
+    fields = [
+        rng.uniform(0.0, 2.0, grid.num_nodes),
+        rng.normal(size=grid.num_nodes),
+        # constant fields tie controls exactly across blocks
+        np.full(grid.num_nodes, 0.5),
+        np.zeros(grid.num_nodes),
+        np.full(grid.num_nodes, -0.0),
+    ]
+    for values in fields:
+        full, pol, evals = sweeper.bellman_sweep(values)
+        only, none, evals_only = sweeper.bellman_sweep(values, policy=False)
+        assert none is None
+        assert only.tobytes() == full.tobytes()
+        assert evals_only == evals == sweeper.active_count * len(entry.controls)
+
+
+@pytest.mark.parametrize("name,n", [("test1_1d", 81), ("test4_eik2d", 41),
+                                    ("heat3_rom", 11)])
+def test_value_iteration_matches_full_sweep_loop(name, n):
+    entry = h.catalog(name)
+    grid = entry.spec.domain_grid(n)
+    cfg = h.SolverConfig(dt=entry.dt_for(grid))
+    V, P, rep = h.value_iteration(entry.spec, grid, entry.controls, cfg)
+
+    # the loop of value_iteration with argmin sweeps throughout
+    sweeper = _Sweeper(entry.spec, grid, entry.controls, cfg)
+    v = h.default_initial_field(entry.spec, grid).values
+    history = []
+    for _ in range(cfg.max_iterations):
+        new, _, _ = sweeper.bellman_sweep(v)
+        r = float(np.max(np.abs(new - v)))
+        history.append(r)
+        v = new
+        if r <= cfg.epsilon(grid):
+            break
+    _, pol, _ = sweeper.bellman_sweep(v)
+
+    assert rep.converged
+    assert V.values.tobytes() == v.tobytes()
+    assert np.array_equal(P.indices, pol)
+    assert rep.outer_iterations == len(history)
+    assert rep.residual_history == history
+    assert rep.node_updates == (len(history) + 1) * sweeper.active_count * len(
+        entry.controls)

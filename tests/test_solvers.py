@@ -459,6 +459,39 @@ class TestRunReport:
         assert "coarse.operator_stored = True" in text
         assert "\noperator_stored" not in text
 
+    def test_policy_changes(self, solved):
+        entry = h.catalog("test4_eik2d", control_count=16)
+        grid = entry.spec.domain_grid(21)
+        cfg = h.SolverConfig(dt=entry.dt_for(grid))
+        evaluated = []
+        _, _, rep = h.policy_iteration(entry.spec, grid, entry.controls, cfg,
+                                       on_iterate=evaluated.append)
+        active = grid.num_nodes - int(np.count_nonzero(
+            h.target_mask(entry.spec, grid).flags))
+        assert len(rep.policy_changes) == rep.outer_iterations == len(evaluated)
+        assert all(0 <= k <= active for k in rep.policy_changes)
+        # recount: greedy policies of the evaluated fields, from the constant 0
+        previous = np.zeros(grid.num_nodes, dtype=np.int32)
+        recount = []
+        for V in evaluated:
+            pol = h.policy_improvement(entry.spec, grid, V, entry.controls, cfg.dt)
+            free = pol.indices != h.solvers.UNSET_POLICY
+            recount.append(int(np.count_nonzero(pol.indices[free] != previous[free])))
+            previous = pol.indices
+        assert rep.policy_changes == recount
+        text = rep.to_text()
+        assert "\npolicy_changes = " + ",".join(map(str, recount)) + "\n" in text
+
+        _, _, vi = solved.vi("test4_eik2d", 41)
+        _, _, api = solved.api("test4_eik2d", 41)
+        assert vi.policy_changes is None and "policy_changes" not in vi.to_text()
+        fine = api.phases["fine"]
+        assert len(fine.policy_changes) == fine.outer_iterations
+        assert api.policy_changes is None
+        text = api.to_text()
+        assert "\nfine.policy_changes = " in text
+        assert "coarse.policy_changes" not in text
+
     def test_operator_fields_unstored(self, monkeypatch):
         entry = h.catalog("test4_eik2d", control_count=8)
         grid = entry.spec.domain_grid(21)

@@ -6,8 +6,10 @@ Verbs:
     export RESULT_DIR --format {table,slice} [--slice axis=value] [--out PATH]
 
 Exit codes: 0 success, 2 configuration error, 3 non-convergence or solver
-failure, 4 I/O error.  --threads is accepted and validated but has no effect:
-sweeps run in one thread.
+failure, 4 I/O error.  --threads is the number of threads that Bellman sweeps
+and operator builds spread their blocks of controls over; it defaults to the
+CPUs the process may run on, and results are the same bits for every count.
+--only applies to paper_tables and must name catalog problems.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 
 from .bench import ConfigError, ExperimentConfig, export_field, run_experiment, run_suite
-from .solvers import SolverError
+from .solvers import SolverError, default_workers
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,17 +38,19 @@ def _build_parser():
     solve.add_argument("--config", required=True, help="path to a key=value config file")
     solve.add_argument("--out", default=None, help="output directory")
     solve.add_argument("--threads", type=int, default=None,
-                       help="has no effect: sweeps run in one thread")
+                       help="threads for sweeps and operator builds "
+                            "(default: solver.workers, else the available CPUs)")
 
     suite = sub.add_parser("suite", help="run a named suite")
     suite.add_argument("name", choices=["invariants", "paper_tables", "rates"])
     suite.add_argument("--out", default="suite_results", help="output directory")
-    suite.add_argument("--threads", type=int, default=1,
-                       help="has no effect: sweeps run in one thread")
+    suite.add_argument("--threads", type=int, default=default_workers(),
+                       help="threads for sweeps and operator builds "
+                            "(default: the available CPUs)")
     suite.add_argument("--include-large", action="store_true",
                        help="also run rows above the desk-scale defaults")
     suite.add_argument("--only", default=None,
-                       help="comma-separated problem names to restrict paper_tables")
+                       help="comma-separated catalog problems to restrict paper_tables to")
 
     export = sub.add_parser("export", help="post-process a result directory")
     export.add_argument("result_dir")

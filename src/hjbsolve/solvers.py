@@ -17,14 +17,23 @@ discount * (B_j @ v) + c_j; a frozen-policy evaluation uses the rows
 All sweeps have Jacobi semantics: every node update reads only the previous
 iterate, argmin ties break toward the lowest control index, and the sup-norm
 reduction is a plain max.
+
+Bellman sweeps and the operator build work on blocks of consecutive controls.
+With more than one worker the blocks run on a thread pool that is shut down
+before the public solver call returns, and the calling thread merges their
+results in ascending control order, so every worker count gives the same
+bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -49,8 +58,13 @@ UNSET_POLICY = -1
 # sweep.
 _OPERATOR_NNZ_LIMIT = 160_000_000
 # Sweeps take the operator in blocks of consecutive controls with about this
-# many rows, which bounds the sweep's temporaries.
+# many rows, divided by the threads in use, which bounds the temporaries of
+# the blocks in flight.
 _BLOCK_ROWS = 2 ** 19
+# A sweep takes one thread per this many operator rows, up to `workers`.  On
+# a 2-core machine smaller shares did not pay for the dispatch and the extra
+# blocks: 829 K rows (test2_vdp at 161^2) ran no faster on two threads.
+_MIN_THREAD_ROWS = 2 ** 19
 # The row builder writes a block's entries this many rows at a time.
 _FILL_ROWS = 8192
 
@@ -59,14 +73,26 @@ class SolverError(RuntimeError):
     """Numerical failure inside a solver sweep or linear solve."""
 
 
+def default_workers():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 @dataclass
 class SolverConfig:
     """Shared solver settings.
 
     The stopping test compares consecutive iterates in the sup norm against
     eps = stop_constant * (min axis spacing)^2, computed once per grid.
-    `workers` is accepted and validated but has no effect: sweeps run in one
-    thread.
+    `workers` is the number of threads that Bellman sweeps and the m-control
+    operator build spread their blocks of controls over; it defaults to the
+    CPUs this process may run on, and 1 runs everything in the calling
+    thread.  Results are bit-identical for every worker count.  With more
+    than one worker, spec.dynamics and spec.running_cost are called from
+    worker threads and must be thread-safe.
     """
 
     dt: float
@@ -74,7 +100,7 @@ class SolverConfig:
     max_iterations: int = 20000
     eval_backend: str = "fixed_point"
     record_residuals: bool = True
-    workers: int = 1
+    workers: int = dataclass_field(default_factory=default_workers)
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -124,8 +150,12 @@ class RunReport:
     The operator_* fields describe the m-control transition operator of a
     VI or PI run: whether it was stored or rebuilt in every sweep, its
     entries (12 bytes each: float64 weight, int32 column) and the wall time
-    spent building it, summed over every build.  They stay None on the
-    aggregate API report, whose phases carry their own.
+    spent building it.  That is the time during which at least one block was
+    being built, on any thread: for a stored operator the one build, and for
+    an unstored one the sum over every sweep, whose block builds overlap the
+    sweeps of other blocks.  `workers` is the number of threads the run's
+    sweeps used.  These fields stay None on the aggregate API report, whose
+    phases carry their own.
 
     policy_changes, on PI reports (so on API's fine phase), holds per
     improvement the number of non-pinned nodes whose control changed.
@@ -148,6 +178,7 @@ class RunReport:
     operator_nnz: Optional[int] = None
     operator_build_wall_time_seconds: Optional[float] = None
     policy_changes: Optional[list] = None
+    workers: Optional[int] = None
 
     @property
     def operator_bytes(self):
@@ -179,6 +210,8 @@ class RunReport:
             ]
         if self.policy_changes is not None:
             lines.append("policy_changes = " + ",".join(map(str, self.policy_changes)))
+        if self.workers is not None:
+            lines.append(f"workers = {self.workers}")
         if self.phases:
             for key, sub in self.phases.items():
                 for line in sub.to_text().splitlines():
@@ -240,13 +273,27 @@ def _csr_arrays(rows, grid):
     return np.zeros(rows + 1, dtype=np.int64), indices, np.empty(indices.size)
 
 
+def _covered_seconds(spans):
+    """The wall time covered by the union of (start, end) spans."""
+    total, reach = 0.0, -math.inf
+    for start, end in sorted(spans):
+        if end > reach:
+            total += end - max(start, reach)
+            reach = end
+    return total
+
+
 class _Sweeper:
     """The transition operator of one (problem, grid, controls, dt).
 
     The m-control operator is built on the first Bellman sweep and kept when
     its entry bound fits the budget; frozen-policy rows are built on demand
-    by the same row builder.  `build_seconds` sums the time spent building
-    the m-control operator's blocks and `nnz` counts its entries.
+    by the same row builder.  `build_seconds` is the wall time during which
+    a block of the m-control operator was being built, `nnz` counts its
+    entries and `threads` is the number of threads its blocks run on, at
+    most config.workers.  With more than one, the thread pool starts with
+    the first block; use the sweeper as a context manager, whose exit joins
+    the pool's threads.
     """
 
     def __init__(self, spec, grid, controls, config):
@@ -268,9 +315,24 @@ class _Sweeper:
         self.stored = m * n * 2 ** grid.dim <= _OPERATOR_NNZ_LIMIT
         self.build_seconds = 0.0
         self.nnz = 0
-        count = -(-m // max(1, _BLOCK_ROWS // n))
+        # Blocks shrink with the thread count, so the blocks in flight hold
+        # about the temporaries of one serial block.
+        threads = max(1, min(config.workers, m * n // _MIN_THREAD_ROWS))
+        count = -(-m // max(1, _BLOCK_ROWS // threads // n))
         step = -(-m // count)
         self.blocks = [range(lo, min(lo + step, m)) for lo in range(0, m, step)]
+        self.threads = min(threads, len(self.blocks))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if "_pool" in self.__dict__:
+            self._pool.shutdown(cancel_futures=True)
+
+    @cached_property
+    def _pool(self):
+        return ThreadPoolExecutor(self.threads, thread_name_prefix="hjbsolve")
 
     def _arrival_rows(self, j, sel):
         """Control j's arrival points from the nodes `sel`, located on the
@@ -290,23 +352,49 @@ class _Sweeper:
         c[~inside] += self.discount * self.spec.exterior_value
         return base, local, inside, c
 
-    def _control_block(self, js):
+    def _block_arrays(self, js):
+        """Uninitialized CSR arrays and c for the rows of the controls `js`.
+        Callers allocate them in the calling thread, so that large buffers
+        come from its heap and are reused there, not spread over threads."""
+        rows = len(js) * self.grid.num_nodes
+        return _csr_arrays(rows, self.grid) + (np.empty(rows),)
+
+    def _fill_block(self, js, arrays=None):
         """(B, c) of the controls `js`, one row per (control, node), control
-        major."""
+        major, written into `arrays` (by default new ones); and the (start,
+        end) of the build."""
         t0 = time.perf_counter()
         grid = self.grid
         n = grid.num_nodes
-        rows = len(js) * n
-        indptr, indices, data = _csr_arrays(rows, grid)
-        c = np.empty(rows)
+        indptr, indices, data, c = arrays or self._block_arrays(js)
         for t, j in enumerate(js):
             lo = t * n
             base, local, inside, c[lo:lo + n] = self._arrival_rows(j, slice(None))
             _fill_rows(grid, base, local, inside, indptr[lo:lo + n + 1], indices, data)
         end = indptr[-1]
-        B = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(rows, n))
-        self.build_seconds += time.perf_counter() - t0
-        return B, c
+        B = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(len(c), n))
+        return (B, c), (t0, time.perf_counter())
+
+    def _in_order(self, jobs, window):
+        """The results of the callables `jobs`, in order.  With one thread
+        each runs inline.  Otherwise at most `window` jobs are submitted to
+        the pool and not yet taken, and the next job is drawn from `jobs`, in
+        the calling thread, only when an earlier result has been taken."""
+        if self.threads == 1:
+            for job in jobs:
+                yield job()
+            return
+        pending = deque()
+        try:
+            for job in jobs:
+                pending.append(self._pool.submit(job))
+                if len(pending) == window:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
     @cached_property
     def _stored_blocks(self):
@@ -314,7 +402,11 @@ class _Sweeper:
         budget and each sweep builds its blocks afresh."""
         if not self.stored:
             return None
-        return [self._control_block(js) for js in self.blocks]
+        jobs = (partial(self._fill_block, js, self._block_arrays(js))
+                for js in self.blocks)
+        built = list(self._in_order(jobs, self.threads))
+        self.build_seconds += _covered_seconds([span for _, span in built])
+        return [block for block, _ in built]
 
     def pinned_copy(self, field):
         """A copy of `field` with the pins applied."""
@@ -327,37 +419,66 @@ class _Sweeper:
         if policy is not None:
             policy[self.pinned] = UNSET_POLICY
 
+    def _sweep_block(self, js, values, policy, block=None, arrays=None):
+        """Block `js`'s part of a Bellman sweep: the per-node minimum of
+        discount * (B @ values) + c over its controls, the lowest control
+        index attaining it (None unless `policy`), its entries and the span
+        of its build.  `block` is a stored (B, c); without one, the block is
+        first built into `arrays`."""
+        span = None
+        if block is None:
+            block, span = self._fill_block(js, arrays)
+        B, c = block
+        n = self.grid.num_nodes
+        q = B @ values
+        q *= self.discount
+        q += c
+        if not np.isfinite(q).all():
+            bad = int(np.flatnonzero(~np.isfinite(q))[0])
+            raise SolverError(
+                f"non-finite update at node {bad % n} under control {js[bad // n]}"
+            )
+        q = q.reshape(len(js), n)
+        low = np.minimum.reduce(q, axis=0)
+        low_idx = None
+        if policy:
+            low_idx = (q == low).argmax(axis=0).astype(np.int32)
+            low_idx += js.start
+        return low, low_idx, B.nnz, span
+
     def bellman_sweep(self, values, policy=True):
         """One Jacobi sweep of the min-over-controls update.
 
         Returns (new values, argmin policy, evaluation count).  Each block of
         controls gives discount * (B @ values) + c and its lowest-index
-        argmin; blocks merge in ascending control order with a strict <, so
-        the lowest control index wins every tie.  With policy=False the
-        argmin is skipped and None is returned in its place; the values are
-        the same bits, since the merge of the block minima is unchanged.
+        argmin, on a worker thread when there are threads; the calling thread
+        merges the blocks in ascending control order with a strict <, so the
+        lowest control index wins every tie, and a non-finite update raises
+        for the lowest failing control, whatever the thread count.  With
+        policy=False the argmin is skipped and None is returned in its place;
+        the values are the same bits, since the merge of the block minima is
+        unchanged.
         """
-        n = self.grid.num_nodes
         stored = self._stored_blocks
+        if stored is None:
+            # a job that builds its block holds the block's arrays, so at
+            # most one per thread is queued
+            jobs = (partial(self._sweep_block, js, values, policy,
+                            arrays=self._block_arrays(js)) for js in self.blocks)
+            window = self.threads
+        else:
+            # a queued job holds nothing, so all are queued at once, and a
+            # thread whose CPU stalls does not hold back the others
+            jobs = (partial(self._sweep_block, js, values, policy, block)
+                    for js, block in zip(self.blocks, stored))
+            window = len(self.blocks)
         best = best_idx = None
         nnz = 0
-        for b, js in enumerate(self.blocks):
-            B, c = stored[b] if stored is not None else self._control_block(js)
-            nnz += B.nnz
-            q = B @ values
-            q *= self.discount
-            q += c
-            if not np.isfinite(q).all():
-                bad = int(np.flatnonzero(~np.isfinite(q))[0])
-                raise SolverError(
-                    f"non-finite update at node {bad % n} under control {js[bad // n]}"
-                )
-            q = q.reshape(len(js), n)
-            low = np.minimum.reduce(q, axis=0)
-            low_idx = None
-            if policy:
-                low_idx = (q == low).argmax(axis=0).astype(np.int32)
-                low_idx += js.start
+        spans = []
+        for low, low_idx, block_nnz, span in self._in_order(jobs, window):
+            nnz += block_nnz
+            if span is not None:
+                spans.append(span)
             if best is None:
                 best, best_idx = low, low_idx
             else:
@@ -365,6 +486,7 @@ class _Sweeper:
                 best[better] = low[better]
                 if policy:
                     best_idx[better] = low_idx[better]
+        self.build_seconds += _covered_seconds(spans)
         self.nnz = nnz
         self.apply_pins(best, best_idx)
         return best, best_idx, self.active_count * len(self.controls)
@@ -420,19 +542,19 @@ def bellman_update(spec, grid, V, controls, config):
     minimized, and the argmin index is recorded (ties break low).  Target and
     fixed-boundary nodes are pinned.
     """
-    sweeper = _Sweeper(spec, grid, controls, config)
-    out, pol, _ = sweeper.bellman_sweep(V.values)
+    with _Sweeper(spec, grid, controls, config) as sweeper:
+        out, pol, _ = sweeper.bellman_sweep(V.values)
     return ValueField(grid, out, copy=False), PolicyField(grid, pol)
 
 
-def policy_improvement(spec, grid, V, controls, dt, workers=1):
+def policy_improvement(spec, grid, V, controls, dt, workers=None):
     """Greedy argmin policy extraction against a fixed value field.
 
-    `workers` is accepted and validated but has no effect (see SolverConfig).
+    `workers` defaults to SolverConfig's default, the available CPUs.
     """
-    config = SolverConfig(dt=dt, workers=workers)
-    sweeper = _Sweeper(spec, grid, controls, config)
-    _, pol, _ = sweeper.bellman_sweep(V.values)
+    config = SolverConfig(dt=dt) if workers is None else SolverConfig(dt=dt, workers=workers)
+    with _Sweeper(spec, grid, controls, config) as sweeper:
+        _, pol, _ = sweeper.bellman_sweep(V.values)
     return PolicyField(grid, pol)
 
 
@@ -490,6 +612,7 @@ def _make_report(algorithm, sweeper, config, eps, iterations, updates, wall,
         operator_stored=sweeper.stored,
         operator_nnz=sweeper.nnz,
         operator_build_wall_time_seconds=sweeper.build_seconds,
+        workers=sweeper.threads,
     )
 
 
@@ -501,28 +624,28 @@ def value_iteration(spec, grid, controls, config, V0=None):
     wall time includes the operator build.
     """
     t0 = time.perf_counter()
-    sweeper = _Sweeper(spec, grid, controls, config)
-    eps = config.epsilon(grid)
-    V = default_initial_field(spec, grid) if V0 is None else sweeper.pinned_copy(V0)
+    with _Sweeper(spec, grid, controls, config) as sweeper:
+        eps = config.epsilon(grid)
+        V = default_initial_field(spec, grid) if V0 is None else sweeper.pinned_copy(V0)
 
-    history = []
-    updates = 0
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iterations):
-        new_values, _, evals = sweeper.bellman_sweep(V.values, policy=False)
-        iterations += 1
-        updates += evals
-        r = float(np.max(np.abs(new_values - V.values)))
-        if config.record_residuals:
-            history.append(r)
-        V = ValueField(grid, new_values, copy=False)
-        if r <= eps:
-            converged = True
-            break
-    # One extra argmin sweep so the returned policy is greedy for the
-    # returned (final) iterate.
-    _, pol, evals = sweeper.bellman_sweep(V.values)
+        history = []
+        updates = 0
+        converged = False
+        iterations = 0
+        for _ in range(config.max_iterations):
+            new_values, _, evals = sweeper.bellman_sweep(V.values, policy=False)
+            iterations += 1
+            updates += evals
+            r = float(np.max(np.abs(new_values - V.values)))
+            if config.record_residuals:
+                history.append(r)
+            V = ValueField(grid, new_values, copy=False)
+            if r <= eps:
+                converged = True
+                break
+        # One extra argmin sweep so the returned policy is greedy for the
+        # returned (final) iterate.
+        _, pol, evals = sweeper.bellman_sweep(V.values)
     updates += evals
     wall = time.perf_counter() - t0
     report = _make_report(
@@ -573,9 +696,14 @@ def policy_evaluation_direct(spec, grid, policy, controls, config):
     Stagnation raises, carrying the achieved residual.  Returns (field,
     solver iteration count).
     """
+    return _direct_evaluation(_Sweeper(spec, grid, controls, config), policy, config)
+
+
+def _direct_evaluation(sweeper, policy, config):
+    """policy_evaluation_direct on a given operator."""
     import scipy.sparse.linalg as spla
 
-    sweeper = _Sweeper(spec, grid, controls, config)
+    grid = sweeper.grid
     B, rhs = sweeper.policy_rows(policy)
     eps = config.epsilon(grid)
     matrix = sp.identity(grid.num_nodes, format="csr") - sweeper.discount * B
@@ -616,13 +744,13 @@ def policy_iteration(spec, grid, controls, config, policy0=None, V_init=None,
     reported wall time includes the operator build.
     """
     t0 = time.perf_counter()
-    sweeper = _Sweeper(spec, grid, controls, config)
-    return _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0)
+    with _Sweeper(spec, grid, controls, config) as sweeper:
+        return _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0)
 
 
 def _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0):
     """policy_iteration on a given operator; `t0` starts the reported clock."""
-    spec, grid, controls = sweeper.spec, sweeper.grid, sweeper.controls
+    spec, grid = sweeper.spec, sweeper.grid
     eps = config.epsilon(grid)
     V = default_initial_field(spec, grid) if V_init is None else sweeper.pinned_copy(V_init)
     if policy0 is None:
@@ -645,7 +773,7 @@ def _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0):
             )
             updates += evals
         else:
-            V_new, inner = policy_evaluation_direct(spec, grid, policy, controls, config)
+            V_new, inner = _direct_evaluation(sweeper, policy, config)
             updates += inner * sweeper.active_count
         iterations += 1
         r = sup_diff(V_new, V)
@@ -692,12 +820,12 @@ def api_solve(spec, coarse_grid, fine_grid, controls, coarse_config, fine_config
     coarse_report.algorithm = "api.coarse_vi"
 
     fine_t0 = time.perf_counter()
-    fine = _Sweeper(spec, fine_grid, controls, fine_config)
-    V0f = fine.pinned_copy(prolongate(Vc, fine_grid))
-    _, pol0, seed_evals = fine.bellman_sweep(V0f.values)
-    Vf, policy, fine_report = _policy_iteration(
-        fine, fine_config, PolicyField(fine_grid, pol0), V0f, None, fine_t0
-    )
+    with _Sweeper(spec, fine_grid, controls, fine_config) as fine:
+        V0f = fine.pinned_copy(prolongate(Vc, fine_grid))
+        _, pol0, seed_evals = fine.bellman_sweep(V0f.values)
+        Vf, policy, fine_report = _policy_iteration(
+            fine, fine_config, PolicyField(fine_grid, pol0), V0f, None, fine_t0
+        )
     fine_report.algorithm = "api.fine_pi"
     fine_report.node_updates += seed_evals
     wall = time.perf_counter() - t0

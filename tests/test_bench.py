@@ -233,6 +233,28 @@ class TestCli:
         # rejected before any row ran
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite,expected", [
+        (["paper_tables", "--only", "nosuch"], "valid problems: test1_1d, "),
+        (["paper_tables", "--only", "test1_1d,nosuch"], "unknown problem(s) nosuch;"),
+        (["invariants", "--only", "test1_1d"], "--only applies to paper_tables"),
+        (["rates", "--only", "test4_eik2d"], "--only applies to paper_tables"),
+    ])
+    def test_suite_only_is_checked(self, tmp_path, capsys, suite, expected):
+        out = tmp_path / "suite"
+        assert cli.main(["suite", *suite, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert expected in err
+        assert not out.exists()
+
+    def test_threads_default_to_the_available_cpus(self):
+        cpus = len(os.sched_getaffinity(0))
+        args = cli._build_parser().parse_args(["suite", "invariants"])
+        assert args.threads == cpus
+        assert ExperimentConfig.from_text(SMALL_API).workers == cpus
+        assert ExperimentConfig(problem="test1_1d", algorithm="vi",
+                                fine_nodes=(81,)).workers == cpus
+
     def test_export_without_field_errors(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(SMALL_API)

@@ -24,7 +24,7 @@ SMALL_CASES = [
 
 def control_rows(sweeper, j):
     """(B_j, c_j): the operator rows of control j on every node."""
-    return sweeper._control_block(range(j, j + 1))
+    return sweeper._fill_block(range(j, j + 1))[0]
 
 
 def oracle(sweeper, j, values):

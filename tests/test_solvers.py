@@ -459,6 +459,27 @@ class TestRunReport:
         assert "coarse.operator_stored = True" in text
         assert "\noperator_stored" not in text
 
+    def test_workers(self, solved):
+        _, _, vi = solved.vi("test4_eik2d", 41)
+        _, _, api = solved.api("test4_eik2d", 41)
+        # 41^2 nodes and 64 controls fit one block: nothing to spread
+        for rep in (vi, api.phases["coarse"], api.phases["fine"]):
+            assert rep.workers == 1
+        assert "\nworkers = 1\n" in vi.to_text()
+        text = api.to_text()
+        assert api.workers is None and "\nworkers" not in text
+        assert "\ncoarse.workers = 1\n" in text and "\nfine.workers = 1\n" in text
+
+        # 64 controls at 161^2 are 1.66 M rows: up to three threads
+        entry = h.catalog("test4_eik2d")
+        grid = entry.spec.domain_grid(161)
+        for w in (1, 2, 5):
+            cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=w, max_iterations=2)
+            _, _, rep = h.value_iteration(entry.spec, grid, entry.controls, cfg)
+            assert rep.workers == min(w, 3)
+            assert f"\nworkers = {rep.workers}\n" in rep.to_text()
+            assert 0.0 < rep.operator_build_wall_time_seconds <= rep.wall_time_seconds
+
     def test_policy_changes(self, solved):
         entry = h.catalog("test4_eik2d", control_count=16)
         grid = entry.spec.domain_grid(21)

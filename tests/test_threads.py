@@ -1,0 +1,220 @@
+"""Bellman sweeps and operator builds on worker threads.
+
+The operators here are small, so `_BLOCK_ROWS` and `_MIN_THREAD_ROWS` are
+patched to split them into at least four blocks of controls for every worker
+count and to hand those blocks to threads.
+"""
+
+import dataclasses
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import hjbsolve as h
+from hjbsolve import solvers
+from hjbsolve.solvers import _Sweeper
+
+WORKERS = (1, 2, 3)
+PATHS = {"stored": {}, "unstored": {"_OPERATOR_NNZ_LIMIT": 0}}
+NODES = 21
+CONTROLS = 16
+
+
+def small_blocks(monkeypatch, path):
+    """Blocks of 4, 2 and 1 of the 16 controls for 1, 2 and 3 workers."""
+    monkeypatch.setattr(solvers, "_BLOCK_ROWS", 4 * NODES ** 2)
+    monkeypatch.setattr(solvers, "_MIN_THREAD_ROWS", 1)
+    for attr, value in PATHS[path].items():
+        monkeypatch.setattr(solvers, attr, value)
+
+
+def problem(name="test4_eik2d"):
+    entry = h.catalog(name, control_count=CONTROLS)
+    return entry, entry.spec.domain_grid(NODES)
+
+
+def spied(spec):
+    """`spec` with dynamics that record the threads calling them."""
+    seen = set()
+
+    def dynamics(pts, a):
+        seen.add(threading.get_ident())
+        return spec.dynamics(pts, a)
+
+    return dataclasses.replace(spec, dynamics=dynamics), seen
+
+
+def test_default_workers_are_the_available_cpus():
+    cpus = len(os.sched_getaffinity(0))
+    assert solvers.default_workers() == cpus
+    assert h.SolverConfig(dt=0.1).workers == cpus
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_sweeps_are_bit_identical_across_workers(path, monkeypatch, rng):
+    entry, grid = problem()
+    n = grid.num_nodes
+    fields = [
+        rng.uniform(0.0, 2.0, n),
+        rng.normal(size=n),
+        # a constant field ties every in-box control at interior nodes
+        np.full(n, 0.5),
+    ]
+    # the reference: one block, no threads
+    cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=1)
+    reference = [_Sweeper(entry.spec, grid, entry.controls, cfg).bellman_sweep(v)
+                 for v in fields]
+    small_blocks(monkeypatch, path)
+    for w in WORKERS:
+        cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=w)
+        with _Sweeper(entry.spec, grid, entry.controls, cfg) as sweeper:
+            assert sweeper.stored is (path == "stored")
+            assert len(sweeper.blocks) >= 4
+            assert sweeper.threads == w
+            for values, (ref_values, ref_policy, _) in zip(fields, reference):
+                full, pol, _ = sweeper.bellman_sweep(values)
+                only, none, _ = sweeper.bellman_sweep(values, policy=False)
+                assert none is None
+                assert full.tobytes() == only.tobytes() == ref_values.tobytes()
+                assert pol.tobytes() == ref_policy.tobytes()
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_solves_are_bit_identical_across_workers(path, monkeypatch):
+    entry, grid = problem()
+    small_blocks(monkeypatch, path)
+    main = threading.main_thread().ident
+    runs = {}
+    for w in WORKERS:
+        cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=w)
+        spec, seen = spied(entry.spec)
+        before = threading.active_count()
+        V, P, vi = h.value_iteration(spec, grid, entry.controls, cfg)
+        assert threading.active_count() == before
+        # every block of the VI operator was built on a worker thread
+        assert (seen == {main}) if w == 1 else (main not in seen)
+        W, Q, pi = h.policy_iteration(entry.spec, grid, entry.controls, cfg)
+        assert threading.active_count() == before
+        ties = h.policy_improvement(entry.spec, grid, h.ValueField.full(grid, 0.5),
+                                    entry.controls, cfg.dt, workers=w)
+        assert threading.active_count() == before
+        assert vi.workers == pi.workers == w
+        assert vi.converged and pi.converged
+        runs[w] = (
+            V.values.tobytes(), P.indices.tobytes(), vi.outer_iterations,
+            vi.residual_history, vi.node_updates,
+            W.values.tobytes(), Q.indices.tobytes(), pi.outer_iterations,
+            pi.residual_history, pi.sub_iteration_history, pi.policy_changes,
+            pi.node_updates, ties.indices.tobytes(),
+        )
+    assert runs[1] == runs[2] == runs[3]
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_api_is_bit_identical_across_workers(path, monkeypatch):
+    entry = h.catalog("test2_vdp", control_count=CONTROLS)
+    fine = entry.spec.domain_grid(NODES)
+    coarse = entry.spec.domain_grid((NODES + 1) // 2)
+    small_blocks(monkeypatch, path)
+    runs = {}
+    for w in WORKERS:
+        fcfg = h.SolverConfig(dt=entry.dt_for(fine), eval_backend="direct", workers=w)
+        ccfg = h.SolverConfig(dt=entry.dt_for(coarse), stop_constant=5.0, workers=w)
+        before = threading.active_count()
+        V, P, rep = h.api_solve(entry.spec, coarse, fine, entry.controls, ccfg, fcfg)
+        assert threading.active_count() == before
+        assert rep.phases["fine"].workers == w
+        runs[w] = (V.values.tobytes(), P.indices.tobytes(), rep.outer_iterations,
+                   rep.residual_history, rep.sub_iteration_history, rep.node_updates)
+    assert runs[1] == runs[2] == runs[3]
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_non_finite_update_names_the_lowest_failing_control(path, monkeypatch):
+    entry, grid = problem("test2_vdp")
+    controls = entry.controls
+    # controls with a > 0.1 cost inf at nodes with x > 0.3; the first of them
+    # lies in a later block for every worker count
+    first_bad = int(np.flatnonzero(controls.vectors[:, 0] > 0.1)[0])
+    assert first_bad >= 4
+    cost = entry.spec.running_cost
+
+    def poisoned(pts, a):
+        bad = np.where(pts[:, 0] > 0.3, np.inf, 1.0) if a[0] > 0.1 else 1.0
+        return cost(pts, a) * bad
+
+    spec = dataclasses.replace(entry.spec, running_cost=poisoned)
+    first_node = int(np.flatnonzero(grid.nodes()[:, 0] > 0.3)[0])
+    small_blocks(monkeypatch, path)
+    messages = set()
+    for w in WORKERS:
+        cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=w)
+        before = threading.active_count()
+        for solve in (
+            lambda: h.value_iteration(spec, grid, controls, cfg),
+            lambda: h.bellman_update(spec, grid, h.ValueField.full(grid, 0.0),
+                                     controls, cfg),
+        ):
+            with pytest.raises(h.SolverError) as info:
+                solve()
+            messages.add(str(info.value))
+            assert threading.active_count() == before
+    assert messages == {
+        f"non-finite update at node {first_node} under control {first_bad}"}
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_more_threads_than_cores_with_fast_switching(path, monkeypatch, rng):
+    entry, grid = problem()
+    values = rng.uniform(0.0, 2.0, grid.num_nodes)
+    cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=1)
+    ref_values, ref_policy, _ = _Sweeper(entry.spec, grid, entry.controls,
+                                         cfg).bellman_sweep(values)
+    small_blocks(monkeypatch, path)
+    workers = 4 * len(os.sched_getaffinity(0))
+    cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _Sweeper(entry.spec, grid, entry.controls, cfg) as sweeper:
+            assert sweeper.threads == min(workers, len(sweeper.blocks))
+            for _ in range(20):
+                out, pol, _ = sweeper.bellman_sweep(values)
+                assert out.tobytes() == ref_values.tobytes()
+                assert pol.tobytes() == ref_policy.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    entry, grid = problem()
+    small_blocks(monkeypatch, "unstored")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was created for one worker")
+
+    monkeypatch.setattr(solvers, "ThreadPoolExecutor", no_pool)
+    cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=1)
+    spec, seen = spied(entry.spec)
+    _, _, rep = h.value_iteration(spec, grid, entry.controls, cfg)
+    assert rep.workers == 1
+    assert seen == {threading.main_thread().ident}
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_build_time_is_wall_time_under_threads(path, monkeypatch):
+    entry, grid = problem()
+    small_blocks(monkeypatch, path)
+    cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=3)
+    _, _, rep = h.value_iteration(entry.spec, grid, entry.controls, cfg)
+    assert rep.workers == 3
+    assert 0.0 < rep.operator_build_wall_time_seconds <= rep.wall_time_seconds
+
+
+def test_covered_seconds_merges_overlapping_spans():
+    spans = [(3.0, 4.0), (0.0, 2.0), (1.0, 1.5), (1.5, 2.5), (5.0, 5.0)]
+    assert solvers._covered_seconds(spans) == 3.5
+    assert solvers._covered_seconds([]) == 0.0

@@ -16,13 +16,14 @@ from __future__ import annotations
 import io
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis
 from .grid import RegularGrid, ValueField, write_field_table, read_field_table
-from .problems import catalog, catalog_names
+from .problems import catalog, catalog_names, target_mask
 from .solvers import (
     SolverConfig,
     api_solve,
@@ -36,6 +37,16 @@ DESK_SCALE_CAPS = {1: 1_000_001, 2: 321, 3: 81, 4: 41}
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
+
+
+@contextmanager
+def _config_errors(context=""):
+    """Re-raise what the problem, grid and solver settings reject as
+    ConfigError, its message prefixed by `context`."""
+    try:
+        yield
+    except ValueError as exc:  # ProblemError, GridError and SolverConfig's checks
+        raise ConfigError(f"{context}{exc}") from None
 
 
 def parse_config_text(text):
@@ -94,10 +105,16 @@ def _parse_ints(kv, key, default=None):
         raise ConfigError(f"{key}: expected comma-separated integers, got {kv[key]!r}") from None
 
 
+# The problem.* keys other than name and domain, by catalog override name.
+_OVERRIDE_PARSERS = {
+    "control_count": _parse_int, "control_counts": _parse_ints,
+    "dt_ratio": _parse_float, "exterior_value": _parse_float,
+    "boundary_value": _parse_float, "target_radius": _parse_float,
+    "lam": _parse_float,
+}
+
 _KNOWN_KEYS = {
-    "problem.name", "problem.control_count", "problem.control_counts",
-    "problem.dt_ratio", "problem.exterior_value", "problem.boundary_value",
-    "problem.target_radius", "problem.domain", "problem.lam",
+    "problem.name", "problem.domain", *(f"problem.{name}" for name in _OVERRIDE_PARSERS),
     "algorithm", "grid.fine.nodes", "grid.coarse.nodes",
     "stop.fine_constant", "stop.coarse_constant",
     "solver.max_iterations", "solver.backend", "solver.workers",
@@ -149,21 +166,10 @@ class ExperimentConfig:
         if algorithm == "api" and coarse is None:
             coarse = tuple((n + 1) // 2 for n in fine)
 
-        overrides = {}
-        if "problem.control_count" in kv:
-            overrides["control_count"] = _parse_int(kv, "problem.control_count")
-        if "problem.control_counts" in kv:
-            overrides["control_counts"] = _parse_ints(kv, "problem.control_counts")
-        if "problem.dt_ratio" in kv:
-            overrides["dt_ratio"] = _parse_float(kv, "problem.dt_ratio")
-        if "problem.exterior_value" in kv:
-            overrides["exterior_value"] = _parse_float(kv, "problem.exterior_value")
-        if "problem.boundary_value" in kv:
-            overrides["boundary_value"] = _parse_float(kv, "problem.boundary_value")
-        if "problem.target_radius" in kv:
-            overrides["target_radius"] = _parse_float(kv, "problem.target_radius")
-        if "problem.lam" in kv:
-            overrides["lam"] = _parse_float(kv, "problem.lam")
+        overrides = {
+            name: parse(kv, f"problem.{name}")
+            for name, parse in _OVERRIDE_PARSERS.items() if f"problem.{name}" in kv
+        }
         if "problem.domain" in kv:
             parts = kv["problem.domain"].split(",")
             if len(parts) != 2:
@@ -197,7 +203,10 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
-        entry = catalog(self.problem, **self.overrides)
+        """Check everything a run builds before it solves: the problem, its
+        grids and target sets, and the solver settings."""
+        with _config_errors():
+            entry = catalog(self.problem, **self.overrides)
         dim = entry.spec.state_dim
         fine = self._axis_counts(self.fine_nodes, dim, "grid.fine.nodes")
         if not self.allow_large:
@@ -219,6 +228,7 @@ class ExperimentConfig:
             raise ConfigError("solver.workers: must be at least 1")
         if self.max_iterations < 1:
             raise ConfigError("solver.max_iterations: must be at least 1")
+        _setup(self)
 
     @staticmethod
     def _axis_counts(nodes, dim, key):
@@ -270,22 +280,36 @@ class ExperimentResult:
         return self.report.converged
 
 
-def _entry_and_grids(config):
-    entry = catalog(config.problem, **config.overrides)
-    dim = entry.spec.state_dim
-    fine_axes = ExperimentConfig._axis_counts(config.fine_nodes, dim, "grid.fine.nodes")
-    fine_grid = entry.spec.domain_grid(fine_axes)
-    if config.problem == "heat3_rom" and "target_radius" not in config.overrides:
-        # default target ball radius tracks the run's resolution: 2 * dx
-        entry = catalog(config.problem, target_radius=2 * min(fine_grid.spacing),
-                        **config.overrides)
-    coarse_grid = None
-    if config.algorithm == "api":
-        coarse_axes = ExperimentConfig._axis_counts(
-            config.coarse_nodes, dim, "grid.coarse.nodes"
-        )
-        coarse_grid = entry.spec.domain_grid(coarse_axes)
-    return entry, fine_grid, coarse_grid
+def _setup(config):
+    """(entry, fine grid, coarse grid, fine SolverConfig, coarse SolverConfig)
+    of a config, the coarse pair None unless the algorithm is api.  What the
+    problem, a grid, its target set or the solver settings reject raises
+    ConfigError."""
+    with _config_errors():
+        entry = catalog(config.problem, **config.overrides)
+        dim = entry.spec.state_dim
+        fine_grid = entry.spec.domain_grid(
+            ExperimentConfig._axis_counts(config.fine_nodes, dim, "grid.fine.nodes"))
+        if config.problem == "heat3_rom" and "target_radius" not in config.overrides:
+            # default target ball radius tracks the run's resolution: 2 * dx
+            entry = catalog(config.problem, target_radius=2 * min(fine_grid.spacing),
+                            **config.overrides)
+        coarse_grid = None
+        if config.algorithm == "api":
+            coarse_grid = entry.spec.domain_grid(ExperimentConfig._axis_counts(
+                config.coarse_nodes, dim, "grid.coarse.nodes"))
+
+    def solver_config(label, grid, stop_constant):
+        with _config_errors(f"{label} grid: "):
+            target_mask(entry.spec, grid)
+            return SolverConfig(dt=entry.dt_for(grid), stop_constant=stop_constant,
+                                max_iterations=config.max_iterations,
+                                eval_backend=config.backend, workers=config.workers)
+
+    fine_cfg = solver_config("fine", fine_grid, config.fine_constant)
+    coarse_cfg = (None if coarse_grid is None
+                  else solver_config("coarse", coarse_grid, config.coarse_constant))
+    return entry, fine_grid, coarse_grid, fine_cfg, coarse_cfg
 
 
 def run_experiment(config, out_dir=None):
@@ -295,28 +319,14 @@ def run_experiment(config, out_dir=None):
     out_dir (atomically, temp-then-rename).  Returns the ExperimentResult;
     convergence is reported, not raised.
     """
-    entry, fine_grid, coarse_grid = _entry_and_grids(config)
+    entry, fine_grid, coarse_grid, fine_cfg, coarse_cfg = _setup(config)
     spec = entry.spec
 
-    fine_cfg = SolverConfig(
-        dt=entry.dt_for(fine_grid),
-        stop_constant=config.fine_constant,
-        max_iterations=config.max_iterations,
-        eval_backend=config.backend,
-        workers=config.workers,
-    )
     if config.algorithm == "vi":
         V, _, report = value_iteration(spec, fine_grid, entry.controls, fine_cfg)
     elif config.algorithm == "pi":
         V, _, report = policy_iteration(spec, fine_grid, entry.controls, fine_cfg)
     else:
-        coarse_cfg = SolverConfig(
-            dt=entry.dt_for(coarse_grid),
-            stop_constant=config.coarse_constant,
-            max_iterations=config.max_iterations,
-            eval_backend=config.backend,
-            workers=config.workers,
-        )
         V, _, report = api_solve(
             spec, coarse_grid, fine_grid, entry.controls, coarse_cfg, fine_cfg
         )
@@ -367,7 +377,7 @@ def load_result_field(result_dir):
     exported field table."""
     with open(os.path.join(result_dir, "config.txt")) as fh:
         config = ExperimentConfig.from_text(fh.read())
-    entry, fine_grid, _ = _entry_and_grids(config)
+    entry, fine_grid, *_ = _setup(config)
     field_path = os.path.join(result_dir, "field.txt")
     if not os.path.exists(field_path):
         raise ConfigError(
@@ -512,8 +522,7 @@ def _run_paper_tables(out_dir, workers, include_large, only):
                                       allow_large=include_large)
                     result = run_experiment(cfg)
                     rep = result.report
-                    entry, grid, _ = _entry_and_grids(cfg)
-                    dim = entry.spec.state_dim
+                    dim = result.value_field.grid.dim
                     lines.append(
                         f"{nodes}^{dim} {rep.dx:.17g} {algorithm} "
                         f"{rep.wall_time_seconds:.3f} {rep.outer_iterations} "

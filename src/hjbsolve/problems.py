@@ -93,6 +93,10 @@ class ProblemSpec:
             raise ProblemError("domain bounds do not match state_dim")
         if isinstance(self.kind, InfiniteHorizon) and self.running_cost is None:
             raise ProblemError("infinite-horizon problems need a running cost")
+        for name in ("exterior_value", "boundary_value"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ProblemError(f"{name} must be finite, got {value}")
 
     @property
     def minimum_time(self):

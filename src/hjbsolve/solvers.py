@@ -12,7 +12,8 @@ entries; an arrival outside the box gets an empty row.  A constant vector c
 holds the stage cost plus, for those outside arrivals, discount times the
 exterior value.  A Bellman sweep is the min over controls of
 discount * (B_j @ v) + c_j; a frozen-policy evaluation uses the rows
-(policy[i], i).
+(policy[i], i).  The greedy step at an arbitrary state takes the same
+discount, stage costs and arrivals, and interpolates instead of using B.
 
 All sweeps have Jacobi semantics: every node update reads only the previous
 iterate, argmin ties break toward the lowest control index, and the sup-norm
@@ -46,7 +47,6 @@ from .grid import (
     locate_points,
     multilinear_corners,
     prolongate,
-    sup_diff,
 )
 from .problems import target_mask
 
@@ -99,7 +99,6 @@ class SolverConfig:
     stop_constant: float = 0.2
     max_iterations: int = 20000
     eval_backend: str = "fixed_point"
-    record_residuals: bool = True
     workers: int = dataclass_field(default_factory=default_workers)
 
     def __post_init__(self):
@@ -235,6 +234,44 @@ def _pins(spec, grid):
     return pin, pin_values
 
 
+def _discount(spec, dt):
+    """The discount of one step: e^{-dt} for minimum time (the Kruzkhov
+    transform), e^{-lam dt} for a discounted problem."""
+    if spec.minimum_time:
+        return math.exp(-dt)
+    return math.exp(-spec.kind.lam * dt)
+
+
+def _step(spec, points, a, dt, j):
+    """Control j's (vector `a`) semi-Lagrangian step from the (n, d)
+    `points`: the explicit Euler arrivals x + dt * f(x, a) and the stage
+    costs, 1 - e^{-dt} for minimum time and dt * l(x, a) otherwise.  A
+    non-finite arrival raises."""
+    arrivals = points + dt * np.asarray(spec.dynamics(points, a))
+    if not np.isfinite(arrivals).all():
+        raise SolverError(f"non-finite arrival under control {j}")
+    stage = np.empty(len(points))
+    if spec.minimum_time:
+        stage[:] = -math.expm1(-dt)
+    else:
+        stage[:] = dt * np.asarray(spec.running_cost(points, a), dtype=float)
+    return arrivals, stage
+
+
+def _iterate(step, v, eps, cap):
+    """v <- step(v) until consecutive iterates differ by at most eps in the
+    sup norm, at most `cap` times.  Returns (last iterate, residual history
+    with one entry per step, whether the test was met)."""
+    history = []
+    while len(history) < cap:
+        new = step(v)
+        history.append(float(np.max(np.abs(new - v))))
+        v = new
+        if history[-1] <= eps:
+            return v, history, True
+    return v, history, False
+
+
 def _fill_rows(grid, base, local, inside, indptr, indices, data):
     """Write the rows of located arrival points into CSR arrays.
 
@@ -302,14 +339,9 @@ class _Sweeper:
         self.controls = controls
         self.dt = config.dt
         self.nodes = grid.nodes()
-        self.minimum_time = spec.minimum_time
         self.pinned, self.pinned_values = _pins(spec, grid)
         self.active_count = int(grid.num_nodes - np.count_nonzero(self.pinned))
-        if self.minimum_time:
-            self.discount = math.exp(-self.dt)
-            self.stage_scalar = -math.expm1(-self.dt)
-        else:
-            self.discount = math.exp(-spec.kind.lam * self.dt)
+        self.discount = _discount(spec, self.dt)
 
         m, n = len(controls), grid.num_nodes
         self.stored = m * n * 2 ** grid.dim <= _OPERATOR_NNZ_LIMIT
@@ -338,17 +370,9 @@ class _Sweeper:
         """Control j's arrival points from the nodes `sel`, located on the
         grid: (base, local, inside, c) with c the stage cost plus, where the
         arrival leaves the box, discount * exterior_value."""
-        pts = self.nodes[sel]
-        a = self.controls.vectors[j]
-        arrivals = pts + self.dt * np.asarray(self.spec.dynamics(pts, a))
-        if not np.isfinite(arrivals).all():
-            raise SolverError(f"non-finite arrival under control {j}")
+        arrivals, c = _step(self.spec, self.nodes[sel], self.controls.vectors[j],
+                            self.dt, j)
         base, local, inside = locate_points(self.grid, arrivals)
-        c = np.empty(len(pts))
-        if self.minimum_time:
-            c[:] = self.stage_scalar
-        else:
-            c[:] = self.dt * np.asarray(self.spec.running_cost(pts, a), dtype=float)
         c[~inside] += self.discount * self.spec.exterior_value
         return base, local, inside, c
 
@@ -512,7 +536,7 @@ class _Sweeper:
         return sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, n)), c
 
     def evaluation_sweep(self, values, rows):
-        """One frozen-policy sweep; returns (new values, evaluation count)."""
+        """One frozen-policy sweep; returns the new values."""
         B, c = rows
         out = B @ values
         out *= self.discount
@@ -521,7 +545,7 @@ class _Sweeper:
         if not np.isfinite(out).all():
             bad = int(np.flatnonzero(~np.isfinite(out))[0])
             raise SolverError(f"non-finite evaluation update at node {bad}")
-        return out, self.active_count
+        return out
 
 
 def default_initial_field(spec, grid):
@@ -548,44 +572,34 @@ def bellman_update(spec, grid, V, controls, config):
 
 
 def policy_improvement(spec, grid, V, controls, dt, workers=None):
-    """Greedy argmin policy extraction against a fixed value field.
+    """Greedy argmin policy extraction against a fixed value field: the
+    policy of bellman_update.
 
     `workers` defaults to SolverConfig's default, the available CPUs.
     """
     config = SolverConfig(dt=dt) if workers is None else SolverConfig(dt=dt, workers=workers)
-    with _Sweeper(spec, grid, controls, config) as sweeper:
-        _, pol, _ = sweeper.bellman_sweep(V.values)
-    return PolicyField(grid, pol)
+    return bellman_update(spec, grid, V, controls, config)[1]
 
 
 def greedy_control_index(spec, V, controls, x, dt):
-    """Index of the greedy control at an arbitrary in-domain state."""
+    """Index of the greedy control at an arbitrary in-domain state.
+
+    The step is a Bellman sweep's: the lowest control index minimizing
+    discount * V(arrival) + stage cost, with V interpolated at all arrivals
+    in one call.
+    """
     x = np.asarray(x, dtype=float).reshape(-1)
     if not spec.contains(x):
         raise SolverError(f"state {x!r} lies outside the problem domain")
-    if spec.minimum_time:
-        discount = math.exp(-dt)
-        stage = [-math.expm1(-dt)] * len(controls)
-    else:
-        discount = math.exp(-spec.kind.lam * dt)
-        stage = [
-            dt * float(np.asarray(spec.running_cost(x[None, :], a)).reshape(-1)[0])
-            for a in controls.vectors
-        ]
-    best = math.inf
-    best_j = 0
-    for j, a in enumerate(controls.vectors):
-        arrival = x + dt * np.asarray(spec.dynamics(x, a), dtype=float).reshape(-1)
-        val = interpolate_values(
-            V.grid, V.values, arrival[None, :], spec.exterior_value
-        )[0]
-        q = discount * val + stage[j]
-        if not math.isfinite(q):
-            raise SolverError(f"non-finite greedy evaluation under control {j}")
-        if q < best:
-            best = q
-            best_j = j
-    return best_j
+    steps = [_step(spec, x[None, :], a, dt, j) for j, a in enumerate(controls.vectors)]
+    arrivals, stage = (np.concatenate(parts) for parts in zip(*steps))
+    q = interpolate_values(V.grid, V.values, arrivals, spec.exterior_value)
+    q *= _discount(spec, dt)
+    q += stage
+    bad = np.flatnonzero(~np.isfinite(q))
+    if bad.size:
+        raise SolverError(f"non-finite greedy evaluation under control {bad[0]}")
+    return int(np.argmin(q))
 
 
 def greedy_control(spec, V, controls, x, dt):
@@ -593,8 +607,10 @@ def greedy_control(spec, V, controls, x, dt):
     return controls.vectors[greedy_control_index(spec, V, controls, x, dt)]
 
 
-def _make_report(algorithm, sweeper, config, eps, iterations, updates, wall,
-                 converged, history, subs=None):
+def _make_report(algorithm, sweeper, config, t0, updates, converged, history,
+                 subs=None, changes=None):
+    """The report of a VI or PI run started at `t0`, one outer iteration per
+    residual in `history`."""
     grid = sweeper.grid
     return RunReport(
         algorithm=algorithm,
@@ -602,13 +618,14 @@ def _make_report(algorithm, sweeper, config, eps, iterations, updates, wall,
         dx=min(grid.spacing),
         dt=config.dt,
         control_count=len(sweeper.controls),
-        epsilon=eps,
-        outer_iterations=iterations,
+        epsilon=config.epsilon(grid),
+        outer_iterations=len(history),
         node_updates=updates,
-        wall_time_seconds=wall,
+        wall_time_seconds=time.perf_counter() - t0,
         converged=converged,
         residual_history=history,
         sub_iteration_history=subs or [],
+        policy_changes=changes,
         operator_stored=sweeper.stored,
         operator_nnz=sweeper.nnz,
         operator_build_wall_time_seconds=sweeper.build_seconds,
@@ -625,33 +642,16 @@ def value_iteration(spec, grid, controls, config, V0=None):
     """
     t0 = time.perf_counter()
     with _Sweeper(spec, grid, controls, config) as sweeper:
-        eps = config.epsilon(grid)
         V = default_initial_field(spec, grid) if V0 is None else sweeper.pinned_copy(V0)
-
-        history = []
-        updates = 0
-        converged = False
-        iterations = 0
-        for _ in range(config.max_iterations):
-            new_values, _, evals = sweeper.bellman_sweep(V.values, policy=False)
-            iterations += 1
-            updates += evals
-            r = float(np.max(np.abs(new_values - V.values)))
-            if config.record_residuals:
-                history.append(r)
-            V = ValueField(grid, new_values, copy=False)
-            if r <= eps:
-                converged = True
-                break
+        v, history, converged = _iterate(
+            lambda values: sweeper.bellman_sweep(values, policy=False)[0], V.values,
+            config.epsilon(grid), config.max_iterations)
         # One extra argmin sweep so the returned policy is greedy for the
         # returned (final) iterate.
-        _, pol, evals = sweeper.bellman_sweep(V.values)
-    updates += evals
-    wall = time.perf_counter() - t0
-    report = _make_report(
-        "vi", sweeper, config, eps, iterations, updates, wall, converged, history
-    )
-    return V, PolicyField(grid, pol), report
+        _, pol, evals = sweeper.bellman_sweep(v)
+    report = _make_report("vi", sweeper, config, t0, (len(history) + 1) * evals,
+                          converged, history)
+    return ValueField(grid, v, copy=False), PolicyField(grid, pol), report
 
 
 def policy_evaluation_fixed_point(spec, grid, policy, controls, V_init, config):
@@ -663,27 +663,17 @@ def policy_evaluation_fixed_point(spec, grid, policy, controls, V_init, config):
     cap was hit and the caller should treat the evaluation as failed.
     """
     sweeper = _Sweeper(spec, grid, controls, config)
-    field, count, ok, _ = _fixed_point_loop(
-        sweeper, sweeper.policy_rows(policy), sweeper.pinned_copy(V_init).values,
-        config.epsilon(grid), config.inner_cap(),
-    )
-    return field, count, ok
+    return _fixed_point_evaluation(sweeper, policy, sweeper.pinned_copy(V_init).values,
+                                   config)
 
 
-def _fixed_point_loop(sweeper, rows, v, eps, cap):
-    count = 0
-    converged = False
-    updates = 0
-    while count < cap:
-        new, evals = sweeper.evaluation_sweep(v, rows)
-        count += 1
-        updates += evals
-        r = float(np.max(np.abs(new - v)))
-        v = new
-        if r <= eps:
-            converged = True
-            break
-    return ValueField(sweeper.grid, v, copy=False), count, converged, updates
+def _fixed_point_evaluation(sweeper, policy, v, config):
+    """policy_evaluation_fixed_point on a given operator, from the pinned
+    values v."""
+    step = partial(sweeper.evaluation_sweep, rows=sweeper.policy_rows(policy))
+    v, history, converged = _iterate(step, v, config.epsilon(sweeper.grid),
+                                     config.inner_cap())
+    return ValueField(sweeper.grid, v, copy=False), len(history), converged
 
 
 def policy_evaluation_direct(spec, grid, policy, controls, config):
@@ -751,7 +741,6 @@ def policy_iteration(spec, grid, controls, config, policy0=None, V_init=None,
 def _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0):
     """policy_iteration on a given operator; `t0` starts the reported clock."""
     spec, grid = sweeper.spec, sweeper.grid
-    eps = config.epsilon(grid)
     V = default_initial_field(spec, grid) if V_init is None else sweeper.pinned_copy(V_init)
     if policy0 is None:
         policy = PolicyField.constant(grid, 0)
@@ -759,45 +748,31 @@ def _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0):
         policy = PolicyField(grid, policy0.indices.copy())
     policy.indices[sweeper.pinned] = UNSET_POLICY
 
-    history = []
     subs = []
     changes = []
-    updates = 0
-    converged = False
-    iterations = 0
-    cap = config.inner_cap()
-    for _ in range(config.max_iterations):
+
+    def step(v):
+        """Evaluate the policy from v, then improve it."""
+        nonlocal policy
         if config.eval_backend == "fixed_point":
-            V_new, inner, _, evals = _fixed_point_loop(
-                sweeper, sweeper.policy_rows(policy), V.values, eps, cap
-            )
-            updates += evals
+            V_new, inner, _ = _fixed_point_evaluation(sweeper, policy, v, config)
         else:
             V_new, inner = _direct_evaluation(sweeper, policy, config)
-            updates += inner * sweeper.active_count
-        iterations += 1
-        r = sup_diff(V_new, V)
-        if config.record_residuals:
-            history.append(r)
         subs.append(inner)
-        V = V_new
         if on_iterate is not None:
-            on_iterate(V)
-        _, pol, evals = sweeper.bellman_sweep(V.values)
-        updates += evals
+            on_iterate(V_new)
+        _, pol, _ = sweeper.bellman_sweep(V_new.values)
         # Pinned nodes hold UNSET_POLICY in both, so only active nodes count.
         changes.append(int(np.count_nonzero(pol != policy.indices)))
         policy = PolicyField(grid, pol)
-        if r <= eps:
-            converged = True
-            break
-    wall = time.perf_counter() - t0
-    report = _make_report(
-        "pi", sweeper, config, eps, iterations, updates, wall, converged, history,
-        subs,
-    )
-    report.policy_changes = changes
-    return V, policy, report
+        return V_new.values
+
+    v, history, converged = _iterate(step, V.values, config.epsilon(grid),
+                                     config.max_iterations)
+    updates = (sum(subs) + len(subs) * len(sweeper.controls)) * sweeper.active_count
+    report = _make_report("pi", sweeper, config, t0, updates, converged, history,
+                          subs, changes)
+    return ValueField(grid, v, copy=False), policy, report
 
 
 def api_solve(spec, coarse_grid, fine_grid, controls, coarse_config, fine_config,

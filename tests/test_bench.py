@@ -247,6 +247,34 @@ class TestCli:
         assert expected in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem,nodes,line", [
+        ("test2_vdp", 11, "problem.control_count = 0"),
+        ("test2_vdp", 11, "problem.lam = -1"),
+        ("test2_vdp", 11, "problem.domain = 1,-1"),
+        ("test2_vdp", 11, "problem.dt_ratio = 0"),
+        ("test2_vdp", 11, "problem.dt_ratio = nan"),
+        ("test2_vdp", 11, "stop.fine_constant = 0"),
+        ("test2_vdp", 1, ""),
+        ("test2_vdp", 11, "problem.boundary_value = inf"),
+        ("test2_vdp", 11, "problem.exterior_value = nan"),
+        ("test2_vdp", 11, "problem.target_radius = 0.1"),
+        ("heat3_rom", 11, "problem.target_radius = 0"),
+        # no node of the 20^3 grid lies within 1e-9 of the origin
+        ("heat3_rom", 20, "problem.target_radius = 1e-9"),
+    ])
+    def test_rejected_problem_grid_or_solver_setting(self, tmp_path, capsys, problem,
+                                                     nodes, line):
+        text = f"problem.name = {problem}\nalgorithm = vi\ngrid.fine.nodes = {nodes}\n{line}\n"
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_text(text)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_threads_default_to_the_available_cpus(self):
         cpus = len(os.sched_getaffinity(0))
         args = cli._build_parser().parse_args(["suite", "invariants"])

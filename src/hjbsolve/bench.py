@@ -67,27 +67,21 @@ def parse_config_text(text):
     return out
 
 
-def _parse_int(kv, key, default=None):
-    if key not in kv:
-        return default
+def _parse_int(kv, key):
     try:
         return int(kv[key])
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {kv[key]!r}") from None
 
 
-def _parse_float(kv, key, default=None):
-    if key not in kv:
-        return default
+def _parse_float(kv, key):
     try:
         return float(kv[key])
     except ValueError:
         raise ConfigError(f"{key}: expected a real number, got {kv[key]!r}") from None
 
 
-def _parse_bool(kv, key, default=False):
-    if key not in kv:
-        return default
+def _parse_bool(kv, key):
     v = kv[key].lower()
     if v in ("1", "true", "yes", "on"):
         return True
@@ -96,13 +90,19 @@ def _parse_bool(kv, key, default=False):
     raise ConfigError(f"{key}: expected a boolean, got {kv[key]!r}")
 
 
-def _parse_ints(kv, key, default=None):
+def _parse_ints(kv, key):
     if key not in kv:
-        return default
+        return None
     try:
         return tuple(int(p) for p in kv[key].split(","))
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated integers, got {kv[key]!r}") from None
+
+
+def _parse_backend(kv, key):
+    if kv[key] not in ("fixed_point", "direct"):
+        raise ConfigError(f"{key}: must be fixed_point or direct")
+    return kv[key]
 
 
 # The problem.* keys other than name and domain, by catalog override name.
@@ -113,12 +113,22 @@ _OVERRIDE_PARSERS = {
     "lam": _parse_float,
 }
 
+# The solver and output keys: (ExperimentConfig field, parser).  An absent
+# key leaves the field's default.
+_SETTING_PARSERS = {
+    "solver.backend": ("backend", _parse_backend),
+    "stop.fine_constant": ("fine_constant", _parse_float),
+    "stop.coarse_constant": ("coarse_constant", _parse_float),
+    "solver.max_iterations": ("max_iterations", _parse_int),
+    "solver.workers": ("workers", _parse_int),
+    "output.field": ("write_field", _parse_bool),
+    "output.errors": ("write_errors", _parse_bool),
+    "limits.allow_large": ("allow_large", _parse_bool),
+}
+
 _KNOWN_KEYS = {
     "problem.name", "problem.domain", *(f"problem.{name}" for name in _OVERRIDE_PARSERS),
-    "algorithm", "grid.fine.nodes", "grid.coarse.nodes",
-    "stop.fine_constant", "stop.coarse_constant",
-    "solver.max_iterations", "solver.backend", "solver.workers",
-    "output.field", "output.errors", "limits.allow_large",
+    "algorithm", "grid.fine.nodes", "grid.coarse.nodes", *_SETTING_PARSERS,
 }
 
 
@@ -131,10 +141,10 @@ class ExperimentConfig:
     fine_nodes: tuple
     coarse_nodes: tuple = None
     overrides: dict = field(default_factory=dict)
-    fine_constant: float = 0.2
+    fine_constant: float = SolverConfig.stop_constant
     coarse_constant: float = 5.0
-    max_iterations: int = 20000
-    backend: str = "fixed_point"
+    max_iterations: int = SolverConfig.max_iterations
+    backend: str = SolverConfig.eval_backend
     workers: int = field(default_factory=default_workers)
     write_field: bool = False
     write_errors: bool = True
@@ -179,26 +189,12 @@ class ExperimentConfig:
             except ValueError:
                 raise ConfigError("problem.domain: expected reals") from None
 
-        backend = kv.get("solver.backend", "fixed_point")
-        if backend not in ("fixed_point", "direct"):
-            raise ConfigError("solver.backend: must be fixed_point or direct")
-
-        cfg = cls(
-            problem=name,
-            algorithm=algorithm,
-            fine_nodes=fine,
-            coarse_nodes=coarse,
-            overrides=overrides,
-            fine_constant=_parse_float(kv, "stop.fine_constant", 0.2),
-            coarse_constant=_parse_float(kv, "stop.coarse_constant", 5.0),
-            max_iterations=_parse_int(kv, "solver.max_iterations", 20000),
-            backend=backend,
-            workers=_parse_int(kv, "solver.workers", default_workers()),
-            write_field=_parse_bool(kv, "output.field", False),
-            write_errors=_parse_bool(kv, "output.errors", True),
-            allow_large=_parse_bool(kv, "limits.allow_large", False),
-            raw_text=text,
-        )
+        settings = {
+            attr: parse(kv, key)
+            for key, (attr, parse) in _SETTING_PARSERS.items() if key in kv
+        }
+        cfg = cls(problem=name, algorithm=algorithm, fine_nodes=fine, coarse_nodes=coarse,
+                  overrides=overrides, raw_text=text, **settings)
         cfg.validate()
         return cfg
 
@@ -301,10 +297,18 @@ def _setup(config):
 
     def solver_config(label, grid, stop_constant):
         with _config_errors(f"{label} grid: "):
+            cfg = SolverConfig(dt=entry.dt_for(grid), stop_constant=stop_constant,
+                               max_iterations=config.max_iterations,
+                               eval_backend=config.backend, workers=config.workers)
+            try:
+                finite = math.isfinite(cfg.epsilon(grid))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError("the stopping tolerance stop constant * dx^2 is not "
+                                 f"finite (dx = {min(grid.spacing):g})")
             target_mask(entry.spec, grid)
-            return SolverConfig(dt=entry.dt_for(grid), stop_constant=stop_constant,
-                                max_iterations=config.max_iterations,
-                                eval_backend=config.backend, workers=config.workers)
+            return cfg
 
     fine_cfg = solver_config("fine", fine_grid, config.fine_constant)
     coarse_cfg = (None if coarse_grid is None
@@ -440,7 +444,7 @@ def export_field(result_dir, fmt, out_path, slice_axis=None, slice_value=None):
     return out_path
 
 
-# Suite row definitions: (problem, overrides, fine axis count, large?).
+# Suite rows per problem: (fine axis count, large?).
 _PAPER_ROWS = {
     "test1_1d": [(81, False), (161, False), (321, False)],
     "test2_vdp": [(81, False), (161, True), (321, True)],
@@ -465,10 +469,11 @@ def _experiment(problem, algorithm, nodes, workers, backend="fixed_point",
         coarse_nodes=((nodes + 1) // 2,) if algorithm == "api" else None,
         overrides=overrides,
         backend=backend,
-        workers=workers,
         allow_large=allow_large,
         write_errors=False,
     )
+    if workers is not None:
+        cfg.workers = workers
     cfg.validate()
     return cfg
 
@@ -491,8 +496,6 @@ def run_suite(name, out_dir, workers=None, include_large=False, only=None):
                 f"--only: unknown problem(s) {', '.join(unknown)}; "
                 f"valid problems: {', '.join(_PAPER_ROWS)}"
             )
-    if workers is None:
-        workers = default_workers()
     os.makedirs(out_dir, exist_ok=True)
     if name == "paper_tables":
         return _run_paper_tables(out_dir, workers, include_large, only)

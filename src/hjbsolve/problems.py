@@ -226,7 +226,6 @@ class CatalogEntry:
     dt_ratio: float
     reference_time: Optional[Callable] = None
     exact_value: Optional[Callable] = None
-    default_nodes: int = 41
 
     def dt_for(self, grid):
         return self.dt_ratio * min(grid.spacing)
@@ -278,7 +277,7 @@ def _test1(**ov):
         return 1.5 * (1.0 - np.abs(np.asarray(x)[..., 0]))
 
     return CatalogEntry("test1_1d", spec, controls, float(ov.get("dt_ratio", 0.5)),
-                        exact_value=exact, default_nodes=161)
+                        exact_value=exact)
 
 
 def _test2(**ov):
@@ -306,8 +305,7 @@ def _test2(**ov):
         boundary_value=bv,
     )
     controls = discretize_control_box([(-1.0, 1.0)], [int(ov.get("control_count", 32))])
-    return CatalogEntry("test2_vdp", spec, controls, float(ov.get("dt_ratio", 0.3)),
-                        default_nodes=81)
+    return CatalogEntry("test2_vdp", spec, controls, float(ov.get("dt_ratio", 0.3)))
 
 
 def _test3(**ov):
@@ -334,8 +332,7 @@ def _test3(**ov):
         boundary_value=float(ov.get("boundary_value", 3.0)),
     )
     controls = discretize_control_box([(-1.0, 1.0)], [int(ov.get("control_count", 11))])
-    return CatalogEntry("test3_dubins", spec, controls, float(ov.get("dt_ratio", 0.2)),
-                        default_nodes=41)
+    return CatalogEntry("test3_dubins", spec, controls, float(ov.get("dt_ratio", 0.2)))
 
 
 def _heading_dynamics(p, a):
@@ -374,7 +371,7 @@ def _test4(**ov):
         return np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1))
 
     return CatalogEntry("test4_eik2d", spec, controls, float(ov.get("dt_ratio", 0.8)),
-                        reference_time=ref, default_nodes=41)
+                        reference_time=ref)
 
 
 def _test5(**ov):
@@ -400,7 +397,7 @@ def _test5(**ov):
         return np.maximum(np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1)) - 1.0, 0.0)
 
     return CatalogEntry("test5_eik2d_disk", spec, controls, float(ov.get("dt_ratio", 0.8)),
-                        reference_time=ref, default_nodes=64)
+                        reference_time=ref)
 
 
 def _sphere_dynamics(p, a):
@@ -433,7 +430,7 @@ def _test6(**ov):
         return np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1))
 
     return CatalogEntry("test6_eik3d", spec, controls, float(ov.get("dt_ratio", 0.8)),
-                        reference_time=ref, default_nodes=41)
+                        reference_time=ref)
 
 
 _TEST7_CENTERS = (np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
@@ -473,7 +470,7 @@ def _test7(**ov):
 
     return CatalogEntry("test7_eik3d_spheres", spec, controls,
                         float(ov.get("dt_ratio", 0.8)),
-                        reference_time=ref, default_nodes=61)
+                        reference_time=ref)
 
 
 def _test8(**ov):
@@ -510,7 +507,7 @@ def _test8(**ov):
         return np.min(np.minimum(hi - p, p - np.asarray(lower)), axis=-1)
 
     return CatalogEntry("test8_min4d", spec, controls, float(ov.get("dt_ratio", 0.8)),
-                        reference_time=ref, default_nodes=21)
+                        reference_time=ref)
 
 
 # Reduced 3-state model of a boundary-controlled 1D diffusion: symmetric,
@@ -563,8 +560,7 @@ def _heat3(**ov):
     # Unlike the eikonal problems this system is not unit speed (|f| reaches
     # ~7.3 on the box), so the default ratio keeps arrival steps within one
     # cell, mirroring the 0.8*dx rule of the unit-speed tests.
-    return CatalogEntry("heat3_rom", spec, controls, float(ov.get("dt_ratio", 0.1)),
-                        default_nodes=21)
+    return CatalogEntry("heat3_rom", spec, controls, float(ov.get("dt_ratio", 0.1)))
 
 
 _CATALOG = {

@@ -31,10 +31,10 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, partial
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -305,9 +305,11 @@ def _fill_rows(grid, base, local, inside, indptr, indices, data):
 
 def _csr_arrays(rows, grid):
     """Zeroed indptr plus uninitialized indices and data for `rows` rows of
-    at most 2^d entries each."""
+    at most 2^d entries each.  indptr is int32 when the entries allow it, as
+    scipy would otherwise copy it to int32."""
     indices = np.empty(rows * 2 ** grid.dim, dtype=np.int32)
-    return np.zeros(rows + 1, dtype=np.int64), indices, np.empty(indices.size)
+    index = np.int32 if indices.size < 2 ** 31 else np.int64
+    return np.zeros(rows + 1, dtype=index), indices, np.empty(indices.size)
 
 
 def _covered_seconds(spans):
@@ -377,9 +379,7 @@ class _Sweeper:
         return base, local, inside, c
 
     def _block_arrays(self, js):
-        """Uninitialized CSR arrays and c for the rows of the controls `js`.
-        Callers allocate them in the calling thread, so that large buffers
-        come from its heap and are reused there, not spread over threads."""
+        """Uninitialized CSR arrays and c for the rows of the controls `js`."""
         rows = len(js) * self.grid.num_nodes
         return _csr_arrays(rows, self.grid) + (np.empty(rows),)
 
@@ -399,26 +399,13 @@ class _Sweeper:
         B = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(len(c), n))
         return (B, c), (t0, time.perf_counter())
 
-    def _in_order(self, jobs, window):
-        """The results of the callables `jobs`, in order.  With one thread
-        each runs inline.  Otherwise at most `window` jobs are submitted to
-        the pool and not yet taken, and the next job is drawn from `jobs`, in
-        the calling thread, only when an earlier result has been taken."""
+    def _map(self, fn, *iterables):
+        """fn over the blocks' arguments, results in block order: the builtin
+        map with one thread, else the pool's, which queues every call at once
+        and cancels the calls not yet started when its iterator is closed."""
         if self.threads == 1:
-            for job in jobs:
-                yield job()
-            return
-        pending = deque()
-        try:
-            for job in jobs:
-                pending.append(self._pool.submit(job))
-                if len(pending) == window:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+            return map(fn, *iterables)
+        return self._pool.map(fn, *iterables)
 
     @cached_property
     def _stored_blocks(self):
@@ -426,9 +413,12 @@ class _Sweeper:
         budget and each sweep builds its blocks afresh."""
         if not self.stored:
             return None
-        jobs = (partial(self._fill_block, js, self._block_arrays(js))
-                for js in self.blocks)
-        built = list(self._in_order(jobs, self.threads))
+        # The calling thread allocates every block's arrays before they are
+        # queued.  Allocated on the pool's threads, they come from per-thread
+        # malloc arenas, whose freed memory other threads do not reuse: the
+        # api_eik3d benchmark's peak RSS rose from ~1005 MB to 1018-1398 MB.
+        arrays = [self._block_arrays(js) for js in self.blocks]
+        built = list(self._map(self._fill_block, self.blocks, arrays))
         self.build_seconds += _covered_seconds([span for _, span in built])
         return [block for block, _ in built]
 
@@ -443,15 +433,14 @@ class _Sweeper:
         if policy is not None:
             policy[self.pinned] = UNSET_POLICY
 
-    def _sweep_block(self, js, values, policy, block=None, arrays=None):
+    def _sweep_block(self, js, block, values, policy):
         """Block `js`'s part of a Bellman sweep: the per-node minimum of
         discount * (B @ values) + c over its controls, the lowest control
         index attaining it (None unless `policy`), its entries and the span
-        of its build.  `block` is a stored (B, c); without one, the block is
-        first built into `arrays`."""
+        of its build.  `block` is a stored (B, c); None builds it first."""
         span = None
         if block is None:
-            block, span = self._fill_block(js, arrays)
+            block, span = self._fill_block(js)
         B, c = block
         n = self.grid.num_nodes
         q = B @ values
@@ -483,23 +472,13 @@ class _Sweeper:
         the values are the same bits, since the merge of the block minima is
         unchanged.
         """
-        stored = self._stored_blocks
-        if stored is None:
-            # a job that builds its block holds the block's arrays, so at
-            # most one per thread is queued
-            jobs = (partial(self._sweep_block, js, values, policy,
-                            arrays=self._block_arrays(js)) for js in self.blocks)
-            window = self.threads
-        else:
-            # a queued job holds nothing, so all are queued at once, and a
-            # thread whose CPU stalls does not hold back the others
-            jobs = (partial(self._sweep_block, js, values, policy, block)
-                    for js, block in zip(self.blocks, stored))
-            window = len(self.blocks)
+        blocks = self._stored_blocks or [None] * len(self.blocks)
+        results = self._map(self._sweep_block, self.blocks, blocks,
+                            repeat(values), repeat(policy))
         best = best_idx = None
         nnz = 0
         spans = []
-        for low, low_idx, block_nnz, span in self._in_order(jobs, window):
+        for low, low_idx, block_nnz, span in results:
             nnz += block_nnz
             if span is not None:
                 spans.append(span)

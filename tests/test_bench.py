@@ -247,6 +247,8 @@ class TestCli:
         assert expected in err
         assert not out.exists()
 
+    # a numpy warning would print a second line on stderr
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("problem,nodes,line", [
         ("test2_vdp", 11, "problem.control_count = 0"),
         ("test2_vdp", 11, "problem.lam = -1"),
@@ -261,6 +263,8 @@ class TestCli:
         ("heat3_rom", 11, "problem.target_radius = 0"),
         # no node of the 20^3 grid lies within 1e-9 of the origin
         ("heat3_rom", 20, "problem.target_radius = 1e-9"),
+        # stop constant * dx^2 overflows
+        ("test4_eik2d", 21, "problem.domain = 0,1e308"),
     ])
     def test_rejected_problem_grid_or_solver_setting(self, tmp_path, capsys, problem,
                                                      nodes, line):

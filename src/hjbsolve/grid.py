@@ -208,18 +208,20 @@ def multilinear_corners(grid, base, local):
     """The multilinear interpolation weights of located points.
 
     `base` and `local` are the per-axis cell base indices and local
-    coordinates from locate_points.  Returns a list of (flat corner index,
-    weight) for each of the 2^d cell corners in a fixed order (first axis
-    slowest), which is also ascending flat index.  Every weight is
-    nonnegative, and the weight of corner (b_0, ..., b_{d-1}) is the
-    product f_0 * f_1 * ... taken left to right, with f_i = local_i when
-    b_i = 1 and 1 - local_i otherwise.
+    coordinates from locate_points, or any per-axis rows that broadcast
+    together (such as one row per axis of a box of points, each shaped to
+    its own axis), in which case the results take the broadcast shape.
+    Returns a list of (flat corner index, weight) for each of the 2^d cell
+    corners in a fixed order (first axis slowest), which is also ascending
+    flat index.  Every weight is nonnegative, and the weight of corner
+    (b_0, ..., b_{d-1}) is the product f_0 * f_1 * ... taken left to right,
+    with f_i = local_i when b_i = 1 and 1 - local_i otherwise.
     """
     strides = grid.strides
     flat = base[0] * strides[0]
     corners = [(0, 1.0 - local[0]), (strides[0], local[0])]
     for axis in range(1, grid.dim):
-        flat += base[axis] * strides[axis]
+        flat = flat + base[axis] * strides[axis]
         upper = local[axis]
         factors = ((0, 1.0 - upper), (strides[axis], upper))
         corners = [(offset + step, w * f)

@@ -188,7 +188,8 @@ def target_mask(spec, grid):
     realized as the node nearest to the point plus every node within half a
     cell diagonal, so the discrete target is never empty on its own account.
     An empty mask for a minimum-time problem is an error: the mesh cannot
-    represent the target and must be refined.
+    represent the target and must be refined.  So is a node distance to a
+    point target that overflows.
     """
     if not spec.minimum_time:
         return TargetMask(grid, np.zeros(grid.num_nodes, dtype=bool))
@@ -199,7 +200,13 @@ def target_mask(spec, grid):
         raise ProblemError("target predicate returned a wrong-size mask")
     if kind.point is not None:
         point = np.asarray(kind.point, dtype=float)
-        dist = np.sqrt(np.sum((nodes - point) ** 2, axis=1))
+        with np.errstate(over="ignore"):
+            dist = np.sqrt(np.sum((nodes - point) ** 2, axis=1))
+        if not np.isfinite(dist).all():
+            raise ProblemError(
+                "node distances to the target point overflow on this grid; "
+                "shrink the domain"
+            )
         half_diag = 0.5 * math.sqrt(sum(h * h for h in grid.spacing))
         flags = flags | (dist <= half_diag)
         flags[int(np.argmin(dist))] = True

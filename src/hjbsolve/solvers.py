@@ -67,6 +67,11 @@ _BLOCK_ROWS = 2 ** 19
 _MIN_THREAD_ROWS = 2 ** 19
 # The row builder writes a block's entries this many rows at a time.
 _FILL_ROWS = 8192
+# The rows of a control that moves every node alike are written in slabs of
+# about this many rows: on test6_eik3d at 41^3 slabs of 2^13 rows built 10-15%
+# slower (more calls) and one call per control no faster, with temporaries
+# of 2^d corners per node (~0.5 GB per thread at 41^4).
+_SLAB_ROWS = 2 ** 15
 
 
 class SolverError(RuntimeError):
@@ -153,8 +158,10 @@ class RunReport:
     being built, on any thread: for a stored operator the one build, and for
     an unstored one the sum over every sweep, whose block builds overlap the
     sweeps of other blocks.  `workers` is the number of threads the run's
-    sweeps used.  These fields stay None on the aggregate API report, whose
-    phases carry their own.
+    sweeps used.  `operator_separable_controls` counts the controls whose
+    velocity is the same at every node, so that their rows were built from
+    per-axis cell locations.  These fields stay None on the aggregate API
+    report, whose phases carry their own.
 
     policy_changes, on PI reports (so on API's fine phase), holds per
     improvement the number of non-pinned nodes whose control changed.
@@ -176,6 +183,7 @@ class RunReport:
     operator_stored: Optional[bool] = None
     operator_nnz: Optional[int] = None
     operator_build_wall_time_seconds: Optional[float] = None
+    operator_separable_controls: Optional[int] = None
     policy_changes: Optional[list] = None
     workers: Optional[int] = None
 
@@ -206,6 +214,7 @@ class RunReport:
                 f"operator_bytes = {self.operator_bytes}",
                 "operator_build_wall_time_seconds = "
                 f"{self.operator_build_wall_time_seconds:.6f}",
+                f"operator_separable_controls = {self.operator_separable_controls}",
             ]
         if self.policy_changes is not None:
             lines.append("policy_changes = " + ",".join(map(str, self.policy_changes)))
@@ -242,20 +251,28 @@ def _discount(spec, dt):
     return math.exp(-spec.kind.lam * dt)
 
 
-def _step(spec, points, a, dt, j):
-    """Control j's (vector `a`) semi-Lagrangian step from the (n, d)
-    `points`: the explicit Euler arrivals x + dt * f(x, a) and the stage
-    costs, 1 - e^{-dt} for minimum time and dt * l(x, a) otherwise.  A
-    non-finite arrival raises."""
-    arrivals = points + dt * np.asarray(spec.dynamics(points, a))
-    if not np.isfinite(arrivals).all():
-        raise SolverError(f"non-finite arrival under control {j}")
+def _stage(spec, points, a, dt):
+    """The stage costs of control `a` at the (n, d) `points`: 1 - e^{-dt} for
+    minimum time and dt * l(x, a) otherwise."""
     stage = np.empty(len(points))
     if spec.minimum_time:
         stage[:] = -math.expm1(-dt)
     else:
         stage[:] = dt * np.asarray(spec.running_cost(points, a), dtype=float)
-    return arrivals, stage
+    return stage
+
+
+def _step(spec, points, a, dt, j, velocity=None):
+    """Control j's (vector `a`) semi-Lagrangian step from the (n, d)
+    `points`: the explicit Euler arrivals x + dt * f(x, a) and the stage
+    costs.  `velocity` is f(points, a) when the caller already has it.  A
+    non-finite arrival raises."""
+    if velocity is None:
+        velocity = spec.dynamics(points, a)
+    arrivals = points + dt * np.asarray(velocity)
+    if not np.isfinite(arrivals).all():
+        raise SolverError(f"non-finite arrival under control {j}")
+    return arrivals, _stage(spec, points, a, dt)
 
 
 def _iterate(step, v, eps, cap):
@@ -284,10 +301,7 @@ def _fill_rows(grid, base, local, inside, indptr, indices, data):
     """
     width = 2 ** grid.dim
     n = len(inside)
-    ends = indptr[1:]
-    np.cumsum(inside, out=ends)
-    ends *= width
-    ends += indptr[0]
+    _row_ends(inside, indptr, width)
     cols = indices.reshape(-1, width)
     vals = data.reshape(-1, width)
     for lo in range(0, n, _FILL_ROWS):
@@ -301,6 +315,70 @@ def _fill_rows(grid, base, local, inside, indptr, indices, data):
             cols[first:last, k] = corner
             vals[first:last, k] = weight
     return indptr[-1]
+
+
+def _row_ends(inside, indptr, width):
+    """indptr[1:] of rows holding `width` entries where `inside`, none
+    elsewhere, from the first row's start indptr[0]."""
+    ends = indptr[1:]
+    np.cumsum(inside, out=ends)
+    ends *= width
+    ends += indptr[0]
+
+
+def _same_velocity(velocity, shape):
+    """True when `velocity` is a float64 array of `shape` (n, d) whose rows
+    are all bitwise equal."""
+    if velocity.shape != shape or velocity.dtype != np.float64:
+        return False
+    bits = velocity.view(np.uint64)
+    return bool((bits == bits[0]).all())
+
+
+def _fill_shifted_rows(grid, arrivals, indptr, indices, data):
+    """Write the rows of arrivals that move every node by the same vector
+    into CSR arrays, as _fill_rows does; returns the flat in-box mask.
+
+    arrivals[a] holds the arrivals of axis a's node coordinates, so each
+    axis is located on its own, with the other coordinates at the lower
+    face.  An axis's in-box entries form one range, as the arrivals are
+    sorted, so the in-box rows are a sub-box of the grid and consecutive in
+    flat order.  Their corners come from multilinear_corners on per-axis
+    rows of that box, written into the (box..., 2^d) views of indices and
+    data, one slab of the first axis of about _SLAB_ROWS rows at a time.
+    """
+    dim = grid.dim
+    width = 2 ** dim
+    bases, locals_ = [], []
+    inside = True
+    for axis, coords in enumerate(arrivals):
+        points = np.tile(grid.lower, (len(coords), 1))
+        points[:, axis] = coords
+        base, local, kept = locate_points(grid, points)
+        shape = [1] * dim
+        shape[axis] = -1
+        inside = inside & kept.reshape(shape)
+        kept = np.flatnonzero(kept)
+        box = slice(kept[0], kept[-1] + 1) if kept.size else slice(0, 0)
+        bases.append(base[axis, box].reshape(shape))
+        locals_.append(local[axis, box].reshape(shape))
+    inside = inside.reshape(-1)
+    _row_ends(inside, indptr, width)
+    first, last = indptr[0] // width, indptr[-1] // width
+    if last == first:
+        return inside
+    box = tuple(b.size for b in bases) + (width,)
+    cols = indices.reshape(-1, width)[first:last].reshape(box)
+    vals = data.reshape(-1, width)[first:last].reshape(box)
+    slab = max(1, _SLAB_ROWS * box[0] // int(last - first))
+    for lo in range(0, box[0], slab):
+        rows = slice(lo, lo + slab)
+        corners = multilinear_corners(grid, [bases[0][rows]] + bases[1:],
+                                      [locals_[0][rows]] + locals_[1:])
+        for k, (corner, weight) in enumerate(corners):
+            cols[rows, ..., k] = corner
+            vals[rows, ..., k] = weight
+    return inside
 
 
 def _csr_arrays(rows, grid):
@@ -329,10 +407,11 @@ class _Sweeper:
     its entry bound fits the budget; frozen-policy rows are built on demand
     by the same row builder.  `build_seconds` is the wall time during which
     a block of the m-control operator was being built, `nnz` counts its
-    entries and `threads` is the number of threads its blocks run on, at
-    most config.workers.  With more than one, the thread pool starts with
-    the first block; use the sweeper as a context manager, whose exit joins
-    the pool's threads.
+    entries, `separable` marks the controls whose rows were built from
+    per-axis cell locations, and `threads` is the number of threads its
+    blocks run on, at most config.workers.  With more than one, the thread
+    pool starts with the first block; use the sweeper as a context manager,
+    whose exit joins the pool's threads.
     """
 
     def __init__(self, spec, grid, controls, config):
@@ -349,6 +428,7 @@ class _Sweeper:
         self.stored = m * n * 2 ** grid.dim <= _OPERATOR_NNZ_LIMIT
         self.build_seconds = 0.0
         self.nnz = 0
+        self.separable = np.zeros(m, dtype=bool)
         # Blocks shrink with the thread count, so the blocks in flight hold
         # about the temporaries of one serial block.
         threads = max(1, min(config.workers, m * n // _MIN_THREAD_ROWS))
@@ -368,12 +448,13 @@ class _Sweeper:
     def _pool(self):
         return ThreadPoolExecutor(self.threads, thread_name_prefix="hjbsolve")
 
-    def _arrival_rows(self, j, sel):
+    def _arrival_rows(self, j, sel, velocity=None):
         """Control j's arrival points from the nodes `sel`, located on the
         grid: (base, local, inside, c) with c the stage cost plus, where the
-        arrival leaves the box, discount * exterior_value."""
+        arrival leaves the box, discount * exterior_value.  `velocity` is
+        the dynamics at those nodes when the caller already has it."""
         arrivals, c = _step(self.spec, self.nodes[sel], self.controls.vectors[j],
-                            self.dt, j)
+                            self.dt, j, velocity)
         base, local, inside = locate_points(self.grid, arrivals)
         c[~inside] += self.discount * self.spec.exterior_value
         return base, local, inside, c
@@ -386,15 +467,38 @@ class _Sweeper:
     def _fill_block(self, js, arrays=None):
         """(B, c) of the controls `js`, one row per (control, node), control
         major, written into `arrays` (by default new ones); and the (start,
-        end) of the build."""
+        end) of the build.
+
+        The dynamics are called once per control.  A control whose velocity
+        is bitwise the same at every node moves each arrival coordinate by
+        the same amount along its own axis, so its rows come from the d axes
+        (_fill_shifted_rows, which broadcasts per-axis rows through the same
+        multilinear_corners, with the same corner order and weight product)
+        and are marked in `separable`; any other control's rows come from
+        its N located arrivals.  Both give the same bits.
+        """
         t0 = time.perf_counter()
-        grid = self.grid
+        grid, spec, nodes = self.grid, self.spec, self.nodes
         n = grid.num_nodes
         indptr, indices, data, c = arrays or self._block_arrays(js)
         for t, j in enumerate(js):
             lo = t * n
-            base, local, inside, c[lo:lo + n] = self._arrival_rows(j, slice(None))
-            _fill_rows(grid, base, local, inside, indptr[lo:lo + n + 1], indices, data)
+            rows = indptr[lo:lo + n + 1]
+            a = self.controls.vectors[j]
+            velocity = np.asarray(spec.dynamics(nodes, a))
+            if _same_velocity(velocity, nodes.shape):
+                shift = self.dt * velocity[0]
+                arrivals = [grid.axis_coords(k) + shift[k] for k in range(grid.dim)]
+                if not np.isfinite(np.concatenate(arrivals)).all():
+                    raise SolverError(f"non-finite arrival under control {j}")
+                inside = _fill_shifted_rows(grid, arrivals, rows, indices, data)
+                c[lo:lo + n] = _stage(spec, nodes, a, self.dt)
+                c[lo:lo + n][~inside] += self.discount * spec.exterior_value
+                self.separable[j] = True
+            else:
+                base, local, inside, c[lo:lo + n] = self._arrival_rows(
+                    j, slice(None), velocity)
+                _fill_rows(grid, base, local, inside, rows, indices, data)
         end = indptr[-1]
         B = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(len(c), n))
         return (B, c), (t0, time.perf_counter())
@@ -455,8 +559,13 @@ class _Sweeper:
         low = np.minimum.reduce(q, axis=0)
         low_idx = None
         if policy:
-            low_idx = (q == low).argmax(axis=0).astype(np.int32)
-            low_idx += js.start
+            # Control t of the block weighs len(js) - t where it attains the
+            # minimum, so the largest weight marks the lowest such index.  A
+            # max-reduce over axis 0 runs along contiguous rows, where an
+            # argmax over axis 0 would copy the transposed mask.
+            weights = np.arange(len(js), 0, -1, dtype=np.min_scalar_type(len(js)))
+            top = np.maximum.reduce((q == low) * weights[:, None], axis=0)
+            low_idx = js.stop - top.astype(np.int32)
         return low, low_idx, B.nnz, span
 
     def bellman_sweep(self, values, policy=True):
@@ -608,6 +717,7 @@ def _make_report(algorithm, sweeper, config, t0, updates, converged, history,
         operator_stored=sweeper.stored,
         operator_nnz=sweeper.nnz,
         operator_build_wall_time_seconds=sweeper.build_seconds,
+        operator_separable_controls=int(np.count_nonzero(sweeper.separable)),
         workers=sweeper.threads,
     )
 

@@ -265,6 +265,8 @@ class TestCli:
         ("heat3_rom", 20, "problem.target_radius = 1e-9"),
         # stop constant * dx^2 overflows
         ("test4_eik2d", 21, "problem.domain = 0,1e308"),
+        # eps is finite, but squared node distances to the target overflow
+        ("test4_eik2d", 21, "problem.domain = 0,1e155"),
     ])
     def test_rejected_problem_grid_or_solver_setting(self, tmp_path, capsys, problem,
                                                      nodes, line):

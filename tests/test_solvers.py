@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -458,6 +459,25 @@ class TestRunReport:
         assert f"fine.operator_nnz = {api.phases['fine'].operator_nnz}" in text
         assert "coarse.operator_stored = True" in text
         assert "\noperator_stored" not in text
+
+    def test_operator_separable_controls(self, solved):
+        _, _, vi = solved.vi("test4_eik2d", 41)
+        _, _, api = solved.api("test4_eik2d", 41)
+        # every heading moves all nodes alike
+        for rep in (vi, api.phases["coarse"], api.phases["fine"]):
+            assert rep.operator_separable_controls == rep.control_count == 64
+        for rep in (vi, api.phases["fine"]):
+            assert re.search("\noperator_build_wall_time_seconds = [0-9.]+\n"
+                             "operator_separable_controls = 64\n", rep.to_text())
+        text = api.to_text()
+        assert api.operator_separable_controls is None
+        assert "\noperator_separable_controls" not in text
+        assert "\ncoarse.operator_separable_controls = 64\n" in text
+        assert "\nfine.operator_separable_controls = 64\n" in text
+        # the drift of test1_1d depends on the state
+        _, _, pi = solved.pi("test1_1d", 161)
+        assert pi.operator_separable_controls == 0
+        assert "\noperator_separable_controls = 0\n" in pi.to_text()
 
     def test_workers(self, solved):
         _, _, vi = solved.vi("test4_eik2d", 41)

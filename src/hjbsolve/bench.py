@@ -134,7 +134,8 @@ _KNOWN_KEYS = {
 
 @dataclass
 class ExperimentConfig:
-    """A validated experiment: problem, algorithm, grids, and solver knobs."""
+    """An experiment: problem, algorithm, grids, and solver knobs.  from_text
+    checks it; run_experiment checks it again before it solves."""
 
     problem: str
     algorithm: str
@@ -195,46 +196,8 @@ class ExperimentConfig:
         }
         cfg = cls(problem=name, algorithm=algorithm, fine_nodes=fine, coarse_nodes=coarse,
                   overrides=overrides, raw_text=text, **settings)
-        cfg.validate()
+        _setup(cfg)
         return cfg
-
-    def validate(self):
-        """Check everything a run builds before it solves: the problem, its
-        grids and target sets, and the solver settings."""
-        with _config_errors():
-            entry = catalog(self.problem, **self.overrides)
-        dim = entry.spec.state_dim
-        fine = self._axis_counts(self.fine_nodes, dim, "grid.fine.nodes")
-        if not self.allow_large:
-            cap = DESK_SCALE_CAPS[dim]
-            if max(fine) > cap:
-                raise ConfigError(
-                    f"grid.fine.nodes: {max(fine)} exceeds the desk-scale cap of "
-                    f"{cap} per axis in {dim}D; set limits.allow_large = true to override"
-                )
-        if self.algorithm == "api":
-            coarse = self._axis_counts(self.coarse_nodes, dim, "grid.coarse.nodes")
-            for nc, nf in zip(coarse, fine):
-                if nf != 2 * nc - 1:
-                    raise ConfigError(
-                        "grid.coarse.nodes: accelerated runs need nested grids "
-                        f"(fine = 2*coarse - 1 per axis; got coarse {nc}, fine {nf})"
-                    )
-        if self.workers < 1:
-            raise ConfigError("solver.workers: must be at least 1")
-        if self.max_iterations < 1:
-            raise ConfigError("solver.max_iterations: must be at least 1")
-        _setup(self)
-
-    @staticmethod
-    def _axis_counts(nodes, dim, key):
-        if nodes is None:
-            raise ConfigError(f"{key}: missing")
-        if len(nodes) == 1:
-            return tuple(nodes) * dim
-        if len(nodes) != dim:
-            raise ConfigError(f"{key}: expected 1 or {dim} counts, got {len(nodes)}")
-        return tuple(nodes)
 
     def echo_text(self):
         if self.raw_text:
@@ -276,24 +239,52 @@ class ExperimentResult:
         return self.report.converged
 
 
+def _axis_counts(nodes, dim, key):
+    if nodes is None:
+        raise ConfigError(f"{key}: missing")
+    if len(nodes) == 1:
+        return tuple(nodes) * dim
+    if len(nodes) != dim:
+        raise ConfigError(f"{key}: expected 1 or {dim} counts, got {len(nodes)}")
+    return tuple(nodes)
+
+
 def _setup(config):
-    """(entry, fine grid, coarse grid, fine SolverConfig, coarse SolverConfig)
-    of a config, the coarse pair None unless the algorithm is api.  What the
-    problem, a grid, its target set or the solver settings reject raises
-    ConfigError."""
+    """Check a config and build what its run needs: (entry, fine grid, coarse
+    grid, fine SolverConfig, coarse SolverConfig), the coarse pair None unless
+    the algorithm is api.  What the problem, a grid, its target set or the
+    solver settings reject raises ConfigError, as do a fine grid above the
+    desk-scale cap and api grids that do not nest."""
     with _config_errors():
         entry = catalog(config.problem, **config.overrides)
-        dim = entry.spec.state_dim
-        fine_grid = entry.spec.domain_grid(
-            ExperimentConfig._axis_counts(config.fine_nodes, dim, "grid.fine.nodes"))
+    dim = entry.spec.state_dim
+    fine = _axis_counts(config.fine_nodes, dim, "grid.fine.nodes")
+    cap = DESK_SCALE_CAPS[dim]
+    if max(fine) > cap and not config.allow_large:
+        raise ConfigError(
+            f"grid.fine.nodes: {max(fine)} exceeds the desk-scale cap of "
+            f"{cap} per axis in {dim}D; set limits.allow_large = true to override"
+        )
+    if config.workers < 1:
+        raise ConfigError("solver.workers: must be at least 1")
+    if config.max_iterations < 1:
+        raise ConfigError("solver.max_iterations: must be at least 1")
+    with _config_errors():
+        fine_grid = entry.spec.domain_grid(fine)
         if config.problem == "heat3_rom" and "target_radius" not in config.overrides:
             # default target ball radius tracks the run's resolution: 2 * dx
             entry = catalog(config.problem, target_radius=2 * min(fine_grid.spacing),
                             **config.overrides)
         coarse_grid = None
         if config.algorithm == "api":
-            coarse_grid = entry.spec.domain_grid(ExperimentConfig._axis_counts(
-                config.coarse_nodes, dim, "grid.coarse.nodes"))
+            coarse_grid = entry.spec.domain_grid(
+                _axis_counts(config.coarse_nodes, dim, "grid.coarse.nodes"))
+    if coarse_grid is not None and not coarse_grid.nests(fine_grid):
+        raise ConfigError(
+            "grid.coarse.nodes: accelerated runs need nested grids (fine = 2*coarse - 1 "
+            f"per axis; got coarse {coarse_grid.nodes_per_axis}, "
+            f"fine {fine_grid.nodes_per_axis})"
+        )
 
     def solver_config(label, grid, stop_constant):
         with _config_errors(f"{label} grid: "):
@@ -474,7 +465,6 @@ def _experiment(problem, algorithm, nodes, workers, backend="fixed_point",
     )
     if workers is not None:
         cfg.workers = workers
-    cfg.validate()
     return cfg
 
 

@@ -89,7 +89,6 @@ def main(argv=None):
             config = ExperimentConfig.from_text(text)
             if args.threads is not None:
                 config.workers = args.threads
-                config.validate()
             out = args.out
             if out is None:
                 size = "x".join(str(n) for n in config.fine_nodes)

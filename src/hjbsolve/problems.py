@@ -9,6 +9,7 @@ results do not depend on how the solver batches the nodes.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -51,13 +52,13 @@ class ControlSet:
 
 @dataclass(frozen=True)
 class InfiniteHorizon:
-    """Discounted infinite-horizon cost with positive discount rate."""
+    """Discounted infinite-horizon cost with a finite positive discount rate."""
 
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ProblemError(f"discount rate must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ProblemError(f"discount rate must be positive and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -188,25 +189,26 @@ def target_mask(spec, grid):
     realized as the node nearest to the point plus every node within half a
     cell diagonal, so the discrete target is never empty on its own account.
     An empty mask for a minimum-time problem is an error: the mesh cannot
-    represent the target and must be refined.  So is a node distance to a
-    point target that overflows.
+    represent the target and must be refined.  So is a target predicate or a
+    node distance to a point target that overflows on the grid's nodes.
     """
     if not spec.minimum_time:
         return TargetMask(grid, np.zeros(grid.num_nodes, dtype=bool))
     kind = spec.kind
     nodes = grid.nodes()
-    flags = np.asarray(kind.target(nodes), dtype=bool).reshape(-1)
+    try:
+        with np.errstate(over="raise"):
+            flags = np.asarray(kind.target(nodes), dtype=bool).reshape(-1)
+            if kind.point is not None:
+                point = np.asarray(kind.point, dtype=float)
+                dist = np.sqrt(np.sum((nodes - point) ** 2, axis=1))
+    except FloatingPointError:
+        raise ProblemError(
+            "the target set overflows on this grid's nodes; shrink the domain"
+        ) from None
     if flags.size != grid.num_nodes:
         raise ProblemError("target predicate returned a wrong-size mask")
     if kind.point is not None:
-        point = np.asarray(kind.point, dtype=float)
-        with np.errstate(over="ignore"):
-            dist = np.sqrt(np.sum((nodes - point) ** 2, axis=1))
-        if not np.isfinite(dist).all():
-            raise ProblemError(
-                "node distances to the target point overflow on this grid; "
-                "shrink the domain"
-            )
         half_diag = 0.5 * math.sqrt(sum(h * h for h in grid.spacing))
         flags = flags | (dist <= half_diag)
         flags[int(np.argmin(dist))] = True
@@ -238,30 +240,13 @@ class CatalogEntry:
         return self.dt_ratio * min(grid.spacing)
 
 
-def _reject_unknown(name, overrides, allowed):
-    unknown = set(overrides) - set(allowed)
-    if unknown:
-        raise ProblemError(
-            f"unknown override(s) {sorted(unknown)} for {name}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
-def _domain(overrides, default_lo, default_hi, dim):
-    dom = overrides.get("domain")
-    if dom is None:
-        return (default_lo,) * dim, (default_hi,) * dim
-    lo, hi = dom
-    return (float(lo),) * dim, (float(hi),) * dim
-
+# Each builder's keyword parameters, with their defaults, are the overrides
+# its problem accepts; it returns the CatalogEntry fields other than the name.
 
 # Dynamics: controlled drift toward the cheap region, cost vanishing at the
 # domain ends; value function has a kink at the origin.
-def _test1(**ov):
-    _reject_unknown("test1_1d", ov, {"control_count", "dt_ratio", "domain",
-                                     "exterior_value", "boundary_value", "lam"})
-    lower, upper = _domain(ov, -1.0, 1.0, 1)
-
+def _test1(control_count=20, dt_ratio=0.5, domain=(-1.0, 1.0), exterior_value=0.0,
+           boundary_value=0.0, lam=1.0):
     def dyn(x, a):
         return a[0] * (1.0 - np.abs(x))
 
@@ -272,26 +257,22 @@ def _test1(**ov):
         state_dim=1,
         dynamics=dyn,
         running_cost=cost,
-        kind=InfiniteHorizon(float(ov.get("lam", 1.0))),
-        lower=lower,
-        upper=upper,
-        exterior_value=float(ov.get("exterior_value", 0.0)),
-        boundary_value=float(ov.get("boundary_value", 0.0)),
+        kind=InfiniteHorizon(float(lam)),
+        lower=(domain[0],),
+        upper=(domain[1],),
+        exterior_value=float(exterior_value),
+        boundary_value=float(boundary_value),
     )
-    controls = discretize_control_box([(-1.0, 1.0)], [int(ov.get("control_count", 20))])
+    controls = discretize_control_box([(-1.0, 1.0)], [int(control_count)])
 
     def exact(x):
         return 1.5 * (1.0 - np.abs(np.asarray(x)[..., 0]))
 
-    return CatalogEntry("test1_1d", spec, controls, float(ov.get("dt_ratio", 0.5)),
-                        exact_value=exact)
+    return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), exact_value=exact)
 
 
-def _test2(**ov):
-    _reject_unknown("test2_vdp", ov, {"control_count", "dt_ratio", "domain",
-                                      "exterior_value", "boundary_value", "lam"})
-    lower, upper = _domain(ov, -2.0, 2.0, 2)
-
+def _test2(control_count=32, dt_ratio=0.3, domain=(-2.0, 2.0), exterior_value=3.5,
+           boundary_value=3.5, lam=1.0):
     def dyn(p, a):
         x = p[..., 0]
         y = p[..., 1]
@@ -300,26 +281,22 @@ def _test2(**ov):
     def cost(p, a):
         return p[..., 0] ** 2 + p[..., 1] ** 2
 
-    bv = float(ov.get("boundary_value", 3.5))
     spec = ProblemSpec(
         state_dim=2,
         dynamics=dyn,
         running_cost=cost,
-        kind=InfiniteHorizon(float(ov.get("lam", 1.0))),
-        lower=lower,
-        upper=upper,
-        exterior_value=float(ov.get("exterior_value", 3.5)),
-        boundary_value=bv,
+        kind=InfiniteHorizon(float(lam)),
+        lower=(domain[0],) * 2,
+        upper=(domain[1],) * 2,
+        exterior_value=float(exterior_value),
+        boundary_value=float(boundary_value),
     )
-    controls = discretize_control_box([(-1.0, 1.0)], [int(ov.get("control_count", 32))])
-    return CatalogEntry("test2_vdp", spec, controls, float(ov.get("dt_ratio", 0.3)))
+    controls = discretize_control_box([(-1.0, 1.0)], [int(control_count)])
+    return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio))
 
 
-def _test3(**ov):
-    _reject_unknown("test3_dubins", ov, {"control_count", "dt_ratio", "domain",
-                                         "exterior_value", "boundary_value", "lam"})
-    lower, upper = _domain(ov, -2.0, 2.0, 3)
-
+def _test3(control_count=11, dt_ratio=0.2, domain=(-2.0, 2.0), exterior_value=3.0,
+           boundary_value=3.0, lam=1.0):
     def dyn(p, a):
         z = p[..., 2]
         turn = np.broadcast_to(a[0], z.shape)
@@ -332,14 +309,14 @@ def _test3(**ov):
         state_dim=3,
         dynamics=dyn,
         running_cost=cost,
-        kind=InfiniteHorizon(float(ov.get("lam", 1.0))),
-        lower=lower,
-        upper=upper,
-        exterior_value=float(ov.get("exterior_value", 3.0)),
-        boundary_value=float(ov.get("boundary_value", 3.0)),
+        kind=InfiniteHorizon(float(lam)),
+        lower=(domain[0],) * 3,
+        upper=(domain[1],) * 3,
+        exterior_value=float(exterior_value),
+        boundary_value=float(boundary_value),
     )
-    controls = discretize_control_box([(-1.0, 1.0)], [int(ov.get("control_count", 11))])
-    return CatalogEntry("test3_dubins", spec, controls, float(ov.get("dt_ratio", 0.2)))
+    controls = discretize_control_box([(-1.0, 1.0)], [int(control_count)])
+    return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio))
 
 
 def _heading_dynamics(p, a):
@@ -358,34 +335,26 @@ def _point_target(point):
     return predicate
 
 
-def _test4(**ov):
-    _reject_unknown("test4_eik2d", ov, {"control_count", "dt_ratio", "domain",
-                                        "exterior_value"})
-    lower, upper = _domain(ov, -1.0, 1.0, 2)
+def _test4(control_count=64, dt_ratio=0.8, domain=(-1.0, 1.0), exterior_value=1.0):
     point = np.zeros(2)
     spec = ProblemSpec(
         state_dim=2,
         dynamics=_heading_dynamics,
         running_cost=None,
         kind=MinimumTime(_point_target(point), point=point),
-        lower=lower,
-        upper=upper,
-        exterior_value=float(ov.get("exterior_value", 1.0)),
+        lower=(domain[0],) * 2,
+        upper=(domain[1],) * 2,
+        exterior_value=float(exterior_value),
     )
-    controls = discretize_circle(int(ov.get("control_count", 64)))
+    controls = discretize_circle(int(control_count))
 
     def ref(p):
         return np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1))
 
-    return CatalogEntry("test4_eik2d", spec, controls, float(ov.get("dt_ratio", 0.8)),
-                        reference_time=ref)
+    return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), reference_time=ref)
 
 
-def _test5(**ov):
-    _reject_unknown("test5_eik2d_disk", ov, {"control_count", "dt_ratio", "domain",
-                                             "exterior_value"})
-    lower, upper = _domain(ov, -2.0, 2.0, 2)
-
+def _test5(control_count=72, dt_ratio=0.8, domain=(-2.0, 2.0), exterior_value=1.0):
     def inside_disk(p):
         return np.sum(np.asarray(p) ** 2, axis=-1) <= 1.0
 
@@ -394,17 +363,16 @@ def _test5(**ov):
         dynamics=_heading_dynamics,
         running_cost=None,
         kind=MinimumTime(inside_disk),
-        lower=lower,
-        upper=upper,
-        exterior_value=float(ov.get("exterior_value", 1.0)),
+        lower=(domain[0],) * 2,
+        upper=(domain[1],) * 2,
+        exterior_value=float(exterior_value),
     )
-    controls = discretize_circle(int(ov.get("control_count", 72)))
+    controls = discretize_circle(int(control_count))
 
     def ref(p):
         return np.maximum(np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1)) - 1.0, 0.0)
 
-    return CatalogEntry("test5_eik2d_disk", spec, controls, float(ov.get("dt_ratio", 0.8)),
-                        reference_time=ref)
+    return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), reference_time=ref)
 
 
 def _sphere_dynamics(p, a):
@@ -416,38 +384,29 @@ def _sphere_dynamics(p, a):
     return out
 
 
-def _test6(**ov):
-    _reject_unknown("test6_eik3d", ov, {"control_counts", "dt_ratio", "domain",
-                                        "exterior_value"})
-    lower, upper = _domain(ov, -1.0, 1.0, 3)
+def _test6(control_counts=(16, 8), dt_ratio=0.8, domain=(-1.0, 1.0), exterior_value=1.0):
     point = np.zeros(3)
     spec = ProblemSpec(
         state_dim=3,
         dynamics=_sphere_dynamics,
         running_cost=None,
         kind=MinimumTime(_point_target(point), point=point),
-        lower=lower,
-        upper=upper,
-        exterior_value=float(ov.get("exterior_value", 1.0)),
+        lower=(domain[0],) * 3,
+        upper=(domain[1],) * 3,
+        exterior_value=float(exterior_value),
     )
-    counts = ov.get("control_counts", (16, 8))
-    controls = discretize_control_box([(-math.pi, math.pi), (0.0, math.pi)], counts)
+    controls = discretize_control_box([(-math.pi, math.pi), (0.0, math.pi)], control_counts)
 
     def ref(p):
         return np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1))
 
-    return CatalogEntry("test6_eik3d", spec, controls, float(ov.get("dt_ratio", 0.8)),
-                        reference_time=ref)
+    return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), reference_time=ref)
 
 
 _TEST7_CENTERS = (np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
-def _test7(**ov):
-    _reject_unknown("test7_eik3d_spheres", ov, {"control_counts", "dt_ratio", "domain",
-                                                "exterior_value"})
-    lower, upper = _domain(ov, -6.0, 6.0, 3)
-
+def _test7(control_counts=(16, 8), dt_ratio=0.8, domain=(-6.0, 6.0), exterior_value=1.0):
     def in_spheres(p):
         p = np.asarray(p)
         hit = np.zeros(p.shape[:-1], dtype=bool)
@@ -460,12 +419,11 @@ def _test7(**ov):
         dynamics=_sphere_dynamics,
         running_cost=None,
         kind=MinimumTime(in_spheres),
-        lower=lower,
-        upper=upper,
-        exterior_value=float(ov.get("exterior_value", 1.0)),
+        lower=(domain[0],) * 3,
+        upper=(domain[1],) * 3,
+        exterior_value=float(exterior_value),
     )
-    counts = ov.get("control_counts", (16, 8))
-    controls = discretize_control_box([(-math.pi, math.pi), (0.0, math.pi)], counts)
+    controls = discretize_control_box([(-math.pi, math.pi), (0.0, math.pi)], control_counts)
 
     def ref(p):
         p = np.asarray(p)
@@ -475,15 +433,11 @@ def _test7(**ov):
         )
         return np.maximum(d - 1.0, 0.0)
 
-    return CatalogEntry("test7_eik3d_spheres", spec, controls,
-                        float(ov.get("dt_ratio", 0.8)),
-                        reference_time=ref)
+    return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), reference_time=ref)
 
 
-def _test8(**ov):
-    _reject_unknown("test8_min4d", ov, {"dt_ratio", "domain", "exterior_value"})
-    lower, upper = _domain(ov, -1.0, 1.0, 4)
-    hi = upper[0]
+def _test8(dt_ratio=0.8, domain=(-1.0, 1.0), exterior_value=1.0):
+    lo, hi = float(domain[0]), float(domain[1])
 
     def on_boundary(p):
         # 1e-12 slack keeps face nodes inside the target under float rounding.
@@ -497,9 +451,9 @@ def _test8(**ov):
         dynamics=dyn,
         running_cost=None,
         kind=MinimumTime(on_boundary),
-        lower=lower,
-        upper=upper,
-        exterior_value=float(ov.get("exterior_value", 1.0)),
+        lower=(lo,) * 4,
+        upper=(hi,) * 4,
+        exterior_value=float(exterior_value),
     )
     dirs = []
     for axis in range(4):
@@ -511,10 +465,9 @@ def _test8(**ov):
 
     def ref(p):
         p = np.asarray(p)
-        return np.min(np.minimum(hi - p, p - np.asarray(lower)), axis=-1)
+        return np.min(np.minimum(hi - p, p - lo), axis=-1)
 
-    return CatalogEntry("test8_min4d", spec, controls, float(ov.get("dt_ratio", 0.8)),
-                        reference_time=ref)
+    return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), reference_time=ref)
 
 
 # Reduced 3-state model of a boundary-controlled 1D diffusion: symmetric,
@@ -527,11 +480,8 @@ HEAT3_A = (
 HEAT3_B = (-5.770, -0.174, -0.022)
 
 
-def _heat3(**ov):
-    _reject_unknown("heat3_rom", ov, {"dt_ratio", "domain", "exterior_value",
-                                      "target_radius"})
-    lower, upper = _domain(ov, -1.0, 1.0, 3)
-    r0 = float(ov.get("target_radius", 0.1))
+def _heat3(dt_ratio=0.1, domain=(-1.0, 1.0), exterior_value=1.0, target_radius=0.1):
+    r0 = float(target_radius)
     if not r0 > 0:
         raise ProblemError("target radius must be positive")
 
@@ -559,15 +509,15 @@ def _heat3(**ov):
         dynamics=dyn,
         running_cost=None,
         kind=MinimumTime(in_ball),
-        lower=lower,
-        upper=upper,
-        exterior_value=float(ov.get("exterior_value", 1.0)),
+        lower=(domain[0],) * 3,
+        upper=(domain[1],) * 3,
+        exterior_value=float(exterior_value),
     )
     controls = ControlSet(np.array([[-1.0], [0.0], [1.0]]))
     # Unlike the eikonal problems this system is not unit speed (|f| reaches
     # ~7.3 on the box), so the default ratio keeps arrival steps within one
     # cell, mirroring the 0.8*dx rule of the unit-speed tests.
-    return CatalogEntry("heat3_rom", spec, controls, float(ov.get("dt_ratio", 0.1)))
+    return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio))
 
 
 _CATALOG = {
@@ -588,11 +538,18 @@ def catalog_names():
 
 
 def catalog(name, **overrides):
-    """Build a catalog problem by name, applying any parameter overrides."""
+    """Build a catalog problem by name, applying any parameter overrides; the
+    overrides a problem accepts are its builder's keyword parameters."""
     try:
         builder = _CATALOG[name]
     except KeyError:
         raise ProblemError(
             f"unknown problem {name!r}; valid names: {', '.join(catalog_names())}"
         ) from None
-    return builder(**overrides)
+    allowed = inspect.signature(builder).parameters
+    unknown = set(overrides) - set(allowed)
+    if unknown:
+        raise ProblemError(
+            f"unknown override(s) {sorted(unknown)} for {name}; allowed: {sorted(allowed)}"
+        )
+    return CatalogEntry(name=name, **builder(**overrides))

@@ -107,8 +107,8 @@ class SolverConfig:
     workers: int = dataclass_field(default_factory=default_workers)
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.stop_constant > 0:
             raise ValueError("stop_constant must be positive")
         if self.max_iterations < 1:

@@ -1,4 +1,6 @@
+import inspect
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 import hjbsolve as h
 from hjbsolve import cli
 from hjbsolve.bench import (
+    _KNOWN_KEYS,
+    _OVERRIDE_PARSERS,
     ConfigError,
     ExperimentConfig,
     parse_config_text,
@@ -14,6 +18,9 @@ from hjbsolve.bench import (
     slice_field,
 )
 from hjbsolve.grid import RegularGrid, ValueField
+from hjbsolve.problems import _CATALOG
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 SMALL_API = """
 problem.name = test4_eik2d
@@ -69,6 +76,18 @@ class TestConfigParsing:
                 "problem.name = test4_eik2d\nalgorithm = api\n"
                 "grid.fine.nodes = 41\ngrid.coarse.nodes = 20\n"
             )
+
+    def test_override_keys_are_the_builders_parameters(self):
+        # problem.domain has its own parser; every other problem.* key is one
+        # entry of _OVERRIDE_PARSERS
+        params = set()
+        for builder in _CATALOG.values():
+            params |= set(inspect.signature(builder).parameters)
+        assert set(_OVERRIDE_PARSERS) | {"domain"} == params
+
+    def test_readme_lists_every_config_key(self):
+        block = README.read_text().split("Config keys", 1)[1].split("```")[1]
+        assert [key for key in sorted(_KNOWN_KEYS) if f"{key} =" not in block] == []
 
     def test_desk_scale_cap(self):
         with pytest.raises(ConfigError, match="cap"):
@@ -267,6 +286,13 @@ class TestCli:
         ("test4_eik2d", 21, "problem.domain = 0,1e308"),
         # eps is finite, but squared node distances to the target overflow
         ("test4_eik2d", 21, "problem.domain = 0,1e155"),
+        # ... or the target predicate's squared coordinates do
+        ("test5_eik2d_disk", 21, "problem.domain = 0,1e155"),
+        ("test7_eik3d_spheres", 21, "problem.domain = 0,1e155"),
+        ("heat3_rom", 21, "problem.domain = 0,1e155"),
+        # non-finite rates: a discount of e^-inf, and dt = inf * dx
+        ("test2_vdp", 11, "problem.lam = inf"),
+        ("test2_vdp", 11, "problem.dt_ratio = inf"),
     ])
     def test_rejected_problem_grid_or_solver_setting(self, tmp_path, capsys, problem,
                                                      nodes, line):

@@ -99,7 +99,10 @@ class TestCatalog:
 
     def test_default_dt_rules(self):
         for name, ratio in [("test1_1d", 0.5), ("test2_vdp", 0.3),
-                            ("test3_dubins", 0.2), ("test4_eik2d", 0.8)]:
+                            ("test3_dubins", 0.2), ("test4_eik2d", 0.8),
+                            ("test5_eik2d_disk", 0.8), ("test6_eik3d", 0.8),
+                            ("test7_eik3d_spheres", 0.8), ("test8_min4d", 0.8),
+                            ("heat3_rom", 0.1)]:
             assert h.catalog(name).dt_ratio == ratio
 
     def test_overrides(self):
@@ -117,6 +120,47 @@ class TestCatalog:
         assert len(h.catalog("test4_eik2d").controls) == 64
         assert len(h.catalog("test5_eik2d_disk").controls) == 72
         assert len(h.catalog("test6_eik3d").controls) == 128
+        assert len(h.catalog("test7_eik3d_spheres").controls) == 128
+        assert len(h.catalog("test8_min4d").controls) == 8
+        assert len(h.catalog("heat3_rom").controls) == 3
+
+    @pytest.mark.parametrize("name,dim,lo,hi,exterior,boundary", [
+        ("test1_1d", 1, -1.0, 1.0, 0.0, 0.0),
+        ("test2_vdp", 2, -2.0, 2.0, 3.5, 3.5),
+        ("test3_dubins", 3, -2.0, 2.0, 3.0, 3.0),
+        ("test4_eik2d", 2, -1.0, 1.0, 1.0, None),
+        ("test5_eik2d_disk", 2, -2.0, 2.0, 1.0, None),
+        ("test6_eik3d", 3, -1.0, 1.0, 1.0, None),
+        ("test7_eik3d_spheres", 3, -6.0, 6.0, 1.0, None),
+        ("test8_min4d", 4, -1.0, 1.0, 1.0, None),
+        ("heat3_rom", 3, -1.0, 1.0, 1.0, None),
+    ])
+    def test_default_domains_and_values(self, name, dim, lo, hi, exterior, boundary):
+        spec = h.catalog(name).spec
+        assert spec.lower == (lo,) * dim and spec.upper == (hi,) * dim
+        assert spec.exterior_value == exterior
+        assert spec.boundary_value == boundary
+
+    @pytest.mark.parametrize("name,allowed", [
+        ("test1_1d", ["boundary_value", "control_count", "domain", "dt_ratio",
+                      "exterior_value", "lam"]),
+        ("test2_vdp", ["boundary_value", "control_count", "domain", "dt_ratio",
+                       "exterior_value", "lam"]),
+        ("test3_dubins", ["boundary_value", "control_count", "domain", "dt_ratio",
+                          "exterior_value", "lam"]),
+        ("test4_eik2d", ["control_count", "domain", "dt_ratio", "exterior_value"]),
+        ("test5_eik2d_disk", ["control_count", "domain", "dt_ratio", "exterior_value"]),
+        ("test6_eik3d", ["control_counts", "domain", "dt_ratio", "exterior_value"]),
+        ("test7_eik3d_spheres", ["control_counts", "domain", "dt_ratio", "exterior_value"]),
+        ("test8_min4d", ["domain", "dt_ratio", "exterior_value"]),
+        ("heat3_rom", ["domain", "dt_ratio", "exterior_value", "target_radius"]),
+    ])
+    def test_unknown_override_lists_the_allowed_ones(self, name, allowed):
+        with pytest.raises(ProblemError) as info:
+            h.catalog(name, bogus=1)
+        assert str(info.value) == (
+            f"unknown override(s) ['bogus'] for {name}; allowed: {allowed}"
+        )
 
 
 class TestTargetMask:

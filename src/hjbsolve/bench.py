@@ -200,30 +200,26 @@ class ExperimentConfig:
         return cfg
 
     def echo_text(self):
+        """The config as text: verbatim when it was read from text, else
+        every key that is set, which from_text reads back to an equal config."""
         if self.raw_text:
             return self.raw_text
         lines = [
             f"problem.name = {self.problem}",
             f"algorithm = {self.algorithm}",
-            "grid.fine.nodes = " + ",".join(str(n) for n in self.fine_nodes),
+            f"grid.fine.nodes = {_echo(self.fine_nodes)}",
         ]
         if self.coarse_nodes:
-            lines.append("grid.coarse.nodes = " + ",".join(str(n) for n in self.coarse_nodes))
-        for key, val in sorted(self.overrides.items()):
-            if key == "domain":
-                lines.append(f"problem.domain = {val[0]},{val[1]}")
-            elif key == "control_counts":
-                lines.append("problem.control_counts = " + ",".join(str(c) for c in val))
-            else:
-                lines.append(f"problem.{key} = {val}")
-        lines += [
-            f"stop.fine_constant = {self.fine_constant}",
-            f"stop.coarse_constant = {self.coarse_constant}",
-            f"solver.max_iterations = {self.max_iterations}",
-            f"solver.backend = {self.backend}",
-            f"solver.workers = {self.workers}",
-        ]
+            lines.append(f"grid.coarse.nodes = {_echo(self.coarse_nodes)}")
+        lines += [f"problem.{key} = {_echo(val)}" for key, val in sorted(self.overrides.items())]
+        lines += [f"{key} = {_echo(getattr(self, attr))}"
+                  for key, (attr, _) in _SETTING_PARSERS.items()]
         return "\n".join(lines) + "\n"
+
+
+def _echo(value):
+    """A config value as its parser reads it: sequences as comma lists."""
+    return ",".join(map(str, value)) if isinstance(value, (tuple, list)) else str(value)
 
 
 @dataclass
@@ -242,11 +238,11 @@ class ExperimentResult:
 def _axis_counts(nodes, dim, key):
     if nodes is None:
         raise ConfigError(f"{key}: missing")
-    if len(nodes) == 1:
-        return tuple(nodes) * dim
-    if len(nodes) != dim:
+    if len(nodes) not in (1, dim):
         raise ConfigError(f"{key}: expected 1 or {dim} counts, got {len(nodes)}")
-    return tuple(nodes)
+    if min(nodes) < 2:
+        raise ConfigError(f"{key}: need at least 2 nodes per axis")
+    return tuple(nodes) * dim if len(nodes) == 1 else tuple(nodes)
 
 
 def _setup(config):

@@ -810,11 +810,13 @@ def _direct_evaluation(sweeper, policy, config):
     return ValueField(grid, v, copy=False), max(iters, 1)
 
 
-def policy_iteration(spec, grid, controls, config, policy0=None, V_init=None,
-                     on_iterate=None):
+def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None):
     """Howard's algorithm: frozen-policy evaluation alternating with greedy
     improvement until consecutive value iterates differ by at most eps.
 
+    Without `V_init` the run starts from default_initial_field and the
+    constant policy 0.  With it, the run starts from the pinned `V_init` and
+    its greedy policy, from one Bellman sweep that node_updates counts.
     Evaluations are warm-started from the previous value iterate.  The
     evaluated value sequence is nodewise nonincreasing up to the evaluation
     tolerance.  sub_iteration_history records the evaluation effort per outer
@@ -824,74 +826,61 @@ def policy_iteration(spec, grid, controls, config, policy0=None, V_init=None,
     """
     t0 = time.perf_counter()
     with _Sweeper(spec, grid, controls, config) as sweeper:
-        return _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0)
-
-
-def _policy_iteration(sweeper, config, policy0, V_init, on_iterate, t0):
-    """policy_iteration on a given operator; `t0` starts the reported clock."""
-    spec, grid = sweeper.spec, sweeper.grid
-    V = default_initial_field(spec, grid) if V_init is None else sweeper.pinned_copy(V_init)
-    if policy0 is None:
-        policy = PolicyField.constant(grid, 0)
-    else:
-        policy = PolicyField(grid, policy0.indices.copy())
-    policy.indices[sweeper.pinned] = UNSET_POLICY
-
-    subs = []
-    changes = []
-
-    def step(v):
-        """Evaluate the policy from v, then improve it."""
-        nonlocal policy
-        if config.eval_backend == "fixed_point":
-            V_new, inner, _ = _fixed_point_evaluation(sweeper, policy, v, config)
+        updates = 0
+        if V_init is None:
+            V = default_initial_field(spec, grid)
+            policy = PolicyField.constant(grid, 0)
+            policy.indices[sweeper.pinned] = UNSET_POLICY
         else:
-            V_new, inner = _direct_evaluation(sweeper, policy, config)
-        subs.append(inner)
-        if on_iterate is not None:
-            on_iterate(V_new)
-        _, pol, _ = sweeper.bellman_sweep(V_new.values)
-        # Pinned nodes hold UNSET_POLICY in both, so only active nodes count.
-        changes.append(int(np.count_nonzero(pol != policy.indices)))
-        policy = PolicyField(grid, pol)
-        return V_new.values
+            V = sweeper.pinned_copy(V_init)
+            _, pol, updates = sweeper.bellman_sweep(V.values)
+            policy = PolicyField(grid, pol)
 
-    v, history, converged = _iterate(step, V.values, config.epsilon(grid),
-                                     config.max_iterations)
-    updates = (sum(subs) + len(subs) * len(sweeper.controls)) * sweeper.active_count
+        subs = []
+        changes = []
+
+        def step(v):
+            """Evaluate the policy from v, then improve it."""
+            nonlocal policy
+            if config.eval_backend == "fixed_point":
+                V_new, inner, _ = _fixed_point_evaluation(sweeper, policy, v, config)
+            else:
+                V_new, inner = _direct_evaluation(sweeper, policy, config)
+            subs.append(inner)
+            if on_iterate is not None:
+                on_iterate(V_new)
+            _, pol, _ = sweeper.bellman_sweep(V_new.values)
+            # Pinned nodes hold UNSET_POLICY in both, so only active nodes count.
+            changes.append(int(np.count_nonzero(pol != policy.indices)))
+            policy = PolicyField(grid, pol)
+            return V_new.values
+
+        v, history, converged = _iterate(step, V.values, config.epsilon(grid),
+                                         config.max_iterations)
+    updates += (sum(subs) + len(subs) * len(controls)) * sweeper.active_count
     report = _make_report("pi", sweeper, config, t0, updates, converged, history,
                           subs, changes)
     return ValueField(grid, v, copy=False), policy, report
 
 
-def api_solve(spec, coarse_grid, fine_grid, controls, coarse_config, fine_config,
-              V0c=None):
-    """Accelerated policy iteration: coarse value iteration, multilinear
-    prolongation, greedy policy extraction, then fine-grid policy iteration.
+def api_solve(spec, coarse_grid, fine_grid, controls, coarse_config, fine_config):
+    """Accelerated policy iteration: value iteration on the coarse grid, then
+    policy iteration on the fine grid from the multilinear prolongation of
+    the coarse field (and so from that field's greedy policy).
 
-    The grids must be nested by midpoint refinement.  The fine operator is
-    built once and serves both the greedy extraction and the policy
-    iteration.  The report separates the coarse and fine phases and
-    aggregates totals.
+    The grids must be nested by midpoint refinement.  The report separates
+    the coarse and fine phases and aggregates totals.
     """
     if not coarse_grid.nests(fine_grid):
         raise SolverError(
             "accelerated solve needs fine = midpoint refinement of coarse"
         )
     t0 = time.perf_counter()
-    Vc, _, coarse_report = value_iteration(spec, coarse_grid, controls, coarse_config,
-                                           V0c)
+    Vc, _, coarse_report = value_iteration(spec, coarse_grid, controls, coarse_config)
     coarse_report.algorithm = "api.coarse_vi"
-
-    fine_t0 = time.perf_counter()
-    with _Sweeper(spec, fine_grid, controls, fine_config) as fine:
-        V0f = fine.pinned_copy(prolongate(Vc, fine_grid))
-        _, pol0, seed_evals = fine.bellman_sweep(V0f.values)
-        Vf, policy, fine_report = _policy_iteration(
-            fine, fine_config, PolicyField(fine_grid, pol0), V0f, None, fine_t0
-        )
+    Vf, policy, fine_report = policy_iteration(spec, fine_grid, controls, fine_config,
+                                               prolongate(Vc, fine_grid))
     fine_report.algorithm = "api.fine_pi"
-    fine_report.node_updates += seed_evals
     wall = time.perf_counter() - t0
 
     report = RunReport(

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import os
 import pathlib
@@ -10,6 +11,7 @@ from hjbsolve import cli
 from hjbsolve.bench import (
     _KNOWN_KEYS,
     _OVERRIDE_PARSERS,
+    _SETTING_PARSERS,
     ConfigError,
     ExperimentConfig,
     parse_config_text,
@@ -306,6 +308,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,lines", [
+        ("grid.fine.nodes", "grid.fine.nodes = 1"),
+        ("grid.fine.nodes", "grid.fine.nodes = 21,0"),
+        ("grid.coarse.nodes", "grid.fine.nodes = 21\ngrid.coarse.nodes = 1"),
+    ])
+    def test_rejected_node_count_names_its_key(self, tmp_path, capsys, key, lines):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"problem.name = test4_eik2d\nalgorithm = api\n{lines}\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {key}: need at least 2 nodes per axis\n")
+        assert not out.exists()
+
+    def test_echo_of_a_config_built_in_code_reads_back_equal(self):
+        cfg = ExperimentConfig(
+            problem="test2_vdp", algorithm="api", fine_nodes=(21, 41), coarse_nodes=(11, 21),
+            overrides={"control_count": 4, "dt_ratio": 0.25, "domain": (-1.5, 1.5),
+                       "exterior_value": 2.5, "boundary_value": 2.0, "lam": 0.5},
+            fine_constant=0.3, coarse_constant=4.0, max_iterations=7, backend="direct",
+            workers=3, write_field=True, write_errors=False, allow_large=True)
+        default = ExperimentConfig(problem="test2_vdp", algorithm="api", fine_nodes=(21,))
+        for attr, _ in _SETTING_PARSERS.values():
+            assert getattr(cfg, attr) != getattr(default, attr), attr
+        again = ExperimentConfig.from_text(cfg.echo_text())
+        assert dataclasses.replace(again, raw_text="") == cfg
 
     def test_threads_default_to_the_available_cpus(self):
         cpus = len(os.sched_getaffinity(0))

@@ -3,7 +3,9 @@
 Every module of src/hjbsolve/ but __init__.py (which re-exports names) must
 use every name it imports, and every private top-level name it defines
 (functions, classes, assigned names starting with one underscore) must be
-referenced by some module of the package.
+referenced by some module of the package.  Every defaulted parameter of a
+public top-level function of solvers.py must be passed, by keyword or by
+position, by some call in src/, tests/ or perfbench/.
 """
 
 import ast
@@ -14,6 +16,9 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "hjbsolve"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+CALLERS = [ast.parse(p.read_text(), filename=str(p))
+           for folder in ("src", "tests", "perfbench")
+           for p in sorted((PACKAGE.parents[1] / folder).rglob("*.py"))]
 
 
 def imported_names(tree):
@@ -63,6 +68,42 @@ def private_definitions(tree):
     return names
 
 
+def defaulted_parameters(tree):
+    """{(function, parameter): position} of the defaulted parameters of a
+    module's public top-level functions; keyword-only ones have position
+    None."""
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for position, arg in enumerate(positional[first:], start=first):
+            found[(node.name, arg.arg)] = position
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                found[(node.name, arg.arg)] = None
+    return found
+
+
+def passed_parameters(trees, defaulted):
+    """The keys of `defaulted` that some call in `trees` passes, by keyword
+    or by position; a call matches a function by its plain or attribute
+    name."""
+    passed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords = {k.arg for k in node.keywords}
+            for (function, param), position in defaulted.items():
+                if function == name and (param in keywords or position is not None
+                                         and position < len(node.args)):
+                    passed.add((function, param))
+    return passed
+
+
 def test_the_package_has_modules():
     assert len(MODULES) >= 5
 
@@ -96,3 +137,23 @@ def test_the_checks_catch_dead_code():
     )
     assert set(imported_names(tree)) - read_names(tree) == {"deque", "partial"}
     assert set(private_definitions(tree)) - referenced_names(tree) == {"_LIMIT", "_unused"}
+
+
+def test_every_solver_default_is_passed_somewhere():
+    defaulted = defaulted_parameters(TREES["solvers.py"])
+    assert defaulted, "solvers.py has no defaulted public parameters to audit"
+    unused = sorted(set(defaulted) - passed_parameters(CALLERS, defaulted))
+    assert not unused, f"solvers.py parameters no call ever passes: {unused}"
+
+
+def test_the_audit_catches_an_unused_default():
+    tree = ast.parse(
+        "def solve(a, b=1, c=2, *, d=3):\n"
+        "    return a\n"
+        "def _helper(e=1):\n"
+        "    return e\n"
+    )
+    calls = ast.parse("solve(0, 1)\nmodule.solve(0, d=4)\nc(2)\n")
+    defaulted = defaulted_parameters(tree)
+    assert defaulted == {("solve", "b"): 1, ("solve", "c"): 2, ("solve", "d"): None}
+    assert set(defaulted) - passed_parameters([calls], defaulted) == {("solve", "c")}

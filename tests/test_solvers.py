@@ -289,9 +289,8 @@ class TestPolicyIteration:
         grid = entry.spec.domain_grid(161)
         cfg = h.SolverConfig(dt=entry.dt_for(grid))
         exact = h.ValueField(grid, entry.exact_value(grid.nodes()))
-        policy0 = h.policy_improvement(entry.spec, grid, exact, entry.controls, cfg.dt)
         V, P, rep = h.policy_iteration(entry.spec, grid, entry.controls, cfg,
-                                       policy0=policy0, V_init=exact)
+                                       V_init=exact)
         assert rep.converged
         assert rep.outer_iterations <= 3
 
@@ -307,6 +306,28 @@ class TestPolicyIteration:
             float(np.max(b - a)) for a, b in zip(iterates, iterates[1:])
         )
         assert worst <= 10 * eps
+
+    @pytest.mark.parametrize("name", ["test2_vdp", "test4_eik2d"])
+    def test_value_guess_starts_from_its_greedy_policy(self, name):
+        # The first evaluation from V_init = V is the fixed-point evaluation,
+        # from V, of V's greedy policy.
+        entry = h.catalog(name, control_count=8)
+        grid = entry.spec.domain_grid(21)
+        cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=1)
+        V, _, _ = h.value_iteration(entry.spec, grid, entry.controls,
+                                    dataclasses.replace(cfg, max_iterations=3))
+        iterates = []
+        _, _, rep = h.policy_iteration(entry.spec, grid, entry.controls, cfg, V,
+                                       on_iterate=lambda f: iterates.append(f.values))
+        greedy = h.policy_improvement(entry.spec, grid, V, entry.controls, cfg.dt)
+        W, _, _ = h.policy_evaluation_fixed_point(entry.spec, grid, greedy,
+                                                  entry.controls, V, cfg)
+        assert iterates[0].tobytes() == W.values.tobytes()
+        # the greedy sweep counts as one more improvement sweep
+        active = grid.num_nodes - np.count_nonzero(_Sweeper(
+            entry.spec, grid, entry.controls, cfg).pinned)
+        assert rep.node_updates == active * (sum(rep.sub_iteration_history)
+                                             + (rep.outer_iterations + 1) * 8)
 
 
 class TestApiSolve:
@@ -349,6 +370,27 @@ class TestApiSolve:
         cfg = h.SolverConfig(dt=entry.dt_for(fine))
         with pytest.raises(SolverError):
             h.api_solve(entry.spec, coarse, fine, entry.controls, cfg, cfg)
+
+    @pytest.mark.parametrize("name", ["test2_vdp", "test4_eik2d"])
+    def test_is_value_iteration_then_policy_iteration(self, name):
+        entry = h.catalog(name, control_count=16)
+        fine, coarse = entry.spec.domain_grid(41), entry.spec.domain_grid(21)
+        fcfg = h.SolverConfig(dt=entry.dt_for(fine))
+        ccfg = h.SolverConfig(dt=entry.dt_for(coarse), stop_constant=5.0)
+        V, P, rep = h.api_solve(entry.spec, coarse, fine, entry.controls, ccfg, fcfg)
+        Vc, _, vi = h.value_iteration(entry.spec, coarse, entry.controls, ccfg)
+        W, Q, pi = h.policy_iteration(entry.spec, fine, entry.controls, fcfg,
+                                      V_init=h.prolongate(Vc, fine))
+
+        def text(report):
+            return [line for line in report.to_text().splitlines()
+                    if not line.startswith("algorithm") and "wall_time_seconds" not in line]
+
+        assert V.values.tobytes() == W.values.tobytes()
+        assert P.indices.tobytes() == Q.indices.tobytes()
+        assert text(rep.phases["coarse"]) == text(vi)
+        assert text(rep.phases["fine"]) == text(pi)
+        assert rep.node_updates == vi.node_updates + pi.node_updates
 
 
 class TestGreedyControl:

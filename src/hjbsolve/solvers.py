@@ -659,14 +659,10 @@ def bellman_update(spec, grid, V, controls, config):
     return ValueField(grid, out, copy=False), PolicyField(grid, pol)
 
 
-def policy_improvement(spec, grid, V, controls, dt, workers=None):
+def policy_improvement(spec, grid, V, controls, dt):
     """Greedy argmin policy extraction against a fixed value field: the
-    policy of bellman_update.
-
-    `workers` defaults to SolverConfig's default, the available CPUs.
-    """
-    config = SolverConfig(dt=dt) if workers is None else SolverConfig(dt=dt, workers=workers)
-    return bellman_update(spec, grid, V, controls, config)[1]
+    policy of bellman_update."""
+    return bellman_update(spec, grid, V, controls, SolverConfig(dt=dt))[1]
 
 
 def greedy_control_index(spec, V, controls, x, dt):

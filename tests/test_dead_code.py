@@ -5,7 +5,10 @@ use every name it imports, and every private top-level name it defines
 (functions, classes, assigned names starting with one underscore) must be
 referenced by some module of the package.  Every defaulted parameter of a
 public top-level function of solvers.py must be passed, by keyword or by
-position, by some call in src/, tests/ or perfbench/.
+position, by some call in src/ or perfbench/; a parameter only tests pass
+is listed in TEST_HOOKS with its reason.  Calls are matched by function
+name, so no other function or method in src/ or perfbench/ may share the
+name of an audited one.
 """
 
 import ast
@@ -16,9 +19,13 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "hjbsolve"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
-CALLERS = [ast.parse(p.read_text(), filename=str(p))
-           for folder in ("src", "tests", "perfbench")
-           for p in sorted((PACKAGE.parents[1] / folder).rglob("*.py"))]
+CALLERS = {p: ast.parse(p.read_text(), filename=str(p))
+           for folder in ("src", "perfbench")
+           for p in sorted((PACKAGE.parents[1] / folder).rglob("*.py"))}
+TEST_HOOKS = {
+    ("policy_iteration", "on_iterate"):
+        "lets tests see every evaluated field, which no report holds",
+}
 
 
 def imported_names(tree):
@@ -142,8 +149,24 @@ def test_the_checks_catch_dead_code():
 def test_every_solver_default_is_passed_somewhere():
     defaulted = defaulted_parameters(TREES["solvers.py"])
     assert defaulted, "solvers.py has no defaulted public parameters to audit"
-    unused = sorted(set(defaulted) - passed_parameters(CALLERS, defaulted))
+    passed = passed_parameters(CALLERS.values(), defaulted)
+    unused = sorted(set(defaulted) - passed - set(TEST_HOOKS))
     assert not unused, f"solvers.py parameters no call ever passes: {unused}"
+    # a hook the program itself passes needs no entry, and a gone one none
+    assert set(TEST_HOOKS) <= set(defaulted) - passed
+
+
+def test_audited_functions_have_unique_names():
+    audited = {function for function, _ in defaulted_parameters(TREES["solvers.py"])}
+    own = {id(node) for node in CALLERS[PACKAGE / "solvers.py"].body}
+    clashes = sorted(
+        (str(path), node.name)
+        for path, tree in CALLERS.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in audited and id(node) not in own
+    )
+    assert not clashes, f"definitions sharing an audited solvers.py name: {clashes}"
 
 
 def test_the_audit_catches_an_unused_default():

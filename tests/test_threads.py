@@ -98,8 +98,8 @@ def test_solves_are_bit_identical_across_workers(path, monkeypatch):
         assert (seen == {main}) if w == 1 else (main not in seen)
         W, Q, pi = h.policy_iteration(entry.spec, grid, entry.controls, cfg)
         assert threading.active_count() == before
-        ties = h.policy_improvement(entry.spec, grid, h.ValueField.full(grid, 0.5),
-                                    entry.controls, cfg.dt, workers=w)
+        ties = h.bellman_update(entry.spec, grid, h.ValueField.full(grid, 0.5),
+                                entry.controls, cfg)[1]
         assert threading.active_count() == before
         assert vi.workers == pi.workers == w
         assert vi.converged and pi.converged

@@ -18,6 +18,7 @@ HORIZON_EXCEEDED = "horizon_exceeded"
 LEFT_DOMAIN = "left_domain"
 
 _INFINITY_CUTOFF = 1.0 - 1e-14
+_RESIDUAL_WINDOW = 5
 
 
 @dataclass
@@ -162,14 +163,15 @@ class ResidualSummary:
     iterations_to_threshold: dict = field(default_factory=dict)
 
 
-def residual_diagnostics(report, window=5):
+def residual_diagnostics(report):
     """Summarize a residual history.
 
-    tail_factor is the geometric-mean contraction over the last `window`
-    residuals (for plain fixed-point iterations it approximates the discount
-    factor); superlinear_tail reports whether the final residual drop ratios
-    are decreasing, the signature of locally superlinear convergence.  With a
-    history shorter than the fit window a partial summary is returned.
+    tail_factor is the geometric-mean contraction over the last
+    _RESIDUAL_WINDOW residuals (for plain fixed-point iterations it
+    approximates the discount factor); superlinear_tail reports whether the
+    final residual drop ratios are decreasing, the signature of locally
+    superlinear convergence.  With a history shorter than the fit window a
+    partial summary is returned.
     """
     hist = [r for r in report.residual_history]
     thresholds = {}
@@ -179,7 +181,7 @@ def residual_diagnostics(report, window=5):
             if r <= thr:
                 thresholds[thr] = i + 1
                 break
-    tail = [r for r in hist[-window:] if r > 0]
+    tail = [r for r in hist[-_RESIDUAL_WINDOW:] if r > 0]
     factor = None
     if len(tail) >= 2:
         logs = [math.log(b / a) for a, b in zip(tail, tail[1:])]
@@ -190,7 +192,7 @@ def residual_diagnostics(report, window=5):
         superlinear = ratios[-1] < ratios[-2]
     return ResidualSummary(
         tail_factor=factor,
-        ratios=ratios[-window:],
+        ratios=ratios[-_RESIDUAL_WINDOW:],
         superlinear_tail=superlinear,
         iterations_to_threshold=thresholds,
     )

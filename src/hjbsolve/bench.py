@@ -374,7 +374,7 @@ def load_result_field(result_dir):
         raise ConfigError(
             f"{result_dir} has no field.txt; re-run with output.field = true"
         )
-    with open(field_path) as fh:
+    with open(field_path) as fh, _config_errors(f"{field_path}: "):
         return entry, fine_grid, read_field_table(fh, fine_grid)
 
 
@@ -388,7 +388,7 @@ def slice_field(field, axis, coordinate):
     if not 0 <= axis < grid.dim:
         raise ConfigError(f"slice axis {axis} out of range for a {grid.dim}D grid")
     coordinate = float(coordinate)
-    if coordinate < grid.lower[axis] or coordinate > grid.upper[axis]:
+    if not grid.lower[axis] <= coordinate <= grid.upper[axis]:
         raise ConfigError(
             f"slice coordinate {coordinate} outside domain "
             f"[{grid.lower[axis]}, {grid.upper[axis]}] on axis {axis}"

@@ -7,8 +7,6 @@ fastest, so flat indices match ``numpy.ravel_multi_index`` on the grid shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_NODE_CAP = 20_000_000
@@ -153,19 +151,6 @@ class ValueField:
         return self.values.reshape(self.grid.shape)
 
 
-@dataclass
-class CellLocation:
-    """A point expressed as a cell base node plus local coordinates in [0,1]^d."""
-
-    base_index: tuple
-    local: np.ndarray
-
-    def point(self, grid):
-        """Reconstruct the located point's coordinates on `grid`."""
-        base = np.asarray(self.base_index, dtype=float)
-        return np.asarray(grid.lower) + (base + self.local) * np.asarray(grid.spacing)
-
-
 def locate_points(grid, points):
     """Vectorized cell location for an (n, d) batch of points.
 
@@ -191,17 +176,6 @@ def locate_points(grid, points):
     np.fmax(local, 0.0, out=local)
     np.fmin(local, 1.0, out=local)
     return base, local, inside
-
-
-def locate_cell(grid, point):
-    """Locate one point; returns a CellLocation, or None when outside the box."""
-    point = np.asarray(point, dtype=float).reshape(-1)
-    if point.size != grid.dim:
-        raise GridError(f"point has dimension {point.size}, grid has {grid.dim}")
-    base, local, inside = locate_points(grid, point[None, :])
-    if not inside[0]:
-        return None
-    return CellLocation(tuple(int(b) for b in base[:, 0]), local[:, 0])
 
 
 def multilinear_corners(grid, base, local):

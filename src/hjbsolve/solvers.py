@@ -659,12 +659,6 @@ def bellman_update(spec, grid, V, controls, config):
     return ValueField(grid, out, copy=False), PolicyField(grid, pol)
 
 
-def policy_improvement(spec, grid, V, controls, dt):
-    """Greedy argmin policy extraction against a fixed value field: the
-    policy of bellman_update."""
-    return bellman_update(spec, grid, V, controls, SolverConfig(dt=dt))[1]
-
-
 def greedy_control_index(spec, V, controls, x, dt):
     """Index of the greedy control at an arbitrary in-domain state.
 
@@ -684,11 +678,6 @@ def greedy_control_index(spec, V, controls, x, dt):
     if bad.size:
         raise SolverError(f"non-finite greedy evaluation under control {bad[0]}")
     return int(np.argmin(q))
-
-
-def greedy_control(spec, V, controls, x, dt):
-    """The greedy control vector at an arbitrary in-domain state."""
-    return controls.vectors[greedy_control_index(spec, V, controls, x, dt)]
 
 
 def _make_report(algorithm, sweeper, config, t0, updates, converged, history,

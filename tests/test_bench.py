@@ -352,6 +352,43 @@ class TestCli:
         assert cli.main(["export", str(out), "--format", "slice",
                          "--slice", "x1=0"]) == 2
 
+    @pytest.fixture
+    def exported_run(self, tmp_path):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("problem.name = test4_eik2d\nalgorithm = vi\n"
+                            "grid.fine.nodes = 21\noutput.field = true\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
+        return out
+
+    # NaN fails both range comparisons; let through, it slices the plane x1 = -1
+    @pytest.mark.parametrize("plane", ["x1=nan", "x1=2"])
+    def test_export_slice_outside_the_domain(self, exported_run, capsys, plane):
+        capsys.readouterr()
+        slice_path = exported_run / "slice.txt"
+        assert cli.main(["export", str(exported_run), "--format", "slice",
+                         "--slice", plane, "--out", str(slice_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "outside domain" in err
+        assert not slice_path.exists()
+
+    @pytest.mark.parametrize("damage", [
+        lambda lines: lines[:100],
+        lambda lines: lines[:5] + ["-1 -0.8 fast"] + lines[6:],
+    ], ids=["truncated", "non_numeric_row"])
+    def test_export_of_a_damaged_field(self, exported_run, capsys, damage):
+        field_path = exported_run / "field.txt"
+        lines = field_path.read_text().splitlines()
+        field_path.write_text("\n".join(damage(lines)) + "\n")
+        capsys.readouterr()
+        for fmt in ("table", "slice"):
+            assert cli.main(["export", str(exported_run), "--format", fmt,
+                             "--slice", "x1=0"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: {field_path}: ")
+            assert err.count("\n") == 1
+
 
 class TestSuites:
     def test_invariants_suite(self, tmp_path):

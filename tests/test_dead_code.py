@@ -4,27 +4,35 @@ Every module of src/hjbsolve/ but __init__.py (which re-exports names) must
 use every name it imports, and every private top-level name it defines
 (functions, classes, assigned names starting with one underscore) must be
 referenced by some module of the package.  Every defaulted parameter of a
-public top-level function of solvers.py must be passed, by keyword or by
+public top-level function of those modules must be passed, by keyword or by
 position, by some call in src/ or perfbench/; a parameter only tests pass
 is listed in TEST_HOOKS with its reason.  Calls are matched by function
 name, so no other function or method in src/ or perfbench/ may share the
-name of an audited one.
+name of an audited one.  Every name in hjbsolve.__all__ must be read by a
+module of the package other than __init__.py, or by perfbench/, or be named
+in the code of README.md (a fenced block or an inline `span`).
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "hjbsolve"
+import hjbsolve
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hjbsolve"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
 CALLERS = {p: ast.parse(p.read_text(), filename=str(p))
            for folder in ("src", "perfbench")
-           for p in sorted((PACKAGE.parents[1] / folder).rglob("*.py"))}
+           for p in sorted((ROOT / folder).rglob("*.py"))}
 TEST_HOOKS = {
     ("policy_iteration", "on_iterate"):
         "lets tests see every evaluated field, which no report holds",
+    ("main", "argv"):
+        "lets tests run the CLI in-process; the hjb-bench script reads sys.argv",
 }
 
 
@@ -146,27 +154,53 @@ def test_the_checks_catch_dead_code():
     assert set(private_definitions(tree)) - referenced_names(tree) == {"_LIMIT", "_unused"}
 
 
+def unused_exports(exported, trees, readme):
+    """The names of `exported` that no tree in `trees` references and no
+    code in the `readme` text names, sorted."""
+    fence = re.compile(r"^```.*?^```", re.S | re.M)
+    code = fence.findall(readme) + re.findall(r"`([^`\n]+)`", fence.sub("", readme))
+    named = set(re.findall(r"\w+", "\n".join(code)))
+    used = set().union(*map(referenced_names, trees))
+    return sorted(set(exported) - used - named)
+
+
+def package_defaults():
+    """defaulted_parameters of every module of the package but __init__.py."""
+    return {key: position for module in MODULES
+            for key, position in defaulted_parameters(TREES[module.name]).items()}
+
+
 def test_every_solver_default_is_passed_somewhere():
-    defaulted = defaulted_parameters(TREES["solvers.py"])
-    assert defaulted, "solvers.py has no defaulted public parameters to audit"
+    defaulted = package_defaults()
+    assert defaulted, "the package has no defaulted public parameters to audit"
     passed = passed_parameters(CALLERS.values(), defaulted)
     unused = sorted(set(defaulted) - passed - set(TEST_HOOKS))
-    assert not unused, f"solvers.py parameters no call ever passes: {unused}"
+    assert not unused, f"parameters no call in src/ or perfbench/ passes: {unused}"
     # a hook the program itself passes needs no entry, and a gone one none
     assert set(TEST_HOOKS) <= set(defaulted) - passed
 
 
 def test_audited_functions_have_unique_names():
-    audited = {function for function, _ in defaulted_parameters(TREES["solvers.py"])}
-    own = {id(node) for node in CALLERS[PACKAGE / "solvers.py"].body}
-    clashes = sorted(
-        (str(path), node.name)
-        for path, tree in CALLERS.items()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name in audited and id(node) not in own
-    )
-    assert not clashes, f"definitions sharing an audited solvers.py name: {clashes}"
+    # A call that passes a hook by a shared name fails the hook check above,
+    # so only functions with a parameter outside TEST_HOOKS need a unique name
+    # (perfbench/ defines main(argv=None) too).
+    audited = {function for function, param in package_defaults()
+               if (function, param) not in TEST_HOOKS}
+    definitions = {}
+    for path, tree in CALLERS.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name in audited:
+                definitions.setdefault(node.name, []).append(f"{path.name}:{node.lineno}")
+    clashes = {name: where for name, where in definitions.items() if len(where) > 1}
+    assert not clashes, f"definitions sharing an audited name: {clashes}"
+
+
+def test_every_export_has_a_caller_or_a_readme_line():
+    trees = [TREES[module.name] for module in MODULES]
+    trees += [tree for path, tree in CALLERS.items() if path.is_relative_to(ROOT / "perfbench")]
+    unused = unused_exports(hjbsolve.__all__, trees, (ROOT / "README.md").read_text())
+    assert not unused, f"exported names no program code reads and README does not name: {unused}"
 
 
 def test_the_audit_catches_an_unused_default():
@@ -180,3 +214,13 @@ def test_the_audit_catches_an_unused_default():
     defaulted = defaulted_parameters(tree)
     assert defaulted == {("solve", "b"): 1, ("solve", "c"): 2, ("solve", "d"): None}
     assert set(defaulted) - passed_parameters([calls], defaulted) == {("solve", "c")}
+
+
+def test_the_export_audit_catches_an_unused_name():
+    trees = [ast.parse("from .grid import prolongate\nprolongate(v)\nsolvers.api_solve()\n")]
+    readme = ("Call `h.kruzkhov_to_time(v)` for times.\n"
+              "```python\nentry = h.catalog(name)\n```\n"
+              "The residual_diagnostics function, in prose only.\n")
+    exported = ["api_solve", "catalog", "kruzkhov_to_time", "prolongate",
+                "residual_diagnostics", "spare"]
+    assert unused_exports(exported, trees, readme) == ["residual_diagnostics", "spare"]

@@ -71,7 +71,8 @@ def test_greedy_at_nodes_matches_policy_improvement(name, n, rng):
     grid = entry.spec.domain_grid(n)
     dt = entry.dt_for(grid)
     V = h.ValueField(grid, rng.uniform(0.0, 1.0, grid.num_nodes))
-    policy = h.policy_improvement(entry.spec, grid, V, entry.controls, dt).indices
+    policy = h.bellman_update(entry.spec, grid, V, entry.controls,
+                              h.SolverConfig(dt=dt))[1].indices
     active = np.flatnonzero(policy != UNSET_POLICY)
     assert active.size > 0
     greedy = [h.greedy_control_index(entry.spec, V, entry.controls, grid.nodes()[i], dt)

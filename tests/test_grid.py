@@ -10,7 +10,7 @@ from hjbsolve.grid import (
     ValueField,
     interpolate,
     l1_diff,
-    locate_cell,
+    locate_points,
     prolongate,
     read_field_table,
     sup_diff,
@@ -58,34 +58,34 @@ class TestRegularGrid:
 
 
 class TestLocateCell:
+    """Single points through locate_points: base (d, 1), local (d, 1), inside (1,)."""
+
     def test_midpoint_of_cell(self):
-        loc = locate_cell(grid1d(3), (0.5,))
-        assert loc.base_index == (1,)
-        assert loc.local[0] == pytest.approx(0.5)
+        base, local, inside = locate_points(grid1d(3), [(0.5,)])
+        assert base[0, 0] == 1 and inside[0]
+        assert local[0, 0] == pytest.approx(0.5)
 
     def test_node_coincidence(self):
-        loc = locate_cell(grid1d(3), (0.0,))
-        assert loc.base_index == (1,)
-        assert loc.local[0] == 0.0
-        # final node maps to the last cell with local coordinate 1
-        loc = locate_cell(grid1d(3), (1.0,))
-        assert loc.base_index == (1,)
-        assert loc.local[0] == 1.0
+        base, local, inside = locate_points(grid1d(3), [(0.0,)])
+        assert base[0, 0] == 1 and local[0, 0] == 0.0 and inside[0]
+
+    def test_upper_face(self):
+        # the final node maps to the last cell with local coordinate 1
+        base, local, inside = locate_points(grid1d(3), [(1.0,)])
+        assert base[0, 0] == 1 and local[0, 0] == 1.0 and inside[0]
 
     def test_outside(self):
-        assert locate_cell(grid1d(3), (1.5,)) is None
-        assert locate_cell(grid1d(3), (-1.0 - 1e-9,)) is None
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(GridError):
-            locate_cell(grid1d(3), (0.5, 0.5))
+        assert not locate_points(grid1d(3), [(1.5,)])[2][0]
+        assert not locate_points(grid1d(3), [(-1.0 - 1e-9,)])[2][0]
 
     def test_roundtrip_reconstruction(self, rng):
         g = RegularGrid((-1.0, -2.0, 0.0), (1.0, 2.0, 3.0), (7, 5, 4))
         pts = rng.uniform(low=(-1, -2, 0), high=(1, 2, 3), size=(200, 3))
         for p in pts:
-            loc = locate_cell(g, p)
-            assert np.max(np.abs(loc.point(g) - p)) < 1e-12
+            base, local, inside = locate_points(g, p[None, :])
+            assert inside[0]
+            point = np.asarray(g.lower) + (base[:, 0] + local[:, 0]) * np.asarray(g.spacing)
+            assert np.max(np.abs(point - p)) < 1e-12
 
 
 class TestInterpolate:
@@ -97,6 +97,10 @@ class TestInterpolate:
         g = RegularGrid((0.0, 0.0), (1.0, 1.0), (2, 2))
         f = ValueField(g, [0.0, 1.0, 1.0, 2.0])
         assert interpolate(f, (0.5, 0.5), 0.0) == pytest.approx(1.0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(GridError, match="dimension"):
+            interpolate(ValueField.full(grid1d(3), 0.0), (0.5, 0.5), 0.0)
 
     def test_exterior_constant(self):
         f = ValueField(grid1d(3), [1.0, 2.0, 3.0])

@@ -117,8 +117,8 @@ def test_unstored_and_blocked_sweeps_match_stored(monkeypatch):
     def solve():
         V, P, rep = h.value_iteration(entry.spec, grid, entry.controls, cfg)
         # a constant field ties every control at interior nodes
-        ties = h.policy_improvement(entry.spec, grid, h.ValueField.full(grid, 0.5),
-                                    entry.controls, cfg.dt)
+        _, ties = h.bellman_update(entry.spec, grid, h.ValueField.full(grid, 0.5),
+                                   entry.controls, cfg)
         return V.values, P.indices, rep.outer_iterations, ties.indices
 
     stored = solve()

@@ -160,7 +160,7 @@ class TestPolicyEvaluation:
         grid = entry.spec.domain_grid(41)
         cfg = h.SolverConfig(dt=entry.dt_for(grid))
         ref = h.ValueField(grid, np.asarray(h.minimum_time_reference(entry)(grid.nodes())))
-        policy = h.policy_improvement(entry.spec, grid, ref, entry.controls, cfg.dt)
+        _, policy = h.bellman_update(entry.spec, grid, ref, entry.controls, cfg)
         V, m, ok = h.policy_evaluation_fixed_point(
             entry.spec, grid, policy, entry.controls,
             h.default_initial_field(entry.spec, grid), cfg,
@@ -234,16 +234,16 @@ class TestPolicyImprovement:
         )
         grid = spec.domain_grid(9)
         controls = h.discretize_control_box([(-1.0, 1.0)], [3])  # -1, 0, 1
-        policy = h.policy_improvement(spec, grid, h.ValueField.full(grid, 0.0),
-                                      controls, dt=0.1)
+        _, policy = h.bellman_update(spec, grid, h.ValueField.full(grid, 0.0),
+                                     controls, h.SolverConfig(dt=0.1))
         assert np.all(policy.indices == 1)
 
     def test_minimum_time_tie_breaks_low(self):
         entry = h.catalog("test4_eik2d", control_count=16)
         grid = entry.spec.domain_grid(21)
         dt = entry.dt_for(grid)
-        policy = h.policy_improvement(entry.spec, grid, h.ValueField.full(grid, 0.0),
-                                      entry.controls, dt)
+        _, policy = h.bellman_update(entry.spec, grid, h.ValueField.full(grid, 0.0),
+                                     entry.controls, h.SolverConfig(dt=dt))
         nodes = grid.nodes()
         interior = np.max(np.abs(nodes), axis=1) < 1.0 - dt
         mask = h.target_mask(entry.spec, grid).flags
@@ -253,8 +253,8 @@ class TestPolicyImprovement:
     def test_greedy_consistency_with_vi(self, solved):
         entry = solved.entry("test1_1d")
         V, P, rep = solved.vi("test1_1d", 81)
-        again = h.policy_improvement(entry.spec, V.grid, V, entry.controls,
-                                     entry.dt_for(V.grid))
+        _, again = h.bellman_update(entry.spec, V.grid, V, entry.controls,
+                                    h.SolverConfig(dt=entry.dt_for(V.grid)))
         assert np.array_equal(again.indices, P.indices)
 
 
@@ -319,7 +319,7 @@ class TestPolicyIteration:
         iterates = []
         _, _, rep = h.policy_iteration(entry.spec, grid, entry.controls, cfg, V,
                                        on_iterate=lambda f: iterates.append(f.values))
-        greedy = h.policy_improvement(entry.spec, grid, V, entry.controls, cfg.dt)
+        _, greedy = h.bellman_update(entry.spec, grid, V, entry.controls, cfg)
         W, _, _ = h.policy_evaluation_fixed_point(entry.spec, grid, greedy,
                                                   entry.controls, V, cfg)
         assert iterates[0].tobytes() == W.values.tobytes()
@@ -398,16 +398,18 @@ class TestGreedyControl:
         entry = solved.entry("test1_1d")
         grid = entry.spec.domain_grid(161)
         V = h.ValueField(grid, entry.exact_value(grid.nodes()))
-        a = h.greedy_control(entry.spec, V, entry.controls, np.array([0.5]),
-                             entry.dt_for(grid))
+        j = h.greedy_control_index(entry.spec, V, entry.controls, np.array([0.5]),
+                                   entry.dt_for(grid))
+        a = entry.controls.vectors[j]
         assert a[0] == pytest.approx(1.0)
 
     def test_eikonal_points_at_origin(self, solved):
         entry = solved.entry("test4_eik2d")
         grid = entry.spec.domain_grid(41)
         ref = h.ValueField(grid, np.asarray(h.minimum_time_reference(entry)(grid.nodes())))
-        a = h.greedy_control(entry.spec, ref, entry.controls, np.array([1.0, 0.0]),
-                             entry.dt_for(grid))
+        j = h.greedy_control_index(entry.spec, ref, entry.controls, np.array([1.0, 0.0]),
+                                   entry.dt_for(grid))
+        a = entry.controls.vectors[j]
         assert math.cos(a[0]) < -0.99
 
     def test_constant_field_ties_to_index_zero(self, solved):
@@ -423,8 +425,8 @@ class TestGreedyControl:
         grid = entry.spec.domain_grid(41)
         V = h.ValueField.full(grid, 0.5)
         with pytest.raises(SolverError):
-            h.greedy_control(entry.spec, V, entry.controls, np.array([2.0, 0.0]),
-                             entry.dt_for(grid))
+            h.greedy_control_index(entry.spec, V, entry.controls, np.array([2.0, 0.0]),
+                                   entry.dt_for(grid))
 
 
 class TestProperties:
@@ -557,7 +559,7 @@ class TestRunReport:
         previous = np.zeros(grid.num_nodes, dtype=np.int32)
         recount = []
         for V in evaluated:
-            pol = h.policy_improvement(entry.spec, grid, V, entry.controls, cfg.dt)
+            _, pol = h.bellman_update(entry.spec, grid, V, entry.controls, cfg)
             free = pol.indices != h.solvers.UNSET_POLICY
             recount.append(int(np.count_nonzero(pol.indices[free] != previous[free])))
             previous = pol.indices

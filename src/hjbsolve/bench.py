@@ -525,9 +525,9 @@ def _run_paper_tables(out_dir, workers, include_large, only):
 
 
 def _run_rates(out_dir, workers, include_large):
-    records = []
-    ok = True
-    lines = ["nodes dx l1_error l1_rate sup_error sup_rate"]
+    """One row per size of _RATES_SIZES, in order; a row's rates are taken
+    against the next size when both succeeded, else shown as '-'."""
+    records = {}
     for nodes in _RATES_SIZES:
         try:
             # The direct evaluation backend lands the fine phase on the
@@ -536,22 +536,24 @@ def _run_rates(out_dir, workers, include_large):
             cfg = _experiment("test4_eik2d", "api", nodes, workers,
                               backend="direct", allow_large=True, control_count=64)
             cfg.write_errors = True
-            result = run_experiment(cfg)
-            records.append((nodes, result.error_record))
+            records[nodes] = run_experiment(cfg).error_record
         except Exception as exc:  # noqa: BLE001
-            ok = False
-            lines.append(f"{nodes}^2 - error: {exc}")
-    recs = [r for _, r in records if r is not None]
-    rates = analysis.convergence_rates(recs) if len(recs) >= 2 else []
-    for i, (nodes, rec) in enumerate(records):
-        l1r = f"{rates[i][0]:.2f}" if i < len(rates) else "-"
-        supr = f"{rates[i][1]:.2f}" if i < len(rates) else "-"
+            records[nodes] = exc
+    lines = ["nodes dx l1_error l1_rate sup_error sup_rate"]
+    for nodes, finer in zip(_RATES_SIZES, _RATES_SIZES[1:] + (None,)):
+        rec, next_rec = records[nodes], records.get(finer)
+        if isinstance(rec, Exception):
+            lines.append(f"{nodes}^2 - error: {rec}")
+            continue
+        l1r = supr = "-"
+        if isinstance(next_rec, analysis.ErrorRecord):
+            l1r, supr = (f"{r:.2f}" for r in analysis.convergence_rates([rec, next_rec])[0])
         lines.append(
             f"{nodes}^2 {rec.dx:.17g} {rec.l1_error:.3e} {l1r} "
             f"{rec.sup_error:.3e} {supr}"
         )
     _write_atomic(os.path.join(out_dir, "table_rates.txt"), "\n".join(lines) + "\n")
-    return ok
+    return not any(isinstance(rec, Exception) for rec in records.values())
 
 
 def _run_invariants(out_dir):

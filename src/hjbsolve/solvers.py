@@ -65,13 +65,10 @@ _BLOCK_ROWS = 2 ** 19
 # a 2-core machine smaller shares did not pay for the dispatch and the extra
 # blocks: 829 K rows (test2_vdp at 161^2) ran no faster on two threads.
 _MIN_THREAD_ROWS = 2 ** 19
-# The row builder writes a block's entries this many rows at a time.
-_FILL_ROWS = 8192
-# The rows of a control that moves every node alike are written in slabs of
-# about this many rows: on test6_eik3d at 41^3 slabs of 2^13 rows built 10-15%
-# slower (more calls) and one call per control no faster, with temporaries
-# of 2^d corners per node (~0.5 GB per thread at 41^4).
-_SLAB_ROWS = 2 ** 15
+# The row writer works in slabs of about this many rows: on test6_eik3d at
+# 41^3, 2^13 rows built 10-15% slower and one slab per control no faster, with
+# temporaries of 2^d corners per row (~0.5 GB per thread at 41^4).
+_FILL_ROWS = 2 ** 15
 
 
 class SolverError(RuntimeError):
@@ -289,41 +286,45 @@ def _iterate(step, v, eps, cap):
     return v, history, False
 
 
-def _fill_rows(grid, base, local, inside, indptr, indices, data):
-    """Write the rows of located arrival points into CSR arrays.
+def _fill_rows(grid, bases, locals_, inside, indptr, indices, data):
+    """Write the rows of located arrivals into CSR arrays: row r holds the
+    2^d multilinear weights of arrival r when inside[r] and is empty else.
 
-    Row r holds the 2^d multilinear weights of arrival r when inside[r] and
-    is empty otherwise.  indptr[0] must hold the position of the first entry,
-    a multiple of 2^d; indptr[1:] is filled.  Returns the position after the
-    last entry.  Rows are written _FILL_ROWS at a time, so each chunk's
-    columns and weights stay in cache while they are scattered into the
-    row-major (rows, 2^d) views of indices and data.
+    `bases` and `locals_` hold per axis the cell bases and local coordinates
+    of the in-box arrivals only, as arrays that broadcast to those rows in
+    flat order: a (k,) row per axis, or per-axis rows of an in-box sub-box.
+    indptr[0] must hold the position of the first entry, a multiple of 2^d;
+    indptr[1:] is filled.  The corners are written into the (rows..., 2^d)
+    views of indices and data one first-axis slab of about _FILL_ROWS rows
+    at a time, so that they stay in cache while they are scattered.
     """
     width = 2 ** grid.dim
-    n = len(inside)
-    _row_ends(inside, indptr, width)
-    cols = indices.reshape(-1, width)
-    vals = data.reshape(-1, width)
-    for lo in range(0, n, _FILL_ROWS):
-        hi = min(lo + _FILL_ROWS, n)
-        first, last = indptr[lo] // width, indptr[hi] // width
-        b, w = base[:, lo:hi], local[:, lo:hi]
-        if last - first < hi - lo:
-            keep = inside[lo:hi]
-            b, w = np.compress(keep, b, axis=1), np.compress(keep, w, axis=1)
-        for k, (corner, weight) in enumerate(multilinear_corners(grid, b, w)):
-            cols[first:last, k] = corner
-            vals[first:last, k] = weight
-    return indptr[-1]
-
-
-def _row_ends(inside, indptr, width):
-    """indptr[1:] of rows holding `width` entries where `inside`, none
-    elsewhere, from the first row's start indptr[0]."""
     ends = indptr[1:]
     np.cumsum(inside, out=ends)
     ends *= width
     ends += indptr[0]
+    first, last = indptr[0] // width, indptr[-1] // width
+    if last == first:
+        return
+    box = np.broadcast_shapes(*(b.shape for b in bases)) + (width,)
+    cols = indices.reshape(-1, width)[first:last].reshape(box)
+    vals = data.reshape(-1, width)[first:last].reshape(box)
+    slab = max(1, _FILL_ROWS * box[0] // int(last - first))
+    for lo in range(0, box[0], slab):
+        rows = slice(lo, lo + slab)
+        # Only the arrays that span the first axis are cut; the others broadcast.
+        b, w = ([a[rows] if len(a) > 1 else a for a in arrays] for arrays in (bases, locals_))
+        for k, (corner, weight) in enumerate(multilinear_corners(grid, b, w)):
+            cols[rows, ..., k] = corner
+            vals[rows, ..., k] = weight
+
+
+def _located(grid, arrivals):
+    """(bases, locals_, inside) of the (n, d) `arrivals` for _fill_rows:
+    the (d, k) cell bases and local coordinates of the k in-box arrivals and
+    the (n,) in-box mask."""
+    base, local, inside = locate_points(grid, arrivals)
+    return np.compress(inside, base, axis=1), np.compress(inside, local, axis=1), inside
 
 
 def _same_velocity(velocity, shape):
@@ -335,50 +336,28 @@ def _same_velocity(velocity, shape):
     return bool((bits == bits[0]).all())
 
 
-def _fill_shifted_rows(grid, arrivals, indptr, indices, data):
-    """Write the rows of arrivals that move every node by the same vector
-    into CSR arrays, as _fill_rows does; returns the flat in-box mask.
+def _shifted(grid, shift, j):
+    """(bases, locals_, inside) for _fill_rows of control j's arrivals, which
+    move every node by the same vector `shift`.  A non-finite one raises.
 
-    arrivals[a] holds the arrivals of axis a's node coordinates, so each
-    axis is located on its own, with the other coordinates at the lower
-    face.  An axis's in-box entries form one range, as the arrivals are
-    sorted, so the in-box rows are a sub-box of the grid and consecutive in
-    flat order.  Their corners come from multilinear_corners on per-axis
-    rows of that box, written into the (box..., 2^d) views of indices and
-    data, one slab of the first axis of about _SLAB_ROWS rows at a time.
+    Each axis's shifted node coordinates are located on their own, with the
+    other coordinates at the lower face.  An axis's in-box entries form one
+    range, as they are sorted, so the in-box rows are a sub-box of the grid,
+    consecutive in flat order, and bases and locals_ are its per-axis rows.
     """
-    dim = grid.dim
-    width = 2 ** dim
-    bases, locals_ = [], []
-    inside = True
-    for axis, coords in enumerate(arrivals):
+    bases, locals_, inside = [], [], True
+    for axis in range(grid.dim):
+        coords = grid.axis_coords(axis) + shift[axis]
+        if not np.isfinite(coords).all():
+            raise SolverError(f"non-finite arrival under control {j}")
         points = np.tile(grid.lower, (len(coords), 1))
         points[:, axis] = coords
         base, local, kept = locate_points(grid, points)
-        shape = [1] * dim
-        shape[axis] = -1
+        shape = [-1 if k == axis else 1 for k in range(grid.dim)]
         inside = inside & kept.reshape(shape)
-        kept = np.flatnonzero(kept)
-        box = slice(kept[0], kept[-1] + 1) if kept.size else slice(0, 0)
-        bases.append(base[axis, box].reshape(shape))
-        locals_.append(local[axis, box].reshape(shape))
-    inside = inside.reshape(-1)
-    _row_ends(inside, indptr, width)
-    first, last = indptr[0] // width, indptr[-1] // width
-    if last == first:
-        return inside
-    box = tuple(b.size for b in bases) + (width,)
-    cols = indices.reshape(-1, width)[first:last].reshape(box)
-    vals = data.reshape(-1, width)[first:last].reshape(box)
-    slab = max(1, _SLAB_ROWS * box[0] // int(last - first))
-    for lo in range(0, box[0], slab):
-        rows = slice(lo, lo + slab)
-        corners = multilinear_corners(grid, [bases[0][rows]] + bases[1:],
-                                      [locals_[0][rows]] + locals_[1:])
-        for k, (corner, weight) in enumerate(corners):
-            cols[rows, ..., k] = corner
-            vals[rows, ..., k] = weight
-    return inside
+        bases.append(base[axis, kept].reshape(shape))
+        locals_.append(local[axis, kept].reshape(shape))
+    return bases, locals_, inside.reshape(-1)
 
 
 def _csr_arrays(rows, grid):
@@ -448,17 +427,6 @@ class _Sweeper:
     def _pool(self):
         return ThreadPoolExecutor(self.threads, thread_name_prefix="hjbsolve")
 
-    def _arrival_rows(self, j, sel, velocity=None):
-        """Control j's arrival points from the nodes `sel`, located on the
-        grid: (base, local, inside, c) with c the stage cost plus, where the
-        arrival leaves the box, discount * exterior_value.  `velocity` is
-        the dynamics at those nodes when the caller already has it."""
-        arrivals, c = _step(self.spec, self.nodes[sel], self.controls.vectors[j],
-                            self.dt, j, velocity)
-        base, local, inside = locate_points(self.grid, arrivals)
-        c[~inside] += self.discount * self.spec.exterior_value
-        return base, local, inside, c
-
     def _block_arrays(self, js):
         """Uninitialized CSR arrays and c for the rows of the controls `js`."""
         rows = len(js) * self.grid.num_nodes
@@ -470,12 +438,9 @@ class _Sweeper:
         end) of the build.
 
         The dynamics are called once per control.  A control whose velocity
-        is bitwise the same at every node moves each arrival coordinate by
-        the same amount along its own axis, so its rows come from the d axes
-        (_fill_shifted_rows, which broadcasts per-axis rows through the same
-        multilinear_corners, with the same corner order and weight product)
-        and are marked in `separable`; any other control's rows come from
-        its N located arrivals.  Both give the same bits.
+        is bitwise the same at every node has its arrivals located per axis
+        (_shifted) and is marked in `separable`; any other control has its N
+        arrivals located (_located).  Both give the same bits in _fill_rows.
         """
         t0 = time.perf_counter()
         grid, spec, nodes = self.grid, self.spec, self.nodes
@@ -483,22 +448,18 @@ class _Sweeper:
         indptr, indices, data, c = arrays or self._block_arrays(js)
         for t, j in enumerate(js):
             lo = t * n
-            rows = indptr[lo:lo + n + 1]
             a = self.controls.vectors[j]
             velocity = np.asarray(spec.dynamics(nodes, a))
             if _same_velocity(velocity, nodes.shape):
-                shift = self.dt * velocity[0]
-                arrivals = [grid.axis_coords(k) + shift[k] for k in range(grid.dim)]
-                if not np.isfinite(np.concatenate(arrivals)).all():
-                    raise SolverError(f"non-finite arrival under control {j}")
-                inside = _fill_shifted_rows(grid, arrivals, rows, indices, data)
+                bases, locals_, inside = _shifted(grid, self.dt * velocity[0], j)
                 c[lo:lo + n] = _stage(spec, nodes, a, self.dt)
-                c[lo:lo + n][~inside] += self.discount * spec.exterior_value
                 self.separable[j] = True
             else:
-                base, local, inside, c[lo:lo + n] = self._arrival_rows(
-                    j, slice(None), velocity)
-                _fill_rows(grid, base, local, inside, rows, indices, data)
+                arrivals, c[lo:lo + n] = _step(spec, nodes, a, self.dt, j, velocity)
+                bases, locals_, inside = _located(grid, arrivals)
+            c[lo:lo + n][~inside] += self.discount * spec.exterior_value
+            _fill_rows(grid, bases, locals_, inside, indptr[lo:lo + n + 1],
+                       indices, data)
         end = indptr[-1]
         B = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(len(c), n))
         return (B, c), (t0, time.perf_counter())
@@ -605,22 +566,28 @@ class _Sweeper:
 
     def policy_rows(self, policy):
         """The frozen-policy operator (B, c): row i is node i's row under
-        control policy[i]; pinned nodes get empty rows and c = 0."""
-        if ((policy.indices == UNSET_POLICY) & ~self.pinned).any():
-            raise SolverError("policy is undefined on non-pinned nodes")
+        control policy[i]; pinned nodes get empty rows and c = 0.  A
+        non-pinned node whose index is not a control index raises."""
+        m = len(self.controls)
         idx = np.where(self.pinned, UNSET_POLICY, policy.indices)
-        grid = self.grid
-        n = grid.num_nodes
-        base = np.zeros((grid.dim, n), dtype=np.int32)
-        local = np.zeros((grid.dim, n))
-        inside = np.zeros(n, dtype=bool)
+        bad = np.flatnonzero(~self.pinned & ((idx < 0) | (idx >= m)))
+        if bad.size:
+            raise SolverError(f"policy index {idx[bad[0]]} at non-pinned node "
+                              f"{bad[0]} is not a control index in [0, {m})")
+        grid, n = self.grid, self.grid.num_nodes
+        # Pinned nodes keep NaN arrivals, which lie outside the box.
+        arrivals = np.full((n, grid.dim), np.nan)
         c = np.zeros(n)
-        for j in range(len(self.controls)):
+        for j in range(m):
             sel = np.flatnonzero(idx == j)
             if sel.size:
-                base[:, sel], local[:, sel], inside[sel], c[sel] = self._arrival_rows(j, sel)
+                arrivals[sel], c[sel] = _step(self.spec, self.nodes[sel],
+                                              self.controls.vectors[j], self.dt, j)
+        bases, locals_, inside = _located(grid, arrivals)
+        c[~(inside | self.pinned)] += self.discount * self.spec.exterior_value
         indptr, indices, data = _csr_arrays(n, grid)
-        end = _fill_rows(grid, base, local, inside, indptr, indices, data)
+        _fill_rows(grid, bases, locals_, inside, indptr, indices, data)
+        end = indptr[-1]
         return sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, n)), c
 
     def evaluation_sweep(self, values, rows):

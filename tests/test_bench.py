@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import os
 import pathlib
 
@@ -424,6 +425,36 @@ class TestSuites:
         _, _, api_rep = h.api_solve(entry.spec, coarse, fine, entry.controls,
                                     ccfg, fcfg)
         assert api_rep.node_updates < vi_rep.node_updates
+
+    @pytest.mark.parametrize("failing", [9, 17])
+    def test_rates_skip_a_failed_size(self, failing, tmp_path, capsys, monkeypatch):
+        """A failed size gives an error row in its place and no rate against
+        it; the others keep theirs, and the CLI exits 3."""
+        from hjbsolve import bench
+
+        sizes = (5, 9, 17, 33)
+        run = bench.run_experiment
+
+        def failing_run(cfg):
+            if cfg.fine_nodes == (failing,):
+                raise h.SolverError("injected failure")
+            return run(cfg)
+
+        monkeypatch.setattr(bench, "_RATES_SIZES", sizes)
+        monkeypatch.setattr(bench, "run_experiment", failing_run)
+        assert cli.main(["suite", "rates", "--out", str(tmp_path), "--threads", "1"]) == 3
+        assert capsys.readouterr().out == "suite rates: completed with failures\n"
+        rows = (tmp_path / "table_rates.txt").read_text().splitlines()
+        assert rows[0] == "nodes dx l1_error l1_rate sup_error sup_rate"
+        assert [row.split()[0] for row in rows[1:]] == [f"{n}^2" for n in sizes]
+        for nodes, finer, row in zip(sizes, sizes[1:] + (None,), rows[1:]):
+            fields = row.split()
+            if nodes == failing:
+                assert fields[1:] == ["-", "error:", "injected", "failure"]
+            elif finer is None or finer == failing:
+                assert fields[3] == fields[5] == "-"
+            else:
+                assert math.isfinite(float(fields[3])) and math.isfinite(float(fields[5]))
 
     def test_unknown_suite(self, tmp_path):
         with pytest.raises(ConfigError):

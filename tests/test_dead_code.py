@@ -3,7 +3,9 @@
 Every module of src/hjbsolve/ but __init__.py (which re-exports names) must
 use every name it imports, and every private top-level name it defines
 (functions, classes, assigned names starting with one underscore) must be
-referenced by some module of the package.  Every defaulted parameter of a
+referenced by some module of the package.  Every private method and every
+cached property of a top-level class of the package must be read as an
+attribute by some module of the package.  Every defaulted parameter of a
 public top-level function of those modules must be passed, by keyword or by
 position, by some call in src/ or perfbench/; a parameter only tests pass
 is listed in TEST_HOOKS with its reason.  Calls are matched by function
@@ -83,6 +85,33 @@ def private_definitions(tree):
     return names
 
 
+def class_members(tree):
+    """The private methods and cached properties of a module's top-level
+    classes, as {"Class.name": line}."""
+    members = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cached = any(getattr(d, "id", getattr(d, "attr", None)) == "cached_property"
+                         for d in node.decorator_list)
+            private = node.name.startswith("_") and not node.name.startswith("__")
+            if cached or private:
+                members[f"{cls.name}.{node.name}"] = node.lineno
+    return members
+
+
+def unread_members(tree, trees):
+    """class_members of `tree` that no tree in `trees` reads as an
+    attribute; an assignment to the attribute is not a read."""
+    read = {node.attr for t in trees for node in ast.walk(t)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {name: line for name, line in class_members(tree).items()
+            if name.split(".")[1] not in read}
+
+
 def defaulted_parameters(tree):
     """{(function, parameter): position} of the defaulted parameters of a
     module's public top-level functions; keyword-only ones have position
@@ -152,6 +181,37 @@ def test_the_checks_catch_dead_code():
     )
     assert set(imported_names(tree)) - read_names(tree) == {"deque", "partial"}
     assert set(private_definitions(tree)) - referenced_names(tree) == {"_LIMIT", "_unused"}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_method_and_cached_property_is_read(module):
+    dead = unread_members(TREES[module.name], TREES.values())
+    assert not dead, f"{module.name} defines members nothing reads: {dead}"
+
+
+def test_the_member_audit_catches_dead_methods():
+    tree = ast.parse(
+        "from functools import cached_property\n"
+        "class Sweeper:\n"
+        "    def _used(self):\n"
+        "        return self._cache\n"
+        "    def _arrival_rows(self):\n"
+        "        return 1\n"
+        "    @cached_property\n"
+        "    def _cache(self):\n"
+        "        return self._used()\n"
+        "    @cached_property\n"
+        "    def spare(self):\n"
+        "        return 2\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def public(self):\n"
+        "        self._arrival_rows = None\n"
+        "        return _arrival_rows\n"
+    )
+    assert set(class_members(tree)) == {"Sweeper._used", "Sweeper._arrival_rows",
+                                        "Sweeper._cache", "Sweeper.spare"}
+    assert set(unread_members(tree, [tree])) == {"Sweeper._arrival_rows", "Sweeper.spare"}
 
 
 def unused_exports(exported, trees, readme):

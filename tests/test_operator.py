@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import hjbsolve as h
@@ -54,6 +55,53 @@ def test_rows_match_interpolation_oracle(name, n, overrides, rng):
         q *= sweeper.discount
         q += c
         assert np.array_equal(q, oracle(sweeper, j, values)), f"control {j}"
+
+
+# One small grid per catalog problem, with its default controls.
+CATALOG_CASES = [("test1_1d", 21), ("test2_vdp", 11), ("test3_dubins", 7),
+                 ("test4_eik2d", 11), ("test5_eik2d_disk", 11), ("test6_eik3d", 7),
+                 ("test7_eik3d_spheres", 7), ("test8_min4d", 5), ("heat3_rom", 7)]
+
+
+def test_catalog_cases_cover_the_catalog():
+    assert sorted(name for name, _ in CATALOG_CASES) == h.catalog_names()
+
+
+@pytest.mark.parametrize("layout", ["stored", "unstored"])
+@pytest.mark.parametrize("name,n", CATALOG_CASES)
+def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng):
+    """Row i of the frozen-policy operator is row policy[i] * N + i of the
+    m-control operator, bit for bit, and so is c on the non-pinned nodes;
+    pinned nodes get empty rows and c = 0.  The stored operator is taken
+    from its blocks of one control each, the unstored one built at once."""
+    if layout == "stored":
+        monkeypatch.setattr(solvers, "_BLOCK_ROWS", 1)
+    else:
+        monkeypatch.setattr(solvers, "_OPERATOR_NNZ_LIMIT", 0)
+    entry = h.catalog(name)
+    grid = entry.spec.domain_grid(n)
+    m, N = len(entry.controls), grid.num_nodes
+    sweeper = _Sweeper(entry.spec, grid, entry.controls,
+                       h.SolverConfig(dt=entry.dt_for(grid), workers=1))
+    assert sweeper.stored == (layout == "stored")
+    if sweeper.stored:
+        blocks = sweeper._stored_blocks
+        assert len(blocks) == m
+        B = sp.vstack([block for block, _ in blocks], format="csr")
+        c = np.concatenate([block_c for _, block_c in blocks])
+    else:
+        (B, c), _ = sweeper._fill_block(range(m))
+    policy = rng.integers(0, m, N)
+    P, d = sweeper.policy_rows(h.PolicyField(grid, policy))
+    free = np.flatnonzero(~sweeper.pinned)
+    rows = policy[free] * N + free
+    got, want = P[free], B[rows]
+    assert np.array_equal(np.diff(got.indptr), np.diff(want.indptr))
+    assert got.indices.tobytes() == want.indices.tobytes()
+    assert got.data.tobytes() == want.data.tobytes()
+    assert d[free].tobytes() == c[rows].tobytes()
+    assert P[np.flatnonzero(sweeper.pinned)].nnz == 0
+    assert not d[sweeper.pinned].any()
 
 
 def drift_spec(dim, lower, width, drift):

@@ -1,10 +1,10 @@
 """Operator rows of controls that move every node alike.
 
 When a control's velocity is bitwise the same at every node, the operator
-build locates the arrivals per axis and writes the rows of the in-box
-sub-box from tensor-product corners.  The oracle is the general row builder,
-which locates all N arrivals: both must give the same CSR arrays and c, bit
-for bit.  The block argmin of a sweep is checked against numpy's argmax of
+build locates the arrivals per axis and the row writer fills the rows of
+the in-box sub-box from tensor-product corners.  The oracle locates all N
+arrivals and hands the in-box ones to the same writer as a one-dimensional
+box: both must give the same CSR arrays and c, bit for bit.  The block argmin of a sweep is checked against numpy's argmax of
 the equality mask.
 """
 
@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
-from hjbsolve.solvers import SolverError, _fill_rows, _Sweeper
+from hjbsolve.solvers import SolverError, _fill_rows, _located, _step, _Sweeper
 
 EIKONAL_CASES = [
     ("test4_eik2d", 15, {"control_count": 12}),
@@ -32,13 +32,15 @@ EIKONAL_CASES = [
 def general_rows(sweeper, js):
     """indptr, indices, data and c of the controls `js`, built by locating
     every node's arrival."""
-    n = sweeper.grid.num_nodes
+    grid, n = sweeper.grid, sweeper.grid.num_nodes
     indptr, indices, data, c = sweeper._block_arrays(js)
     for t, j in enumerate(js):
         lo = t * n
-        base, local, inside, c[lo:lo + n] = sweeper._arrival_rows(j, slice(None))
-        _fill_rows(sweeper.grid, base, local, inside, indptr[lo:lo + n + 1],
-                   indices, data)
+        arrivals, c[lo:lo + n] = _step(sweeper.spec, sweeper.nodes,
+                                       sweeper.controls.vectors[j], sweeper.dt, j)
+        bases, locals_, inside = _located(grid, arrivals)
+        c[lo:lo + n][~inside] += sweeper.discount * sweeper.spec.exterior_value
+        _fill_rows(grid, bases, locals_, inside, indptr[lo:lo + n + 1], indices, data)
     end = indptr[-1]
     return indptr, indices[:end], data[:end], c
 
@@ -128,11 +130,19 @@ def test_worker_threads_mark_every_separable_control(limit, monkeypatch):
 
 @pytest.mark.parametrize("slab", [1, 7, 40])
 def test_rows_written_in_slabs(slab, monkeypatch):
+    """Sub-box rows written a few first-axis layers at a time give the bits
+    of the default slabs (test_kernel checks located rows likewise)."""
     entry = h.catalog("test6_eik3d", control_counts=(4, 3))
     grid = entry.spec.domain_grid(11)
-    monkeypatch.setattr(solvers, "_SLAB_ROWS", slab)
     sweeper = _Sweeper(entry.spec, grid, entry.controls, h.SolverConfig(dt=entry.dt_for(grid)))
-    assert_same_rows(sweeper, range(len(entry.controls)))
+    js = range(len(entry.controls))
+    want = general_rows(sweeper, js)
+    monkeypatch.setattr(solvers, "_FILL_ROWS", slab)
+    (B, c), _ = sweeper._fill_block(js)
+    assert sweeper.separable.all()
+    for got in ((B.indptr, B.indices, B.data, c), general_rows(sweeper, js)):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_mixed_block():

@@ -192,6 +192,34 @@ class TestPolicyEvaluation:
         assert np.all(row_mass < 1.0)
         assert np.all(rows.data >= 0.0)
 
+    @pytest.mark.parametrize("bad", [8, 99, -5, UNSET_POLICY])
+    @pytest.mark.parametrize("backend", ["fixed_point", "direct"])
+    def test_policy_index_outside_the_controls_raises(self, bad, backend):
+        """A non-pinned node whose index is no control would get an empty
+        row and c = 0, as if it lay on the target; the first one raises.
+        Pinned nodes may hold any index."""
+        entry = h.catalog("test4_eik2d", control_count=8)
+        grid = entry.spec.domain_grid(21)
+        cfg = h.SolverConfig(dt=entry.dt_for(grid))
+        pinned = _Sweeper(entry.spec, grid, entry.controls, cfg).pinned
+        free = np.flatnonzero(~pinned)
+        policy = h.PolicyField.constant(grid, 0)
+        policy.indices[np.flatnonzero(pinned)[0]] = 99
+        V0 = h.default_initial_field(entry.spec, grid)
+
+        def evaluate():
+            if backend == "fixed_point":
+                return h.policy_evaluation_fixed_point(entry.spec, grid, policy,
+                                                       entry.controls, V0, cfg)[0]
+            return h.policy_evaluation_direct(entry.spec, grid, policy, entry.controls, cfg)[0]
+
+        assert evaluate().values[free].min() > 0.0
+        policy.indices[free[[7, 30]]] = bad
+        message = (f"policy index {bad} at non-pinned node {free[7]} "
+                   "is not a control index in [0, 8)")
+        with pytest.raises(SolverError, match=re.escape(message)):
+            evaluate()
+
     def test_backend_agreement_minimum_time(self, solved):
         entry = solved.entry("test4_eik2d")
         V, P, rep = solved.vi("test4_eik2d", 41)

@@ -7,6 +7,8 @@ fastest, so flat indices match ``numpy.ravel_multi_index`` on the grid shape.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 DEFAULT_NODE_CAP = 20_000_000
@@ -178,6 +180,47 @@ def locate_points(grid, points):
     return base, local, inside
 
 
+def cell_index(grid, base):
+    """The flat index of the lowest corner of each located cell."""
+    flat = base[0] * grid.strides[0]
+    for axis in range(1, grid.dim):
+        flat = flat + base[axis] * grid.strides[axis]
+    return flat
+
+
+def corner_offsets(grid):
+    """The flat offsets of the 2^d cell corners from the lowest one, in the
+    corner order (first axis slowest), which is also ascending."""
+    offsets = [0]
+    for stride in grid.strides:
+        offsets = [offset + step for offset in offsets for step in (0, stride)]
+    return offsets
+
+
+def corner_weights(local, out=None):
+    """Yield the multilinear weights of located points at the 2^d cell
+    corners, in the corner order.
+
+    `local` holds per axis the local coordinates, as rows that broadcast
+    together.  Every weight is nonnegative, and the weight of corner
+    (b_0, ..., b_{d-1}) is the product f_0 * f_1 * ... taken left to right,
+    with f_i = local_i when b_i = 1 and 1 - local_i otherwise; the products
+    of the first d - 1 axes are built by doubling, one axis at a time, and
+    each corner's last product when the corner is reached.  With `out`, an
+    iterable of 2^d arrays of the broadcast shape, corner k's weight is
+    written straight into its k-th array, with the same bits, just before
+    it is yielded, so the arrays may also all be one buffer.
+    """
+    weights = [1.0]  # 1.0 * f_0 is f_0, bit for bit
+    for upper in local[:-1]:
+        factors = (1.0 - upper, upper)
+        weights = [w * f for w in weights for f in factors]
+    factors = (1.0 - local[-1], local[-1])
+    pairs = ((w, f) for w in weights for f in factors)
+    for (w, f), target in zip(pairs, repeat(None) if out is None else out):
+        yield np.multiply(w, f, out=target)
+
+
 def multilinear_corners(grid, base, local):
     """The multilinear interpolation weights of located points.
 
@@ -186,21 +229,11 @@ def multilinear_corners(grid, base, local):
     together (such as one row per axis of a box of points, each shaped to
     its own axis), in which case the results take the broadcast shape.
     Returns a list of (flat corner index, weight) for each of the 2^d cell
-    corners in a fixed order (first axis slowest), which is also ascending
-    flat index.  Every weight is nonnegative, and the weight of corner
-    (b_0, ..., b_{d-1}) is the product f_0 * f_1 * ... taken left to right,
-    with f_i = local_i when b_i = 1 and 1 - local_i otherwise.
+    corners in the corner order of corner_offsets and corner_weights.
     """
-    strides = grid.strides
-    flat = base[0] * strides[0]
-    corners = [(0, 1.0 - local[0]), (strides[0], local[0])]
-    for axis in range(1, grid.dim):
-        flat = flat + base[axis] * strides[axis]
-        upper = local[axis]
-        factors = ((0, 1.0 - upper), (strides[axis], upper))
-        corners = [(offset + step, w * f)
-                   for offset, w in corners for step, f in factors]
-    return [(flat + offset, w) for offset, w in corners]
+    flat = cell_index(grid, base)
+    return [(flat + offset, w)
+            for offset, w in zip(corner_offsets(grid), corner_weights(local))]
 
 
 def interpolate_values(grid, values, points, exterior_value):

@@ -15,6 +15,16 @@ discount * (B_j @ v) + c_j; a frozen-policy evaluation uses the rows
 (policy[i], i).  The greedy step at an arbitrary state takes the same
 discount, stage costs and arrivals, and interpolates instead of using B.
 
+Value iteration and cold-started policy iteration store the operator's CSR
+rows, whose one build pays off over their many sweeps.  A separable
+control, whose velocity is bitwise the same at every node, can instead be
+applied matrix-free, from its per-axis cell locations and c_j, with the
+same bits; each such sweep costs 1.3-2 stored ones, and a build 2-5.  So
+bellman_update (one sweep), policy iteration warm-started from V_init
+(API's fine phase, a few sweeps) and any operator over the nnz budget apply
+separable controls matrix-free.  State-dependent controls are stored, or
+rebuilt in every sweep over the budget.
+
 All sweeps have Jacobi semantics: every node update reads only the previous
 iterate, argmin ties break toward the lowest control index, and the sup-norm
 reduction is a plain max.
@@ -30,11 +40,12 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import product, repeat
 from typing import Optional
 
 import numpy as np
@@ -43,9 +54,11 @@ import scipy.sparse as sp
 from .grid import (
     RegularGrid,
     ValueField,
+    cell_index,
+    corner_offsets,
+    corner_weights,
     interpolate_values,
     locate_points,
-    multilinear_corners,
     prolongate,
 )
 from .problems import target_mask
@@ -53,9 +66,10 @@ from .problems import target_mask
 UNSET_POLICY = -1
 
 # The m-control operator has at most m * N * 2^d entries of 12 bytes each
-# (float64 weight, int32 column).  It is stored while that bound stays within
-# this budget (~1.9 GB); larger operators are rebuilt block by block in every
-# sweep.
+# (float64 weight, int32 column).  Its CSR rows are stored while that bound
+# stays within this budget (~1.9 GB).  Over it, separable controls are applied
+# matrix-free, which keeps only their 8-byte c per row, and the rows of the
+# others are rebuilt block by block in every sweep.
 _OPERATOR_NNZ_LIMIT = 160_000_000
 # Sweeps take the operator in blocks of consecutive controls with about this
 # many rows, divided by the threads in use, which bounds the temporaries of
@@ -149,16 +163,20 @@ class RunReport:
     work metric; wall time is reported but machine dependent.
 
     The operator_* fields describe the m-control transition operator of a
-    VI or PI run: whether it was stored or rebuilt in every sweep, its
-    entries (12 bytes each: float64 weight, int32 column) and the wall time
-    spent building it.  That is the time during which at least one block was
-    being built, on any thread: for a stored operator the one build, and for
-    an unstored one the sum over every sweep, whose block builds overlap the
-    sweeps of other blocks.  `workers` is the number of threads the run's
-    sweeps used.  `operator_separable_controls` counts the controls whose
-    velocity is the same at every node, so that their rows were built from
-    per-axis cell locations.  These fields stay None on the aggregate API
-    report, whose phases carry their own.
+    VI or PI run: whether its CSR rows fit the budget and were stored (else
+    rebuilt in every sweep), its CSR entries (12 bytes each: float64 weight,
+    int32 column; 0 for rows applied matrix-free) and the wall time spent
+    setting it up.  That is the time during which at least one block was
+    being set up, on any thread: for a stored operator the one build, and
+    for an unstored one the sum over every sweep, whose block builds overlap
+    the sweeps of other blocks; a matrix-free control counts its one setup
+    (dynamics, per-axis locations, c), not its sweeps.  `workers` is the
+    number of threads the run's sweeps used.  `operator_separable_controls`
+    counts the controls whose velocity is the same at every node, so that
+    their rows come from per-axis cell locations, and
+    `operator_matrix_free_controls` those of them applied matrix-free.
+    These fields stay None on the aggregate API report, whose phases carry
+    their own.
 
     policy_changes, on PI reports (so on API's fine phase), holds per
     improvement the number of non-pinned nodes whose control changed.
@@ -183,6 +201,7 @@ class RunReport:
     operator_separable_controls: Optional[int] = None
     policy_changes: Optional[list] = None
     workers: Optional[int] = None
+    operator_matrix_free_controls: Optional[int] = None
 
     @property
     def operator_bytes(self):
@@ -212,6 +231,7 @@ class RunReport:
                 "operator_build_wall_time_seconds = "
                 f"{self.operator_build_wall_time_seconds:.6f}",
                 f"operator_separable_controls = {self.operator_separable_controls}",
+                f"operator_matrix_free_controls = {self.operator_matrix_free_controls}",
             ]
         if self.policy_changes is not None:
             lines.append("policy_changes = " + ",".join(map(str, self.policy_changes)))
@@ -294,9 +314,10 @@ def _fill_rows(grid, bases, locals_, inside, indptr, indices, data):
     of the in-box arrivals only, as arrays that broadcast to those rows in
     flat order: a (k,) row per axis, or per-axis rows of an in-box sub-box.
     indptr[0] must hold the position of the first entry, a multiple of 2^d;
-    indptr[1:] is filled.  The corners are written into the (rows..., 2^d)
-    views of indices and data one first-axis slab of about _FILL_ROWS rows
-    at a time, so that they stay in cache while they are scattered.
+    indptr[1:] is filled.  Each corner's column and weight are written
+    straight into the (rows..., 2^d) views of indices and data, one
+    first-axis slab of about _FILL_ROWS rows at a time, so that the slab's
+    temporaries stay in cache.
     """
     width = 2 ** grid.dim
     ends = indptr[1:]
@@ -309,43 +330,64 @@ def _fill_rows(grid, bases, locals_, inside, indptr, indices, data):
     box = np.broadcast_shapes(*(b.shape for b in bases)) + (width,)
     cols = indices.reshape(-1, width)[first:last].reshape(box)
     vals = data.reshape(-1, width)[first:last].reshape(box)
+    offsets = corner_offsets(grid)
     slab = max(1, _FILL_ROWS * box[0] // int(last - first))
     for lo in range(0, box[0], slab):
         rows = slice(lo, lo + slab)
         # Only the arrays that span the first axis are cut; the others broadcast.
         b, w = ([a[rows] if len(a) > 1 else a for a in arrays] for arrays in (bases, locals_))
-        for k, (corner, weight) in enumerate(multilinear_corners(grid, b, w)):
-            cols[rows, ..., k] = corner
-            vals[rows, ..., k] = weight
+        flat = cell_index(grid, b)
+        # each weight is written into its view of data as it is yielded
+        weights = corner_weights(w, out=[vals[rows, ..., k] for k in range(width)])
+        for k, (offset, _) in enumerate(zip(offsets, weights)):
+            np.add(flat, offset, out=cols[rows, ..., k])
 
 
-def _located(grid, arrivals):
+def _located(grid, arrivals, scratch):
     """(bases, locals_, inside) of the (n, d) `arrivals` for _fill_rows:
     the (d, k) cell bases and local coordinates of the k in-box arrivals and
-    the (n,) in-box mask."""
+    the (n,) in-box mask.  The in-box rows are taken into `scratch`, an
+    int32 and a float64 buffer of at least d * n entries each, which the
+    caller reuses across calls instead of allocating two arrays per call
+    (np.compress would buffer its out=, np.take with mode="clip" does not;
+    the indices are all valid)."""
     base, local, inside = locate_points(grid, arrivals)
-    return np.compress(inside, base, axis=1), np.compress(inside, local, axis=1), inside
+    kept = np.flatnonzero(inside)
+    bases, locals_ = (buf[:grid.dim * len(kept)].reshape(grid.dim, len(kept))
+                      for buf in scratch)
+    np.take(base, kept, axis=1, out=bases, mode="clip")
+    np.take(local, kept, axis=1, out=locals_, mode="clip")
+    return bases, locals_, inside
+
+
+def _scratch(grid, n):
+    """Buffers for _located of `n` arrivals."""
+    return np.empty(grid.dim * n, dtype=np.int32), np.empty(grid.dim * n)
 
 
 def _same_velocity(velocity, shape):
     """True when `velocity` is a float64 array of `shape` (n, d) whose rows
-    are all bitwise equal."""
+    are all bitwise equal: when each entry of its flat bits equals the one
+    d places before.  That compare is contiguous; comparing every row with
+    the first runs d-long inner loops, 6x slower on test6_eik3d at 41^3."""
     if velocity.shape != shape or velocity.dtype != np.float64:
         return False
-    bits = velocity.view(np.uint64)
-    return bool((bits == bits[0]).all())
+    bits = np.ascontiguousarray(velocity).view(np.uint64).reshape(-1)
+    return bool((bits[shape[1]:] == bits[:-shape[1]]).all())
 
 
 def _shifted(grid, shift, j):
-    """(bases, locals_, inside) for _fill_rows of control j's arrivals, which
-    move every node by the same vector `shift`.  A non-finite one raises.
+    """(bases, locals_, inside, box) of control j's arrivals, which move
+    every node by the same vector `shift`: the first three for _fill_rows,
+    and `box`, the per-axis slices of the in-box sub-box.  A non-finite
+    arrival raises.
 
     Each axis's shifted node coordinates are located on their own, with the
     other coordinates at the lower face.  An axis's in-box entries form one
     range, as they are sorted, so the in-box rows are a sub-box of the grid,
     consecutive in flat order, and bases and locals_ are its per-axis rows.
     """
-    bases, locals_, inside = [], [], True
+    bases, locals_, inside, box = [], [], True, []
     for axis in range(grid.dim):
         coords = grid.axis_coords(axis) + shift[axis]
         if not np.isfinite(coords).all():
@@ -357,7 +399,114 @@ def _shifted(grid, shift, j):
         inside = inside & kept.reshape(shape)
         bases.append(base[axis, kept].reshape(shape))
         locals_.append(local[axis, kept].reshape(shape))
-    return bases, locals_, inside.reshape(-1)
+        start = int(np.argmax(kept))
+        box.append(slice(start, start + len(bases[-1].reshape(-1))))
+    return bases, locals_, inside.reshape(-1), tuple(box)
+
+
+class _ShiftedRows:
+    """The rows of a separable control, applied without storing them.
+
+    `bases`, `locals_` and `box` come from _shifted.  apply(v, out, buffers)
+    writes into `out`, the control's N rows of B @ v (zeros on entry), on
+    the in-box sub-box 0 + sum over the corners k, in corner order, of
+    w_k * v[corner k of each row's cell].  These are the products and
+    additions of the CSR matvec over _fill_rows' rows, in the same order, so
+    the same bits; rows outside the box stay 0.
+
+    The sub-box goes one first-axis slab of about _FILL_ROWS rows at a time.
+    grid.corner_weights writes each corner's weight into one buffer of the
+    calling thread, where it is multiplied by the corner's values, and the
+    sum runs in a second, contiguous buffer that is then copied into the
+    box.  The corners' values are slices of v, except along a `gathered`
+    axis, one whose cell bases are not consecutive (arrivals that rounding
+    puts on either side of a node, or clamps onto the upper face): there
+    np.take gathers them once per slab for each choice of lower or upper
+    corner on those axes, and the corners slice the gathered arrays.
+    """
+
+    def __init__(self, grid, bases, locals_, box):
+        self.shape = grid.shape
+        self.locals_ = locals_
+        self.box = box
+        self.empty = any(s.start == s.stop for s in box)
+        if self.empty:
+            return
+        bases = [b.reshape(-1) for b in bases]
+        self.gathered = [axis for axis, b in enumerate(bases) if not (np.diff(b) == 1).all()]
+        # per axis the lower corners: of every row on a gathered axis, else
+        # of the first row
+        self.lower = [b if axis in self.gathered else int(b[0]) for axis, b in enumerate(bases)]
+        # per corner, in corner order: the position of its values among the
+        # gathered arrays, its first-axis offset (None if gathered) and its
+        # index on the other axes
+        self.corners = []
+        for bits in product((0, 1), repeat=grid.dim):
+            at = 0
+            for axis in self.gathered:
+                at = 2 * at + bits[axis]
+            rest = tuple(slice(None) if axis in self.gathered else slice(bit, bit + len(b))
+                         for axis, (bit, b) in enumerate(zip(bits, bases)) if axis)
+            self.corners.append((at, None if 0 in self.gathered else bits[0], rest))
+        layer = math.prod(len(b) for b in bases[1:])
+        self.slab = max(1, _FILL_ROWS // layer)
+        self.buffer_size = 2 * min(self.slab, len(bases[0])) * layer
+
+    def apply(self, values, out, buffers):
+        if self.empty:
+            return
+        v = values.reshape(self.shape)
+        rows_out = out.reshape(self.shape)[self.box]
+        head, *tail = self.locals_
+        buffer = _thread_buffer(buffers, self.buffer_size)
+        for lo in range(0, len(head), self.slab):
+            rows = slice(lo, lo + self.slab)
+            shape = rows_out[rows].shape
+            w, acc = buffer[:2 * math.prod(shape)].reshape((2,) + shape)
+            acc.fill(0.0)
+            lower = [self.lower[0][rows] if 0 in self.gathered else self.lower[0] + lo,
+                     *self.lower[1:]]
+            # the values around the slab's cells, gathered along those axes
+            # for each choice of corner bits on them
+            near = [v[tuple(slice(None) if axis in self.gathered else slice(b, b + k + 1)
+                            for axis, (b, k) in enumerate(zip(lower, shape)))]]
+            for axis in self.gathered:
+                near = [np.take(g, lower[axis] + bit, axis=axis) for g in near for bit in (0, 1)]
+            weights = corner_weights([head[rows]] + tail, out=repeat(w))
+            for weight, (at, bit, rest) in zip(weights, self.corners):
+                first = slice(None) if bit is None else slice(bit, bit + len(acc))
+                np.multiply(weight, near[at][(first,) + rest], out=weight)
+                acc += weight
+            rows_out[rows] = acc
+
+
+def _thread_buffer(buffers, size):
+    """A float64 buffer of at least `size` entries that the calling thread
+    keeps in the threading.local `buffers` and reuses: a fresh one per
+    control would be page-faulted in every sweep."""
+    buffer = getattr(buffers, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = buffers.buffer = np.empty(size)
+    return buffer
+
+
+class _BlockRows:
+    """A block's rows when some of its controls are separable and applied
+    matrix-free: `csr` holds the rows of the others (those rows empty), or
+    is None when there are none, and `shifted` the (position t in the block,
+    _ShiftedRows) of each matrix-free control.  `rows @ v` is the block's
+    B @ v, bit for bit; `buffers` is the sweeper's threading.local."""
+
+    def __init__(self, csr, size, n, shifted, buffers):
+        self.csr, self.size, self.n, self.shifted = csr, size, n, shifted
+        self.buffers = buffers
+        self.nnz = 0 if csr is None else csr.nnz
+
+    def __matmul__(self, values):
+        q = np.zeros(self.size) if self.csr is None else self.csr @ values
+        for t, rows in self.shifted:
+            rows.apply(values, q[t * self.n:(t + 1) * self.n], self.buffers)
+        return q
 
 
 def _csr_arrays(rows, grid):
@@ -382,18 +531,23 @@ def _covered_seconds(spans):
 class _Sweeper:
     """The transition operator of one (problem, grid, controls, dt).
 
-    The m-control operator is built on the first Bellman sweep and kept when
-    its entry bound fits the budget; frozen-policy rows are built on demand
-    by the same row builder.  `build_seconds` is the wall time during which
-    a block of the m-control operator was being built, `nnz` counts its
-    entries, `separable` marks the controls whose rows were built from
-    per-axis cell locations, and `threads` is the number of threads its
-    blocks run on, at most config.workers.  With more than one, the thread
-    pool starts with the first block; use the sweeper as a context manager,
-    whose exit joins the pool's threads.
+    The m-control operator is set up on the first Bellman sweep.  A
+    separable control (velocity bitwise the same at every node) is applied
+    matrix-free (_ShiftedRows) when `store_separable` is False or the
+    operator's entry bound exceeds the budget; its setup is kept, and holds
+    only its c.  Every other control's CSR rows are kept when the entry
+    bound fits the budget, and rebuilt block by block in every sweep
+    otherwise.  Frozen-policy rows are built on demand by the same row
+    writer.  `build_seconds` is the wall time during which a block was being
+    set up, `nnz` counts the CSR entries of a sweep, `separable` marks the
+    separable controls, `matrix_free` says whether they are applied
+    matrix-free, and `threads` is the number of threads the blocks run on,
+    at most config.workers.  With more than one, the thread pool starts with
+    the first block; use the sweeper as a context manager, whose exit joins
+    the pool's threads.
     """
 
-    def __init__(self, spec, grid, controls, config):
+    def __init__(self, spec, grid, controls, config, store_separable=True):
         self.spec = spec
         self.grid = grid
         self.controls = controls
@@ -405,9 +559,11 @@ class _Sweeper:
 
         m, n = len(controls), grid.num_nodes
         self.stored = m * n * 2 ** grid.dim <= _OPERATOR_NNZ_LIMIT
+        self.matrix_free = not (store_separable and self.stored)
         self.build_seconds = 0.0
         self.nnz = 0
         self.separable = np.zeros(m, dtype=bool)
+        self._buffers = threading.local()
         # Blocks shrink with the thread count, so the blocks in flight hold
         # about the temporaries of one serial block.
         threads = max(1, min(config.workers, m * n // _MIN_THREAD_ROWS))
@@ -427,41 +583,61 @@ class _Sweeper:
     def _pool(self):
         return ThreadPoolExecutor(self.threads, thread_name_prefix="hjbsolve")
 
-    def _block_arrays(self, js):
-        """Uninitialized CSR arrays and c for the rows of the controls `js`."""
+    def _block_arrays(self, js, csr=True):
+        """Uninitialized CSR arrays (None for each without `csr`) and c for
+        the rows of the controls `js`."""
         rows = len(js) * self.grid.num_nodes
-        return _csr_arrays(rows, self.grid) + (np.empty(rows),)
+        arrays = _csr_arrays(rows, self.grid) if csr else (None,) * 3
+        return arrays + (np.empty(rows),)
 
     def _fill_block(self, js, arrays=None):
         """(B, c) of the controls `js`, one row per (control, node), control
-        major, written into `arrays` (by default new ones); and the (start,
-        end) of the build.
+        major, written into `arrays` (by default new ones, the CSR arrays
+        only once a control needs them); and the (start, end) of the build.
 
         The dynamics are called once per control.  A control whose velocity
         is bitwise the same at every node has its arrivals located per axis
         (_shifted) and is marked in `separable`; any other control has its N
         arrivals located (_located).  Both give the same bits in _fill_rows.
+        A matrix-free sweeper keeps a separable control's located sub-box in
+        place of its rows, and its B is then a _BlockRows.
         """
         t0 = time.perf_counter()
         grid, spec, nodes = self.grid, self.spec, self.nodes
         n = grid.num_nodes
-        indptr, indices, data, c = arrays or self._block_arrays(js)
+        indptr, indices, data, c = arrays or self._block_arrays(js, csr=False)
+        scratch = None
+        shifted = []
         for t, j in enumerate(js):
             lo = t * n
             a = self.controls.vectors[j]
             velocity = np.asarray(spec.dynamics(nodes, a))
             if _same_velocity(velocity, nodes.shape):
-                bases, locals_, inside = _shifted(grid, self.dt * velocity[0], j)
+                bases, locals_, inside, box = _shifted(grid, self.dt * velocity[0], j)
                 c[lo:lo + n] = _stage(spec, nodes, a, self.dt)
                 self.separable[j] = True
             else:
                 arrivals, c[lo:lo + n] = _step(spec, nodes, a, self.dt, j, velocity)
-                bases, locals_, inside = _located(grid, arrivals)
-            c[lo:lo + n][~inside] += self.discount * spec.exterior_value
+                scratch = scratch or _scratch(grid, n)
+                bases, locals_, inside = _located(grid, arrivals, scratch)
+                box = None
+            np.add(c[lo:lo + n], self.discount * spec.exterior_value, out=c[lo:lo + n],
+                   where=~inside)
+            if box is not None and self.matrix_free:
+                shifted.append((t, _ShiftedRows(grid, bases, locals_, box)))
+                if indptr is not None:
+                    indptr[lo + 1:lo + n + 1] = indptr[lo]
+                continue
+            if indptr is None:
+                indptr, indices, data = _csr_arrays(len(c), grid)
             _fill_rows(grid, bases, locals_, inside, indptr[lo:lo + n + 1],
                        indices, data)
-        end = indptr[-1]
-        B = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(len(c), n))
+        B = None
+        if indptr is not None:
+            end = indptr[-1]
+            B = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(len(c), n))
+        if shifted:
+            B = _BlockRows(B, len(c), n, shifted, self._buffers)
         return (B, c), (t0, time.perf_counter())
 
     def _map(self, fn, *iterables):
@@ -474,15 +650,20 @@ class _Sweeper:
 
     @cached_property
     def _stored_blocks(self):
-        """Every block's (B, c), or None when the operator exceeds the nnz
-        budget and each sweep builds its blocks afresh."""
+        """Every block's (B, c) kept between sweeps: all of them, set up at
+        once, when the operator fits the nnz budget.  Over the budget every
+        entry starts as None, and the sweeps set the blocks up: a block with
+        no CSR entry (all its rows matrix-free) is kept, any other is built
+        afresh in every sweep."""
         if not self.stored:
-            return None
+            return [None] * len(self.blocks)
         # The calling thread allocates every block's arrays before they are
         # queued.  Allocated on the pool's threads, they come from per-thread
         # malloc arenas, whose freed memory other threads do not reuse: the
         # api_eik3d benchmark's peak RSS rose from ~1005 MB to 1018-1398 MB.
-        arrays = [self._block_arrays(js) for js in self.blocks]
+        # A matrix-free sweeper's blocks allocate their CSR arrays only for
+        # the controls that need them.
+        arrays = [self._block_arrays(js, csr=not self.matrix_free) for js in self.blocks]
         built = list(self._map(self._fill_block, self.blocks, arrays))
         self.build_seconds += _covered_seconds([span for _, span in built])
         return [block for block, _ in built]
@@ -501,8 +682,8 @@ class _Sweeper:
     def _sweep_block(self, js, block, values, policy):
         """Block `js`'s part of a Bellman sweep: the per-node minimum of
         discount * (B @ values) + c over its controls, the lowest control
-        index attaining it (None unless `policy`), its entries and the span
-        of its build.  `block` is a stored (B, c); None builds it first."""
+        index attaining it (None unless `policy`), the block (B, c) and the
+        span of its build.  `block` is a kept (B, c); None builds it first."""
         span = None
         if block is None:
             block, span = self._fill_block(js)
@@ -527,7 +708,7 @@ class _Sweeper:
             weights = np.arange(len(js), 0, -1, dtype=np.min_scalar_type(len(js)))
             top = np.maximum.reduce((q == low) * weights[:, None], axis=0)
             low_idx = js.stop - top.astype(np.int32)
-        return low, low_idx, B.nnz, span
+        return low, low_idx, block, span
 
     def bellman_sweep(self, values, policy=True):
         """One Jacobi sweep of the min-over-controls update.
@@ -542,16 +723,18 @@ class _Sweeper:
         the values are the same bits, since the merge of the block minima is
         unchanged.
         """
-        blocks = self._stored_blocks or [None] * len(self.blocks)
+        blocks = self._stored_blocks
         results = self._map(self._sweep_block, self.blocks, blocks,
                             repeat(values), repeat(policy))
         best = best_idx = None
         nnz = 0
         spans = []
-        for low, low_idx, block_nnz, span in results:
-            nnz += block_nnz
+        for i, (low, low_idx, block, span) in enumerate(results):
+            nnz += block[0].nnz
             if span is not None:
                 spans.append(span)
+                if not block[0].nnz:
+                    blocks[i] = block
             if best is None:
                 best, best_idx = low, low_idx
             else:
@@ -563,6 +746,11 @@ class _Sweeper:
         self.nnz = nnz
         self.apply_pins(best, best_idx)
         return best, best_idx, self.active_count * len(self.controls)
+
+    @cached_property
+    def _policy_scratch(self):
+        """policy_rows' buffers for _located, kept across PI steps."""
+        return _scratch(self.grid, self.grid.num_nodes)
 
     def policy_rows(self, policy):
         """The frozen-policy operator (B, c): row i is node i's row under
@@ -583,7 +771,7 @@ class _Sweeper:
             if sel.size:
                 arrivals[sel], c[sel] = _step(self.spec, self.nodes[sel],
                                               self.controls.vectors[j], self.dt, j)
-        bases, locals_, inside = _located(grid, arrivals)
+        bases, locals_, inside = _located(grid, arrivals, self._policy_scratch)
         c[~(inside | self.pinned)] += self.discount * self.spec.exterior_value
         indptr, indices, data = _csr_arrays(n, grid)
         _fill_rows(grid, bases, locals_, inside, indptr, indices, data)
@@ -621,7 +809,7 @@ def bellman_update(spec, grid, V, controls, config):
     minimized, and the argmin index is recorded (ties break low).  Target and
     fixed-boundary nodes are pinned.
     """
-    with _Sweeper(spec, grid, controls, config) as sweeper:
+    with _Sweeper(spec, grid, controls, config, store_separable=False) as sweeper:
         out, pol, _ = sweeper.bellman_sweep(V.values)
     return ValueField(grid, out, copy=False), PolicyField(grid, pol)
 
@@ -670,6 +858,8 @@ def _make_report(algorithm, sweeper, config, t0, updates, converged, history,
         operator_nnz=sweeper.nnz,
         operator_build_wall_time_seconds=sweeper.build_seconds,
         operator_separable_controls=int(np.count_nonzero(sweeper.separable)),
+        operator_matrix_free_controls=(
+            int(np.count_nonzero(sweeper.separable)) if sweeper.matrix_free else 0),
         workers=sweeper.threads,
     )
 
@@ -777,7 +967,7 @@ def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None)
     reported wall time includes the operator build.
     """
     t0 = time.perf_counter()
-    with _Sweeper(spec, grid, controls, config) as sweeper:
+    with _Sweeper(spec, grid, controls, config, store_separable=V_init is None) as sweeper:
         updates = 0
         if V_init is None:
             V = default_initial_field(spec, grid)

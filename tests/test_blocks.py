@@ -1,7 +1,9 @@
 """The memory of operator blocks.
 
 A sweep that rebuilds its operator queues every block on the thread pool,
-and each block allocates its own CSR arrays where it runs.  The pool's size
+and each block allocates its own CSR arrays where it runs.  Only the rows
+of state-dependent controls are rebuilt (separable ones are applied
+matrix-free over the budget), so test2_vdp runs that path.  The pool's size
 is what bounds the blocks in flight, and so the memory of a sweep: at most
 `threads` builds may run at once.  The operator here is small, so the
 operator budget and the block and thread sizes are patched as in
@@ -27,7 +29,7 @@ CONTROLS = 16
 
 @pytest.mark.parametrize("workers", (1, 2, 3))
 def test_unstored_sweep_builds_at_most_one_block_per_thread(workers, monkeypatch, rng):
-    entry = h.catalog("test4_eik2d", control_count=CONTROLS)
+    entry = h.catalog("test2_vdp", control_count=CONTROLS)
     grid = entry.spec.domain_grid(NODES)
     values = rng.uniform(0.0, 2.0, grid.num_nodes)
     cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=1)
@@ -66,6 +68,8 @@ def test_unstored_sweep_builds_at_most_one_block_per_thread(workers, monkeypatch
             assert out.tobytes() == ref_values.tobytes()
             if policy:
                 assert pol.tobytes() == ref_policy.tobytes()
+        assert not sweeper.separable.any()
+        assert sweeper._stored_blocks == [None] * len(sweeper.blocks)
     assert running == 0
     assert peak <= sweeper.threads
     if workers > 1:

@@ -73,7 +73,9 @@ def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng)
     """Row i of the frozen-policy operator is row policy[i] * N + i of the
     m-control operator, bit for bit, and so is c on the non-pinned nodes;
     pinned nodes get empty rows and c = 0.  The stored operator is taken
-    from its blocks of one control each, the unstored one built at once."""
+    from its blocks of one control each, the unstored one built at once.
+    Unstored separable controls are applied matrix-free, so there their
+    rows are compared through their products with random fields."""
     if layout == "stored":
         monkeypatch.setattr(solvers, "_BLOCK_ROWS", 1)
     else:
@@ -95,10 +97,17 @@ def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng)
     P, d = sweeper.policy_rows(h.PolicyField(grid, policy))
     free = np.flatnonzero(~sweeper.pinned)
     rows = policy[free] * N + free
-    got, want = P[free], B[rows]
-    assert np.array_equal(np.diff(got.indptr), np.diff(want.indptr))
-    assert got.indices.tobytes() == want.indices.tobytes()
-    assert got.data.tobytes() == want.data.tobytes()
+    if isinstance(B, solvers._BlockRows):
+        assert layout == "unstored" and sweeper.separable.all()
+        assert B.csr is None and B.nnz == 0
+        for v in (rng.uniform(0.0, 2.0, N), rng.normal(size=N)):
+            assert (P @ v)[free].tobytes() == (B @ v)[rows].tobytes()
+    else:
+        assert not (layout == "unstored" and sweeper.separable.any())
+        got, want = P[free], B[rows]
+        assert np.array_equal(np.diff(got.indptr), np.diff(want.indptr))
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.data.tobytes() == want.data.tobytes()
     assert d[free].tobytes() == c[rows].tobytes()
     assert P[np.flatnonzero(sweeper.pinned)].nnz == 0
     assert not d[sweeper.pinned].any()
@@ -171,7 +180,8 @@ def test_unstored_and_blocked_sweeps_match_stored(monkeypatch):
 
     stored = solve()
     monkeypatch.setattr(solvers, "_OPERATOR_NNZ_LIMIT", 0)
-    assert _Sweeper(entry.spec, grid, entry.controls, cfg)._stored_blocks is None
+    sweeper = _Sweeper(entry.spec, grid, entry.controls, cfg)
+    assert sweeper._stored_blocks == [None] * len(sweeper.blocks)
     unstored = solve()
     # one control per block exercises the cross-block merge
     monkeypatch.setattr(solvers, "_BLOCK_ROWS", 1)

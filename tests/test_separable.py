@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
-from hjbsolve.solvers import SolverError, _fill_rows, _located, _step, _Sweeper
+from hjbsolve.solvers import SolverError, _fill_rows, _located, _scratch, _step, _Sweeper
 
 EIKONAL_CASES = [
     ("test4_eik2d", 15, {"control_count": 12}),
@@ -34,11 +34,12 @@ def general_rows(sweeper, js):
     every node's arrival."""
     grid, n = sweeper.grid, sweeper.grid.num_nodes
     indptr, indices, data, c = sweeper._block_arrays(js)
+    scratch = _scratch(grid, n)
     for t, j in enumerate(js):
         lo = t * n
         arrivals, c[lo:lo + n] = _step(sweeper.spec, sweeper.nodes,
                                        sweeper.controls.vectors[j], sweeper.dt, j)
-        bases, locals_, inside = _located(grid, arrivals)
+        bases, locals_, inside = _located(grid, arrivals, scratch)
         c[lo:lo + n][~inside] += sweeper.discount * sweeper.spec.exterior_value
         _fill_rows(grid, bases, locals_, inside, indptr[lo:lo + n + 1], indices, data)
     end = indptr[-1]
@@ -46,10 +47,26 @@ def general_rows(sweeper, js):
 
 
 def assert_same_rows(sweeper, js):
+    """The block's rows are the general rows, bit for bit: as CSR arrays
+    when they are stored, and through their products with fields that tie,
+    vary in sign and hold huge values when separable controls are applied
+    matrix-free."""
     (B, c), _ = sweeper._fill_block(js)
-    for got, want in zip((B.indptr, B.indices, B.data, c), general_rows(sweeper, js)):
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+    indptr, indices, data, want_c = general_rows(sweeper, js)
+    assert c.tobytes() == want_c.tobytes()
+    if not isinstance(B, solvers._BlockRows):
+        for got, want in zip((B.indptr, B.indices, B.data), (indptr, indices, data)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        return
+    assert sweeper.matrix_free
+    assert [t for t, _ in B.shifted] == [t for t, j in enumerate(js) if sweeper.separable[j]]
+    want = sp.csr_matrix((data, indices, indptr), shape=(len(c), sweeper.grid.num_nodes))
+    rng = np.random.default_rng(js.start)
+    n = sweeper.grid.num_nodes
+    for v in (rng.uniform(0.0, 2.0, n), rng.normal(size=n), np.full(n, 0.5),
+              rng.choice([-1e308, 0.0, 1e308], n)):
+        assert (B @ v).tobytes() == (want @ v).tobytes()
 
 
 def oracle_sweep(sweeper, values):
@@ -147,6 +164,16 @@ def test_rows_written_in_slabs(slab, monkeypatch):
 
 def test_mixed_block():
     """Same-velocity and state-dependent controls in one block."""
+    check_mixed_block(store_separable=True)
+
+
+def test_mixed_block_matrix_free():
+    """Applied matrix-free, the separable controls of a mixed block leave
+    empty CSR rows between the others'."""
+    check_mixed_block(store_separable=False)
+
+
+def check_mixed_block(store_separable):
 
     def dynamics(p, a):
         if a[0] > 0:
@@ -156,10 +183,16 @@ def test_mixed_block():
     spec = drift_spec(2, dynamics)
     grid = spec.domain_grid((9, 12))
     controls = h.ControlSet([[0.5, 0.0], [-0.5, 0.1], [2.0, 0.0], [-1.0, -0.3]])
-    sweeper = _Sweeper(spec, grid, controls, h.SolverConfig(dt=0.3, workers=1))
+    sweeper = _Sweeper(spec, grid, controls, h.SolverConfig(dt=0.3, workers=1),
+                       store_separable=store_separable)
     assert len(sweeper.blocks) == 1
     assert_same_rows(sweeper, range(len(controls)))
     assert sweeper.separable.tolist() == [True, False, True, False]
+    (B, _), _ = sweeper._fill_block(range(len(controls)))
+    if not store_separable:
+        n = grid.num_nodes
+        rows = np.diff(B.csr.indptr).reshape(len(controls), n)
+        assert not rows[[0, 2]].any() and rows[[1, 3]].any()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -168,6 +201,16 @@ def test_arrivals_leaving_the_box(dim):
     less than a cell, exactly one cell or more than two), leave along every
     axis, or leave the box altogether, so that the in-box sub-box is
     empty."""
+    check_arrivals_leaving_the_box(dim, store_separable=True)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_arrivals_leaving_the_box_matrix_free(dim):
+    """The same shifts applied matrix-free on the in-box sub-box."""
+    check_arrivals_leaving_the_box(dim, store_separable=False)
+
+
+def check_arrivals_leaving_the_box(dim, store_separable):
     spec = drift_spec(dim, constant_drift)
     grid = spec.domain_grid(7)
     h0 = grid.spacing[0]
@@ -175,12 +218,21 @@ def test_arrivals_leaving_the_box(dim):
     shifts = [[0.0] * dim, [0.4 * h0] + rest, [h0] + rest, [-2.5 * h0] + rest,
               [0.1] * dim, [3.0] * dim, [-3.0] + [0.5] * (dim - 1)]
     controls = h.ControlSet(shifts)
-    sweeper = _Sweeper(spec, grid, controls, h.SolverConfig(dt=1.0, workers=1))
+    sweeper = _Sweeper(spec, grid, controls, h.SolverConfig(dt=1.0, workers=1),
+                       store_separable=store_separable)
     assert_same_rows(sweeper, range(len(controls)))
     assert sweeper.separable.all()
     (B, _), _ = sweeper._fill_block(range(len(controls)))
     n = grid.num_nodes
-    full = np.diff(B.indptr).reshape(len(controls), n) > 0
+    if store_separable:
+        full = np.diff(B.indptr).reshape(len(controls), n) > 0
+    else:
+        assert B.csr is None
+        full = np.zeros((len(controls),) + grid.shape, dtype=bool)
+        for t, rows in B.shifted:
+            full[t][rows.box] = True
+            assert rows.empty == (not full[t].any())
+        full = full.reshape(len(controls), n)
     layer = n // 7
     assert full[0].all()
     assert np.count_nonzero(~full[1]) == np.count_nonzero(~full[2]) == layer

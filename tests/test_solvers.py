@@ -522,15 +522,30 @@ class TestRunReport:
         full = len(entry.controls) * 41 ** 2 * 4
         for rep in (vi, api.phases["coarse"], api.phases["fine"]):
             assert rep.operator_stored is True
-            assert rep.operator_nnz > 0
             assert rep.operator_bytes == 12 * rep.operator_nnz
             assert rep.operator_build_wall_time_seconds > 0.0
-        assert vi.operator_nnz == api.phases["fine"].operator_nnz <= full
+        for rep in (vi, api.phases["coarse"]):
+            assert rep.operator_nnz > 0
+            assert rep.operator_matrix_free_controls == 0
+        # the warm-started fine PI applies its separable rows matrix-free
+        fine = api.phases["fine"]
+        assert fine.operator_nnz == 0
+        assert fine.operator_matrix_free_controls == len(entry.controls)
+        assert vi.operator_nnz <= full
         assert "\noperator_stored = True\n" in vi.to_text()
         text = api.to_text()
-        assert f"fine.operator_nnz = {api.phases['fine'].operator_nnz}" in text
+        assert "fine.operator_nnz = 0\n" in text
         assert "coarse.operator_stored = True" in text
         assert "\noperator_stored" not in text
+        # state-dependent rows stay stored, so test2_vdp's fine PI keeps the
+        # operator that VI at the same grid builds
+        _, _, vdp_vi = solved.vi("test2_vdp", 41)
+        _, _, vdp = solved.api("test2_vdp", 41)
+        vdp_fine = vdp.phases["fine"]
+        assert vdp_fine.operator_stored is True
+        assert vdp_fine.operator_matrix_free_controls == 0
+        assert vdp_fine.operator_nnz == vdp_vi.operator_nnz > 0
+        assert f"fine.operator_nnz = {vdp_fine.operator_nnz}\n" in vdp.to_text()
 
     def test_operator_separable_controls(self, solved):
         _, _, vi = solved.vi("test4_eik2d", 41)
@@ -606,12 +621,27 @@ class TestRunReport:
         assert "coarse.policy_changes" not in text
 
     def test_operator_fields_unstored(self, monkeypatch):
-        entry = h.catalog("test4_eik2d", control_count=8)
-        grid = entry.spec.domain_grid(21)
-        cfg = h.SolverConfig(dt=entry.dt_for(grid))
-        _, _, stored = h.policy_iteration(entry.spec, grid, entry.controls, cfg)
-        monkeypatch.setattr(h.solvers, "_OPERATOR_NNZ_LIMIT", 0)
-        _, _, unstored = h.policy_iteration(entry.spec, grid, entry.controls, cfg)
-        assert stored.operator_stored is True and unstored.operator_stored is False
+        """Over the budget, state-dependent rows are rebuilt in every sweep
+        with the stored entries, and separable ones are applied
+        matrix-free, with no entry."""
+        runs = {}
+        for name in ("test2_vdp", "test4_eik2d"):
+            entry = h.catalog(name, control_count=8)
+            grid = entry.spec.domain_grid(21)
+            cfg = h.SolverConfig(dt=entry.dt_for(grid))
+            _, _, stored = h.policy_iteration(entry.spec, grid, entry.controls, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(h.solvers, "_OPERATOR_NNZ_LIMIT", 0)
+                _, _, unstored = h.policy_iteration(entry.spec, grid, entry.controls, cfg)
+            assert stored.operator_stored is True and unstored.operator_stored is False
+            assert "operator_stored = False" in unstored.to_text()
+            assert stored.operator_nnz > 0
+            runs[name] = stored, unstored
+        stored, unstored = runs["test2_vdp"]
         assert unstored.operator_nnz == stored.operator_nnz
-        assert "operator_stored = False" in unstored.to_text()
+        assert unstored.operator_matrix_free_controls == 0
+        stored, unstored = runs["test4_eik2d"]
+        assert stored.operator_matrix_free_controls == 0
+        assert unstored.operator_nnz == 0
+        assert unstored.operator_matrix_free_controls == 8
+        assert "\noperator_matrix_free_controls = 8\n" in unstored.to_text()

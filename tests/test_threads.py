@@ -206,11 +206,14 @@ def test_one_worker_starts_no_thread(monkeypatch):
 
 @pytest.mark.parametrize("path", sorted(PATHS))
 def test_build_time_is_wall_time_under_threads(path, monkeypatch):
-    entry, grid = problem()
+    # test2_vdp's rows depend on the state, so unstored they are rebuilt in
+    # every sweep (test_matrix_free covers the setup of separable ones)
+    entry, grid = problem("test2_vdp")
     small_blocks(monkeypatch, path)
     cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=3)
     _, _, rep = h.value_iteration(entry.spec, grid, entry.controls, cfg)
     assert rep.workers == 3
+    assert rep.operator_stored is (path == "stored") and rep.operator_nnz > 0
     assert 0.0 < rep.operator_build_wall_time_seconds <= rep.wall_time_seconds
 
 

@@ -19,7 +19,7 @@ Value iteration and cold-started policy iteration store the operator's CSR
 rows, whose one build pays off over their many sweeps.  A separable
 control, whose velocity is bitwise the same at every node, can instead be
 applied matrix-free, from its per-axis cell locations and c_j, with the
-same bits; each such sweep costs 1.3-2 stored ones, and a build 2-5.  So
+same bits; each such sweep costs 1.2-1.7 stored ones, and a build 3-6.  So
 bellman_update (one sweep), policy iteration warm-started from V_init
 (API's fine phase, a few sweeps) and any operator over the nnz budget apply
 separable controls matrix-free.  State-dependent controls are stored, or
@@ -39,6 +39,7 @@ bits.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import threading
 import time
@@ -79,10 +80,13 @@ _BLOCK_ROWS = 2 ** 19
 # a 2-core machine smaller shares did not pay for the dispatch and the extra
 # blocks: 829 K rows (test2_vdp at 161^2) ran no faster on two threads.
 _MIN_THREAD_ROWS = 2 ** 19
-# The row writer works in slabs of about this many rows: on test6_eik3d at
-# 41^3, 2^13 rows built 10-15% slower and one slab per control no faster, with
-# temporaries of 2^d corners per row (~0.5 GB per thread at 41^4).
-_FILL_ROWS = 2 ** 15
+# The row writer works in slabs of about this many rows, and matrix-free rows
+# go in chunks of whole last-axis planes of about as many.  On test6_eik3d at
+# 41^3 with two threads, 2^15-row chunks swept 13% slower and 2^14 37% slower
+# (one thread: the same), and 2^15-row slabs built no faster; 2^13 built
+# 10-15% slower, and one slab per control no faster, with temporaries of 2^d
+# corners per row (~0.5 GB per thread at 41^4).
+_FILL_ROWS = 2 ** 16
 
 
 class SolverError(RuntimeError):
@@ -180,6 +184,13 @@ class RunReport:
 
     policy_changes, on PI reports (so on API's fine phase), holds per
     improvement the number of non-pinned nodes whose control changed.
+
+    bellman_residual, on VI and PI reports (so on both API phases), is
+    rho = ||T V - V|| in the sup norm for the returned field V and the
+    Bellman update T, read from the run's last min-over-controls sweep: VI's
+    final argmin sweep, PI's last improvement.  T contracts by the discount
+    gamma, so the fixed point V* of T lies within fixed_point_gap_bound =
+    rho / (1 - gamma) of V.
     """
 
     algorithm: str
@@ -202,6 +213,8 @@ class RunReport:
     policy_changes: Optional[list] = None
     workers: Optional[int] = None
     operator_matrix_free_controls: Optional[int] = None
+    bellman_residual: Optional[float] = None
+    fixed_point_gap_bound: Optional[float] = None
 
     @property
     def operator_bytes(self):
@@ -237,6 +250,9 @@ class RunReport:
             lines.append("policy_changes = " + ",".join(map(str, self.policy_changes)))
         if self.workers is not None:
             lines.append(f"workers = {self.workers}")
+        if self.bellman_residual is not None:
+            lines += [f"bellman_residual = {self.bellman_residual:.17g}",
+                      f"fixed_point_gap_bound = {self.fixed_point_gap_bound:.17g}"]
         if self.phases:
             for key, sub in self.phases.items():
                 for line in sub.to_text().splitlines():
@@ -292,6 +308,11 @@ def _step(spec, points, a, dt, j, velocity=None):
     return arrivals, _stage(spec, points, a, dt)
 
 
+def _sup_distance(a, b):
+    """max |a - b| over two arrays of values."""
+    return float(np.max(np.abs(a - b)))
+
+
 def _iterate(step, v, eps, cap):
     """v <- step(v) until consecutive iterates differ by at most eps in the
     sup norm, at most `cap` times.  Returns (last iterate, residual history
@@ -299,7 +320,7 @@ def _iterate(step, v, eps, cap):
     history = []
     while len(history) < cap:
         new = step(v)
-        history.append(float(np.max(np.abs(new - v))))
+        history.append(_sup_distance(new, v))
         v = new
         if history[-1] <= eps:
             return v, history, True
@@ -382,131 +403,224 @@ def _shifted(grid, shift, j):
     and `box`, the per-axis slices of the in-box sub-box.  A non-finite
     arrival raises.
 
-    Each axis's shifted node coordinates are located on their own, with the
-    other coordinates at the lower face.  An axis's in-box entries form one
-    range, as they are sorted, so the in-box rows are a sub-box of the grid,
-    consecutive in flat order, and bases and locals_ are its per-axis rows.
+    Each axis's shifted node coordinates are located with the other
+    coordinates at the lower face, all axes in one locate_points call.  An
+    axis's in-box entries form one range, as they are sorted, so the in-box
+    rows are a sub-box of the grid, consecutive in flat order, and bases and
+    locals_ are its per-axis rows.
     """
+    ends = np.cumsum((0,) + grid.nodes_per_axis)
+    points = np.tile(grid.lower, (ends[-1], 1))
+    for axis in range(grid.dim):
+        points[ends[axis]:ends[axis + 1], axis] = grid.axis_coords(axis) + shift[axis]
+    if not np.isfinite(points).all():
+        raise SolverError(f"non-finite arrival under control {j}")
+    base, local, inside_all = locate_points(grid, points)
     bases, locals_, inside, box = [], [], True, []
     for axis in range(grid.dim):
-        coords = grid.axis_coords(axis) + shift[axis]
-        if not np.isfinite(coords).all():
-            raise SolverError(f"non-finite arrival under control {j}")
-        points = np.tile(grid.lower, (len(coords), 1))
-        points[:, axis] = coords
-        base, local, kept = locate_points(grid, points)
+        rows = slice(ends[axis], ends[axis + 1])
+        kept = inside_all[rows]
         shape = [-1 if k == axis else 1 for k in range(grid.dim)]
         inside = inside & kept.reshape(shape)
-        bases.append(base[axis, kept].reshape(shape))
-        locals_.append(local[axis, kept].reshape(shape))
+        bases.append(base[axis, rows][kept].reshape(shape))
+        locals_.append(local[axis, rows][kept].reshape(shape))
         start = int(np.argmax(kept))
-        box.append(slice(start, start + len(bases[-1].reshape(-1))))
+        box.append(slice(start, start + np.count_nonzero(kept)))
     return bases, locals_, inside.reshape(-1), tuple(box)
 
 
 class _ShiftedRows:
     """The rows of a separable control, applied without storing them.
 
-    `bases`, `locals_` and `box` come from _shifted.  apply(v, out, buffers)
-    writes into `out`, the control's N rows of B @ v (zeros on entry), on
-    the in-box sub-box 0 + sum over the corners k, in corner order, of
-    w_k * v[corner k of each row's cell].  These are the products and
-    additions of the CSR matvec over _fill_rows' rows, in the same order, so
-    the same bits; rows outside the box stay 0.
+    `bases`, `locals_` and `box` come from _shifted.  apply(transposed, out,
+    buffers) writes into `out`, the control's N rows of B @ v (zeros on
+    entry), on the in-box sub-box 0 + sum over the corners k, in corner
+    order, of w_k * v[corner k of each row's cell].  These are the products
+    and additions of the CSR matvec over _fill_rows' rows, in the same order,
+    so the same bits; rows outside the box stay 0.  `transposed` is v with
+    the grid axes reversed (_transposed), so that each plane of the last
+    axis is contiguous.
 
-    The sub-box goes one first-axis slab of about _FILL_ROWS rows at a time.
-    grid.corner_weights writes each corner's weight into one buffer of the
-    calling thread, where it is multiplied by the corner's values, and the
-    sum runs in a second, contiguous buffer that is then copied into the
-    box.  The corners' values are slices of v, except along a `gathered`
-    axis, one whose cell bases are not consecutive (arrivals that rounding
-    puts on either side of a node, or clamps onto the upper face): there
-    np.take gathers them once per slab for each choice of lower or upper
-    corner on those axes, and the corners slice the gathered arrays.
+    The sub-box goes in chunks of whole last-axis planes, about _FILL_ROWS
+    rows each, in a layout where every pass is one contiguous run.  Its
+    axes are reversed, and a plane is numbered by grid node along every
+    axis but a `gathered` one, whose cell bases are not consecutive
+    (arrivals that rounding puts on either side of a node, or clamps onto
+    the upper face); along those it is numbered by box row.  Nodes past the
+    box pad the layout and get zero weights.  Per chunk, np.take gathers
+    the values of v along the gathered axes, last axis first, once for each
+    choice of lower or upper corner on them.  A corner's values are then
+    one flat slice, at a constant offset, of the chunk of v or of a
+    gathered array.
+
+    The weights of the first d - 1 axes are grid.corner_weights' products
+    over a plane, taken once per call into every plane of a chunk-sized
+    tile.  A corner's weight over a chunk is its tile times the last axis's
+    factor of each plane, spread over the plane: the product corner_weights
+    takes last (IEEE products commute).  It is multiplied by the corner's
+    values and added into a sum, whose in-box rows are copied, transposed
+    back, into `out`.  Every buffer belongs to the calling thread.
     """
 
     def __init__(self, grid, bases, locals_, box):
         self.shape = grid.shape
-        self.locals_ = locals_
         self.box = box
         self.empty = any(s.start == s.stop for s in box)
         if self.empty:
             return
+        d = grid.dim
         bases = [b.reshape(-1) for b in bases]
+        locals_ = [w.reshape(-1) for w in locals_]
         self.gathered = [axis for axis, b in enumerate(bases) if not (np.diff(b) == 1).all()]
-        # per axis the lower corners: of every row on a gathered axis, else
-        # of the first row
-        self.lower = [b if axis in self.gathered else int(b[0]) for axis, b in enumerate(bases)]
-        # per corner, in corner order: the position of its values among the
-        # gathered arrays, its first-axis offset (None if gathered) and its
-        # index on the other axes
+        # per axis the first row's lower corner, and per gathered axis the
+        # lower and upper corners of every row
+        self.lower = [int(b[0]) for b in bases]
+        self.corner_nodes = {axis: (bases[axis], bases[axis] + 1) for axis in self.gathered}
+        # a plane's layout, its axes reversed, and the flat stride of each
+        # of the first d - 1 axes in it
+        sizes = [len(b) if axis in self.gathered else n
+                 for axis, (b, n) in enumerate(zip(bases[:-1], grid.shape))]
+        self.plane_shape = tuple(reversed(sizes))
+        self.plane = math.prod(sizes)
+        strides = [math.prod(sizes[:axis]) for axis in range(d - 1)]
+        # the in-box part of a plane and the position of its last row
+        self.in_box = tuple(slice(0, len(b)) for b in reversed(bases[:-1]))
+        self.last_row = sum((len(b) - 1) * s for b, s in zip(bases, strides))
+        # the first d - 1 axes' local coordinates, each along its own axis
+        # of a plane
+        self.plane_locals = [w.reshape([-1 if k == d - 2 - axis else 1 for k in range(d - 1)])
+                             for axis, w in enumerate(locals_[:-1])]
+        # the last axis's lower and upper factors
+        self.factors = np.stack((1.0 - locals_[-1], locals_[-1]))
+        # Per corner, in corner order: the position of its values among the
+        # gathered arrays, their offset there, its plane product and its
+        # last-axis bit
         self.corners = []
-        for bits in product((0, 1), repeat=grid.dim):
-            at = 0
-            for axis in self.gathered:
+        for bits in product((0, 1), repeat=d):
+            at = offset = plane = 0
+            for bit in bits[:-1]:
+                plane = 2 * plane + bit
+            for axis in reversed(self.gathered):
                 at = 2 * at + bits[axis]
-            rest = tuple(slice(None) if axis in self.gathered else slice(bit, bit + len(b))
-                         for axis, (bit, b) in enumerate(zip(bits, bases)) if axis)
-            self.corners.append((at, None if 0 in self.gathered else bits[0], rest))
-        layer = math.prod(len(b) for b in bases[1:])
-        self.slab = max(1, _FILL_ROWS // layer)
-        self.buffer_size = 2 * min(self.slab, len(bases[0])) * layer
+            for axis, s in enumerate(strides):
+                if axis not in self.gathered:
+                    offset += (self.lower[axis] + bits[axis]) * s
+            if d - 1 not in self.gathered:
+                offset += bits[-1] * self.plane
+            self.corners.append((at, offset, plane, bits[-1]))
+        # whole planes in as few chunks of at most _FILL_ROWS rows as fit,
+        # all about the same size
+        chunks = -(-len(bases[-1]) // max(1, _FILL_ROWS // self.plane))
+        self.chunk = -(-len(bases[-1]) // chunks)
+        taken = (2 ** (len(self.gathered) + 1) - 2) * (self.chunk + 1) * math.prod(grid.shape[:-1])
+        self.buffer_size = (4 + 2 ** (d - 1)) * self.chunk * self.plane + taken
 
-    def apply(self, values, out, buffers):
+    def apply(self, transposed, out, buffers):
         if self.empty:
             return
-        v = values.reshape(self.shape)
-        rows_out = out.reshape(self.shape)[self.box]
-        head, *tail = self.locals_
+        count, rows = len(self.corners) // 2, self.chunk * self.plane
         buffer = _thread_buffer(buffers, self.buffer_size)
-        for lo in range(0, len(head), self.slab):
-            rows = slice(lo, lo + self.slab)
-            shape = rows_out[rows].shape
-            w, acc = buffer[:2 * math.prod(shape)].reshape((2,) + shape)
-            acc.fill(0.0)
-            lower = [self.lower[0][rows] if 0 in self.gathered else self.lower[0] + lo,
-                     *self.lower[1:]]
-            # the values around the slab's cells, gathered along those axes
-            # for each choice of corner bits on them
-            near = [v[tuple(slice(None) if axis in self.gathered else slice(b, b + k + 1)
-                            for axis, (b, k) in enumerate(zip(lower, shape)))]]
-            for axis in self.gathered:
-                near = [np.take(g, lower[axis] + bit, axis=axis) for g in near for bit in (0, 1)]
-            weights = corner_weights([head[rows]] + tail, out=repeat(w))
-            for weight, (at, bit, rest) in zip(weights, self.corners):
-                first = slice(None) if bit is None else slice(bit, bit + len(acc))
-                np.multiply(weight, near[at][(first,) + rest], out=weight)
-                acc += weight
-            rows_out[rows] = acc
+        chunked = buffer[:(4 + count) * rows].reshape(4 + count, rows)
+        w, acc, spread, tiles = chunked[0], chunked[1], chunked[2:4], chunked[4:]
+        free = buffer[chunked.size:]
+        # the plane products, 0 past the box, in the first plane of each
+        # tile and then in the others
+        first = tiles.reshape((count, self.chunk) + self.plane_shape)[:, 0]
+        if self.plane_locals:
+            first.fill(0.0)
+            for _ in corner_weights(self.plane_locals, out=first[(slice(None),) + self.in_box]):
+                pass
+        else:
+            first.fill(1.0)  # 1.0 * f is f, bit for bit
+        tiles.reshape(count, self.chunk, self.plane)[:, 1:] = tiles[:, None, :self.plane]
+        rows_out = out.reshape(self.shape)[self.box]
+        planes = self.factors.shape[1]
+        for lo in range(0, planes, self.chunk):
+            k = min(self.chunk, planes - lo)
+            size = (k - 1) * self.plane + self.last_row + 1
+            near = self._near(transposed, lo, k, free)
+            # each plane's lower and upper last-axis factors, over the plane
+            spread[:, :k * self.plane].reshape(2, k, self.plane)[...] = (
+                self.factors[:, lo:lo + k, None])
+            products, sums = w[:size], acc[:size]
+            for at, offset, plane, bit in self.corners:
+                np.multiply(tiles[plane, :size], spread[bit, :size], out=products)
+                np.multiply(products, near[at][offset:offset + size], out=products)
+                if plane or bit:
+                    sums += products
+                else:
+                    np.add(products, 0.0, out=sums)  # 0 + w v, bit for bit
+            chunk = acc[:k * self.plane].reshape((k,) + self.plane_shape)
+            rows_out[..., lo:lo + k] = chunk[(slice(None),) + self.in_box].T
+
+    def _near(self, transposed, lo, k, free):
+        """The values that the corners of the chunk of last-axis planes
+        [lo, lo + k) read, flat, one array per choice of corner bits on the
+        gathered axes; what is gathered goes into `free`."""
+        last = len(self.shape) - 1
+        if last in self.gathered:
+            near = [transposed]
+        else:
+            first = self.lower[last] + lo
+            near = [transposed[first:first + k + 1]]
+        used = 0
+        for axis in reversed(self.gathered):
+            position = last - axis
+            taken = []
+            for g in near:
+                for nodes in self.corner_nodes[axis]:
+                    if axis == last:
+                        nodes = nodes[lo:lo + k]
+                    shape = g.shape[:position] + nodes.shape + g.shape[position + 1:]
+                    target = free[used:used + math.prod(shape)].reshape(shape)
+                    used += target.size
+                    taken.append(np.take(g, nodes, axis=position, mode="clip", out=target))
+            near = taken
+        return [g.reshape(-1) for g in near]
+
+
+def _transposed(values, shape):
+    """Flat nodal `values` of a grid of `shape`, with the axes reversed, as
+    a C-contiguous array: what _ShiftedRows.apply reads."""
+    return np.ascontiguousarray(values.reshape(shape).T)
 
 
 def _thread_buffer(buffers, size):
     """A float64 buffer of at least `size` entries that the calling thread
     keeps in the threading.local `buffers` and reuses: a fresh one per
-    control would be page-faulted in every sweep."""
-    buffer = getattr(buffers, "buffer", None)
-    if buffer is None or buffer.size < size:
-        buffer = buffers.buffer = np.empty(size)
-    return buffer
+    control would be page-faulted in every sweep.  It is an anonymous
+    memory map, returned to the system with the thread's other locals.
+    From malloc it stayed in the worker thread's arena, which allocations
+    on other threads do not reuse: five api_solve rounds of the api_eik3d
+    problem in one process peaked 4-6 MB higher."""
+    if getattr(buffers, "buffer", np.empty(0)).size < size:
+        buffers.buffer = None  # unmapped before its successor is mapped
+        buffers.buffer = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+    return buffers.buffer
 
 
 class _BlockRows:
     """A block's rows when some of its controls are separable and applied
     matrix-free: `csr` holds the rows of the others (those rows empty), or
     is None when there are none, and `shifted` the (position t in the block,
-    _ShiftedRows) of each matrix-free control.  `rows @ v` is the block's
-    B @ v, bit for bit; `buffers` is the sweeper's threading.local."""
+    _ShiftedRows) of each matrix-free control.  `rows.dot(v, transposed)`,
+    with `transposed` = _transposed(v, grid.shape), and `rows @ v` are the
+    block's B @ v, bit for bit; `buffers` is the sweeper's threading.local."""
 
-    def __init__(self, csr, size, n, shifted, buffers):
-        self.csr, self.size, self.n, self.shifted = csr, size, n, shifted
+    def __init__(self, csr, size, grid, shifted, buffers):
+        self.csr, self.size, self.grid, self.shifted = csr, size, grid, shifted
         self.buffers = buffers
         self.nnz = 0 if csr is None else csr.nnz
 
-    def __matmul__(self, values):
+    def dot(self, values, transposed):
         q = np.zeros(self.size) if self.csr is None else self.csr @ values
+        n = self.grid.num_nodes
         for t, rows in self.shifted:
-            rows.apply(values, q[t * self.n:(t + 1) * self.n], self.buffers)
+            rows.apply(transposed, q[t * n:(t + 1) * n], self.buffers)
         return q
+
+    def __matmul__(self, values):
+        return self.dot(values, _transposed(values, self.grid.shape))
 
 
 def _csr_arrays(rows, grid):
@@ -637,7 +751,7 @@ class _Sweeper:
             end = indptr[-1]
             B = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(len(c), n))
         if shifted:
-            B = _BlockRows(B, len(c), n, shifted, self._buffers)
+            B = _BlockRows(B, len(c), grid, shifted, self._buffers)
         return (B, c), (t0, time.perf_counter())
 
     def _map(self, fn, *iterables):
@@ -679,17 +793,19 @@ class _Sweeper:
         if policy is not None:
             policy[self.pinned] = UNSET_POLICY
 
-    def _sweep_block(self, js, block, values, policy):
+    def _sweep_block(self, js, block, values, policy, transposed=None):
         """Block `js`'s part of a Bellman sweep: the per-node minimum of
         discount * (B @ values) + c over its controls, the lowest control
         index attaining it (None unless `policy`), the block (B, c) and the
-        span of its build.  `block` is a kept (B, c); None builds it first."""
+        span of its build.  `block` is a kept (B, c); None builds it first.
+        Matrix-free rows read `transposed`, the values with the grid axes
+        reversed."""
         span = None
         if block is None:
             block, span = self._fill_block(js)
         B, c = block
         n = self.grid.num_nodes
-        q = B @ values
+        q = B.dot(values, transposed) if isinstance(B, _BlockRows) else B @ values
         q *= self.discount
         q += c
         if not np.isfinite(q).all():
@@ -724,8 +840,10 @@ class _Sweeper:
         unchanged.
         """
         blocks = self._stored_blocks
+        # one copy of the values for all the matrix-free rows of the sweep
+        transposed = _transposed(values, self.grid.shape) if self.matrix_free else None
         results = self._map(self._sweep_block, self.blocks, blocks,
-                            repeat(values), repeat(policy))
+                            repeat(values), repeat(policy), repeat(transposed))
         best = best_idx = None
         nnz = 0
         spans = []
@@ -737,11 +855,12 @@ class _Sweeper:
                     blocks[i] = block
             if best is None:
                 best, best_idx = low, low_idx
+                better = np.empty(len(best), dtype=bool)
             else:
-                better = low < best
-                best[better] = low[better]
+                np.less(low, best, out=better)
+                np.copyto(best, low, where=better)
                 if policy:
-                    best_idx[better] = low_idx[better]
+                    np.copyto(best_idx, low_idx, where=better)
         self.build_seconds += _covered_seconds(spans)
         self.nnz = nnz
         self.apply_pins(best, best_idx)
@@ -836,9 +955,10 @@ def greedy_control_index(spec, V, controls, x, dt):
 
 
 def _make_report(algorithm, sweeper, config, t0, updates, converged, history,
-                 subs=None, changes=None):
+                 residual, subs=None, changes=None):
     """The report of a VI or PI run started at `t0`, one outer iteration per
-    residual in `history`."""
+    residual in `history`; `residual` is the returned field's Bellman
+    residual."""
     grid = sweeper.grid
     return RunReport(
         algorithm=algorithm,
@@ -861,6 +981,8 @@ def _make_report(algorithm, sweeper, config, t0, updates, converged, history,
         operator_matrix_free_controls=(
             int(np.count_nonzero(sweeper.separable)) if sweeper.matrix_free else 0),
         workers=sweeper.threads,
+        bellman_residual=residual,
+        fixed_point_gap_bound=residual / (1.0 - sweeper.discount),
     )
 
 
@@ -879,9 +1001,9 @@ def value_iteration(spec, grid, controls, config, V0=None):
             config.epsilon(grid), config.max_iterations)
         # One extra argmin sweep so the returned policy is greedy for the
         # returned (final) iterate.
-        _, pol, evals = sweeper.bellman_sweep(v)
+        Tv, pol, evals = sweeper.bellman_sweep(v)
     report = _make_report("vi", sweeper, config, t0, (len(history) + 1) * evals,
-                          converged, history)
+                          converged, history, _sup_distance(Tv, v))
     return ValueField(grid, v, copy=False), PolicyField(grid, pol), report
 
 
@@ -915,7 +1037,10 @@ def policy_evaluation_direct(spec, grid, policy, controls, config):
     discount makes the system strictly diagonally dominant) and c the stage
     cost plus discount * exterior mass, with BiCGStab to residual eps/10.
     Stagnation raises, carrying the achieved residual.  Returns (field,
-    solver iteration count).
+    solver iteration count).  BiCGStab's dot products and norms run through
+    OpenBLAS, whose sums round differently with its thread count, so the
+    iteration count and the field's bits are repeatable only for a fixed
+    OPENBLAS_NUM_THREADS.
     """
     return _direct_evaluation(_Sweeper(spec, grid, controls, config), policy, config)
 
@@ -980,10 +1105,11 @@ def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None)
 
         subs = []
         changes = []
+        residual = None
 
         def step(v):
             """Evaluate the policy from v, then improve it."""
-            nonlocal policy
+            nonlocal policy, residual
             if config.eval_backend == "fixed_point":
                 V_new, inner, _ = _fixed_point_evaluation(sweeper, policy, v, config)
             else:
@@ -991,7 +1117,8 @@ def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None)
             subs.append(inner)
             if on_iterate is not None:
                 on_iterate(V_new)
-            _, pol, _ = sweeper.bellman_sweep(V_new.values)
+            Tv, pol, _ = sweeper.bellman_sweep(V_new.values)
+            residual = _sup_distance(Tv, V_new.values)
             # Pinned nodes hold UNSET_POLICY in both, so only active nodes count.
             changes.append(int(np.count_nonzero(pol != policy.indices)))
             policy = PolicyField(grid, pol)
@@ -1001,7 +1128,7 @@ def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None)
                                          config.max_iterations)
     updates += (sum(subs) + len(subs) * len(controls)) * sweeper.active_count
     report = _make_report("pi", sweeper, config, t0, updates, converged, history,
-                          subs, changes)
+                          residual, subs, changes)
     return ValueField(grid, v, copy=False), policy, report
 
 

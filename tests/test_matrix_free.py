@@ -174,6 +174,76 @@ def test_edge_controls_match_the_stored_operator(dynamics, workers, monkeypatch)
     assert (B.csr is None) == (dynamics is constant_drift)
 
 
+def matrix_free_rows(spec, grid, controls, dt):
+    """The _ShiftedRows of the separable controls that have in-box rows."""
+    sweeper = _Sweeper(spec, grid, controls, h.SolverConfig(dt=dt, workers=1),
+                       store_separable=False)
+    (B, _), _ = sweeper._fill_block(range(len(controls)))
+    return [rows for _, rows in B.shifted if not rows.empty]
+
+
+def chunked_runs(spec, controls, fine, coarse, dt, workers, monkeypatch):
+    """solve_all in every mode with _FILL_ROWS at three last-axis planes of
+    `fine`, so that every sub-box spans several chunks; also the
+    matrix-free rows of `fine`."""
+    runs = {}
+    for mode in MODES:
+        with monkeypatch.context() as patch:
+            set_mode(patch, mode, fine)
+            patch.setattr(solvers, "_FILL_ROWS", 3 * fine.num_nodes // fine.shape[-1])
+            runs[mode] = solve_all(spec, controls, fine, coarse, dt, workers,
+                                   np.random.default_rng(11))[0]
+            rows = matrix_free_rows(spec, fine, controls, dt(fine))
+    # every sub-box spans several chunks, and some end in a smaller one
+    planes = [r.factors.shape[1] for r in rows]
+    assert rows and all(k > r.chunk for k, r in zip(planes, rows))
+    assert any(k % r.chunk for k, r in zip(planes, rows))
+    return runs, rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name,n,overrides", [CASES[1], CASES[3]])
+def test_chunked_sub_boxes_match_the_stored_operator(name, n, overrides, workers,
+                                                     monkeypatch):
+    entry = h.catalog(name, **overrides)
+    fine = entry.spec.domain_grid(n)
+    runs, rows = chunked_runs(entry.spec, entry.controls, fine,
+                              entry.spec.domain_grid((n + 1) // 2), entry.dt_for, workers,
+                              monkeypatch)
+    assert runs["stored"] == runs["default"] == runs["unstored"]
+    gathered = {axis for r in rows for axis in r.gathered}
+    assert {0, 1} <= gathered
+    if name == "test8_min4d":
+        assert fine.dim - 1 in gathered  # the last axis too
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_dimensional_rows_match_the_stored_operator(workers, monkeypatch):
+    """A 1-D separable problem on 9 nodes at exact binary coordinates: a
+    zero velocity lands every arrival on its node, the last clamped onto
+    the upper face's cell, and a one-cell shift clamps the last in-box
+    arrival onto the upper face; the axis of both is gathered."""
+    spec = ProblemSpec(
+        state_dim=1,
+        dynamics=lambda p, a: np.broadcast_to(a, p.shape),
+        running_cost=lambda p, a: p[:, 0] ** 2 + a[0],
+        kind=InfiniteHorizon(1.0),
+        lower=(-1.0,),
+        upper=(1.0,),
+        exterior_value=2.0,
+    )
+    controls = h.ControlSet([[0.0], [0.25], [-0.1], [0.3], [-0.5]])
+    fine = spec.domain_grid(9)
+    assert fine.spacing == (0.25,)
+    runs, rows = chunked_runs(spec, controls, fine, spec.domain_grid(5), lambda g: 1.0,
+                              workers, monkeypatch)
+    assert runs["stored"] == runs["default"] == runs["unstored"]
+    still, step = rows[:2]
+    assert still.gathered == [0] and still.corner_nodes[0][0].tolist() == [*range(8), 7]
+    assert step.gathered == [0] and step.corner_nodes[0][0].tolist() == [*range(1, 8), 7]
+    assert [r.gathered for r in rows[2:]] == [[], [], []]
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("mode", MODES)
 def test_non_finite_cost_names_the_lowest_node_and_control(mode, workers, monkeypatch):

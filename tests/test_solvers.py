@@ -620,6 +620,34 @@ class TestRunReport:
         assert "\nfine.policy_changes = " in text
         assert "coarse.policy_changes" not in text
 
+    def test_bellman_residual_and_gap_bound(self, solved):
+        """VI and PI report rho = ||T V - V|| of their returned field and
+        rho / (1 - gamma); API prints both per phase.  The fixed-point and
+        direct PI fields on test1_1d at 81 each lie within their bound of
+        the scheme's fixed point, so within the sum of the bounds of each
+        other: criterion 9's gap as a number on every run."""
+        entry = solved.entry("test1_1d")
+        cfg = h.SolverConfig(dt=entry.dt_for(entry.spec.domain_grid(81)))
+        gamma = h.solvers._discount(entry.spec, cfg.dt)
+        runs = [solved.vi("test1_1d", 81), solved.pi("test1_1d", 81),
+                solved.pi("test1_1d", 81, eval_backend="direct")]
+        for V, _, rep in runs:
+            T, _ = h.bellman_update(entry.spec, V.grid, V, entry.controls, cfg)
+            assert rep.bellman_residual == h.sup_diff(T, V)
+            assert rep.fixed_point_gap_bound == rep.bellman_residual / (1.0 - gamma)
+            text = rep.to_text()
+            assert f"\nbellman_residual = {rep.bellman_residual:.17g}\n" in text
+            assert f"\nfixed_point_gap_bound = {rep.fixed_point_gap_bound:.17g}\n" in text
+        (V_fp, _, fp), (V_d, _, d) = runs[1:]
+        assert 0.0 < h.sup_diff(V_fp, V_d) <= fp.fixed_point_gap_bound + d.fixed_point_gap_bound
+
+        _, _, api = solved.api("test4_eik2d", 41)
+        assert api.bellman_residual is None
+        text = api.to_text()
+        for phase in ("coarse", "fine"):
+            assert f"\n{phase}.bellman_residual = " in text
+            assert f"\n{phase}.fixed_point_gap_bound = " in text
+
     def test_operator_fields_unstored(self, monkeypatch):
         """Over the budget, state-dependent rows are rebuilt in every sweep
         with the stored entries, and separable ones are applied

@@ -145,9 +145,6 @@ class ValueField:
     def full(cls, grid, value):
         return cls(grid, np.full(grid.num_nodes, float(value)), copy=False)
 
-    def copy(self):
-        return ValueField(self.grid, self.values, copy=True)
-
     def reshaped(self):
         """Values viewed in the grid's multi-dimensional shape."""
         return self.values.reshape(self.grid.shape)

@@ -45,10 +45,6 @@ class ControlSet:
     def __getitem__(self, i):
         return self.vectors[i]
 
-    @property
-    def control_dim(self):
-        return self.vectors.shape[1]
-
 
 @dataclass(frozen=True)
 class InfiniteHorizon:
@@ -122,10 +118,6 @@ class TargetMask:
 
     grid: RegularGrid
     flags: np.ndarray
-
-    @property
-    def count(self):
-        return int(np.count_nonzero(self.flags))
 
 
 def euler_arrival(spec, x, a, dt):

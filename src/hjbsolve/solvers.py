@@ -23,13 +23,16 @@ same bits; each such sweep costs 1.2-1.7 stored ones, and a build 3-6.  So
 bellman_update (one sweep), policy iteration warm-started from V_init
 (API's fine phase, a few sweeps) and any operator over the nnz budget apply
 separable controls matrix-free.  State-dependent controls are stored, or
-rebuilt in every sweep over the budget.
+rebuilt in every sweep over the budget.  A block of controls is one record
+(B, shifted, c): its CSR rows, its matrix-free controls and its constant
+vector.
 
 All sweeps have Jacobi semantics: every node update reads only the previous
 iterate, argmin ties break toward the lowest control index, and the sup-norm
 reduction is a plain max.
 
-Bellman sweeps and the operator build work on blocks of consecutive controls.
+Bellman sweeps work on blocks of consecutive controls, and each block is
+built by the first sweep that needs it, in the same task that sweeps it.
 With more than one worker the blocks run on a thread pool that is shut down
 before the public solver call returns, and the calling thread merges their
 results in ascending control order, so every worker count gives the same
@@ -171,13 +174,14 @@ class RunReport:
     rebuilt in every sweep), its CSR entries (12 bytes each: float64 weight,
     int32 column; 0 for rows applied matrix-free) and the wall time spent
     setting it up.  That is the time during which at least one block was
-    being set up, on any thread: for a stored operator the one build, and
-    for an unstored one the sum over every sweep, whose block builds overlap
-    the sweeps of other blocks; a matrix-free control counts its one setup
-    (dynamics, per-axis locations, c), not its sweeps.  `workers` is the
-    number of threads the run's sweeps used.  `operator_separable_controls`
-    counts the controls whose velocity is the same at every node, so that
-    their rows come from per-axis cell locations, and
+    being set up, on any thread: the union of the build spans, whose builds
+    overlap the sweeps of other blocks.  A stored operator is built once,
+    by the first sweep; an unstored one in every sweep, so its time sums
+    over them.  A matrix-free control counts its one setup (dynamics,
+    per-axis locations, c), not its sweeps.  `workers` is the number of
+    threads the run's sweeps used.  `operator_separable_controls` counts
+    the controls whose velocity is the same at every node, so that their
+    rows come from per-axis cell locations, and
     `operator_matrix_free_controls` those of them applied matrix-free.
     These fields stay None on the aggregate API report, whose phases carry
     their own.
@@ -438,8 +442,8 @@ class _ShiftedRows:
     order, of w_k * v[corner k of each row's cell].  These are the products
     and additions of the CSR matvec over _fill_rows' rows, in the same order,
     so the same bits; rows outside the box stay 0.  `transposed` is v with
-    the grid axes reversed (_transposed), so that each plane of the last
-    axis is contiguous.
+    the grid axes reversed, C-contiguous (one copy per Bellman sweep), so
+    that each plane of the last axis is contiguous.
 
     The sub-box goes in chunks of whole last-axis planes, about _FILL_ROWS
     rows each, in a layout where every pass is one contiguous run.  Its
@@ -579,12 +583,6 @@ class _ShiftedRows:
         return [g.reshape(-1) for g in near]
 
 
-def _transposed(values, shape):
-    """Flat nodal `values` of a grid of `shape`, with the axes reversed, as
-    a C-contiguous array: what _ShiftedRows.apply reads."""
-    return np.ascontiguousarray(values.reshape(shape).T)
-
-
 def _thread_buffer(buffers, size):
     """A float64 buffer of at least `size` entries that the calling thread
     keeps in the threading.local `buffers` and reuses: a fresh one per
@@ -597,30 +595,6 @@ def _thread_buffer(buffers, size):
         buffers.buffer = None  # unmapped before its successor is mapped
         buffers.buffer = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
     return buffers.buffer
-
-
-class _BlockRows:
-    """A block's rows when some of its controls are separable and applied
-    matrix-free: `csr` holds the rows of the others (those rows empty), or
-    is None when there are none, and `shifted` the (position t in the block,
-    _ShiftedRows) of each matrix-free control.  `rows.dot(v, transposed)`,
-    with `transposed` = _transposed(v, grid.shape), and `rows @ v` are the
-    block's B @ v, bit for bit; `buffers` is the sweeper's threading.local."""
-
-    def __init__(self, csr, size, grid, shifted, buffers):
-        self.csr, self.size, self.grid, self.shifted = csr, size, grid, shifted
-        self.buffers = buffers
-        self.nnz = 0 if csr is None else csr.nnz
-
-    def dot(self, values, transposed):
-        q = np.zeros(self.size) if self.csr is None else self.csr @ values
-        n = self.grid.num_nodes
-        for t, rows in self.shifted:
-            rows.apply(transposed, q[t * n:(t + 1) * n], self.buffers)
-        return q
-
-    def __matmul__(self, values):
-        return self.dot(values, _transposed(values, self.grid.shape))
 
 
 def _csr_arrays(rows, grid):
@@ -645,15 +619,17 @@ def _covered_seconds(spans):
 class _Sweeper:
     """The transition operator of one (problem, grid, controls, dt).
 
-    The m-control operator is set up on the first Bellman sweep.  A
-    separable control (velocity bitwise the same at every node) is applied
-    matrix-free (_ShiftedRows) when `store_separable` is False or the
-    operator's entry bound exceeds the budget; its setup is kept, and holds
-    only its c.  Every other control's CSR rows are kept when the entry
-    bound fits the budget, and rebuilt block by block in every sweep
-    otherwise.  Frozen-policy rows are built on demand by the same row
-    writer.  `build_seconds` is the wall time during which a block was being
-    set up, `nnz` counts the CSR entries of a sweep, `separable` marks the
+    The m-control operator is a list of blocks of consecutive controls,
+    each one record (B, shifted, c) that the first Bellman sweep to need it
+    builds (_fill_block).  A separable control (velocity bitwise the same
+    at every node) is applied matrix-free (_ShiftedRows, in `shifted`) when
+    `store_separable` is False or the operator's entry bound exceeds the
+    budget; every other control has CSR rows in B.  A block is kept for
+    later sweeps when the entry bound fits the budget or when it has no CSR
+    entry; over the budget every other block is rebuilt in every sweep.
+    Frozen-policy rows are built on demand by the same row writer.
+    `build_seconds` is the wall time during which a block was being set up,
+    `nnz` counts the CSR entries of a sweep, `separable` marks the
     separable controls, `matrix_free` says whether they are applied
     matrix-free, and `threads` is the number of threads the blocks run on,
     at most config.workers.  With more than one, the thread pool starts with
@@ -685,6 +661,8 @@ class _Sweeper:
         step = -(-m // count)
         self.blocks = [range(lo, min(lo + step, m)) for lo in range(0, m, step)]
         self.threads = min(threads, len(self.blocks))
+        # the blocks kept between sweeps, None until a sweep keeps one
+        self.kept = [None] * len(self.blocks)
 
     def __enter__(self):
         return self
@@ -705,16 +683,20 @@ class _Sweeper:
         return arrays + (np.empty(rows),)
 
     def _fill_block(self, js, arrays=None):
-        """(B, c) of the controls `js`, one row per (control, node), control
-        major, written into `arrays` (by default new ones, the CSR arrays
-        only once a control needs them); and the (start, end) of the build.
+        """The block (B, shifted, c) of the controls `js`, one row per
+        (control, node), control major, and the (start, end) of its build.
+        B holds the CSR rows, or is None when no control of the block needs
+        them; `shifted` lists the (t, _ShiftedRows) of its matrix-free
+        controls, t the control's position in the block; c is its constant
+        vector.  The rows go into `arrays` (by default new ones, the CSR
+        arrays only once a control needs them).
 
         The dynamics are called once per control.  A control whose velocity
         is bitwise the same at every node has its arrivals located per axis
         (_shifted) and is marked in `separable`; any other control has its N
         arrivals located (_located).  Both give the same bits in _fill_rows.
         A matrix-free sweeper keeps a separable control's located sub-box in
-        place of its rows, and its B is then a _BlockRows.
+        `shifted` and leaves its rows of B empty.
         """
         t0 = time.perf_counter()
         grid, spec, nodes = self.grid, self.spec, self.nodes
@@ -750,9 +732,7 @@ class _Sweeper:
         if indptr is not None:
             end = indptr[-1]
             B = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(len(c), n))
-        if shifted:
-            B = _BlockRows(B, len(c), grid, shifted, self._buffers)
-        return (B, c), (t0, time.perf_counter())
+        return (B, shifted, c), (t0, time.perf_counter())
 
     def _map(self, fn, *iterables):
         """fn over the blocks' arguments, results in block order: the builtin
@@ -761,26 +741,6 @@ class _Sweeper:
         if self.threads == 1:
             return map(fn, *iterables)
         return self._pool.map(fn, *iterables)
-
-    @cached_property
-    def _stored_blocks(self):
-        """Every block's (B, c) kept between sweeps: all of them, set up at
-        once, when the operator fits the nnz budget.  Over the budget every
-        entry starts as None, and the sweeps set the blocks up: a block with
-        no CSR entry (all its rows matrix-free) is kept, any other is built
-        afresh in every sweep."""
-        if not self.stored:
-            return [None] * len(self.blocks)
-        # The calling thread allocates every block's arrays before they are
-        # queued.  Allocated on the pool's threads, they come from per-thread
-        # malloc arenas, whose freed memory other threads do not reuse: the
-        # api_eik3d benchmark's peak RSS rose from ~1005 MB to 1018-1398 MB.
-        # A matrix-free sweeper's blocks allocate their CSR arrays only for
-        # the controls that need them.
-        arrays = [self._block_arrays(js, csr=not self.matrix_free) for js in self.blocks]
-        built = list(self._map(self._fill_block, self.blocks, arrays))
-        self.build_seconds += _covered_seconds([span for _, span in built])
-        return [block for block, _ in built]
 
     def pinned_copy(self, field):
         """A copy of `field` with the pins applied."""
@@ -793,19 +753,22 @@ class _Sweeper:
         if policy is not None:
             policy[self.pinned] = UNSET_POLICY
 
-    def _sweep_block(self, js, block, values, policy, transposed=None):
+    def _sweep_block(self, js, block, arrays, values, policy, transposed):
         """Block `js`'s part of a Bellman sweep: the per-node minimum of
-        discount * (B @ values) + c over its controls, the lowest control
-        index attaining it (None unless `policy`), the block (B, c) and the
-        span of its build.  `block` is a kept (B, c); None builds it first.
-        Matrix-free rows read `transposed`, the values with the grid axes
-        reversed."""
+        discount * (B @ values + matrix-free rows) + c over its controls,
+        the lowest control index attaining it (None unless `policy`), the
+        block (B, shifted, c) and the span of its build (None for a kept
+        block).  `block` is a kept block; None builds it first, into
+        `arrays` when they are given.  Matrix-free rows read `transposed`,
+        the values with the grid axes reversed."""
         span = None
         if block is None:
-            block, span = self._fill_block(js)
-        B, c = block
+            block, span = self._fill_block(js, arrays)
+        B, shifted, c = block
         n = self.grid.num_nodes
-        q = B.dot(values, transposed) if isinstance(B, _BlockRows) else B @ values
+        q = np.zeros(len(c)) if B is None else B @ values
+        for t, rows in shifted:
+            rows.apply(transposed, q[t * n:(t + 1) * n], self._buffers)
         q *= self.discount
         q += c
         if not np.isfinite(q).all():
@@ -839,20 +802,32 @@ class _Sweeper:
         the values are the same bits, since the merge of the block minima is
         unchanged.
         """
-        blocks = self._stored_blocks
-        # one copy of the values for all the matrix-free rows of the sweep
-        transposed = _transposed(values, self.grid.shape) if self.matrix_free else None
-        results = self._map(self._sweep_block, self.blocks, blocks,
+        kept = self.kept
+        # The calling thread allocates the arrays of every block that will be
+        # kept before it is queued.  Allocated on the pool's threads, they
+        # come from per-thread malloc arenas, whose freed memory other
+        # threads do not reuse: the api_eik3d benchmark's peak RSS rose from
+        # ~1005 MB to 1018-1398 MB.  A matrix-free sweeper's blocks allocate
+        # their CSR arrays only for the controls that need them.
+        arrays = [self._block_arrays(js, csr=not self.matrix_free)
+                  if self.stored and block is None else None
+                  for js, block in zip(self.blocks, kept)]
+        # one copy of the values, with the grid axes reversed, for all the
+        # matrix-free rows of the sweep
+        transposed = (np.ascontiguousarray(values.reshape(self.grid.shape).T)
+                      if self.matrix_free else None)
+        results = self._map(self._sweep_block, self.blocks, kept, arrays,
                             repeat(values), repeat(policy), repeat(transposed))
         best = best_idx = None
         nnz = 0
         spans = []
         for i, (low, low_idx, block, span) in enumerate(results):
-            nnz += block[0].nnz
+            entries = 0 if block[0] is None else block[0].nnz
+            nnz += entries
             if span is not None:
                 spans.append(span)
-                if not block[0].nnz:
-                    blocks[i] = block
+                if self.stored or not entries:
+                    kept[i] = block
             if best is None:
                 best, best_idx = low, low_idx
                 better = np.empty(len(best), dtype=bool)

@@ -62,3 +62,21 @@ def solved():
 @pytest.fixture
 def rng():
     return np.random.default_rng(94481)
+
+
+@pytest.fixture
+def block_product():
+    """A function giving B @ v of a sweeper's block (B, shifted, c): the
+    product of its CSR rows plus its matrix-free rows, as a Bellman sweep
+    forms it."""
+
+    def product(sweeper, block, values):
+        B, shifted, c = block
+        n = sweeper.grid.num_nodes
+        q = np.zeros(len(c)) if B is None else B @ values
+        transposed = np.ascontiguousarray(values.reshape(sweeper.grid.shape).T)
+        for t, rows in shifted:
+            rows.apply(transposed, q[t * n:(t + 1) * n], sweeper._buffers)
+        return q
+
+    return product

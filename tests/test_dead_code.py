@@ -5,7 +5,9 @@ use every name it imports, and every private top-level name it defines
 (functions, classes, assigned names starting with one underscore) must be
 referenced by some module of the package.  Every private method and every
 cached property of a top-level class of the package must be read as an
-attribute by some module of the package.  Every defaulted parameter of a
+attribute by some module of the package, and every other method and
+property, public, by the package, by perfbench/ or by the code of README.md.
+Members are matched by name.  Every defaulted parameter of a
 public top-level function of those modules must be passed, by keyword or by
 position, by some call in src/ or perfbench/; a parameter only tests pass
 is listed in TEST_HOOKS with its reason.  Calls are matched by function
@@ -85,31 +87,33 @@ def private_definitions(tree):
     return names
 
 
-def class_members(tree):
+def class_members(tree, public=False):
     """The private methods and cached properties of a module's top-level
-    classes, as {"Class.name": line}."""
+    classes, or with `public` their other methods and properties but the
+    dunder ones, as {"Class.name": line}."""
     members = {}
     for cls in tree.body:
         if not isinstance(cls, ast.ClassDef):
             continue
         for node in cls.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or node.name.startswith("__"):
                 continue
             cached = any(getattr(d, "id", getattr(d, "attr", None)) == "cached_property"
                          for d in node.decorator_list)
-            private = node.name.startswith("_") and not node.name.startswith("__")
-            if cached or private:
+            if public != (cached or node.name.startswith("_")):
                 members[f"{cls.name}.{node.name}"] = node.lineno
     return members
 
 
-def unread_members(tree, trees):
+def unread_members(tree, trees, public=False, named=frozenset()):
     """class_members of `tree` that no tree in `trees` reads as an
-    attribute; an assignment to the attribute is not a read."""
+    attribute and that are not in `named`; an assignment to the attribute
+    is not a read."""
     read = {node.attr for t in trees for node in ast.walk(t)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return {name: line for name, line in class_members(tree).items()
-            if name.split(".")[1] not in read}
+    return {name: line for name, line in class_members(tree, public).items()
+            if name.split(".")[1] not in read | named}
 
 
 def defaulted_parameters(tree):
@@ -214,14 +218,53 @@ def test_the_member_audit_catches_dead_methods():
     assert set(unread_members(tree, [tree])) == {"Sweeper._arrival_rows", "Sweeper.spare"}
 
 
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_public_method_and_property_is_read(module):
+    trees = [*TREES.values(), *(tree for path, tree in CALLERS.items()
+                                if path.is_relative_to(ROOT / "perfbench"))]
+    dead = unread_members(TREES[module.name], trees, public=True,
+                          named=readme_code_names((ROOT / "README.md").read_text()))
+    assert not dead, f"{module.name} defines public members nothing reads: {dead}"
+
+
+def test_the_member_audit_catches_dead_public_members():
+    tree = ast.parse(
+        "class Field:\n"
+        "    def reshaped(self):\n"
+        "        return self.values\n"
+        "    def duplicate(self):\n"
+        "        return Field()\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 0\n"
+        "    @classmethod\n"
+        "    def full(cls):\n"
+        "        return cls()\n"
+        "    def _private(self):\n"
+        "        return 1\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+    )
+    callers = ast.parse("field.reshaped()\nfield.duplicate = None\n")
+    assert set(class_members(tree, public=True)) == {"Field.reshaped", "Field.duplicate",
+                                                     "Field.size", "Field.full"}
+    assert set(unread_members(tree, [callers], public=True, named={"full"})) == {
+        "Field.duplicate", "Field.size"}
+
+
+def readme_code_names(readme):
+    """The words in the code of the `readme` text: its fenced blocks and
+    inline `spans`."""
+    fence = re.compile(r"^```.*?^```", re.S | re.M)
+    code = fence.findall(readme) + re.findall(r"`([^`\n]+)`", fence.sub("", readme))
+    return set(re.findall(r"\w+", "\n".join(code)))
+
+
 def unused_exports(exported, trees, readme):
     """The names of `exported` that no tree in `trees` references and no
     code in the `readme` text names, sorted."""
-    fence = re.compile(r"^```.*?^```", re.S | re.M)
-    code = fence.findall(readme) + re.findall(r"`([^`\n]+)`", fence.sub("", readme))
-    named = set(re.findall(r"\w+", "\n".join(code)))
     used = set().union(*map(referenced_names, trees))
-    return sorted(set(exported) - used - named)
+    return sorted(set(exported) - used - readme_code_names(readme))
 
 
 def package_defaults():

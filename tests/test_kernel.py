@@ -132,7 +132,7 @@ def test_chunked_fill_matches_single_chunk(monkeypatch):
     policy = h.PolicyField(grid, np.arange(grid.num_nodes) % len(entry.controls))
 
     def build():
-        (B, c), _ = sweeper._fill_block(range(len(entry.controls)))
+        (B, _, c), _ = sweeper._fill_block(range(len(entry.controls)))
         P, d = sweeper.policy_rows(policy)
         return B.indptr, B.indices, B.data, c, P.indptr, P.indices, P.data, d
 

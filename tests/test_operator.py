@@ -1,6 +1,7 @@
 """The semi-Lagrangian transition operator behind every sweep."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ SMALL_CASES = [
 
 
 def control_rows(sweeper, j):
-    """(B_j, c_j): the operator rows of control j on every node."""
+    """The block (B_j, shifted_j, c_j) of control j on every node."""
     return sweeper._fill_block(range(j, j + 1))[0]
 
 
@@ -42,21 +43,6 @@ def oracle(sweeper, j, values):
     return sweeper.discount * interp + stage
 
 
-@pytest.mark.parametrize("name,n,overrides", SMALL_CASES)
-def test_rows_match_interpolation_oracle(name, n, overrides, rng):
-    entry = h.catalog(name, **overrides)
-    grid = entry.spec.domain_grid(n)
-    sweeper = _Sweeper(entry.spec, grid, entry.controls,
-                       h.SolverConfig(dt=entry.dt_for(grid)))
-    values = rng.uniform(0.0, 2.0, grid.num_nodes)
-    for j in range(len(entry.controls)):
-        B, c = control_rows(sweeper, j)
-        q = B @ values
-        q *= sweeper.discount
-        q += c
-        assert np.array_equal(q, oracle(sweeper, j, values)), f"control {j}"
-
-
 # One small grid per catalog problem, with its default controls.
 CATALOG_CASES = [("test1_1d", 21), ("test2_vdp", 11), ("test3_dubins", 7),
                  ("test4_eik2d", 11), ("test5_eik2d_disk", 11), ("test6_eik3d", 7),
@@ -65,15 +51,79 @@ CATALOG_CASES = [("test1_1d", 21), ("test2_vdp", 11), ("test3_dubins", 7),
 
 def test_catalog_cases_cover_the_catalog():
     assert sorted(name for name, _ in CATALOG_CASES) == h.catalog_names()
+    assert sorted(case[0] for case in ORACLE_CASES) == h.catalog_names()
+
+
+# Per sweep path: the module settings it patches and `store_separable`.
+ORACLE_PATHS = {
+    "stored": ({}, True),
+    "matrix_free": ({}, False),
+    "over_budget": ({"_OPERATOR_NNZ_LIMIT": 0}, True),
+    "one_control": ({"_BLOCK_ROWS": 1}, True),
+}
+# SMALL_CASES and the catalog problems it leaves out
+ORACLE_CASES = SMALL_CASES + [(name, n, {}) for name, n in CATALOG_CASES
+                              if name not in {case[0] for case in SMALL_CASES}]
+
+
+@pytest.mark.parametrize("name,n,overrides", ORACLE_CASES)
+def test_rows_match_interpolation_oracle(name, n, overrides, monkeypatch, rng):
+    """Whole sweeps against the oracle, node by node, on every path of
+    ORACLE_PATHS at 1 and 2 workers: a Bellman sweep gives the per-node
+    minimum over the controls, bit for bit, and the lowest control index
+    attaining it; a frozen-policy sweep gives the oracle of each node's
+    control.  Pinned nodes keep their values and UNSET_POLICY.  Several
+    Bellman sweeps run, so that the later ones read the blocks the first
+    kept.  With two workers the blocks hold at most two controls, so that
+    two threads take them even on these grids."""
+    entry = h.catalog(name, **overrides)
+    grid = entry.spec.domain_grid(n)
+    for path, workers in product(sorted(ORACLE_PATHS), (1, 2)):
+        settings, store_separable = ORACLE_PATHS[path]
+        with monkeypatch.context() as patch:
+            for attr, value in settings.items():
+                patch.setattr(solvers, attr, value)
+            if workers > 1:
+                patch.setattr(solvers, "_MIN_THREAD_ROWS", 1)
+                patch.setattr(solvers, "_BLOCK_ROWS",
+                              min(solvers._BLOCK_ROWS, 4 * grid.num_nodes))
+            cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=workers)
+            with _Sweeper(entry.spec, grid, entry.controls, cfg,
+                          store_separable=store_separable) as sweeper:
+                where = f"{path} path, {workers} workers"
+                assert sweeper.threads == workers, where
+                assert sweeper.stored == (path != "over_budget"), where
+                assert sweeper.matrix_free == (path in ("matrix_free", "over_budget")), where
+                assert (len(sweeper.blocks) == len(entry.controls)) == (path == "one_control")
+                check_sweeps_against_oracle(sweeper, rng, where)
+
+
+def check_sweeps_against_oracle(sweeper, rng, where):
+    m, N = len(sweeper.controls), sweeper.grid.num_nodes
+    pinned, free = sweeper.pinned, np.flatnonzero(~sweeper.pinned)
+    for values in (rng.uniform(0.0, 2.0, N), rng.normal(size=N), np.full(N, 0.5)):
+        out, policy, _ = sweeper.bellman_sweep(values)
+        q = np.stack([oracle(sweeper, j, values) for j in range(m)])
+        low = q.min(axis=0)
+        assert out[free].tobytes() == low[free].tobytes(), where
+        assert np.array_equal(policy[free], (q == low).argmax(axis=0)[free]), where
+        assert out[pinned].tobytes() == sweeper.pinned_values[pinned].tobytes(), where
+        assert (policy[pinned] == solvers.UNSET_POLICY).all(), where
+    frozen = rng.integers(0, m, N)
+    out = sweeper.evaluation_sweep(values, sweeper.policy_rows(h.PolicyField(sweeper.grid, frozen)))
+    assert out[free].tobytes() == q[frozen, np.arange(N)][free].tobytes(), where
+    assert out[pinned].tobytes() == sweeper.pinned_values[pinned].tobytes(), where
 
 
 @pytest.mark.parametrize("layout", ["stored", "unstored"])
 @pytest.mark.parametrize("name,n", CATALOG_CASES)
-def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng):
+def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
+                                              block_product):
     """Row i of the frozen-policy operator is row policy[i] * N + i of the
     m-control operator, bit for bit, and so is c on the non-pinned nodes;
     pinned nodes get empty rows and c = 0.  The stored operator is taken
-    from its blocks of one control each, the unstored one built at once.
+    from its blocks of one control each, kept by a sweep, the unstored one
+    built at once.
     Unstored separable controls are applied matrix-free, so there their
     rows are compared through their products with random fields."""
     if layout == "stored":
@@ -87,21 +137,23 @@ def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng)
                        h.SolverConfig(dt=entry.dt_for(grid), workers=1))
     assert sweeper.stored == (layout == "stored")
     if sweeper.stored:
-        blocks = sweeper._stored_blocks
-        assert len(blocks) == m
-        B = sp.vstack([block for block, _ in blocks], format="csr")
-        c = np.concatenate([block_c for _, block_c in blocks])
+        sweeper.bellman_sweep(np.zeros(N))
+        assert len(sweeper.kept) == m
+        Bs, shifted, cs = zip(*sweeper.kept)
+        assert not any(shifted)
+        block = sp.vstack(Bs, format="csr"), [], np.concatenate(cs)
     else:
-        (B, c), _ = sweeper._fill_block(range(m))
+        block, _ = sweeper._fill_block(range(m))
+    B, shifted, c = block
     policy = rng.integers(0, m, N)
     P, d = sweeper.policy_rows(h.PolicyField(grid, policy))
     free = np.flatnonzero(~sweeper.pinned)
     rows = policy[free] * N + free
-    if isinstance(B, solvers._BlockRows):
+    if shifted:
         assert layout == "unstored" and sweeper.separable.all()
-        assert B.csr is None and B.nnz == 0
+        assert B is None
         for v in (rng.uniform(0.0, 2.0, N), rng.normal(size=N)):
-            assert (P @ v)[free].tobytes() == (B @ v)[rows].tobytes()
+            assert (P @ v)[free].tobytes() == block_product(sweeper, block, v)[rows].tobytes()
     else:
         assert not (layout == "unstored" and sweeper.separable.any())
         got, want = P[free], B[rows]
@@ -152,7 +204,7 @@ def test_rows_are_monotone_and_reproduce_affine_functions(case):
     alpha, beta = rng.normal(), rng.normal(size=grid.dim)
     affine = alpha + grid.nodes() @ beta
     for j in range(len(sweeper.controls)):
-        B, _ = control_rows(sweeper, j)
+        B, _, _ = control_rows(sweeper, j)
         assert np.all(B.data >= 0.0)
         sums = np.asarray(B.sum(axis=1)).ravel()
         in_box = np.diff(B.indptr) > 0
@@ -181,7 +233,9 @@ def test_unstored_and_blocked_sweeps_match_stored(monkeypatch):
     stored = solve()
     monkeypatch.setattr(solvers, "_OPERATOR_NNZ_LIMIT", 0)
     sweeper = _Sweeper(entry.spec, grid, entry.controls, cfg)
-    assert sweeper._stored_blocks == [None] * len(sweeper.blocks)
+    sweeper.bellman_sweep(np.zeros(grid.num_nodes))
+    # every control is separable, so every block is matrix-free and kept
+    assert not sweeper.stored and all(B is None for B, _, _ in sweeper.kept)
     unstored = solve()
     # one control per block exercises the cross-block merge
     monkeypatch.setattr(solvers, "_BLOCK_ROWS", 1)

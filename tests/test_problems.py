@@ -47,7 +47,7 @@ class TestDiscretize:
     def test_16_by_8_pairs(self):
         cs = h.discretize_control_box([(-math.pi, math.pi), (0.0, math.pi)], [16, 8])
         assert len(cs) == 128
-        assert cs.control_dim == 2
+        assert cs.vectors.shape == (128, 2)
 
     def test_empty_bounds_rejected(self):
         with pytest.raises(ProblemError):
@@ -171,13 +171,13 @@ class TestTargetMask:
         nodes = grid.nodes()
         inside = np.sqrt((nodes ** 2).sum(axis=1)) <= 1.0
         assert np.array_equal(mask.flags, inside)
-        assert mask.count > 0
+        assert mask.flags.any()
 
     def test_point_target_center_node(self):
         entry = h.catalog("test4_eik2d")
         grid = entry.spec.domain_grid(41)
         mask = h.target_mask(entry.spec, grid)
-        assert mask.count == 1
+        assert np.count_nonzero(mask.flags) == 1
         center = np.flatnonzero(mask.flags)[0]
         assert np.allclose(grid.nodes()[center], [0.0, 0.0])
 
@@ -185,7 +185,7 @@ class TestTargetMask:
         entry = h.catalog("test4_eik2d")
         grid = entry.spec.domain_grid(40)
         mask = h.target_mask(entry.spec, grid)
-        assert mask.count >= 1
+        assert mask.flags.any()
 
     def test_infinite_horizon_all_false(self):
         entry = h.catalog("test2_vdp")

@@ -46,27 +46,28 @@ def general_rows(sweeper, js):
     return indptr, indices[:end], data[:end], c
 
 
-def assert_same_rows(sweeper, js):
+def assert_same_rows(sweeper, js, block_product):
     """The block's rows are the general rows, bit for bit: as CSR arrays
     when they are stored, and through their products with fields that tie,
     vary in sign and hold huge values when separable controls are applied
     matrix-free."""
-    (B, c), _ = sweeper._fill_block(js)
+    block, _ = sweeper._fill_block(js)
+    B, shifted, c = block
     indptr, indices, data, want_c = general_rows(sweeper, js)
     assert c.tobytes() == want_c.tobytes()
-    if not isinstance(B, solvers._BlockRows):
+    if not shifted:
         for got, want in zip((B.indptr, B.indices, B.data), (indptr, indices, data)):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
         return
     assert sweeper.matrix_free
-    assert [t for t, _ in B.shifted] == [t for t, j in enumerate(js) if sweeper.separable[j]]
+    assert [t for t, _ in shifted] == [t for t, j in enumerate(js) if sweeper.separable[j]]
     want = sp.csr_matrix((data, indices, indptr), shape=(len(c), sweeper.grid.num_nodes))
     rng = np.random.default_rng(js.start)
     n = sweeper.grid.num_nodes
     for v in (rng.uniform(0.0, 2.0, n), rng.normal(size=n), np.full(n, 0.5),
               rng.choice([-1e308, 0.0, 1e308], n)):
-        assert (B @ v).tobytes() == (want @ v).tobytes()
+        assert block_product(sweeper, block, v).tobytes() == (want @ v).tobytes()
 
 
 def oracle_sweep(sweeper, values):
@@ -103,7 +104,8 @@ def constant_drift(p, a):
 
 @pytest.mark.parametrize("name,n,overrides", EIKONAL_CASES)
 @pytest.mark.parametrize("layout", ["stored", "unstored", "one_control"])
-def test_eikonal_rows_match_general_builder(name, n, overrides, layout, monkeypatch, rng):
+def test_eikonal_rows_match_general_builder(name, n, overrides, layout, monkeypatch, rng,
+                                            block_product):
     if layout == "unstored":
         monkeypatch.setattr(solvers, "_OPERATOR_NNZ_LIMIT", 0)
     if layout == "one_control":
@@ -117,7 +119,7 @@ def test_eikonal_rows_match_general_builder(name, n, overrides, layout, monkeypa
         if layout == "one_control":
             assert all(len(js) == 1 for js in sweeper.blocks)
         for js in sweeper.blocks:
-            assert_same_rows(sweeper, js)
+            assert_same_rows(sweeper, js, block_product)
         assert sweeper.separable.all()
         out, policy, _ = sweeper.bellman_sweep(values)
     want, want_policy = oracle_sweep(sweeper, values)
@@ -155,25 +157,25 @@ def test_rows_written_in_slabs(slab, monkeypatch):
     js = range(len(entry.controls))
     want = general_rows(sweeper, js)
     monkeypatch.setattr(solvers, "_FILL_ROWS", slab)
-    (B, c), _ = sweeper._fill_block(js)
-    assert sweeper.separable.all()
+    (B, shifted, c), _ = sweeper._fill_block(js)
+    assert sweeper.separable.all() and not shifted
     for got in ((B.indptr, B.indices, B.data, c), general_rows(sweeper, js)):
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
 
-def test_mixed_block():
+def test_mixed_block(block_product):
     """Same-velocity and state-dependent controls in one block."""
-    check_mixed_block(store_separable=True)
+    check_mixed_block(True, block_product)
 
 
-def test_mixed_block_matrix_free():
+def test_mixed_block_matrix_free(block_product):
     """Applied matrix-free, the separable controls of a mixed block leave
     empty CSR rows between the others'."""
-    check_mixed_block(store_separable=False)
+    check_mixed_block(False, block_product)
 
 
-def check_mixed_block(store_separable):
+def check_mixed_block(store_separable, block_product):
 
     def dynamics(p, a):
         if a[0] > 0:
@@ -186,31 +188,32 @@ def check_mixed_block(store_separable):
     sweeper = _Sweeper(spec, grid, controls, h.SolverConfig(dt=0.3, workers=1),
                        store_separable=store_separable)
     assert len(sweeper.blocks) == 1
-    assert_same_rows(sweeper, range(len(controls)))
+    assert_same_rows(sweeper, range(len(controls)), block_product)
     assert sweeper.separable.tolist() == [True, False, True, False]
-    (B, _), _ = sweeper._fill_block(range(len(controls)))
+    (B, shifted, _), _ = sweeper._fill_block(range(len(controls)))
+    assert [t for t, _ in shifted] == ([] if store_separable else [0, 2])
     if not store_separable:
         n = grid.num_nodes
-        rows = np.diff(B.csr.indptr).reshape(len(controls), n)
+        rows = np.diff(B.indptr).reshape(len(controls), n)
         assert not rows[[0, 2]].any() and rows[[1, 3]].any()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_arrivals_leaving_the_box(dim):
+def test_arrivals_leaving_the_box(dim, block_product):
     """Shifts that stay in the box, leave along the first axis only (by
     less than a cell, exactly one cell or more than two), leave along every
     axis, or leave the box altogether, so that the in-box sub-box is
     empty."""
-    check_arrivals_leaving_the_box(dim, store_separable=True)
+    check_arrivals_leaving_the_box(dim, True, block_product)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_arrivals_leaving_the_box_matrix_free(dim):
+def test_arrivals_leaving_the_box_matrix_free(dim, block_product):
     """The same shifts applied matrix-free on the in-box sub-box."""
-    check_arrivals_leaving_the_box(dim, store_separable=False)
+    check_arrivals_leaving_the_box(dim, False, block_product)
 
 
-def check_arrivals_leaving_the_box(dim, store_separable):
+def check_arrivals_leaving_the_box(dim, store_separable, block_product):
     spec = drift_spec(dim, constant_drift)
     grid = spec.domain_grid(7)
     h0 = grid.spacing[0]
@@ -220,16 +223,16 @@ def check_arrivals_leaving_the_box(dim, store_separable):
     controls = h.ControlSet(shifts)
     sweeper = _Sweeper(spec, grid, controls, h.SolverConfig(dt=1.0, workers=1),
                        store_separable=store_separable)
-    assert_same_rows(sweeper, range(len(controls)))
+    assert_same_rows(sweeper, range(len(controls)), block_product)
     assert sweeper.separable.all()
-    (B, _), _ = sweeper._fill_block(range(len(controls)))
+    (B, shifted, _), _ = sweeper._fill_block(range(len(controls)))
     n = grid.num_nodes
     if store_separable:
         full = np.diff(B.indptr).reshape(len(controls), n) > 0
     else:
-        assert B.csr is None
+        assert B is None
         full = np.zeros((len(controls),) + grid.shape, dtype=bool)
-        for t, rows in B.shifted:
+        for t, rows in shifted:
             full[t][rows.box] = True
             assert rows.empty == (not full[t].any())
         full = full.reshape(len(controls), n)
@@ -299,8 +302,8 @@ def test_block_argmin_takes_the_lowest_tied_control(controls, rng):
     q = rng.integers(0, 3, (controls, n)).astype(float)
     q[:, 0] = 1.0  # a tie across every control
     js = range(11, 11 + controls)
-    block = (sp.csr_matrix((controls * n, n)), q.reshape(-1).copy())
-    low, low_idx, _, _ = sweeper._sweep_block(js, block, np.ones(n), True)
+    block = (sp.csr_matrix((controls * n, n)), [], q.reshape(-1).copy())
+    low, low_idx, _, _ = sweeper._sweep_block(js, block, None, np.ones(n), True, None)
     assert low.tobytes() == q.min(axis=0).tobytes()
     want = (q == q.min(axis=0)).argmax(axis=0).astype(np.int32) + js.start
     assert low_idx.dtype == np.int32

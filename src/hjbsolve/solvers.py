@@ -11,9 +11,12 @@ explicit Euler arrival point under that control, at most 2^d nonnegative
 entries; an arrival outside the box gets an empty row.  A constant vector c
 holds the stage cost plus, for those outside arrivals, discount times the
 exterior value.  A Bellman sweep is the min over controls of
-discount * (B_j @ v) + c_j; a frozen-policy evaluation uses the rows
-(policy[i], i).  The greedy step at an arbitrary state takes the same
-discount, stage costs and arrivals, and interpolates instead of using B.
+discount * (B_j @ v) + c_j.  A frozen-policy evaluation, by fixed-point
+sweeps or by a sparse linear solve, uses the rows (policy[i], i); both
+backends run in _Sweeper.evaluate, for policy iteration and for the two
+public evaluation functions alike.  The greedy step at an arbitrary state
+takes the same discount, stage costs and arrivals, and interpolates instead
+of using B.
 
 Value iteration and cold-started policy iteration store the operator's CSR
 rows, whose one build pays off over their many sweeps.  A separable
@@ -368,26 +371,16 @@ def _fill_rows(grid, bases, locals_, inside, indptr, indices, data):
             np.add(flat, offset, out=cols[rows, ..., k])
 
 
-def _located(grid, arrivals, scratch):
+def _located(grid, arrivals):
     """(bases, locals_, inside) of the (n, d) `arrivals` for _fill_rows:
     the (d, k) cell bases and local coordinates of the k in-box arrivals and
-    the (n,) in-box mask.  The in-box rows are taken into `scratch`, an
-    int32 and a float64 buffer of at least d * n entries each, which the
-    caller reuses across calls instead of allocating two arrays per call
-    (np.compress would buffer its out=, np.take with mode="clip" does not;
-    the indices are all valid)."""
+    the (n,) in-box mask.  The in-box rows go into fresh arrays, for a block
+    of the m-control operator and for _Sweeper.evaluate's frozen-policy rows
+    alike: buffers reused across a block's controls built no faster, and one
+    kept for the frozen-policy builds saved ~2 ms per 41^3 build but held
+    12 d N bytes for the sweeper's lifetime."""
     base, local, inside = locate_points(grid, arrivals)
-    kept = np.flatnonzero(inside)
-    bases, locals_ = (buf[:grid.dim * len(kept)].reshape(grid.dim, len(kept))
-                      for buf in scratch)
-    np.take(base, kept, axis=1, out=bases, mode="clip")
-    np.take(local, kept, axis=1, out=locals_, mode="clip")
-    return bases, locals_, inside
-
-
-def _scratch(grid, n):
-    """Buffers for _located of `n` arrivals."""
-    return np.empty(grid.dim * n, dtype=np.int32), np.empty(grid.dim * n)
+    return np.compress(inside, base, axis=1), np.compress(inside, local, axis=1), inside
 
 
 def _same_velocity(velocity, shape):
@@ -627,7 +620,8 @@ class _Sweeper:
     budget; every other control has CSR rows in B.  A block is kept for
     later sweeps when the entry bound fits the budget or when it has no CSR
     entry; over the budget every other block is rebuilt in every sweep.
-    Frozen-policy rows are built on demand by the same row writer.
+    evaluate() builds the frozen-policy rows by the same row writer, once
+    per call.
     `build_seconds` is the wall time during which a block was being set up,
     `nnz` counts the CSR entries of a sweep, `separable` marks the
     separable controls, `matrix_free` says whether they are applied
@@ -702,7 +696,6 @@ class _Sweeper:
         grid, spec, nodes = self.grid, self.spec, self.nodes
         n = grid.num_nodes
         indptr, indices, data, c = arrays or self._block_arrays(js, csr=False)
-        scratch = None
         shifted = []
         for t, j in enumerate(js):
             lo = t * n
@@ -714,8 +707,7 @@ class _Sweeper:
                 self.separable[j] = True
             else:
                 arrivals, c[lo:lo + n] = _step(spec, nodes, a, self.dt, j, velocity)
-                scratch = scratch or _scratch(grid, n)
-                bases, locals_, inside = _located(grid, arrivals, scratch)
+                bases, locals_, inside = _located(grid, arrivals)
                 box = None
             np.add(c[lo:lo + n], self.discount * spec.exterior_value, out=c[lo:lo + n],
                    where=~inside)
@@ -841,11 +833,6 @@ class _Sweeper:
         self.apply_pins(best, best_idx)
         return best, best_idx, self.active_count * len(self.controls)
 
-    @cached_property
-    def _policy_scratch(self):
-        """policy_rows' buffers for _located, kept across PI steps."""
-        return _scratch(self.grid, self.grid.num_nodes)
-
     def policy_rows(self, policy):
         """The frozen-policy operator (B, c): row i is node i's row under
         control policy[i]; pinned nodes get empty rows and c = 0.  A
@@ -865,7 +852,7 @@ class _Sweeper:
             if sel.size:
                 arrivals[sel], c[sel] = _step(self.spec, self.nodes[sel],
                                               self.controls.vectors[j], self.dt, j)
-        bases, locals_, inside = _located(grid, arrivals, self._policy_scratch)
+        bases, locals_, inside = _located(grid, arrivals)
         c[~(inside | self.pinned)] += self.discount * self.spec.exterior_value
         indptr, indices, data = _csr_arrays(n, grid)
         _fill_rows(grid, bases, locals_, inside, indptr, indices, data)
@@ -883,6 +870,50 @@ class _Sweeper:
             bad = int(np.flatnonzero(~np.isfinite(out))[0])
             raise SolverError(f"non-finite evaluation update at node {bad}")
         return out
+
+    def evaluate(self, policy, v, config, backend):
+        """The values of the frozen `policy` by the `backend` of
+        policy_evaluation_fixed_point, from the pinned values `v`, or of
+        policy_evaluation_direct, which ignores `v`: (flat values, sweep or
+        Krylov count, whether the evaluation met its test).  A non-finite c
+        raises before any sweep or Krylov step, naming the node and its
+        control."""
+        B, c = self.policy_rows(policy)
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            raise SolverError(f"non-finite stage cost at node {bad[0]} under control "
+                              f"{policy.indices[bad[0]]}")
+        eps = config.epsilon(self.grid)
+        if backend == "fixed_point":
+            v, history, converged = _iterate(partial(self.evaluation_sweep, rows=(B, c)),
+                                             v, eps, config.inner_cap())
+            return v, len(history), converged
+
+        import scipy.sparse.linalg as spla
+
+        matrix = sp.identity(self.grid.num_nodes, format="csr") - self.discount * B
+        c[self.pinned] = self.pinned_values[self.pinned]
+
+        iters = 0
+
+        def count_iters(_):
+            nonlocal iters
+            iters += 1
+
+        tol = eps / 10.0
+        x, info = spla.bicgstab(
+            matrix, c, rtol=0.0, atol=tol, maxiter=config.inner_cap(),
+            callback=count_iters,
+        )
+        residual = float(np.max(np.abs(matrix @ x - c)))
+        if info != 0 or residual > tol:
+            raise SolverError(
+                f"direct policy evaluation stalled: achieved residual {residual:.3e}, "
+                f"required {tol:.3e}"
+            )
+        v = x.copy()
+        self.apply_pins(v)
+        return v, max(iters, 1), True
 
 
 def default_initial_field(spec, grid):
@@ -991,17 +1022,9 @@ def policy_evaluation_fixed_point(spec, grid, policy, controls, V_init, config):
     cap was hit and the caller should treat the evaluation as failed.
     """
     sweeper = _Sweeper(spec, grid, controls, config)
-    return _fixed_point_evaluation(sweeper, policy, sweeper.pinned_copy(V_init).values,
-                                   config)
-
-
-def _fixed_point_evaluation(sweeper, policy, v, config):
-    """policy_evaluation_fixed_point on a given operator, from the pinned
-    values v."""
-    step = partial(sweeper.evaluation_sweep, rows=sweeper.policy_rows(policy))
-    v, history, converged = _iterate(step, v, config.epsilon(sweeper.grid),
-                                     config.inner_cap())
-    return ValueField(sweeper.grid, v, copy=False), len(history), converged
+    v, sweeps, converged = sweeper.evaluate(policy, sweeper.pinned_copy(V_init).values,
+                                            config, "fixed_point")
+    return ValueField(grid, v, copy=False), sweeps, converged
 
 
 def policy_evaluation_direct(spec, grid, policy, controls, config):
@@ -1017,39 +1040,9 @@ def policy_evaluation_direct(spec, grid, policy, controls, config):
     iteration count and the field's bits are repeatable only for a fixed
     OPENBLAS_NUM_THREADS.
     """
-    return _direct_evaluation(_Sweeper(spec, grid, controls, config), policy, config)
-
-
-def _direct_evaluation(sweeper, policy, config):
-    """policy_evaluation_direct on a given operator."""
-    import scipy.sparse.linalg as spla
-
-    grid = sweeper.grid
-    B, rhs = sweeper.policy_rows(policy)
-    eps = config.epsilon(grid)
-    matrix = sp.identity(grid.num_nodes, format="csr") - sweeper.discount * B
-    rhs[sweeper.pinned] = sweeper.pinned_values[sweeper.pinned]
-
-    iters = 0
-
-    def count_iters(_):
-        nonlocal iters
-        iters += 1
-
-    tol = eps / 10.0
-    x, info = spla.bicgstab(
-        matrix, rhs, rtol=0.0, atol=tol, maxiter=config.inner_cap(),
-        callback=count_iters,
-    )
-    residual = float(np.max(np.abs(matrix @ x - rhs)))
-    if info != 0 or residual > tol:
-        raise SolverError(
-            f"direct policy evaluation stalled: achieved residual {residual:.3e}, "
-            f"required {tol:.3e}"
-        )
-    v = x.copy()
-    v[sweeper.pinned] = sweeper.pinned_values[sweeper.pinned]
-    return ValueField(grid, v, copy=False), max(iters, 1)
+    sweeper = _Sweeper(spec, grid, controls, config)
+    v, iters, _ = sweeper.evaluate(policy, None, config, "direct")
+    return ValueField(grid, v, copy=False), iters
 
 
 def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None):
@@ -1085,19 +1078,16 @@ def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None)
         def step(v):
             """Evaluate the policy from v, then improve it."""
             nonlocal policy, residual
-            if config.eval_backend == "fixed_point":
-                V_new, inner, _ = _fixed_point_evaluation(sweeper, policy, v, config)
-            else:
-                V_new, inner = _direct_evaluation(sweeper, policy, config)
+            v_new, inner, _ = sweeper.evaluate(policy, v, config, config.eval_backend)
             subs.append(inner)
             if on_iterate is not None:
-                on_iterate(V_new)
-            Tv, pol, _ = sweeper.bellman_sweep(V_new.values)
-            residual = _sup_distance(Tv, V_new.values)
+                on_iterate(ValueField(grid, v_new, copy=False))
+            Tv, pol, _ = sweeper.bellman_sweep(v_new)
+            residual = _sup_distance(Tv, v_new)
             # Pinned nodes hold UNSET_POLICY in both, so only active nodes count.
             changes.append(int(np.count_nonzero(pol != policy.indices)))
             policy = PolicyField(grid, pol)
-            return V_new.values
+            return v_new
 
         v, history, converged = _iterate(step, V.values, config.epsilon(grid),
                                          config.max_iterations)

@@ -7,20 +7,24 @@ referenced by some module of the package.  Every private method and every
 cached property of a top-level class of the package must be read as an
 attribute by some module of the package, and every other method and
 property, public, by the package, by perfbench/ or by the code of README.md.
-Members are matched by name.  Every defaulted parameter of a
-public top-level function of those modules must be passed, by keyword or by
-position, by some call in src/ or perfbench/; a parameter only tests pass
-is listed in TEST_HOOKS with its reason.  Calls are matched by function
-name, so no other function or method in src/ or perfbench/ may share the
-name of an audited one.  Every name in hjbsolve.__all__ must be read by a
-module of the package other than __init__.py, or by perfbench/, or be named
-in the code of README.md (a fenced block or an inline `span`).
+Members are matched by name, so no public method or property may share its
+name with an attribute of numpy arrays or the builtin containers, which
+callers read everywhere, unless SHARED_NAMES lists it with its reason.
+Every defaulted parameter of a public top-level function of those modules
+must be passed, by keyword or by position, by some call in src/ or
+perfbench/; a parameter only tests pass is listed in TEST_HOOKS with its
+reason.  Calls are matched by function name, so no other function or method
+in src/ or perfbench/ may share the name of an audited one.  Every name in
+hjbsolve.__all__ must be read by a module of the package other than
+__init__.py, or by perfbench/, or be named in the code of README.md (a
+fenced block or an inline `span`).
 """
 
 import ast
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import hjbsolve
@@ -38,6 +42,11 @@ TEST_HOOKS = {
     ("main", "argv"):
         "lets tests run the CLI in-process; the hjb-bench script reads sys.argv",
 }
+
+CONTAINERS = (np.ndarray, list, dict, str, set, tuple)
+# Public members ("Class.name") whose names are attributes of CONTAINERS too,
+# each with the reason it is kept.
+SHARED_NAMES = {}
 
 
 def imported_names(tree):
@@ -114,6 +123,17 @@ def unread_members(tree, trees, public=False, named=frozenset()):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return {name: line for name, line in class_members(tree, public).items()
             if name.split(".")[1] not in read | named}
+
+
+def shared_members(tree):
+    """The public methods and properties, cached or not, of a module's
+    top-level classes whose names an attribute of CONTAINERS also has, as
+    {"Class.name": line}: the member audit cannot tell whether they are read."""
+    attributes = {name for name in set().union(*map(dir, CONTAINERS))
+                  if not name.startswith("_")}
+    members = {**class_members(tree), **class_members(tree, public=True)}
+    return {name: line for name, line in members.items()
+            if name.split(".")[1] in attributes}
 
 
 def defaulted_parameters(tree):
@@ -250,6 +270,34 @@ def test_the_member_audit_catches_dead_public_members():
                                                      "Field.size", "Field.full"}
     assert set(unread_members(tree, [callers], public=True, named={"full"})) == {
         "Field.duplicate", "Field.size"}
+
+
+def test_no_public_member_shares_a_container_attribute_name():
+    shared = {name: (module, line) for module, tree in TREES.items()
+              for name, line in shared_members(tree).items()}
+    unlisted = {name: where for name, where in shared.items() if name not in SHARED_NAMES}
+    assert not unlisted, f"public members named like a container attribute: {unlisted}"
+    # a listed member that is gone, or renamed, needs no entry
+    assert set(SHARED_NAMES) <= set(shared)
+
+
+def test_the_shared_name_audit_catches_an_unused_copy():
+    tree = ast.parse(
+        "from functools import cached_property\n"
+        "class Field:\n"
+        "    def copy(self):\n"
+        "        return Field()\n"
+        "    def reshaped(self):\n"
+        "        return self.values\n"
+        "    @cached_property\n"
+        "    def count(self):\n"
+        "        return 0\n"
+        "    def _index(self):\n"
+        "        return 0\n"
+    )
+    callers = ast.parse("values.copy()\nfield.reshaped()\nitems.count(1)\nfield._index()\n")
+    assert not unread_members(tree, [callers], public=True)
+    assert set(shared_members(tree)) == {"Field.copy", "Field.count"}
 
 
 def readme_code_names(readme):

@@ -11,6 +11,12 @@ returned field and policy, node_updates, outer_iterations and one digest
 of the residual, sub-iteration and policy-change histories and Bellman
 residuals of the report and its phases.
 
+The public one-step calls are in the ledger too, on the same grids, from a
+policy and a field drawn with a seed per problem: policy_evaluation_fixed_point
+(field, sweep count and flag) and bellman_update (field and policy) at 1 and
+2 workers, and policy_evaluation_direct (field and Krylov count) in the
+pinned subprocess.
+
 The digests depend on the host's sin, cos and exp, which numpy may take
 from SIMD code that differs across CPUs.  The ledger stores a digest of
 those primitives on fixed inputs, and a host whose digest differs skips
@@ -30,6 +36,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -39,6 +46,8 @@ from hjbsolve import solvers
 
 LEDGER = pathlib.Path(__file__).with_name("same_bits_ledger.json")
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+# The runs of public one-step calls rather than of solvers.
+ONE_STEP = ("eval_fixed_point", "eval_direct", "bellman")
 # The finest grid per problem (API's fine grid); coarse grids halve it.
 GRIDS = {"test1_1d": 21, "test2_vdp": 11, "test3_dubins": 7, "test4_eik2d": 11,
          "test5_eik2d_disk": 11, "test6_eik3d": 7, "test7_eik3d_spheres": 13,
@@ -75,6 +84,26 @@ def run_digests(V, P, report):
     }
 
 
+def one_step_digests(entry, name, grid, algorithm, config):
+    """The digests of one public one-step call from a seeded random policy
+    and field on `grid`."""
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    policy = h.PolicyField(grid, rng.integers(0, len(entry.controls), grid.num_nodes))
+    field = h.ValueField(grid, rng.uniform(0.0, 1.0, grid.num_nodes))
+    if algorithm == "eval_fixed_point":
+        V, sweeps, converged = h.policy_evaluation_fixed_point(
+            entry.spec, grid, policy, entry.controls, field, config)
+        return {"field": digest(V.values.tobytes()), "sweeps": sweeps,
+                "converged": converged}
+    if algorithm == "eval_direct":
+        V, iterations = h.policy_evaluation_direct(entry.spec, grid, policy,
+                                                   entry.controls, config)
+        return {"field": digest(V.values.tobytes()), "krylov_iterations": iterations}
+    V, P = h.bellman_update(entry.spec, grid, field, entry.controls, config)
+    return {"field": digest(V.values.tobytes()),
+            "policy": digest(P.indices.astype("<i4").tobytes())}
+
+
 def solve(name, algorithm, workers):
     """The digests of one ledger run, or the error it raised."""
     entry = h.catalog(name)
@@ -84,6 +113,8 @@ def solve(name, algorithm, workers):
         return h.SolverConfig(dt=entry.dt_for(grid), workers=workers, **kw)
 
     try:
+        if algorithm in ONE_STEP:
+            return one_step_digests(entry, name, fine, algorithm, config(fine))
         if algorithm == "vi":
             result = h.value_iteration(entry.spec, fine, entry.controls, config(fine))
         elif algorithm == "api":
@@ -125,7 +156,8 @@ def direct_runs():
 
 def ledger():
     return {"primitives": primitives_digest(),
-            "runs": {**ledger_runs(("vi", "pi", "api")), **direct_runs()}}
+            "runs": {**ledger_runs(("vi", "pi", "api", "eval_fixed_point", "bellman")),
+                     **direct_runs()}}
 
 
 def test_ledger_covers_the_catalog():
@@ -147,7 +179,7 @@ def test_solves_match_the_ledger():
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--direct"]:
-        print(json.dumps(ledger_runs(("pi_direct",))))
+        print(json.dumps(ledger_runs(("pi_direct", "eval_direct"))))
     elif sys.argv[1:] == ["--write"]:
         LEDGER.write_text(json.dumps(ledger(), indent=1, sort_keys=True) + "\n")
     else:

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
-from hjbsolve.solvers import SolverError, _fill_rows, _located, _scratch, _step, _Sweeper
+from hjbsolve.solvers import SolverError, _fill_rows, _located, _step, _Sweeper
 
 EIKONAL_CASES = [
     ("test4_eik2d", 15, {"control_count": 12}),
@@ -34,12 +34,11 @@ def general_rows(sweeper, js):
     every node's arrival."""
     grid, n = sweeper.grid, sweeper.grid.num_nodes
     indptr, indices, data, c = sweeper._block_arrays(js)
-    scratch = _scratch(grid, n)
     for t, j in enumerate(js):
         lo = t * n
         arrivals, c[lo:lo + n] = _step(sweeper.spec, sweeper.nodes,
                                        sweeper.controls.vectors[j], sweeper.dt, j)
-        bases, locals_, inside = _located(grid, arrivals, scratch)
+        bases, locals_, inside = _located(grid, arrivals)
         c[lo:lo + n][~inside] += sweeper.discount * sweeper.spec.exterior_value
         _fill_rows(grid, bases, locals_, inside, indptr[lo:lo + n + 1], indices, data)
     end = indptr[-1]

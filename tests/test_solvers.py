@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,46 @@ class TestPolicyEvaluation:
                    "is not a control index in [0, 8)")
         with pytest.raises(SolverError, match=re.escape(message)):
             evaluate()
+
+    @pytest.mark.parametrize("call", ["fixed_point", "direct", "pi_fixed_point", "pi_direct"])
+    def test_non_finite_stage_cost_raises_before_evaluating(self, call):
+        """An infinite running cost at one node raises the same SolverError,
+        naming the node and its control, from both public evaluations and
+        from policy iteration on either backend, before any sweep or Krylov
+        step, so with no numpy or scipy warning on the way."""
+        entry = h.catalog("test2_vdp")
+        grid = entry.spec.domain_grid(11)
+
+        def at(points):
+            return np.all(np.isclose(points, 0.4), axis=1)
+
+        node = int(np.flatnonzero(at(grid.nodes()))[0])
+
+        def running_cost(points, a):
+            cost = np.array(entry.spec.running_cost(points, a), dtype=float)
+            cost[at(points)] = np.inf
+            return cost
+
+        spec = dataclasses.replace(entry.spec, running_cost=running_cost)
+        cfg = h.SolverConfig(dt=entry.dt_for(grid))
+        policy = h.PolicyField.constant(grid, 0)
+
+        def run():
+            if call == "fixed_point":
+                V0 = h.default_initial_field(spec, grid)
+                return h.policy_evaluation_fixed_point(spec, grid, policy, entry.controls,
+                                                       V0, cfg)
+            if call == "direct":
+                return h.policy_evaluation_direct(spec, grid, policy, entry.controls, cfg)
+            backend = call.removeprefix("pi_")
+            return h.policy_iteration(spec, grid, entry.controls,
+                                      dataclasses.replace(cfg, eval_backend=backend))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError) as raised:
+                run()
+        assert str(raised.value) == f"non-finite stage cost at node {node} under control 0"
 
     def test_backend_agreement_minimum_time(self, solved):
         entry = solved.entry("test4_eik2d")

@@ -66,17 +66,63 @@ def rng():
 
 @pytest.fixture
 def block_product():
-    """A function giving B @ v of a sweeper's block (B, shifted, c): the
-    product of its CSR rows plus its matrix-free rows, as a Bellman sweep
-    forms it."""
+    """A function giving B @ v of a sweeper's _Block over all its rows, as
+    a Bellman sweep forms it: its diagonals, CSR rows and matrix-free
+    rows."""
 
     def product(sweeper, block, values):
-        B, shifted, c = block
-        n = sweeper.grid.num_nodes
-        q = np.zeros(len(c)) if B is None else B @ values
         transposed = np.ascontiguousarray(values.reshape(sweeper.grid.shape).T)
-        for t, rows in shifted:
-            rows.apply(transposed, q[t * n:(t + 1) * n], sweeper._buffers)
-        return q
+        return sweeper._product(block, values, transposed)
 
     return product
+
+
+def block_rows(sweeper, block):
+    """(indptr, indices, data) of every row of a _Block without matrix-free
+    rows, laid out as the general row writer lays them out: 2^d entries per
+    in-box row in corner order, none for a row outside the box.  B's rows
+    are read at `rows`, and a row held as diagonals at its 2^d columns,
+    r + offsets[k], a row whose diagonal entries are all 0 being outside
+    the box.  Fails unless the diagonals are 0 but at the columns of the
+    rows they hold, which B does not hold and whose columns lie in the
+    grid."""
+    B, rows, diagonals, shifted, c = block
+    assert not shifted
+    n, width = sweeper.grid.num_nodes, 2 ** sweeper.grid.dim
+    cols = np.zeros((len(c), width), dtype=np.int64)
+    vals = np.zeros((len(c), width))
+    full = np.zeros(len(c), dtype=bool)
+    in_b = np.zeros(len(c), dtype=bool)
+    if B is not None:
+        at = np.arange(B.shape[0]) if rows is None else rows
+        assert len(np.unique(at)) == len(at)
+        counts = np.diff(B.indptr)
+        assert set(counts.tolist()) <= {0, width}
+        in_b[at] = True
+        has = at[counts == width]
+        cols[has] = B.indices.reshape(-1, width)
+        vals[has] = B.data.reshape(-1, width)
+        full[has] = True
+    for t, offsets, data in ((t, offsets[(t - ts.start) * width:(t - ts.start + 1) * width]
+                              + (t - ts.start) * n,
+                              data[(t - ts.start) * width:(t - ts.start + 1) * width])
+                             for ts, offsets, data in diagonals for t in ts):
+        assert data.shape == (width, n)
+        # the control's rows, and their columns
+        r = np.arange(n)
+        col = r[:, None] + offsets[None, :]
+        valid = (col >= 0) & (col < n)
+        w = np.where(valid, data[np.arange(width)[None, :], np.clip(col, 0, n - 1)], 0.0)
+        held = (w != 0.0).any(axis=1)
+        assert valid[held].all()
+        assert not (held & in_b[t * n + r]).any()
+        # every other entry of the diagonals is 0
+        for k in range(width):
+            other = np.ones(n, dtype=bool)
+            other[col[held, k]] = False
+            assert not data[k, other].any()
+        cols[t * n + r[held]] = col[held]
+        vals[t * n + r[held]] = w[held]
+        full[t * n + r[held]] = True
+    indptr = np.concatenate(([0], np.cumsum(full * width)))
+    return indptr, cols[full].reshape(-1), vals[full].reshape(-1)

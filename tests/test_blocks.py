@@ -10,10 +10,16 @@ operator budget and the block and thread sizes are patched as in
 test_threads.
 
 A block's matrix keeps the arrays it was built into: scipy copies an index
-array whose dtype it would change.  A stored operator's blocks are built on
-the pool's threads into arrays that the calling thread allocated.
+array whose dtype it would change.  So do a block's diagonals.  A stored
+operator's blocks are built on the pool's threads into arrays that the
+calling thread allocated.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -79,39 +85,68 @@ def test_unstored_sweep_builds_at_most_one_block_per_thread(workers, monkeypatch
         assert peak == 1
 
 
-def test_block_matrix_keeps_its_arrays():
-    entry = h.catalog("test4_eik2d", control_count=4)
+def block_and_arrays(name):
+    """A sweeper of 4 controls of `name` at NODES per axis, and the block of
+    all of them with the arrays it was built into."""
+    entry = h.catalog(name, control_count=4)
     grid = entry.spec.domain_grid(NODES)
     cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=1)
     sweeper = _Sweeper(entry.spec, grid, entry.controls, cfg)
     js = range(len(entry.controls))
     arrays = sweeper._block_arrays(js)
-    (B, _, c), _ = sweeper._fill_block(js, arrays)
-    for kept, allocated in zip((B.indptr, B.indices, B.data, c), arrays):
+    block, _ = sweeper._fill_block(js, arrays)
+    return sweeper, block, arrays
+
+
+def test_block_matrix_keeps_its_arrays():
+    _, block, (indptr, indices, data, _, _, c) = block_and_arrays("test2_vdp")
+    assert not block.diagonals and block.rows is None
+    for kept, allocated in zip((block.B.indptr, block.B.indices, block.B.data, block.c),
+                               (indptr, indices, data, c)):
         assert np.shares_memory(kept, allocated)
 
 
-def test_kept_blocks_are_allocated_on_the_calling_thread(monkeypatch, rng):
-    """A stored operator's blocks are built on the pool's threads, into
-    arrays that the calling thread allocated before it queued them: from
-    the workers' malloc arenas, freed memory would not be reused."""
+def test_block_diagonals_keep_their_room():
+    """test4_eik2d's rows are diagonals, kept in the room allocated for
+    them, and the CSR rows of the unshifted axes' last node, which scipy
+    keeps in copies of their length (it copies data and indices that fill
+    less than half their arrays)."""
+    sweeper, block, (_, _, data, _, room, c) = block_and_arrays("test4_eik2d")
+    assert np.shares_memory(block.c, c)
+    # one run of diagonals: every control
+    [(ts, _, _)] = block.diagonals
+    assert len(ts) == len(block.c) // sweeper.grid.num_nodes
+    for _, _, diagonals in block.diagonals:
+        assert np.shares_memory(diagonals, room)
+    assert 0 < 2 * block.B.nnz < data.size
+
+
+def check_blocks_allocated_on_the_calling_thread(name, monkeypatch, rng):
+    """Build the blocks of a stored 2-thread sweeper of `name` and check
+    where their arrays were allocated; returns the kept blocks with the
+    arrays each was built into."""
     monkeypatch.setattr(solvers, "_BLOCK_ROWS", 4 * NODES ** 2)
     monkeypatch.setattr(solvers, "_MIN_THREAD_ROWS", 1)
-    entry = h.catalog("test2_vdp", control_count=CONTROLS)
+    entry = h.catalog(name, control_count=CONTROLS)
     grid = entry.spec.domain_grid(NODES)
-    allocated, builders = [], set()
-    block_arrays, fill = _Sweeper._block_arrays, _Sweeper._fill_block
+    allocated, rooms, builders = [], [], set()
+    block_arrays, room, fill = _Sweeper._block_arrays, _Sweeper._room, _Sweeper._fill_block
 
-    def spied_arrays(self, js, csr=True):
-        arrays = block_arrays(self, js, csr)
+    def spied_arrays(self, js, csr=True, room=None):
+        arrays = block_arrays(self, js, csr, room)
         allocated.append((threading.get_ident(), js, arrays))
         return arrays
+
+    def spied_room(self, js):
+        rooms.append((threading.get_ident(), len(allocated)))
+        return room(self, js)
 
     def spied_fill(self, js, arrays=None):
         builders.add(threading.get_ident())
         return fill(self, js, arrays)
 
     monkeypatch.setattr(_Sweeper, "_block_arrays", spied_arrays)
+    monkeypatch.setattr(_Sweeper, "_room", spied_room)
     monkeypatch.setattr(_Sweeper, "_fill_block", spied_fill)
     cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=2)
     values = rng.uniform(0.0, 2.0, grid.num_nodes)
@@ -119,9 +154,69 @@ def test_kept_blocks_are_allocated_on_the_calling_thread(monkeypatch, rng):
         assert sweeper.stored and sweeper.threads == 2 and len(sweeper.blocks) >= 4
         for _ in range(2):
             sweeper.bellman_sweep(values)
-    assert threading.get_ident() not in builders
-    assert [(thread, js) for thread, js, _ in allocated] == [
-        (threading.get_ident(), js) for js in sweeper.blocks]
-    for (B, _, c), (_, _, arrays) in zip(sweeper.kept, allocated):
-        for kept, allocated_array in zip((B.indptr, B.indices, B.data, c), arrays):
-            assert np.shares_memory(kept, allocated_array)
+    here = threading.get_ident()
+    assert here not in builders
+    assert [(thread, js) for thread, js, _ in allocated] == [(here, js) for js in sweeper.blocks]
+    # the room for diagonals of every block before the first CSR arrays
+    assert rooms == [(here, 0)] * len(sweeper.blocks)
+    for block, (_, _, arrays) in zip(sweeper.kept, allocated):
+        assert np.shares_memory(block.c, arrays[-1])
+    return [(block, arrays) for block, (_, _, arrays) in zip(sweeper.kept, allocated)]
+
+
+def test_kept_blocks_are_allocated_on_the_calling_thread(monkeypatch, rng):
+    """A stored operator's blocks are built on the pool's threads, into
+    arrays that the calling thread allocated before it queued them: from
+    the workers' malloc arenas, freed memory would not be reused."""
+    for block, (indptr, indices, data, _, _, _) in check_blocks_allocated_on_the_calling_thread(
+            "test2_vdp", monkeypatch, rng):
+        assert not block.diagonals
+        for kept, allocated in zip((block.B.indptr, block.B.indices, block.B.data),
+                                   (indptr, indices, data)):
+            assert np.shares_memory(kept, allocated)
+
+
+def test_kept_diagonals_are_allocated_on_the_calling_thread(monkeypatch, rng):
+    """Likewise the diagonals of test4_eik2d, in the room that the calling
+    thread allocated for them; the CSR rows that remain are copies of
+    their length, as in test_block_diagonals_keep_their_room."""
+    kept = check_blocks_allocated_on_the_calling_thread("test4_eik2d", monkeypatch, rng)
+    for block, (_, _, data, _, room, c) in kept:
+        [(ts, _, _)] = block.diagonals
+        assert len(ts) == len(block.c) // NODES ** 2
+        for _, _, diagonals in block.diagonals:
+            assert np.shares_memory(diagonals, room)
+        assert block.B is None or 2 * block.B.nnz < data.size
+
+
+STORED_MEMORY_SCRIPT = textwrap.dedent("""
+    import resource
+    import hjbsolve as h
+
+    def peak():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+    entry = h.catalog("test4_eik2d")
+    grid = entry.spec.domain_grid(161)
+    cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=2, max_iterations=3)
+    baseline = peak()
+    _, _, report = h.value_iteration(entry.spec, grid, entry.controls, cfg)
+    assert report.operator_diagonal_controls == len(entry.controls)
+    print(baseline, peak(), report.operator_bytes, len(entry.controls), grid.num_nodes,
+          grid.dim)
+""")
+
+
+def test_stored_memory_at_161_squared():
+    """A stored VI of test4_eik2d at 161^2 peaks at no more than the import
+    baseline, plus the operator's bytes (diagonals and the CSR rows that
+    remain), plus 8 m N bytes of c, plus a 16 MB margin for the blocks in
+    flight: ~80 MB over the baseline, where the CSR entries and c alone
+    take ~89 MB.  It measures ~74 MB, and ~104 MB with CSR rows."""
+    src = str(pathlib.Path(h.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", STORED_MEMORY_SCRIPT], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    baseline, peak, held, m, n, dim = map(int, out.split())
+    bound = baseline + held + 8 * m * n + 16 * 2 ** 20
+    assert peak <= bound < baseline + 12 * 2 ** dim * m * n + 8 * m * n

@@ -132,9 +132,10 @@ def test_chunked_fill_matches_single_chunk(monkeypatch):
     policy = h.PolicyField(grid, np.arange(grid.num_nodes) % len(entry.controls))
 
     def build():
-        (B, _, c), _ = sweeper._fill_block(range(len(entry.controls)))
-        P, d = sweeper.policy_rows(policy)
-        return B.indptr, B.indices, B.data, c, P.indptr, P.indices, P.data, d
+        block, _ = sweeper._fill_block(range(len(entry.controls)))
+        B, P, d = block.B, *sweeper.policy_rows(policy)
+        assert block.rows is None
+        return B.indptr, B.indices, B.data, block.c, P.indptr, P.indices, P.data, d
 
     whole = build()
     assert np.diff(whole[0]).min() == 0  # some arrivals leave the box

@@ -161,8 +161,8 @@ def test_edge_controls_match_the_stored_operator(dynamics, workers, monkeypatch)
     assert runs["stored"] == runs["default"] == runs["unstored"]
     sweeper = _Sweeper(spec, fine, controls, h.SolverConfig(dt=1.0, workers=1),
                        store_separable=False)
-    (B, shifted, _), _ = sweeper._fill_block(range(len(controls)))
-    rows = dict(shifted)
+    block, _ = sweeper._fill_block(range(len(controls)))
+    B, rows = block.B, dict(block.shifted)
     separable = len(EDGE_SHIFTS) + (2 if dynamics is constant_drift else 0)
     assert sorted(rows) == list(range(separable))
     # the one-cell shift clamps its last arrivals onto the upper face of the
@@ -178,8 +178,8 @@ def matrix_free_rows(spec, grid, controls, dt):
     """The _ShiftedRows of the separable controls that have in-box rows."""
     sweeper = _Sweeper(spec, grid, controls, h.SolverConfig(dt=dt, workers=1),
                        store_separable=False)
-    (_, shifted, _), _ = sweeper._fill_block(range(len(controls)))
-    return [rows for _, rows in shifted if not rows.empty]
+    block, _ = sweeper._fill_block(range(len(controls)))
+    return [rows for _, rows in block.shifted if not rows.empty]
 
 
 def chunked_runs(spec, controls, fine, coarse, dt, workers, monkeypatch):

@@ -14,6 +14,8 @@ from hjbsolve.grid import interpolate_values
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
 from hjbsolve.solvers import _Sweeper
 
+from conftest import block_rows
+
 SMALL_CASES = [
     ("test1_1d", 21, {}),
     ("test2_vdp", 11, {"control_count": 8}),
@@ -25,8 +27,11 @@ SMALL_CASES = [
 
 
 def control_rows(sweeper, j):
-    """The block (B_j, shifted_j, c_j) of control j on every node."""
-    return sweeper._fill_block(range(j, j + 1))[0]
+    """Control j's rows on every node, as a CSR matrix: its block's CSR
+    rows, or its diagonals read back at their columns."""
+    block, _ = sweeper._fill_block(range(j, j + 1))
+    n = sweeper.grid.num_nodes
+    return sp.csr_matrix(block_rows(sweeper, block)[::-1], shape=(n, n))
 
 
 def oracle(sweeper, j, values):
@@ -61,6 +66,9 @@ ORACLE_PATHS = {
     "over_budget": ({"_OPERATOR_NNZ_LIMIT": 0}, True),
     "one_control": ({"_BLOCK_ROWS": 1}, True),
 }
+# The problems whose separable controls take diagonals on these grids; the
+# 3-D and 4-D ones have too few regular rows at 5-7 nodes per axis.
+DIAGONAL_CASES = ("test4_eik2d", "test5_eik2d_disk")
 # SMALL_CASES and the catalog problems it leaves out
 ORACLE_CASES = SMALL_CASES + [(name, n, {}) for name, n in CATALOG_CASES
                               if name not in {case[0] for case in SMALL_CASES}]
@@ -75,7 +83,8 @@ def test_rows_match_interpolation_oracle(name, n, overrides, monkeypatch, rng):
     control.  Pinned nodes keep their values and UNSET_POLICY.  Several
     Bellman sweeps run, so that the later ones read the blocks the first
     kept.  With two workers the blocks hold at most two controls, so that
-    two threads take them even on these grids."""
+    two threads take them even on these grids.  On the stored paths the
+    separable controls of DIAGONAL_CASES are held as diagonals."""
     entry = h.catalog(name, **overrides)
     grid = entry.spec.domain_grid(n)
     for path, workers in product(sorted(ORACLE_PATHS), (1, 2)):
@@ -96,6 +105,8 @@ def test_rows_match_interpolation_oracle(name, n, overrides, monkeypatch, rng):
                 assert sweeper.matrix_free == (path in ("matrix_free", "over_budget")), where
                 assert (len(sweeper.blocks) == len(entry.controls)) == (path == "one_control")
                 check_sweeps_against_oracle(sweeper, rng, where)
+                assert sweeper.diagonal.any() == (
+                    name in DIAGONAL_CASES and not sweeper.matrix_free), where
 
 
 def check_sweeps_against_oracle(sweeper, rng, where):
@@ -122,8 +133,9 @@ def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
     """Row i of the frozen-policy operator is row policy[i] * N + i of the
     m-control operator, bit for bit, and so is c on the non-pinned nodes;
     pinned nodes get empty rows and c = 0.  The stored operator is taken
-    from its blocks of one control each, kept by a sweep, the unstored one
-    built at once.
+    from its blocks of one control each, kept by a sweep, with its
+    diagonals read back at their columns; the unstored one is built at
+    once.
     Unstored separable controls are applied matrix-free, so there their
     rows are compared through their products with random fields."""
     if layout == "stored":
@@ -136,30 +148,29 @@ def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
     sweeper = _Sweeper(entry.spec, grid, entry.controls,
                        h.SolverConfig(dt=entry.dt_for(grid), workers=1))
     assert sweeper.stored == (layout == "stored")
-    if sweeper.stored:
-        sweeper.bellman_sweep(np.zeros(N))
-        assert len(sweeper.kept) == m
-        Bs, shifted, cs = zip(*sweeper.kept)
-        assert not any(shifted)
-        block = sp.vstack(Bs, format="csr"), [], np.concatenate(cs)
-    else:
-        block, _ = sweeper._fill_block(range(m))
-    B, shifted, c = block
     policy = rng.integers(0, m, N)
     P, d = sweeper.policy_rows(h.PolicyField(grid, policy))
     free = np.flatnonzero(~sweeper.pinned)
     rows = policy[free] * N + free
-    if shifted:
-        assert layout == "unstored" and sweeper.separable.all()
-        assert B is None
-        for v in (rng.uniform(0.0, 2.0, N), rng.normal(size=N)):
-            assert (P @ v)[free].tobytes() == block_product(sweeper, block, v)[rows].tobytes()
-    else:
-        assert not (layout == "unstored" and sweeper.separable.any())
+    if sweeper.stored:
+        sweeper.bellman_sweep(np.zeros(N))
+        assert len(sweeper.kept) == m
+        assert not any(block.shifted for block in sweeper.kept)
+        assert sweeper.diagonal.any() == (name in DIAGONAL_CASES)
+        B = sp.vstack([sp.csr_matrix(block_rows(sweeper, block)[::-1], shape=(N, N))
+                       for block in sweeper.kept], format="csr")
         got, want = P[free], B[rows]
         assert np.array_equal(np.diff(got.indptr), np.diff(want.indptr))
-        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.indices.tobytes() == want.indices.astype(got.indices.dtype).tobytes()
         assert got.data.tobytes() == want.data.tobytes()
+        c = np.concatenate([block.c for block in sweeper.kept])
+    else:
+        block, _ = sweeper._fill_block(range(m))
+        assert bool(block.shifted) == sweeper.separable.any()
+        assert (block.B is None) == sweeper.separable.all()
+        for v in (rng.uniform(0.0, 2.0, N), rng.normal(size=N)):
+            assert (P @ v)[free].tobytes() == block_product(sweeper, block, v)[rows].tobytes()
+        c = block.c
     assert d[free].tobytes() == c[rows].tobytes()
     assert P[np.flatnonzero(sweeper.pinned)].nnz == 0
     assert not d[sweeper.pinned].any()
@@ -204,7 +215,7 @@ def test_rows_are_monotone_and_reproduce_affine_functions(case):
     alpha, beta = rng.normal(), rng.normal(size=grid.dim)
     affine = alpha + grid.nodes() @ beta
     for j in range(len(sweeper.controls)):
-        B, _, _ = control_rows(sweeper, j)
+        B = control_rows(sweeper, j)
         assert np.all(B.data >= 0.0)
         sums = np.asarray(B.sum(axis=1)).ravel()
         in_box = np.diff(B.indptr) > 0
@@ -235,7 +246,7 @@ def test_unstored_and_blocked_sweeps_match_stored(monkeypatch):
     sweeper = _Sweeper(entry.spec, grid, entry.controls, cfg)
     sweeper.bellman_sweep(np.zeros(grid.num_nodes))
     # every control is separable, so every block is matrix-free and kept
-    assert not sweeper.stored and all(B is None for B, _, _ in sweeper.kept)
+    assert not sweeper.stored and all(block.B is None for block in sweeper.kept)
     unstored = solve()
     # one control per block exercises the cross-block merge
     monkeypatch.setattr(solvers, "_BLOCK_ROWS", 1)
@@ -312,3 +323,80 @@ def test_value_iteration_matches_full_sweep_loop(name, n):
     assert rep.residual_history == history
     assert rep.node_updates == (len(history) + 1) * sweeper.active_count * len(
         entry.controls)
+
+
+def shift_spec(dim):
+    """A discounted problem on [-1, 1]^dim with a state-dependent running
+    cost.  Control a moves every node by a[:dim], or, when a[dim] is 1, by a
+    drift that depends on the state."""
+
+    def dynamics(p, a):
+        if a[dim]:
+            return a[0] * p[..., ::-1] + a[1]
+        return np.broadcast_to(a[:dim], p.shape)
+
+    return ProblemSpec(
+        state_dim=dim,
+        dynamics=dynamics,
+        running_cost=lambda p, a: np.sum(p * p, axis=-1) + 1.0,
+        kind=InfiniteHorizon(1.0),
+        lower=(-1.0,) * dim,
+        upper=(1.0,) * dim,
+        exterior_value=2.0,
+    )
+
+
+# Per case: the dimension, the nodes per axis, the controls in cells (the
+# last entry 1 for a state-dependent one) and which take diagonals.
+DIAGONAL_LAYOUTS = {
+    # unshifted axes: their last node clamps onto the upper face, and
+    # rounding puts others in the cell below, so CSR rows remain
+    "zero_shift": (2, 21, [[0.0, 0.37, 0], [0.37, 0.0, 0], [0.0, 0.0, 0], [0.3, -0.6, 0]],
+                   [True, True, True, True]),
+    # arrivals leaving the box by less than a cell, by one cell or by more
+    # than two.  The whole-cell shift lands on nodes, where rounding puts
+    # arrivals in either cell, and the last three keep too few rows in the
+    # box: too few regular rows for diagonals.
+    "leaving": (2, 15, [[0.4, 0.0, 0], [1.0, 0.2, 0], [-2.5, 0.3, 0], [3.0, 3.0, 0],
+                        [-20.0, 0.0, 0], [0.5, 9.0, 0]],
+                [True, False, True, False, False, False]),
+    # separable and state-dependent controls in one block
+    "mixed": (2, 13, [[0.3, 0.2, 0], [-0.5, 0.1, 1], [-0.45, 0.1, 0], [-1.0, -0.3, 1]],
+              [True, False, True, False]),
+    # shifts with the same cell offsets, and shifts whose corners share
+    # offsets, in one run of diagonals: one scipy DIA matrix of the
+    # controls' own offsets would repeat them
+    "colliding": (2, 11, [[0.3, 0.3, 0], [0.31, 0.29, 0], [1.3, 0.3, 0], [0.3, 1.3, 0],
+                          [-0.7, -0.7, 0]],
+                  [True] * 5),
+    "three_d": (3, 15, [[0.3, 0.2, 0.1, 0], [0.0, 0.4, -0.2, 0], [0.0, 0.0, 0.5, 0],
+                        [-0.7, 0.3, 0.0, 0], [0.2, -0.5, 0.1, 1]],
+                [True, True, True, True, False]),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(DIAGONAL_LAYOUTS))
+def test_diagonal_rows_match_the_oracle(case, workers, monkeypatch, rng):
+    """Bellman and frozen-policy sweeps over rows held as diagonals match
+    the interpolation oracle bit for bit, in one block and in blocks of
+    one control, with 1 and 2 workers.  Where irregular rows remain, CSR
+    rows hold them beside the diagonals."""
+    dim, nodes, cells, diagonal = DIAGONAL_LAYOUTS[case]
+    spec = shift_spec(dim)
+    grid = spec.domain_grid(nodes)
+    h0 = grid.spacing[0]
+    controls = h.ControlSet([[x * h0 for x in a[:dim]] + a[dim:] for a in cells])
+    for one_control in (False, True):
+        with monkeypatch.context() as patch:
+            if one_control:
+                patch.setattr(solvers, "_BLOCK_ROWS", 1)
+            if workers > 1:
+                patch.setattr(solvers, "_MIN_THREAD_ROWS", 1)
+            with _Sweeper(spec, grid, controls, h.SolverConfig(dt=1.0, workers=workers)) as sweeper:
+                where = f"{case}, {len(sweeper.blocks)} blocks, {workers} workers"
+                assert sweeper.threads == min(workers, len(sweeper.blocks)), where
+                check_sweeps_against_oracle(sweeper, rng, where)
+                assert sweeper.diagonal.tolist() == diagonal, where
+                if case in ("zero_shift", "leaving", "three_d"):
+                    assert any(block.rows is not None for block in sweeper.kept), where

@@ -1,11 +1,13 @@
 """Operator rows of controls that move every node alike.
 
 When a control's velocity is bitwise the same at every node, the operator
-build locates the arrivals per axis and the row writer fills the rows of
-the in-box sub-box from tensor-product corners.  The oracle locates all N
-arrivals and hands the in-box ones to the same writer as a one-dimensional
-box: both must give the same CSR arrays and c, bit for bit.  The block argmin of a sweep is checked against numpy's argmax of
-the equality mask.
+build locates the arrivals per axis and writes the rows of the in-box
+sub-box from tensor-product corners: as diagonals when they take fewer
+bytes, with the irregular rows as CSR rows, else as CSR rows.  The oracle
+locates all N arrivals and hands the in-box ones to the row writer as a
+one-dimensional box: both must give the same rows and c, bit for bit.  The
+block argmin of a sweep is checked against numpy's argmax of the equality
+mask.
 """
 
 import math
@@ -18,7 +20,9 @@ import scipy.sparse as sp
 import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
-from hjbsolve.solvers import SolverError, _fill_rows, _located, _step, _Sweeper
+from hjbsolve.solvers import SolverError, _Block, _fill_rows, _located, _step, _Sweeper
+
+from conftest import block_rows
 
 EIKONAL_CASES = [
     ("test4_eik2d", 15, {"control_count": 12}),
@@ -33,7 +37,7 @@ def general_rows(sweeper, js):
     """indptr, indices, data and c of the controls `js`, built by locating
     every node's arrival."""
     grid, n = sweeper.grid, sweeper.grid.num_nodes
-    indptr, indices, data, c = sweeper._block_arrays(js)
+    indptr, indices, data, *_, c = sweeper._block_arrays(js)
     for t, j in enumerate(js):
         lo = t * n
         arrivals, c[lo:lo + n] = _step(sweeper.spec, sweeper.nodes,
@@ -45,25 +49,47 @@ def general_rows(sweeper, js):
     return indptr, indices[:end], data[:end], c
 
 
+def fill_block(sweeper, js):
+    """The block of the controls `js`, built into arrays that hold NaN, so
+    that an entry the build should write, or zero, and does not shows."""
+    arrays = sweeper._block_arrays(js, csr=not sweeper.matrix_free)
+    for array in arrays:
+        if array is not None and array.dtype == np.float64:
+            array.fill(np.nan)
+    return sweeper._fill_block(js, arrays)[0]
+
+
 def assert_same_rows(sweeper, js, block_product):
     """The block's rows are the general rows, bit for bit: as CSR arrays
-    when they are stored, and through their products with fields that tie,
-    vary in sign and hold huge values when separable controls are applied
-    matrix-free."""
-    block, _ = sweeper._fill_block(js)
-    B, shifted, c = block
+    when they are stored (B's own rows where CSR rows remain, and the rows
+    held as diagonals read back at their columns), and on every path
+    through their products with fields that tie, vary in sign and hold
+    huge values."""
+    block = fill_block(sweeper, js)
     indptr, indices, data, want_c = general_rows(sweeper, js)
-    assert c.tobytes() == want_c.tobytes()
-    if not shifted:
-        for got, want in zip((B.indptr, B.indices, B.data), (indptr, indices, data)):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-        return
-    assert sweeper.matrix_free
-    assert [t for t, _ in shifted] == [t for t, j in enumerate(js) if sweeper.separable[j]]
-    want = sp.csr_matrix((data, indices, indptr), shape=(len(c), sweeper.grid.num_nodes))
-    rng = np.random.default_rng(js.start)
+    assert block.c.tobytes() == want_c.tobytes()
     n = sweeper.grid.num_nodes
+    want = sp.csr_matrix((data, indices, indptr), shape=(len(want_c), n))
+    if block.shifted:
+        assert sweeper.matrix_free and not block.diagonals
+        assert [t for t, _ in block.shifted] == [t for t, j in enumerate(js)
+                                                 if sweeper.separable[j]]
+    else:
+        assert [t for ts, *_ in block.diagonals for t in ts] == [t for t, j in enumerate(js)
+                                                    if sweeper.diagonal[j]]
+        for got, expected in zip(block_rows(sweeper, block), (indptr, indices, data)):
+            assert np.array_equal(got, expected)
+            assert got.tobytes() == expected.astype(got.dtype).tobytes()
+        B = block.B
+        if B is not None:
+            rows = np.arange(len(want_c)) if block.rows is None else block.rows
+            assert (block.rows is None) == (not block.diagonals)
+            expected = want[rows]
+            assert B.indptr.dtype == B.indices.dtype == indptr.dtype
+            assert np.array_equal(B.indptr, expected.indptr)
+            assert B.indices.tobytes() == expected.indices.astype(B.indices.dtype).tobytes()
+            assert B.data.tobytes() == expected.data.tobytes()
+    rng = np.random.default_rng(js.start)
     for v in (rng.uniform(0.0, 2.0, n), rng.normal(size=n), np.full(n, 0.5),
               rng.choice([-1e308, 0.0, 1e308], n)):
         assert block_product(sweeper, block, v).tobytes() == (want @ v).tobytes()
@@ -148,19 +174,32 @@ def test_worker_threads_mark_every_separable_control(limit, monkeypatch):
 
 @pytest.mark.parametrize("slab", [1, 7, 40])
 def test_rows_written_in_slabs(slab, monkeypatch):
-    """Sub-box rows written a few first-axis layers at a time give the bits
-    of the default slabs (test_kernel checks located rows likewise)."""
-    entry = h.catalog("test6_eik3d", control_counts=(4, 3))
-    grid = entry.spec.domain_grid(11)
-    sweeper = _Sweeper(entry.spec, grid, entry.controls, h.SolverConfig(dt=entry.dt_for(grid)))
-    js = range(len(entry.controls))
-    want = general_rows(sweeper, js)
-    monkeypatch.setattr(solvers, "_FILL_ROWS", slab)
-    (B, shifted, c), _ = sweeper._fill_block(js)
-    assert sweeper.separable.all() and not shifted
-    for got in ((B.indptr, B.indices, B.data, c), general_rows(sweeper, js)):
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+    """Rows written a few first-axis layers at a time give the bits of the
+    default slabs (test_kernel checks located rows likewise): the CSR rows
+    of test8_min4d's sub-boxes, and the irregular rows of the test6_eik3d
+    controls whose regular ones are diagonals."""
+    for name, n, overrides in [("test6_eik3d", 11, {"control_counts": (4, 3)}),
+                               ("test8_min4d", 7, {})]:
+        entry = h.catalog(name, **overrides)
+        grid = entry.spec.domain_grid(n)
+        sweeper = _Sweeper(entry.spec, grid, entry.controls,
+                           h.SolverConfig(dt=entry.dt_for(grid)))
+        js = range(len(entry.controls))
+        want = general_rows(sweeper, js)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_FILL_ROWS", slab)
+            block = fill_block(sweeper, js)
+        assert sweeper.separable.all() and not block.shifted
+        if name == "test6_eik3d":
+            # the three controls nearest each pole keep CSR rows
+            assert sweeper.diagonal.tolist() == [False] * 3 + [True] * 6 + [False] * 3
+            assert block.rows is not None
+        else:
+            assert not sweeper.diagonal.any() and block.rows is None
+        for got in (block_rows(sweeper, block) + (block.c,), general_rows(sweeper, js)):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+                assert a.tobytes() == b.astype(a.dtype).tobytes()
 
 
 def test_mixed_block(block_product):
@@ -189,12 +228,21 @@ def check_mixed_block(store_separable, block_product):
     assert len(sweeper.blocks) == 1
     assert_same_rows(sweeper, range(len(controls)), block_product)
     assert sweeper.separable.tolist() == [True, False, True, False]
-    (B, shifted, _), _ = sweeper._fill_block(range(len(controls)))
-    assert [t for t, _ in shifted] == ([] if store_separable else [0, 2])
+    block = fill_block(sweeper, range(len(controls)))
+    assert [t for t, _ in block.shifted] == ([] if store_separable else [0, 2])
+    n = grid.num_nodes
     if not store_separable:
-        n = grid.num_nodes
-        rows = np.diff(B.indptr).reshape(len(controls), n)
+        assert block.rows is None and not block.diagonals
+        rows = np.diff(block.B.indptr).reshape(len(controls), n)
         assert not rows[[0, 2]].any() and rows[[1, 3]].any()
+        return
+    # the small shift is held as diagonals; 2.4 cells take most arrivals
+    # out of the box, so that CSR rows take fewer bytes
+    assert [t for ts, *_ in block.diagonals for t in ts] == [0]
+    assert sweeper.diagonal.tolist() == [True, False, False, False]
+    owner = block.rows // n
+    assert np.array_equal(np.unique(owner), [1, 2, 3])
+    assert all(np.count_nonzero(owner == t) == n for t in (1, 2, 3))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -224,14 +272,23 @@ def check_arrivals_leaving_the_box(dim, store_separable, block_product):
                        store_separable=store_separable)
     assert_same_rows(sweeper, range(len(controls)), block_product)
     assert sweeper.separable.all()
-    (B, shifted, _), _ = sweeper._fill_block(range(len(controls)))
+    block = fill_block(sweeper, range(len(controls)))
     n = grid.num_nodes
     if store_separable:
-        full = np.diff(B.indptr).reshape(len(controls), n) > 0
+        full = np.diff(block_rows(sweeper, block)[0]).reshape(len(controls), n) > 0
+        # At 7 nodes per axis a control takes diagonals when at least 62%
+        # (2-D; 1-D 60%, 3-D 64%) of its rows are in the box and regular.
+        # The unshifted control's last row clamps onto the upper face, and
+        # rounding puts some rows in the cell below their node: CSR rows
+        # beside its diagonals in 1-D, too many for diagonals in 2-D.
+        assert sweeper.diagonal.tolist() == {1: [True, True, False, False, True, False, False],
+                                             2: [False] * 4 + [True, False, False],
+                                             3: [False] * 7}[dim]
+        assert sweeper.diagonal.any() == (block.rows is not None)
     else:
-        assert B is None
+        assert block.B is None
         full = np.zeros((len(controls),) + grid.shape, dtype=bool)
-        for t, rows in shifted:
+        for t, rows in block.shifted:
             full[t][rows.box] = True
             assert rows.empty == (not full[t].any())
         full = full.reshape(len(controls), n)
@@ -301,7 +358,7 @@ def test_block_argmin_takes_the_lowest_tied_control(controls, rng):
     q = rng.integers(0, 3, (controls, n)).astype(float)
     q[:, 0] = 1.0  # a tie across every control
     js = range(11, 11 + controls)
-    block = (sp.csr_matrix((controls * n, n)), [], q.reshape(-1).copy())
+    block = _Block(sp.csr_matrix((controls * n, n)), None, [], [], q.reshape(-1).copy())
     low, low_idx, _, _ = sweeper._sweep_block(js, block, None, np.ones(n), True, None)
     assert low.tobytes() == q.min(axis=0).tobytes()
     want = (q == q.min(axis=0)).argmax(axis=0).astype(np.int32) + js.start

@@ -542,6 +542,15 @@ class TestProperties:
         assert r_fine <= r_coarse + 1e-15
 
 
+def held_bytes(diagonal_controls, nodes, dim, nnz, rows, blocks, numbered):
+    """The bytes of a stored operator: 2^d diagonals of N float64 and 2^d
+    int32 offsets per control held as diagonals, 12 per CSR entry, an int32
+    pointer per CSR row plus one per block with CSR rows, and an int32
+    number for each CSR row of a block that holds diagonals."""
+    return ((8 * nodes + 4) * 2 ** dim * diagonal_controls + 12 * nnz
+            + 4 * (rows + blocks) + 4 * numbered)
+
+
 class TestRunReport:
     def test_serialization_keys(self, solved):
         _, _, rep = solved.vi("test1_1d", 81)
@@ -560,22 +569,31 @@ class TestRunReport:
         entry = solved.entry("test4_eik2d")
         _, _, vi = solved.vi("test4_eik2d", 41)
         _, _, api = solved.api("test4_eik2d", 41)
-        full = len(entry.controls) * 41 ** 2 * 4
+        m = len(entry.controls)
         for rep in (vi, api.phases["coarse"], api.phases["fine"]):
             assert rep.operator_stored is True
-            assert rep.operator_bytes == 12 * rep.operator_nnz
             assert rep.operator_build_wall_time_seconds > 0.0
-        for rep in (vi, api.phases["coarse"]):
-            assert rep.operator_nnz > 0
+        for rep, n in ((vi, 41), (api.phases["coarse"], 21)):
+            # every heading is held as diagonals, and the rows that the
+            # unshifted axes' last node clamps onto the upper face are CSR
+            # rows, 4 entries each, in the one block
+            assert rep.operator_diagonal_controls == m
+            assert 0 < rep.operator_nnz < m * n ** 2 * 4 / 20
+            assert rep.operator_bytes == held_bytes(m, n ** 2, 2, rep.operator_nnz,
+                                                    rows=rep.operator_nnz // 4, blocks=1,
+                                                    numbered=rep.operator_nnz // 4)
             assert rep.operator_matrix_free_controls == 0
         # the warm-started fine PI applies its separable rows matrix-free
         fine = api.phases["fine"]
-        assert fine.operator_nnz == 0
+        assert fine.operator_nnz == fine.operator_bytes == fine.operator_diagonal_controls == 0
         assert fine.operator_matrix_free_controls == len(entry.controls)
-        assert vi.operator_nnz <= full
         assert "\noperator_stored = True\n" in vi.to_text()
+        assert (f"\noperator_matrix_free_controls = 0\noperator_diagonal_controls = {m}\n"
+                in vi.to_text())
+        assert f"\noperator_bytes = {vi.operator_bytes}\n" in vi.to_text()
         text = api.to_text()
         assert "fine.operator_nnz = 0\n" in text
+        assert "fine.operator_diagonal_controls = 0\n" in text
         assert "coarse.operator_stored = True" in text
         assert "\noperator_stored" not in text
         # state-dependent rows stay stored, so test2_vdp's fine PI keeps the
@@ -586,7 +604,23 @@ class TestRunReport:
         assert vdp_fine.operator_stored is True
         assert vdp_fine.operator_matrix_free_controls == 0
         assert vdp_fine.operator_nnz == vdp_vi.operator_nnz > 0
+        assert vdp_fine.operator_bytes == vdp_vi.operator_bytes == held_bytes(
+            0, 41 ** 2, 2, vdp_vi.operator_nnz, rows=32 * 41 ** 2, blocks=1, numbered=0)
+        assert vdp_vi.operator_diagonal_controls == vdp_fine.operator_diagonal_controls == 0
         assert f"fine.operator_nnz = {vdp_fine.operator_nnz}\n" in vdp.to_text()
+
+    def test_min4d_keeps_csr_rows(self, solved):
+        """Each of test8_min4d's controls moves along one axis.  On each of
+        the three others 2 of the 11 nodes lie in the cell below: the last,
+        which clamps onto the upper face, and one that rounding puts there.
+        That leaves too few regular rows for diagonals to take fewer
+        bytes."""
+        _, _, vi = solved.vi("test8_min4d", 11)
+        assert vi.operator_separable_controls == 8
+        assert vi.operator_diagonal_controls == 0
+        assert vi.operator_bytes == held_bytes(0, 11 ** 4, 4, vi.operator_nnz,
+                                               rows=8 * 11 ** 4, blocks=1, numbered=0)
+        assert "\noperator_diagonal_controls = 0\n" in vi.to_text()
 
     def test_operator_separable_controls(self, solved):
         _, _, vi = solved.vi("test4_eik2d", 41)

@@ -683,23 +683,25 @@ def _thread_buffer(buffers, size):
 def _csr_arrays(rows, grid):
     """Zeroed indptr plus uninitialized indices and data for `rows` rows of
     at most 2^d entries each.  indptr is int32 when the entries allow it, as
-    scipy would otherwise copy it to int32."""
-    indices = np.empty(rows * 2 ** grid.dim, dtype=np.int32)
-    index = np.int32 if indices.size < 2 ** 31 else np.int64
-    return np.zeros(rows + 1, dtype=index), indices, np.empty(indices.size)
+    scipy would otherwise copy it to int32.  data is allocated first: it
+    also takes the diagonals, which are all written, while the other arrays
+    of separable controls stay mostly unwritten, so that it takes the
+    memory earlier solves freed."""
+    data = np.empty(rows * 2 ** grid.dim)
+    index = np.int32 if data.size < 2 ** 31 else np.int64
+    indices = np.empty(data.size, dtype=np.int32)
+    return np.zeros(rows + 1, dtype=index), indices, data
 
 
 class _Block(NamedTuple):
     """One block of consecutive controls of the m-control operator, one row
     per (control, node), control major.  B holds its CSR rows, or is None;
     `rows` numbers the block rows that B's rows are, None when they are all
-    of them in order.  `diagonals` lists (ts, offsets, data) for each run
-    ts of consecutive controls held as diagonals: their 2^d diagonals each
-    in `data`, control by control, and the offsets of those diagonals in
-    the run's rows, control t's _diagonals offsets less (t - ts.start) * N.
-    `shifted` lists (t, _ShiftedRows) for each control applied
-    matrix-free.  ts and t are positions in the block, and c is the
-    block's constant vector."""
+    of them in order.  `diagonals` lists (t, offsets, data) for each
+    control held as diagonals: its 2^d diagonals in the (2^d, N) `data`
+    and their offsets (_diagonals).  `shifted` lists (t, _ShiftedRows) for
+    each control applied matrix-free.  t is a position in the block, and c
+    is the block's constant vector."""
 
     B: Optional[sp.csr_matrix]
     rows: Optional[np.ndarray]
@@ -732,18 +734,20 @@ class _Sweeper:
     """The transition operator of one (problem, grid, controls, dt).
 
     The m-control operator is a list of blocks of consecutive controls,
-    each one record (B, shifted, c) that the first Bellman sweep to need it
-    builds (_fill_block).  A separable control (velocity bitwise the same
-    at every node) is applied matrix-free (_ShiftedRows, in `shifted`) when
+    each one _Block record that the first Bellman sweep to need it builds
+    (_fill_block).  A separable control (velocity bitwise the same at every
+    node) is applied matrix-free (_ShiftedRows, in `shifted`) when
     `store_separable` is False or the operator's entry bound exceeds the
-    budget; every other control has CSR rows in B.  A block is kept for
+    budget, and is otherwise held as diagonals where they take fewer bytes;
+    every other control has CSR rows in B.  A block is kept for
     later sweeps when the entry bound fits the budget or when it has no CSR
     entry; over the budget every other block is rebuilt in every sweep.
     evaluate() builds the frozen-policy rows by the same row writer, once
     per call.
     `build_seconds` is the wall time during which a block was being set up,
-    `nnz` counts the CSR entries of a sweep, `separable` marks the
-    separable controls, `matrix_free` says whether they are applied
+    `nnz` counts the CSR entries of a sweep, `operator_bytes` the bytes its
+    blocks hold, `separable` marks the separable controls, `diagonal` those
+    held as diagonals, `matrix_free` says whether they are applied
     matrix-free, and `threads` is the number of threads the blocks run on,
     at most config.workers.  With more than one, the thread pool starts with
     the first block; use the sweeper as a context manager, whose exit joins
@@ -789,21 +793,12 @@ class _Sweeper:
     def _pool(self):
         return ThreadPoolExecutor(self.threads, thread_name_prefix="hjbsolve")
 
-    def _room(self, js):
-        """Uninitialized room for 2^d diagonals of each of the controls
-        `js`."""
-        return np.empty(len(js) * self.grid.num_nodes * 2 ** self.grid.dim)
-
-    def _block_arrays(self, js, csr=True, room=None):
-        """Uninitialized arrays for the rows of the controls `js`: CSR
-        arrays with indptr zeroed, the numbers of CSR rows and the room for
-        diagonals (by default new), each None without `csr`, and c."""
+    def _block_arrays(self, js, csr=True):
+        """Uninitialized CSR arrays (None for each without `csr`) and c for
+        the rows of the controls `js`."""
         rows = len(js) * self.grid.num_nodes
-        if not csr:
-            return (None,) * 5 + (np.empty(rows),)
-        indptr, indices, data = _csr_arrays(rows, self.grid)
-        return (indptr, indices, data, np.empty(rows, dtype=indptr.dtype),
-                self._room(js) if room is None else room, np.empty(rows))
+        arrays = _csr_arrays(rows, self.grid) if csr else (None,) * 3
+        return arrays + (np.empty(rows),)
 
     def _fill_block(self, js, arrays=None):
         """The _Block of the controls `js` and the (start, end) of its
@@ -817,16 +812,20 @@ class _Sweeper:
         A matrix-free sweeper keeps a separable control's located sub-box in
         `shifted` and leaves its rows of B empty.  Any other sweeper holds a
         separable control's regular rows as diagonals when they take fewer
-        bytes (_diagonals) and marks it in `diagonal`; its irregular in-box
-        rows are then CSR rows, and B's rows are numbered in `rows`.
+        bytes (_diagonals), and marks it in `diagonal`.  The diagonals go
+        into the top of the CSR data array, the first control's 2^d N
+        entries highest, so that no new array is allocated for them; the
+        other controls' CSR rows fill it from the bottom, at most 2^d N
+        entries each, and never reach the diagonals.  The irregular rows of
+        the controls held as diagonals are then written last, into arrays of
+        their own, and B's rows, numbered in `rows`, are copied together.
         """
         t0 = time.perf_counter()
         grid, spec, nodes = self.grid, self.spec, self.nodes
         n, width = grid.num_nodes, 2 ** grid.dim
-        indptr, indices, data, numbers, room, c = (
-            arrays or self._block_arrays(js, csr=not self.matrix_free))
-        shifted, remainders = [], []
-        offsets = {}  # per control held as diagonals, its offsets
+        indptr, indices, data, c = arrays or self._block_arrays(js, csr=not self.matrix_free)
+        shifted, diagonals, remainders = [], [], []
+        starts = []  # the first block row of each control with CSR rows
         count = 0  # B's rows so far
         for t, j in enumerate(js):
             lo = t * n
@@ -853,53 +852,45 @@ class _Sweeper:
                 count = lo
             held = None
             if box is not None:
-                diagonal = room[lo * width:(lo + n) * width].reshape(width, n)
+                top = data.size - len(diagonals) * width * n
+                diagonal = data[top - width * n:top].reshape(width, n)
                 held = _diagonals(grid, bases, locals_, box, diagonal, indptr.itemsize)
             if held is None:
                 _fill_rows(grid, bases, locals_, inside, indptr[count:count + n + 1],
                            indices, data)
-                if offsets:
-                    numbers[count:count + n] = np.arange(lo, lo + n)
+                starts.append(lo)
                 count += n
                 continue
-            if not offsets:  # B's rows so far are the block's first rows
-                numbers[:count] = np.arange(count)
-            offsets[t], remainder = held
+            offsets, remainder = held
+            diagonals.append((t, offsets, diagonal))
             self.diagonal[j] = True
             if remainder is not None:
                 bases, locals_, where = remainder
                 remainders.append((bases, locals_, where + lo))
-        if remainders:
-            # the irregular rows of the controls held as diagonals, written
-            # in one call rather than one per control
-            bases = [np.concatenate(axis) for axis in zip(*(r[0] for r in remainders))]
-            locals_ = [np.concatenate(axis) for axis in zip(*(r[1] for r in remainders))]
-            where = np.concatenate([r[2] for r in remainders])
-            _fill_rows(grid, bases, locals_, np.ones(len(where), dtype=bool),
-                       indptr[count:count + len(where) + 1], indices, data)
-            numbers[count:count + len(where)] = where
-            count += len(where)
-        # one entry per run of consecutive controls held as diagonals
-        runs = []
-        for t in offsets:
-            if runs and runs[-1].stop == t:
-                runs[-1] = range(runs[-1].start, t + 1)
-            else:
-                runs.append(range(t, t + 1))
-        diagonals = [(ts, np.concatenate([offsets[t] - (t - ts.start) * n for t in ts]),
-                      room[ts.start * width * n:ts.stop * width * n].reshape(-1, n))
-                     for ts in runs]
         B = rows = None
-        if count:
+        if diagonals:
             end = indptr[count]
-            pointers = indptr[:count + 1]
-            if offsets:
-                # B has only some of the block's rows, so that the block
-                # keeps copies of its row pointers and numbers, as scipy
-                # keeps copies of data and indices that fill less than half
-                # their arrays: nothing of the arrays' unused ends
-                pointers, rows = pointers.copy(), numbers[:count].copy()
-            B = sp.csr_matrix((data[:end], indices[:end], pointers), shape=(count, n))
+            parts = [(indptr[:count + 1], indices[:end], data[:end])]
+            numbers = [np.arange(lo, lo + n) for lo in starts]
+            if remainders:
+                # the irregular rows, written in one call rather than one
+                # per control
+                bases = [np.concatenate(axis) for axis in zip(*(r[0] for r in remainders))]
+                locals_ = [np.concatenate(axis) for axis in zip(*(r[1] for r in remainders))]
+                where = np.concatenate([r[2] for r in remainders])
+                more = _csr_arrays(len(where), grid)
+                _fill_rows(grid, bases, locals_, np.ones(len(where), dtype=bool), *more)
+                stop = more[0][-1]
+                parts.append((more[0][1:] + end, more[1][:stop], more[2][:stop]))
+                numbers.append(where)
+            if numbers:
+                # copies, which keep nothing of the block's arrays
+                pointers, indices, data = (np.concatenate(part) for part in zip(*parts))
+                rows = np.concatenate(numbers, dtype=pointers.dtype)
+                B = sp.csr_matrix((data, indices, pointers), shape=(len(rows), n))
+        elif indptr is not None:
+            end = indptr[count]
+            B = sp.csr_matrix((data[:end], indices[:end], indptr[:count + 1]), shape=(count, n))
         return _Block(B, rows, diagonals, shifted, c), (t0, time.perf_counter())
 
     def _map(self, fn, *iterables):
@@ -924,20 +915,17 @@ class _Sweeper:
     def _product(self, block, values, transposed):
         """B @ values over every row of the _Block `block`, each row's
         products added from 0 in corner order, as scipy's CSR matvec adds
-        them: first the diagonals, one call per run of controls, which adds
-        one diagonal at a time; then B's rows, which take the place of the
-        0 the diagonals leave in them; then the matrix-free rows, which read
+        them: first the diagonals, one call per control, which adds one
+        diagonal at a time; then B's rows, which take the place of the 0
+        the diagonals leave in them; then the matrix-free rows, which read
         `transposed`, the values with the grid axes reversed.  A diagonal's
-        zero entries, and those of the neighbouring controls' diagonals in
-        the run, add 0 to a sum of finite values, which leaves its bits.
-        One call per run, not per control, swept a 21^3 test6_eik3d
-        operator ~2% faster on two threads."""
+        zero entries add 0 to a sum of finite values, which leaves its
+        bits."""
         B, rows, diagonals, shifted, c = block
         n = self.grid.num_nodes
         q = B @ values if B is not None and rows is None else np.zeros(len(c))
-        for ts, offsets, data in diagonals:
-            dia_matvec(len(ts) * n, n, len(offsets), n, offsets, data, values,
-                       q[ts.start * n:ts.stop * n])
+        for t, offsets, data in diagonals:
+            dia_matvec(n, n, len(offsets), n, offsets, data, values, q[t * n:(t + 1) * n])
         if rows is not None:
             q[rows] = B @ values
         for t, shifted_rows in shifted:
@@ -997,16 +985,12 @@ class _Sweeper:
         # come from per-thread malloc arenas, whose freed memory other
         # threads do not reuse: the api_eik3d benchmark's peak RSS rose from
         # ~1005 MB to 1018-1398 MB.  A matrix-free sweeper's blocks allocate
-        # their CSR arrays only for the controls that need them.  The room
-        # for diagonals comes first, for all blocks: the diagonals take
-        # memory that earlier solves freed, while the CSR arrays of separable
-        # controls stay mostly unwritten.  Allocated after the CSR arrays,
-        # they raised api_eik3d's peak RSS from ~171 MB to ~207 MB.
-        built = [self.stored and block is None for block in kept]
-        rooms = [self._room(js) if build and not self.matrix_free else None
-                 for js, build in zip(self.blocks, built)]
-        arrays = [self._block_arrays(js, not self.matrix_free, room) if build else None
-                  for js, build, room in zip(self.blocks, built, rooms)]
+        # their CSR arrays only for the controls that need them.  Diagonals
+        # are written into the CSR data arrays, so nothing more is allocated
+        # for them.
+        arrays = [self._block_arrays(js, csr=not self.matrix_free)
+                  if self.stored and block is None else None
+                  for js, block in zip(self.blocks, kept)]
         # one copy of the values, with the grid axes reversed, for all the
         # matrix-free rows of the sweep
         transposed = (np.ascontiguousarray(values.reshape(self.grid.shape).T)

@@ -103,10 +103,7 @@ def block_rows(sweeper, block):
         cols[has] = B.indices.reshape(-1, width)
         vals[has] = B.data.reshape(-1, width)
         full[has] = True
-    for t, offsets, data in ((t, offsets[(t - ts.start) * width:(t - ts.start + 1) * width]
-                              + (t - ts.start) * n,
-                              data[(t - ts.start) * width:(t - ts.start + 1) * width])
-                             for ts, offsets, data in diagonals for t in ts):
+    for t, offsets, data in diagonals:
         assert data.shape == (width, n)
         # the control's rows, and their columns
         r = np.arange(n)

@@ -10,9 +10,9 @@ operator budget and the block and thread sizes are patched as in
 test_threads.
 
 A block's matrix keeps the arrays it was built into: scipy copies an index
-array whose dtype it would change.  So do a block's diagonals.  A stored
-operator's blocks are built on the pool's threads into arrays that the
-calling thread allocated.
+array whose dtype it would change.  A block's diagonals are kept in the top
+of its CSR data array.  A stored operator's blocks are built on the pool's
+threads into arrays that the calling thread allocated.
 """
 
 import os
@@ -99,26 +99,35 @@ def block_and_arrays(name):
 
 
 def test_block_matrix_keeps_its_arrays():
-    _, block, (indptr, indices, data, _, _, c) = block_and_arrays("test2_vdp")
+    _, block, (indptr, indices, data, c) = block_and_arrays("test2_vdp")
     assert not block.diagonals and block.rows is None
     for kept, allocated in zip((block.B.indptr, block.B.indices, block.B.data, block.c),
                                (indptr, indices, data, c)):
         assert np.shares_memory(kept, allocated)
 
 
-def test_block_diagonals_keep_their_room():
-    """test4_eik2d's rows are diagonals, kept in the room allocated for
-    them, and the CSR rows of the unshifted axes' last node, which scipy
-    keeps in copies of their length (it copies data and indices that fill
-    less than half their arrays)."""
-    sweeper, block, (_, _, data, _, room, c) = block_and_arrays("test4_eik2d")
+def check_diagonals_in_the_data_array(block, data, n):
+    """Every control of `block` is held as diagonals, the first in the top
+    2^d n entries of the CSR data array `data` it was built into, the next
+    below it, and so on; B's rows, if any, are in arrays of their own."""
+    width = data.size // len(block.c)
+    assert [t for t, _, _ in block.diagonals] == list(range(len(block.c) // n))
+    for s, (_, _, diagonals) in enumerate(block.diagonals):
+        top = data.size - s * width * n
+        assert diagonals.shape == (width, n)
+        assert np.shares_memory(diagonals, data[top - width * n:top])
+        assert not np.shares_memory(diagonals, data[:top - width * n])
+    assert block.B is None or not np.shares_memory(block.B.data, data)
+
+
+def test_block_diagonals_are_kept_in_the_data_array():
+    """test4_eik2d's rows are diagonals, kept in the CSR data array they
+    were built into, and the CSR rows of the unshifted axes' last node in
+    arrays of their length."""
+    sweeper, block, (_, _, data, c) = block_and_arrays("test4_eik2d")
     assert np.shares_memory(block.c, c)
-    # one run of diagonals: every control
-    [(ts, _, _)] = block.diagonals
-    assert len(ts) == len(block.c) // sweeper.grid.num_nodes
-    for _, _, diagonals in block.diagonals:
-        assert np.shares_memory(diagonals, room)
-    assert 0 < 2 * block.B.nnz < data.size
+    check_diagonals_in_the_data_array(block, data, sweeper.grid.num_nodes)
+    assert 0 < block.B.nnz == block.B.data.size
 
 
 def check_blocks_allocated_on_the_calling_thread(name, monkeypatch, rng):
@@ -129,24 +138,19 @@ def check_blocks_allocated_on_the_calling_thread(name, monkeypatch, rng):
     monkeypatch.setattr(solvers, "_MIN_THREAD_ROWS", 1)
     entry = h.catalog(name, control_count=CONTROLS)
     grid = entry.spec.domain_grid(NODES)
-    allocated, rooms, builders = [], [], set()
-    block_arrays, room, fill = _Sweeper._block_arrays, _Sweeper._room, _Sweeper._fill_block
+    allocated, builders = [], set()
+    block_arrays, fill = _Sweeper._block_arrays, _Sweeper._fill_block
 
-    def spied_arrays(self, js, csr=True, room=None):
-        arrays = block_arrays(self, js, csr, room)
+    def spied_arrays(self, js, csr=True):
+        arrays = block_arrays(self, js, csr)
         allocated.append((threading.get_ident(), js, arrays))
         return arrays
-
-    def spied_room(self, js):
-        rooms.append((threading.get_ident(), len(allocated)))
-        return room(self, js)
 
     def spied_fill(self, js, arrays=None):
         builders.add(threading.get_ident())
         return fill(self, js, arrays)
 
     monkeypatch.setattr(_Sweeper, "_block_arrays", spied_arrays)
-    monkeypatch.setattr(_Sweeper, "_room", spied_room)
     monkeypatch.setattr(_Sweeper, "_fill_block", spied_fill)
     cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=2)
     values = rng.uniform(0.0, 2.0, grid.num_nodes)
@@ -157,8 +161,6 @@ def check_blocks_allocated_on_the_calling_thread(name, monkeypatch, rng):
     here = threading.get_ident()
     assert here not in builders
     assert [(thread, js) for thread, js, _ in allocated] == [(here, js) for js in sweeper.blocks]
-    # the room for diagonals of every block before the first CSR arrays
-    assert rooms == [(here, 0)] * len(sweeper.blocks)
     for block, (_, _, arrays) in zip(sweeper.kept, allocated):
         assert np.shares_memory(block.c, arrays[-1])
     return [(block, arrays) for block, (_, _, arrays) in zip(sweeper.kept, allocated)]
@@ -168,7 +170,7 @@ def test_kept_blocks_are_allocated_on_the_calling_thread(monkeypatch, rng):
     """A stored operator's blocks are built on the pool's threads, into
     arrays that the calling thread allocated before it queued them: from
     the workers' malloc arenas, freed memory would not be reused."""
-    for block, (indptr, indices, data, _, _, _) in check_blocks_allocated_on_the_calling_thread(
+    for block, (indptr, indices, data, _) in check_blocks_allocated_on_the_calling_thread(
             "test2_vdp", monkeypatch, rng):
         assert not block.diagonals
         for kept, allocated in zip((block.B.indptr, block.B.indices, block.B.data),
@@ -177,16 +179,12 @@ def test_kept_blocks_are_allocated_on_the_calling_thread(monkeypatch, rng):
 
 
 def test_kept_diagonals_are_allocated_on_the_calling_thread(monkeypatch, rng):
-    """Likewise the diagonals of test4_eik2d, in the room that the calling
-    thread allocated for them; the CSR rows that remain are copies of
-    their length, as in test_block_diagonals_keep_their_room."""
+    """Likewise the diagonals of test4_eik2d, in the CSR data arrays that
+    the calling thread allocated, as in
+    test_block_diagonals_are_kept_in_the_data_array."""
     kept = check_blocks_allocated_on_the_calling_thread("test4_eik2d", monkeypatch, rng)
-    for block, (_, _, data, _, room, c) in kept:
-        [(ts, _, _)] = block.diagonals
-        assert len(ts) == len(block.c) // NODES ** 2
-        for _, _, diagonals in block.diagonals:
-            assert np.shares_memory(diagonals, room)
-        assert block.B is None or 2 * block.B.nnz < data.size
+    for block, (_, _, data, _) in kept:
+        check_diagonals_in_the_data_array(block, data, NODES ** 2)
 
 
 STORED_MEMORY_SCRIPT = textwrap.dedent("""
@@ -212,7 +210,7 @@ def test_stored_memory_at_161_squared():
     baseline, plus the operator's bytes (diagonals and the CSR rows that
     remain), plus 8 m N bytes of c, plus a 16 MB margin for the blocks in
     flight: ~80 MB over the baseline, where the CSR entries and c alone
-    take ~89 MB.  It measures ~74 MB, and ~104 MB with CSR rows."""
+    take ~89 MB.  It measures ~68 MB, and ~104 MB with CSR rows."""
     src = str(pathlib.Path(h.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", STORED_MEMORY_SCRIPT], capture_output=True,
                          text=True, check=True,

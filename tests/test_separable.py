@@ -37,7 +37,7 @@ def general_rows(sweeper, js):
     """indptr, indices, data and c of the controls `js`, built by locating
     every node's arrival."""
     grid, n = sweeper.grid, sweeper.grid.num_nodes
-    indptr, indices, data, *_, c = sweeper._block_arrays(js)
+    indptr, indices, data, c = sweeper._block_arrays(js)
     for t, j in enumerate(js):
         lo = t * n
         arrivals, c[lo:lo + n] = _step(sweeper.spec, sweeper.nodes,
@@ -75,7 +75,7 @@ def assert_same_rows(sweeper, js, block_product):
         assert [t for t, _ in block.shifted] == [t for t, j in enumerate(js)
                                                  if sweeper.separable[j]]
     else:
-        assert [t for ts, *_ in block.diagonals for t in ts] == [t for t, j in enumerate(js)
+        assert [t for t, _, _ in block.diagonals] == [t for t, j in enumerate(js)
                                                     if sweeper.diagonal[j]]
         for got, expected in zip(block_rows(sweeper, block), (indptr, indices, data)):
             assert np.array_equal(got, expected)
@@ -238,7 +238,7 @@ def check_mixed_block(store_separable, block_product):
         return
     # the small shift is held as diagonals; 2.4 cells take most arrivals
     # out of the box, so that CSR rows take fewer bytes
-    assert [t for ts, *_ in block.diagonals for t in ts] == [0]
+    assert [t for t, _, _ in block.diagonals] == [0]
     assert sweeper.diagonal.tolist() == [True, False, False, False]
     owner = block.rows // n
     assert np.array_equal(np.unique(owner), [1, 2, 3])

@@ -8,11 +8,14 @@ iteration from a coarse-grid value iteration.
 The discretization is one transition operator per (grid, controls, dt).  Its
 row for a (control, node) pair holds the multilinear weights of the node's
 explicit Euler arrival point under that control, at most 2^d nonnegative
-entries; an arrival outside the box gets an empty row.  A constant vector c
-holds the stage cost plus, for those outside arrivals, discount times the
-exterior value.  A Bellman sweep is the min over controls of
-discount * (B_j @ v) + c_j.  A frozen-policy evaluation, by fixed-point
-sweeps or by a sparse linear solve, uses the rows (policy[i], i); both
+entries; an arrival outside the box gets an empty row.  The stage cost c
+is one number, 1 - e^{-dt}, for a minimum-time problem and one per row for
+a discounted one.  A Bellman sweep is the min over controls of
+discount * (B_j @ v) + c_j, where the empty rows take discount times the
+exterior value in place of B_j @ v.  A frozen-policy evaluation, by
+fixed-point sweeps or by a sparse linear solve, uses the rows
+(policy[i], i), whose constant vector holds the stage cost plus, for the
+outside arrivals, discount times the exterior value; both
 backends run in _Sweeper.evaluate, for policy iteration and for the two
 public evaluation functions alike.  The greedy step at an arbitrary state
 takes the same discount, stage costs and arrivals, and interpolates instead
@@ -32,8 +35,8 @@ bellman_update (one sweep), policy iteration warm-started from V_init
 (API's fine phase, a few sweeps) and any operator over the nnz budget apply
 separable controls matrix-free.  State-dependent controls are stored, or
 rebuilt in every sweep over the budget.  A block of controls is one record,
-_Block: its CSR rows, its diagonals, its matrix-free controls and its
-constant vector.
+_Block: its CSR rows, its diagonals, its matrix-free controls, its stage
+cost and the numbers of its empty rows.
 
 All sweeps have Jacobi semantics: every node update reads only the previous
 iterate, argmin ties break toward the lowest control index, and the sup-norm
@@ -85,7 +88,8 @@ UNSET_POLICY = -1
 # stays within this budget (~1.9 GB).  The budget still counts those entries
 # when separable rows are held as diagonals, which take fewer bytes, so which
 # problems store is the same.  Over it, separable controls are applied
-# matrix-free, which keeps only their 8-byte c per row, and the rows of the
+# matrix-free, which keeps only the 4-byte numbers of their empty rows (and
+# a discounted problem's 8-byte stage cost per row), and the rows of the
 # others are rebuilt block by block in every sweep.
 _OPERATOR_NNZ_LIMIT = 160_000_000
 # Sweeps take the operator in blocks of consecutive controls with about this
@@ -188,13 +192,14 @@ class RunReport:
     float64 weight, int32 column; 0 for rows held as diagonals or applied
     matrix-free), the bytes that a sweep's blocks hold (operator_bytes: the
     diagonals and their offsets, the CSR entries, row pointers and row
-    numbers; not c) and the wall time spent setting it up.  That is the
-    time during which at least one block was
-    being set up, on any thread: the union of the build spans, whose builds
-    overlap the sweeps of other blocks.  A stored operator is built once,
-    by the first sweep; an unstored one in every sweep, so its time sums
-    over them.  A matrix-free control counts its one setup (dynamics,
-    per-axis locations, c), not its sweeps.  `workers` is the number of
+    numbers; not the stage costs or the numbers of the empty rows) and the
+    wall time spent setting it up.  That is the time during which at least
+    one block was being set up, on any thread: the union of the build
+    spans, whose builds overlap the sweeps of other blocks.  A stored
+    operator is built once, by the first sweep; an unstored one in every
+    sweep, so its time sums over them.  A matrix-free control counts its
+    one setup (dynamics, per-axis locations, stage cost and empty rows),
+    not its sweeps.  `workers` is the number of
     threads the run's sweeps used.  `operator_separable_controls` counts
     the controls whose velocity is the same at every node, so that their
     rows come from per-axis cell locations, and
@@ -305,21 +310,21 @@ def _discount(spec, dt):
 
 
 def _stage(spec, points, a, dt):
-    """The stage costs of control `a` at the (n, d) `points`: 1 - e^{-dt} for
-    minimum time and dt * l(x, a) otherwise."""
-    stage = np.empty(len(points))
+    """The stage costs of control `a` at the (n, d) `points`: one number for
+    all of them, 1 - e^{-dt}, for minimum time and dt * l(x, a) per point
+    otherwise."""
     if spec.minimum_time:
-        stage[:] = -math.expm1(-dt)
-    else:
-        stage[:] = dt * np.asarray(spec.running_cost(points, a), dtype=float)
+        return -math.expm1(-dt)
+    stage = np.empty(len(points))
+    stage[:] = dt * np.asarray(spec.running_cost(points, a), dtype=float)
     return stage
 
 
 def _step(spec, points, a, dt, j, velocity=None):
     """Control j's (vector `a`) semi-Lagrangian step from the (n, d)
     `points`: the explicit Euler arrivals x + dt * f(x, a) and the stage
-    costs.  `velocity` is f(points, a) when the caller already has it.  A
-    non-finite arrival raises."""
+    costs (_stage).  `velocity` is f(points, a) when the caller already has
+    it.  A non-finite arrival raises."""
     if velocity is None:
         velocity = spec.dynamics(points, a)
     arrivals = points + dt * np.asarray(velocity)
@@ -694,24 +699,29 @@ def _csr_arrays(rows, grid):
 
 
 class _Block(NamedTuple):
-    """One block of consecutive controls of the m-control operator, one row
-    per (control, node), control major.  B holds its CSR rows, or is None;
-    `rows` numbers the block rows that B's rows are, None when they are all
-    of them in order.  `diagonals` lists (t, offsets, data) for each
+    """One block of consecutive controls of the m-control operator, `size`
+    rows, one per (control, node), control major.  B holds its CSR rows, or
+    is None; `rows` numbers the block rows that B's rows are, None when they
+    are all of them in order.  `diagonals` lists (t, offsets, data) for each
     control held as diagonals: its 2^d diagonals in the (2^d, N) `data`
     and their offsets (_diagonals).  `shifted` lists (t, _ShiftedRows) for
-    each control applied matrix-free.  t is a position in the block, and c
-    is the block's constant vector."""
+    each control applied matrix-free.  t is a position in the block.  c is
+    the stage cost: one number for a minimum-time problem, else one per
+    row.  `outside` numbers, ascending and as int32, the rows whose
+    arrivals leave the box: the empty rows, which take the exterior value
+    in a sweep."""
 
     B: Optional[sp.csr_matrix]
     rows: Optional[np.ndarray]
     diagonals: list
     shifted: list
-    c: np.ndarray
+    c: float | np.ndarray
+    outside: np.ndarray
+    size: int
 
     def held_bytes(self):
         """The bytes of the diagonals and offsets, the CSR entries and row
-        pointers and the row numbers; c is not counted."""
+        pointers and the row numbers; c and `outside` are not counted."""
         held = sum(offsets.nbytes + data.nbytes for _, offsets, data in self.diagonals)
         if self.B is not None:
             held += self.B.data.nbytes + self.B.indices.nbytes + self.B.indptr.nbytes
@@ -760,8 +770,11 @@ class _Sweeper:
         self.controls = controls
         self.dt = config.dt
         self.nodes = grid.nodes()
-        self.pinned, self.pinned_values = _pins(spec, grid)
-        self.active_count = int(grid.num_nodes - np.count_nonzero(self.pinned))
+        self.pinned, values = _pins(spec, grid)
+        # the pinned nodes and their values, which every sweep sets by index
+        self.pins = np.flatnonzero(self.pinned)
+        self.pin_values = values[self.pins]
+        self.active_count = grid.num_nodes - len(self.pins)
         self.discount = _discount(spec, self.dt)
 
         m, n = len(controls), grid.num_nodes
@@ -794,21 +807,25 @@ class _Sweeper:
         return ThreadPoolExecutor(self.threads, thread_name_prefix="hjbsolve")
 
     def _block_arrays(self, js, csr=True):
-        """Uninitialized CSR arrays (None for each without `csr`) and c for
-        the rows of the controls `js`."""
+        """Uninitialized CSR arrays (None for each without `csr`) and stage
+        costs for the rows of the controls `js`: the stage costs are None
+        for a minimum-time problem, whose stage cost is one number."""
         rows = len(js) * self.grid.num_nodes
         arrays = _csr_arrays(rows, self.grid) if csr else (None,) * 3
-        return arrays + (np.empty(rows),)
+        return arrays + (None if self.spec.minimum_time else np.empty(rows),)
 
     def _fill_block(self, js, arrays=None):
         """The _Block of the controls `js` and the (start, end) of its
         build.  The rows go into `arrays` (by default new ones; a
         matrix-free sweeper's CSR arrays only once a control needs them).
 
-        The dynamics are called once per control.  A control whose velocity
-        is bitwise the same at every node has its arrivals located per axis
-        (_shifted) and is marked in `separable`; any other control has its N
-        arrivals located (_located).  Both give the same bits in _fill_rows.
+        The dynamics are called once per control, and so is the running
+        cost of a discounted problem; a minimum-time problem's c is its one
+        stage cost.  The rows whose arrivals leave the box are numbered in
+        `outside`.  A control whose velocity is bitwise the same at every
+        node has its arrivals located per axis (_shifted) and is marked in
+        `separable`; any other control has its N arrivals located
+        (_located).  Both give the same bits in _fill_rows.
         A matrix-free sweeper keeps a separable control's located sub-box in
         `shifted` and leaves its rows of B empty.  Any other sweeper holds a
         separable control's regular rows as diagonals when they take fewer
@@ -824,7 +841,7 @@ class _Sweeper:
         grid, spec, nodes = self.grid, self.spec, self.nodes
         n, width = grid.num_nodes, 2 ** grid.dim
         indptr, indices, data, c = arrays or self._block_arrays(js, csr=not self.matrix_free)
-        shifted, diagonals, remainders = [], [], []
+        shifted, diagonals, remainders, outside = [], [], [], []
         starts = []  # the first block row of each control with CSR rows
         count = 0  # B's rows so far
         for t, j in enumerate(js):
@@ -833,14 +850,17 @@ class _Sweeper:
             velocity = np.asarray(spec.dynamics(nodes, a))
             if _same_velocity(velocity, nodes.shape):
                 bases, locals_, inside, box = _shifted(grid, self.dt * velocity[0], j)
-                c[lo:lo + n] = _stage(spec, nodes, a, self.dt)
+                stage = _stage(spec, nodes, a, self.dt)
                 self.separable[j] = True
             else:
-                arrivals, c[lo:lo + n] = _step(spec, nodes, a, self.dt, j, velocity)
+                arrivals, stage = _step(spec, nodes, a, self.dt, j, velocity)
                 bases, locals_, inside = _located(grid, arrivals)
                 box = None
-            np.add(c[lo:lo + n], self.discount * spec.exterior_value, out=c[lo:lo + n],
-                   where=~inside)
+            if spec.minimum_time:
+                c = stage
+            else:
+                c[lo:lo + n] = stage
+            outside.append(np.flatnonzero(~inside) + lo)
             if box is not None and self.matrix_free:
                 shifted.append((t, _ShiftedRows(grid, bases, locals_, box)))
                 if indptr is not None:
@@ -848,7 +868,7 @@ class _Sweeper:
                     count += n
                 continue
             if indptr is None:
-                indptr, indices, data = _csr_arrays(len(c), grid)
+                indptr, indices, data = _csr_arrays(len(js) * n, grid)
                 count = lo
             held = None
             if box is not None:
@@ -891,7 +911,9 @@ class _Sweeper:
         elif indptr is not None:
             end = indptr[count]
             B = sp.csr_matrix((data[:end], indices[:end], indptr[:count + 1]), shape=(count, n))
-        return _Block(B, rows, diagonals, shifted, c), (t0, time.perf_counter())
+        outside = np.concatenate(outside, dtype=np.int32)
+        return (_Block(B, rows, diagonals, shifted, c, outside, len(js) * n),
+                (t0, time.perf_counter()))
 
     def _map(self, fn, *iterables):
         """fn over the blocks' arguments, results in block order: the builtin
@@ -908,9 +930,9 @@ class _Sweeper:
         return ValueField(self.grid, v, copy=False)
 
     def apply_pins(self, values, policy=None):
-        values[self.pinned] = self.pinned_values[self.pinned]
+        values[self.pins] = self.pin_values
         if policy is not None:
-            policy[self.pinned] = UNSET_POLICY
+            policy[self.pins] = UNSET_POLICY
 
     def _product(self, block, values, transposed):
         """B @ values over every row of the _Block `block`, each row's
@@ -921,9 +943,9 @@ class _Sweeper:
         `transposed`, the values with the grid axes reversed.  A diagonal's
         zero entries add 0 to a sum of finite values, which leaves its
         bits."""
-        B, rows, diagonals, shifted, c = block
+        B, rows, diagonals, shifted = block.B, block.rows, block.diagonals, block.shifted
         n = self.grid.num_nodes
-        q = B @ values if B is not None and rows is None else np.zeros(len(c))
+        q = B @ values if B is not None and rows is None else np.zeros(block.size)
         for t, offsets, data in diagonals:
             dia_matvec(n, n, len(offsets), n, offsets, data, values, q[t * n:(t + 1) * n])
         if rows is not None:
@@ -939,15 +961,17 @@ class _Sweeper:
         of its build (None for a kept block).  `block` is a kept block;
         None builds it first, into `arrays` when they are given.
         Matrix-free rows read `transposed`, the values with the grid axes
-        reversed."""
+        reversed.  An empty row, in `outside`, takes discount * exterior
+        value x in place of discount * 0, before c is added: x + c is the
+        double 0 + (c + x), a per-row constant with x folded in."""
         span = None
         if block is None:
             block, span = self._fill_block(js, arrays)
         n = self.grid.num_nodes
-        c = block.c
         q = self._product(block, values, transposed)
         q *= self.discount
-        q += c
+        q[block.outside] = self.discount * self.spec.exterior_value
+        q += block.c
         if not np.isfinite(q).all():
             bad = int(np.flatnonzero(~np.isfinite(q))[0])
             raise SolverError(
@@ -1007,7 +1031,9 @@ class _Sweeper:
             if span is not None:
                 spans.append(span)
                 if self.stored or not entries:
-                    kept[i] = block
+                    # `outside`, whose length only the build finds, is copied
+                    # on the calling thread, like the arrays allocated above
+                    kept[i] = block._replace(outside=block.outside.copy())
             if best is None:
                 best, best_idx = low, low_idx
                 better = np.empty(len(best), dtype=bool)
@@ -1080,7 +1106,7 @@ class _Sweeper:
         import scipy.sparse.linalg as spla
 
         matrix = sp.identity(self.grid.num_nodes, format="csr") - self.discount * B
-        c[self.pinned] = self.pinned_values[self.pinned]
+        c[self.pins] = self.pin_values
 
         iters = 0
 
@@ -1138,10 +1164,10 @@ def greedy_control_index(spec, V, controls, x, dt):
     if not spec.contains(x):
         raise SolverError(f"state {x!r} lies outside the problem domain")
     steps = [_step(spec, x[None, :], a, dt, j) for j, a in enumerate(controls.vectors)]
-    arrivals, stage = (np.concatenate(parts) for parts in zip(*steps))
-    q = interpolate_values(V.grid, V.values, arrivals, spec.exterior_value)
+    arrivals, stage = zip(*steps)
+    q = interpolate_values(V.grid, V.values, np.concatenate(arrivals), spec.exterior_value)
     q *= _discount(spec, dt)
-    q += stage
+    q += np.hstack(stage)
     bad = np.flatnonzero(~np.isfinite(q))
     if bad.size:
         raise SolverError(f"non-finite greedy evaluation under control {bad[0]}")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hjbsolve as h
+from hjbsolve.solvers import _csr_arrays, _fill_rows, _located, _step
 
 
 class SolveCache:
@@ -54,6 +56,22 @@ class SolveCache:
         return self._store[key]
 
 
+# One small grid per catalog problem, with its default controls.
+CATALOG_CASES = [("test1_1d", 21), ("test2_vdp", 11), ("test3_dubins", 7),
+                 ("test4_eik2d", 11), ("test5_eik2d_disk", 11), ("test6_eik3d", 7),
+                 ("test7_eik3d_spheres", 7), ("test8_min4d", 5), ("heat3_rom", 7)]
+# Per sweep path: the module settings it patches and `store_separable`.
+ORACLE_PATHS = {
+    "stored": ({}, True),
+    "matrix_free": ({}, False),
+    "over_budget": ({"_OPERATOR_NNZ_LIMIT": 0}, True),
+    "one_control": ({"_BLOCK_ROWS": 1}, True),
+}
+# The problems whose separable controls take diagonals on these grids; the
+# 3-D and 4-D ones have too few regular rows at 5-7 nodes per axis.
+DIAGONAL_CASES = ("test4_eik2d", "test5_eik2d_disk")
+
+
 @pytest.fixture(scope="session")
 def solved():
     return SolveCache()
@@ -86,13 +104,13 @@ def block_rows(sweeper, block):
     the box.  Fails unless the diagonals are 0 but at the columns of the
     rows they hold, which B does not hold and whose columns lie in the
     grid."""
-    B, rows, diagonals, shifted, c = block
-    assert not shifted
+    B, rows, diagonals = block.B, block.rows, block.diagonals
+    assert not block.shifted
     n, width = sweeper.grid.num_nodes, 2 ** sweeper.grid.dim
-    cols = np.zeros((len(c), width), dtype=np.int64)
-    vals = np.zeros((len(c), width))
-    full = np.zeros(len(c), dtype=bool)
-    in_b = np.zeros(len(c), dtype=bool)
+    cols = np.zeros((block.size, width), dtype=np.int64)
+    vals = np.zeros((block.size, width))
+    full = np.zeros(block.size, dtype=bool)
+    in_b = np.zeros(block.size, dtype=bool)
     if B is not None:
         at = np.arange(B.shape[0]) if rows is None else rows
         assert len(np.unique(at)) == len(at)
@@ -123,3 +141,62 @@ def block_rows(sweeper, block):
         full[t * n + r[held]] = True
     indptr = np.concatenate(([0], np.cumsum(full * width)))
     return indptr, cols[full].reshape(-1), vals[full].reshape(-1)
+
+
+def block_constant(sweeper, block):
+    """The constant of every row of a _Block, as one float64 vector: its
+    stage cost plus, on the rows in `outside`, discount times the exterior
+    value, the sum a frozen-policy row's constant holds."""
+    c = np.empty(block.size)
+    c[:] = block.c
+    c[block.outside] += sweeper.discount * sweeper.spec.exterior_value
+    return c
+
+
+def empty_rows(sweeper, block):
+    """The numbers of a _Block's rows without entries, ascending: those of
+    block_rows, or, for a block with matrix-free rows, B's empty rows less
+    the matrix-free controls' rows in their in-box sub-boxes."""
+    if not block.shifted:
+        return np.flatnonzero(np.diff(block_rows(sweeper, block)[0]) == 0)
+    assert block.rows is None and not block.diagonals
+    grid, n = sweeper.grid, sweeper.grid.num_nodes
+    full = np.zeros(block.size, dtype=bool) if block.B is None else np.diff(block.B.indptr) > 0
+    for t, shifted in block.shifted:
+        in_box = np.zeros(grid.shape, dtype=bool)
+        in_box[shifted.box] = True
+        assert not (full[t * n:(t + 1) * n] & in_box.reshape(-1)).any()
+        full[t * n:(t + 1) * n] |= in_box.reshape(-1)
+    return np.flatnonzero(~full)
+
+
+def general_rows(sweeper, js):
+    """indptr, indices, data and the per-row constant c of the controls
+    `js`, built by locating every node's arrival: c is the stage cost plus,
+    for an arrival outside the box, discount times the exterior value."""
+    grid, n = sweeper.grid, sweeper.grid.num_nodes
+    indptr, indices, data = _csr_arrays(len(js) * n, grid)
+    c = np.empty(len(js) * n)
+    for t, j in enumerate(js):
+        lo = t * n
+        arrivals, c[lo:lo + n] = _step(sweeper.spec, sweeper.nodes,
+                                       sweeper.controls.vectors[j], sweeper.dt, j)
+        bases, locals_, inside = _located(grid, arrivals)
+        c[lo:lo + n][~inside] += sweeper.discount * sweeper.spec.exterior_value
+        _fill_rows(grid, bases, locals_, inside, indptr[lo:lo + n + 1], indices, data)
+    end = indptr[-1]
+    return indptr, indices[:end], data[:end], c
+
+
+def oracle_sweep(sweeper, values):
+    """A Bellman sweep over the general rows of every control."""
+    m, n = len(sweeper.controls), sweeper.grid.num_nodes
+    indptr, indices, data, c = general_rows(sweeper, range(m))
+    q = sp.csr_matrix((data, indices, indptr), shape=(m * n, n)) @ values
+    q *= sweeper.discount
+    q += c
+    q = q.reshape(m, n)
+    low = q.min(axis=0)
+    policy = (q == low).argmax(axis=0).astype(np.int32)
+    sweeper.apply_pins(low, policy)
+    return low, policy

@@ -124,7 +124,8 @@ def test_non_finite_coordinates_are_exterior_without_warnings(bad):
 
 def test_chunked_fill_matches_single_chunk(monkeypatch):
     """Rows written a few at a time, with out-of-box arrivals inside and
-    across chunk boundaries, give the same CSR arrays."""
+    across chunk boundaries, give the same CSR arrays, stage costs and
+    numbers of the empty rows."""
     entry = h.catalog("test2_vdp", control_count=8)
     grid = entry.spec.domain_grid(15)
     sweeper = _Sweeper(entry.spec, grid, entry.controls,
@@ -135,10 +136,12 @@ def test_chunked_fill_matches_single_chunk(monkeypatch):
         block, _ = sweeper._fill_block(range(len(entry.controls)))
         B, P, d = block.B, *sweeper.policy_rows(policy)
         assert block.rows is None
-        return B.indptr, B.indices, B.data, block.c, P.indptr, P.indices, P.data, d
+        return (B.indptr, B.indices, B.data, block.c, block.outside, P.indptr, P.indices,
+                P.data, d)
 
     whole = build()
     assert np.diff(whole[0]).min() == 0  # some arrivals leave the box
+    assert np.array_equal(whole[4], np.flatnonzero(np.diff(whole[0]) == 0))
     for rows in (1, 5, 64):
         monkeypatch.setattr(solvers, "_FILL_ROWS", rows)
         for a, b in zip(whole, build()):

@@ -314,12 +314,16 @@ def test_over_budget_sweeps_set_separable_blocks_up_once(name, monkeypatch):
 
 
 MEMORY_SCRIPT = textwrap.dedent("""
-    import resource
     import numpy as np
     import hjbsolve as h
+    from hjbsolve.solvers import _Sweeper
 
     def peak():
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+        # this process's own high-water mark: ru_maxrss starts at that of
+        # the process that started it, which pytest's may exceed
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) * 1024 for line in status
+                        if line.startswith("VmHWM:"))
 
     entry = h.catalog("test6_eik3d")
     grid = entry.spec.domain_grid(41)
@@ -329,20 +333,64 @@ MEMORY_SCRIPT = textwrap.dedent("""
     h.bellman_update(entry.spec, grid, guess, entry.controls, cfg)
     _, _, report = h.policy_iteration(entry.spec, grid, entry.controls, cfg, V_init=guess)
     assert report.operator_matrix_free_controls == len(entry.controls)
-    print(baseline, peak(), len(entry.controls), grid.num_nodes, grid.dim)
+    top = peak()
+    # the operator's empty rows, counted once the peak is taken
+    with _Sweeper(entry.spec, grid, entry.controls, cfg, store_separable=False) as sweeper:
+        sweeper.bellman_sweep(guess.values)
+        outside = sum(len(block.outside) for block in sweeper.kept)
+    print(baseline, top, outside, len(entry.controls), grid.num_nodes, grid.dim)
 """)
 
 
 def test_matrix_free_memory_at_41_cubed():
     """bellman_update and a warm-started PI on test6_eik3d at 41^3 peak at
-    no more than the import baseline, plus 8 m N bytes of c, plus 24 * 2^d
-    bytes per node for the frozen-policy rows and the temporaries of the
-    blocks in flight, plus a 48 MB margin: ~182 MB, where the stored CSR
-    operator alone is 12 * 2^d * m * N bytes (~808 MB)."""
+    no more than the import baseline, plus 4 bytes per empty row for their
+    numbers, plus 24 * 2^d bytes per node for the frozen-policy rows and
+    the temporaries of the blocks in flight, plus a 48 MB margin: ~63 MB,
+    where the stored CSR operator alone is 12 * 2^d * m * N bytes
+    (~808 MB).  It measures ~37 MB, and ~102 MB with an 8-byte stage cost
+    per row."""
     src = str(pathlib.Path(h.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", MEMORY_SCRIPT], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
-    baseline, peak, m, n, dim = map(int, out.split())
-    bound = baseline + 8 * m * n + 24 * 2 ** dim * n + 48 * 2 ** 20
+    baseline, peak, outside, m, n, dim = map(int, out.split())
+    bound = baseline + 4 * outside + 24 * 2 ** dim * n + 48 * 2 ** 20
     assert peak <= bound < baseline + 12 * 2 ** dim * m * n / 4
+
+
+REPEATED_API_SCRIPT = textwrap.dedent("""
+    import hjbsolve as h
+
+    def peak():
+        # this process's own high-water mark: ru_maxrss starts at that of
+        # the process that started it, which pytest's may exceed
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) * 1024 for line in status
+                        if line.startswith("VmHWM:"))
+
+    entry = h.catalog("test6_eik3d")
+    fine, coarse = entry.spec.domain_grid(41), entry.spec.domain_grid(21)
+    fine_cfg = h.SolverConfig(dt=entry.dt_for(fine), workers=2)
+    coarse_cfg = h.SolverConfig(dt=entry.dt_for(coarse), stop_constant=5.0, workers=2)
+    baseline = peak()
+    for _ in range(3):
+        _, _, report = h.api_solve(entry.spec, coarse, fine, entry.controls, coarse_cfg,
+                                   fine_cfg)
+        assert report.phases["fine"].operator_matrix_free_controls == len(entry.controls)
+    print(baseline, peak())
+""")
+
+
+def test_repeated_api_memory_at_41_cubed():
+    """Three successive api_solve calls of test6_eik3d at 41^3/21^3 on two
+    threads, in one process, peak at no more than 108 MB over the import
+    baseline.  The later calls peak 7-13 MB above the first (~91 MB), in
+    the heap the earlier ones freed: 97.5-103.4 MB over 16 runs on a
+    2-core VM, where an 8-byte stage cost per row peaked at 112-117.5 MB."""
+    src = str(pathlib.Path(h.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", REPEATED_API_SCRIPT], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    baseline, peak = map(int, out.split())
+    assert peak <= baseline + 108 * 2 ** 20

@@ -14,7 +14,8 @@ from hjbsolve.grid import interpolate_values
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
 from hjbsolve.solvers import _Sweeper
 
-from conftest import block_rows
+from conftest import (CATALOG_CASES, DIAGONAL_CASES, ORACLE_PATHS, block_constant,
+                      block_rows)
 
 SMALL_CASES = [
     ("test1_1d", 21, {}),
@@ -48,27 +49,11 @@ def oracle(sweeper, j, values):
     return sweeper.discount * interp + stage
 
 
-# One small grid per catalog problem, with its default controls.
-CATALOG_CASES = [("test1_1d", 21), ("test2_vdp", 11), ("test3_dubins", 7),
-                 ("test4_eik2d", 11), ("test5_eik2d_disk", 11), ("test6_eik3d", 7),
-                 ("test7_eik3d_spheres", 7), ("test8_min4d", 5), ("heat3_rom", 7)]
-
-
 def test_catalog_cases_cover_the_catalog():
     assert sorted(name for name, _ in CATALOG_CASES) == h.catalog_names()
     assert sorted(case[0] for case in ORACLE_CASES) == h.catalog_names()
 
 
-# Per sweep path: the module settings it patches and `store_separable`.
-ORACLE_PATHS = {
-    "stored": ({}, True),
-    "matrix_free": ({}, False),
-    "over_budget": ({"_OPERATOR_NNZ_LIMIT": 0}, True),
-    "one_control": ({"_BLOCK_ROWS": 1}, True),
-}
-# The problems whose separable controls take diagonals on these grids; the
-# 3-D and 4-D ones have too few regular rows at 5-7 nodes per axis.
-DIAGONAL_CASES = ("test4_eik2d", "test5_eik2d_disk")
 # SMALL_CASES and the catalog problems it leaves out
 ORACLE_CASES = SMALL_CASES + [(name, n, {}) for name, n in CATALOG_CASES
                               if name not in {case[0] for case in SMALL_CASES}]
@@ -118,12 +103,12 @@ def check_sweeps_against_oracle(sweeper, rng, where):
         low = q.min(axis=0)
         assert out[free].tobytes() == low[free].tobytes(), where
         assert np.array_equal(policy[free], (q == low).argmax(axis=0)[free]), where
-        assert out[pinned].tobytes() == sweeper.pinned_values[pinned].tobytes(), where
+        assert out[pinned].tobytes() == sweeper.pin_values.tobytes(), where
         assert (policy[pinned] == solvers.UNSET_POLICY).all(), where
     frozen = rng.integers(0, m, N)
     out = sweeper.evaluation_sweep(values, sweeper.policy_rows(h.PolicyField(sweeper.grid, frozen)))
     assert out[free].tobytes() == q[frozen, np.arange(N)][free].tobytes(), where
-    assert out[pinned].tobytes() == sweeper.pinned_values[pinned].tobytes(), where
+    assert out[pinned].tobytes() == sweeper.pin_values.tobytes(), where
 
 
 @pytest.mark.parametrize("layout", ["stored", "unstored"])
@@ -131,8 +116,9 @@ def check_sweeps_against_oracle(sweeper, rng, where):
 def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
                                               block_product):
     """Row i of the frozen-policy operator is row policy[i] * N + i of the
-    m-control operator, bit for bit, and so is c on the non-pinned nodes;
-    pinned nodes get empty rows and c = 0.  The stored operator is taken
+    m-control operator, bit for bit, and so is c on the non-pinned nodes,
+    against the block's constant per row (block_constant); pinned nodes get
+    empty rows and c = 0.  The stored operator is taken
     from its blocks of one control each, kept by a sweep, with its
     diagonals read back at their columns; the unstored one is built at
     once.
@@ -159,10 +145,10 @@ def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
         assert sweeper.diagonal.any() == (name in DIAGONAL_CASES)
         B = sp.vstack([sp.csr_matrix(block_rows(sweeper, block)[::-1], shape=(N, N))
                        for block in sweeper.kept], format="csr")
-        c = np.concatenate([block.c for block in sweeper.kept])
+        c = np.concatenate([block_constant(sweeper, block) for block in sweeper.kept])
     else:
         block, _ = sweeper._fill_block(range(m))
-        B, c = block.B, block.c
+        B, c = block.B, block_constant(sweeper, block)
         assert block.rows is None and not block.diagonals
         if block.shifted:
             assert sweeper.separable.all() and B is None

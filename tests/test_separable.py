@@ -5,7 +5,8 @@ build locates the arrivals per axis and writes the rows of the in-box
 sub-box from tensor-product corners: as diagonals when they take fewer
 bytes, with the irregular rows as CSR rows, else as CSR rows.  The oracle
 locates all N arrivals and hands the in-box ones to the row writer as a
-one-dimensional box: both must give the same rows and c, bit for bit.  The
+one-dimensional box: both must give the same rows and per-row constant,
+bit for bit, and the block's `outside` must number its empty rows.  The
 block argmin of a sweep is checked against numpy's argmax of the equality
 mask.
 """
@@ -20,9 +21,9 @@ import scipy.sparse as sp
 import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
-from hjbsolve.solvers import SolverError, _Block, _fill_rows, _located, _step, _Sweeper
+from hjbsolve.solvers import SolverError, _Block, _Sweeper
 
-from conftest import block_rows
+from conftest import block_constant, block_rows, empty_rows, general_rows, oracle_sweep
 
 EIKONAL_CASES = [
     ("test4_eik2d", 15, {"control_count": 12}),
@@ -31,22 +32,6 @@ EIKONAL_CASES = [
     ("test7_eik3d_spheres", 13, {"control_counts": (4, 3)}),
     ("test8_min4d", 7, {}),
 ]
-
-
-def general_rows(sweeper, js):
-    """indptr, indices, data and c of the controls `js`, built by locating
-    every node's arrival."""
-    grid, n = sweeper.grid, sweeper.grid.num_nodes
-    indptr, indices, data, c = sweeper._block_arrays(js)
-    for t, j in enumerate(js):
-        lo = t * n
-        arrivals, c[lo:lo + n] = _step(sweeper.spec, sweeper.nodes,
-                                       sweeper.controls.vectors[j], sweeper.dt, j)
-        bases, locals_, inside = _located(grid, arrivals)
-        c[lo:lo + n][~inside] += sweeper.discount * sweeper.spec.exterior_value
-        _fill_rows(grid, bases, locals_, inside, indptr[lo:lo + n + 1], indices, data)
-    end = indptr[-1]
-    return indptr, indices[:end], data[:end], c
 
 
 def fill_block(sweeper, js):
@@ -64,10 +49,15 @@ def assert_same_rows(sweeper, js, block_product):
     when they are stored (B's own rows where CSR rows remain, and the rows
     held as diagonals read back at their columns), and on every path
     through their products with fields that tie, vary in sign and hold
-    huge values."""
+    huge values.  So is its per-row constant, and `outside` numbers its
+    empty rows."""
     block = fill_block(sweeper, js)
     indptr, indices, data, want_c = general_rows(sweeper, js)
-    assert block.c.tobytes() == want_c.tobytes()
+    assert block.size == len(want_c)
+    assert block_constant(sweeper, block).tobytes() == want_c.tobytes()
+    assert block.outside.dtype == np.int32
+    assert np.array_equal(block.outside, empty_rows(sweeper, block))
+    assert np.array_equal(block.outside, np.flatnonzero(np.diff(indptr) == 0))
     n = sweeper.grid.num_nodes
     want = sp.csr_matrix((data, indices, indptr), shape=(len(want_c), n))
     if block.shifted:
@@ -93,20 +83,6 @@ def assert_same_rows(sweeper, js, block_product):
     for v in (rng.uniform(0.0, 2.0, n), rng.normal(size=n), np.full(n, 0.5),
               rng.choice([-1e308, 0.0, 1e308], n)):
         assert block_product(sweeper, block, v).tobytes() == (want @ v).tobytes()
-
-
-def oracle_sweep(sweeper, values):
-    """A Bellman sweep over the general rows of every control."""
-    m, n = len(sweeper.controls), sweeper.grid.num_nodes
-    indptr, indices, data, c = general_rows(sweeper, range(m))
-    q = sp.csr_matrix((data, indices, indptr), shape=(m * n, n)) @ values
-    q *= sweeper.discount
-    q += c
-    q = q.reshape(m, n)
-    low = q.min(axis=0)
-    policy = (q == low).argmax(axis=0).astype(np.int32)
-    sweeper.apply_pins(low, policy)
-    return low, policy
 
 
 def drift_spec(dim, dynamics):
@@ -196,7 +172,8 @@ def test_rows_written_in_slabs(slab, monkeypatch):
             assert block.rows is not None
         else:
             assert not sweeper.diagonal.any() and block.rows is None
-        for got in (block_rows(sweeper, block) + (block.c,), general_rows(sweeper, js)):
+        for got in (block_rows(sweeper, block) + (block_constant(sweeper, block),),
+                    general_rows(sweeper, js)):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
                 assert a.tobytes() == b.astype(a.dtype).tobytes()
@@ -349,8 +326,9 @@ def test_one_dynamics_call_per_control(name, monkeypatch):
 
 @pytest.mark.parametrize("controls", [1, 2, 255, 256, 300])
 def test_block_argmin_takes_the_lowest_tied_control(controls, rng):
-    """_sweep_block's argmin on a zero operator, so that q is c itself,
-    with values drawn from {0, 1, 2} so most nodes tie."""
+    """_sweep_block's argmin on a zero operator none of whose rows leaves
+    the box, so that q is c itself, with values drawn from {0, 1, 2} so
+    most nodes tie."""
     entry = h.catalog("test4_eik2d", control_count=4)
     grid = entry.spec.domain_grid(9)
     n = grid.num_nodes
@@ -358,7 +336,8 @@ def test_block_argmin_takes_the_lowest_tied_control(controls, rng):
     q = rng.integers(0, 3, (controls, n)).astype(float)
     q[:, 0] = 1.0  # a tie across every control
     js = range(11, 11 + controls)
-    block = _Block(sp.csr_matrix((controls * n, n)), None, [], [], q.reshape(-1).copy())
+    block = _Block(sp.csr_matrix((controls * n, n)), None, [], [], q.reshape(-1).copy(),
+                   np.empty(0, dtype=np.int32), controls * n)
     low, low_idx, _, _ = sweeper._sweep_block(js, block, None, np.ones(n), True, None)
     assert low.tobytes() == q.min(axis=0).tobytes()
     want = (q == q.min(axis=0)).argmax(axis=0).astype(np.int32) + js.start

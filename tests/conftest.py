@@ -1,3 +1,5 @@
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -56,6 +58,15 @@ class SolveCache:
         return self._store[key]
 
 
+# The source of peak(), for the memory scripts that tests run in a
+# subprocess: the process's own high-water mark in bytes.  ru_maxrss would
+# start at that of the process that started it, which pytest's may exceed.
+PEAK_SOURCE = textwrap.dedent("""
+    def peak():
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) * 1024 for line in status
+                        if line.startswith("VmHWM:"))
+""")
 # One small grid per catalog problem, with its default controls.
 CATALOG_CASES = [("test1_1d", 21), ("test2_vdp", 11), ("test3_dubins", 7),
                  ("test4_eik2d", 11), ("test5_eik2d_disk", 11), ("test6_eik3d", 7),

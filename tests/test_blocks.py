@@ -39,7 +39,7 @@ from hjbsolve import solvers
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
 from hjbsolve.solvers import _Block, _Sweeper
 
-from conftest import (CATALOG_CASES, DIAGONAL_CASES, ORACLE_PATHS, block_constant,
+from conftest import (CATALOG_CASES, DIAGONAL_CASES, ORACLE_PATHS, PEAK_SOURCE, block_constant,
                       empty_rows, general_rows, oracle_sweep)
 
 NODES = 21
@@ -301,17 +301,10 @@ def test_block_constants_when_every_arrival_leaves(monkeypatch):
             assert np.array_equal(block.outside, np.arange(block.size))
 
 
-STORED_MEMORY_SCRIPT = textwrap.dedent("""
+STORED_MEMORY_SCRIPT = PEAK_SOURCE + textwrap.dedent("""
     import numpy as np
     import hjbsolve as h
     from hjbsolve.solvers import _Sweeper
-
-    def peak():
-        # this process's own high-water mark: ru_maxrss starts at that of
-        # the process that started it, which pytest's may exceed
-        with open("/proc/self/status") as status:
-            return next(int(line.split()[1]) * 1024 for line in status
-                        if line.startswith("VmHWM:"))
 
     entry = h.catalog("test4_eik2d")
     grid = entry.spec.domain_grid(161)

@@ -23,6 +23,8 @@ from hjbsolve import solvers
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
 from hjbsolve.solvers import _Sweeper
 
+from conftest import PEAK_SOURCE
+
 CASES = [
     ("test4_eik2d", 15, {"control_count": 12}),
     ("test6_eik3d", 9, {"control_counts": (6, 4)}),
@@ -313,17 +315,10 @@ def test_over_budget_sweeps_set_separable_blocks_up_once(name, monkeypatch):
     assert (sweeper.nnz > 0) == (name != "test4_eik2d")
 
 
-MEMORY_SCRIPT = textwrap.dedent("""
+MEMORY_SCRIPT = PEAK_SOURCE + textwrap.dedent("""
     import numpy as np
     import hjbsolve as h
     from hjbsolve.solvers import _Sweeper
-
-    def peak():
-        # this process's own high-water mark: ru_maxrss starts at that of
-        # the process that started it, which pytest's may exceed
-        with open("/proc/self/status") as status:
-            return next(int(line.split()[1]) * 1024 for line in status
-                        if line.startswith("VmHWM:"))
 
     entry = h.catalog("test6_eik3d")
     grid = entry.spec.domain_grid(41)
@@ -359,15 +354,8 @@ def test_matrix_free_memory_at_41_cubed():
     assert peak <= bound < baseline + 12 * 2 ** dim * m * n / 4
 
 
-REPEATED_API_SCRIPT = textwrap.dedent("""
+REPEATED_API_SCRIPT = PEAK_SOURCE + textwrap.dedent("""
     import hjbsolve as h
-
-    def peak():
-        # this process's own high-water mark: ru_maxrss starts at that of
-        # the process that started it, which pytest's may exceed
-        with open("/proc/self/status") as status:
-            return next(int(line.split()[1]) * 1024 for line in status
-                        if line.startswith("VmHWM:"))
 
     entry = h.catalog("test6_eik3d")
     fine, coarse = entry.spec.domain_grid(41), entry.spec.domain_grid(21)
@@ -386,8 +374,8 @@ def test_repeated_api_memory_at_41_cubed():
     """Three successive api_solve calls of test6_eik3d at 41^3/21^3 on two
     threads, in one process, peak at no more than 108 MB over the import
     baseline.  The later calls peak 7-13 MB above the first (~91 MB), in
-    the heap the earlier ones freed: 97.5-103.4 MB over 16 runs on a
-    2-core VM, where an 8-byte stage cost per row peaked at 112-117.5 MB."""
+    the heap the earlier ones freed: 97.5-103.4 MB over 20 runs on a
+    2-core VM, where an 8-byte stage cost per row peaked at 112-118.6 MB."""
     src = str(pathlib.Path(h.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", REPEATED_API_SCRIPT], capture_output=True,
                          text=True, check=True,

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import l1_diff, sup_diff, ValueField
-from .problems import euler_arrival
+from .problems import euler_arrival, point_target_distances
 from .solvers import greedy_control_index
 
 REACHED_TARGET = "reached_target"
@@ -119,10 +119,7 @@ def _reached(spec, grid, x):
     kind = spec.kind
     if bool(np.asarray(kind.target(x[None, :]))[0]):
         return True
-    if kind.point is not None:
-        half_diag = 0.5 * math.sqrt(sum(h * h for h in grid.spacing))
-        return float(np.linalg.norm(x - np.asarray(kind.point))) <= half_diag
-    return False
+    return kind.point is not None and bool(point_target_distances(kind, grid, x[None, :])[1][0])
 
 
 def synthesize_trajectory(spec, V, controls, x0, dt, max_time):

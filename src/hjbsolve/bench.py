@@ -322,9 +322,7 @@ def run_experiment(config, out_dir=None):
             spec, coarse_grid, fine_grid, entry.controls, coarse_cfg, fine_cfg
         )
 
-    assert math.isclose(
-        report.epsilon, fine_cfg.stop_constant * min(fine_grid.spacing) ** 2
-    )
+    assert math.isclose(report.epsilon, fine_cfg.epsilon(fine_grid))
 
     error_record = None
     if config.write_errors and entry.reference_time is not None:

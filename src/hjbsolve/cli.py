@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .bench import ConfigError, ExperimentConfig, export_field, run_experiment, run_suite
@@ -66,13 +67,14 @@ def _parse_slice(text):
     if text is None or "=" not in text:
         raise ConfigError("--slice expects AXIS=VALUE, e.g. x4=0")
     axis_text, value_text = text.split("=", 1)
-    axis_text = axis_text.strip().lower().lstrip("x")
+    # one optional x or X, then the axis number from 1
+    axis = re.fullmatch(r"[xX]?([0-9]+)", axis_text.strip())
     try:
-        axis = int(axis_text) - 1 if axis_text else 0
-        value = float(value_text)
+        if axis is not None:
+            return int(axis[1]) - 1, float(value_text)
     except ValueError:
-        raise ConfigError(f"--slice: cannot parse {text!r}") from None
-    return axis, value
+        pass
+    raise ConfigError(f"--slice: cannot parse {text!r}")
 
 
 def main(argv=None):

@@ -218,21 +218,6 @@ def corner_weights(local, out=None):
         yield np.multiply(w, f, out=target)
 
 
-def multilinear_corners(grid, base, local):
-    """The multilinear interpolation weights of located points.
-
-    `base` and `local` are the per-axis cell base indices and local
-    coordinates from locate_points, or any per-axis rows that broadcast
-    together (such as one row per axis of a box of points, each shaped to
-    its own axis), in which case the results take the broadcast shape.
-    Returns a list of (flat corner index, weight) for each of the 2^d cell
-    corners in the corner order of corner_offsets and corner_weights.
-    """
-    flat = cell_index(grid, base)
-    return [(flat + offset, w)
-            for offset, w in zip(corner_offsets(grid), corner_weights(local))]
-
-
 def interpolate_values(grid, values, points, exterior_value):
     """Multilinear interpolation of flat nodal `values` at (n, d) `points`.
 
@@ -245,9 +230,10 @@ def interpolate_values(grid, values, points, exterior_value):
     if n == 0:
         return np.empty(0)
     base, local, inside = locate_points(grid, points)
+    flat = cell_index(grid, base)
     acc = np.zeros(n)
-    for corner, w in multilinear_corners(grid, base, local):
-        acc += w * values[corner]
+    for offset, w in zip(corner_offsets(grid), corner_weights(local)):
+        acc += w * values[flat + offset]
     if inside.all():
         return acc
     return np.where(inside, acc, exterior_value)

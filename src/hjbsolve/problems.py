@@ -174,6 +174,14 @@ def discretize_circle(count):
     return ControlSet((-math.pi + k * (2.0 * math.pi / count))[:, None])
 
 
+def point_target_distances(kind, grid, points):
+    """(distances, near) of the (n, d) `points` from kind.point: their
+    Euclidean distances, and whether each is within half a cell diagonal of
+    `grid`, the point-target rule of target_mask and of rollouts."""
+    dist = np.sqrt(np.sum((points - np.asarray(kind.point, dtype=float)) ** 2, axis=1))
+    return dist, dist <= 0.5 * math.sqrt(sum(h * h for h in grid.spacing))
+
+
 def target_mask(spec, grid):
     """Flag the grid nodes belonging to the target set.
 
@@ -192,8 +200,7 @@ def target_mask(spec, grid):
         with np.errstate(over="raise"):
             flags = np.asarray(kind.target(nodes), dtype=bool).reshape(-1)
             if kind.point is not None:
-                point = np.asarray(kind.point, dtype=float)
-                dist = np.sqrt(np.sum((nodes - point) ** 2, axis=1))
+                dist, near = point_target_distances(kind, grid, nodes)
     except FloatingPointError:
         raise ProblemError(
             "the target set overflows on this grid's nodes; shrink the domain"
@@ -201,8 +208,7 @@ def target_mask(spec, grid):
     if flags.size != grid.num_nodes:
         raise ProblemError("target predicate returned a wrong-size mask")
     if kind.point is not None:
-        half_diag = 0.5 * math.sqrt(sum(h * h for h in grid.spacing))
-        flags = flags | (dist <= half_diag)
+        flags = flags | near
         flags[int(np.argmin(dist))] = True
     if not flags.any():
         raise ProblemError(

@@ -14,10 +14,9 @@ a discounted one.  A Bellman sweep is the min over controls of
 discount * (B_j @ v) + c_j, where the empty rows take discount times the
 exterior value in place of B_j @ v.  A frozen-policy evaluation, by
 fixed-point sweeps or by a sparse linear solve, uses the rows
-(policy[i], i), whose constant vector holds the stage cost plus, for the
-outside arrivals, discount times the exterior value; both
-backends run in _Sweeper.evaluate, for policy iteration and for the two
-public evaluation functions alike.  The greedy step at an arbitrary state
+(policy[i], i), with the same stage cost and empty rows; both backends
+run in _Sweeper.evaluate, for policy iteration and for the two public
+evaluation functions alike.  The greedy step at an arbitrary state
 takes the same discount, stage costs and arrivals, and interpolates instead
 of using B.
 
@@ -36,7 +35,7 @@ bellman_update (one sweep), policy iteration warm-started from V_init
 separable controls matrix-free.  State-dependent controls are stored, or
 rebuilt in every sweep over the budget.  A block of controls is one record,
 _Block: its CSR rows, its diagonals, its matrix-free controls, its stage
-cost and the numbers of its empty rows.
+cost and the numbers of its empty rows.  So are the frozen-policy rows.
 
 All sweeps have Jacobi semantics: every node update reads only the previous
 iterate, argmin ties break toward the lowest control index, and the sup-norm
@@ -700,16 +699,18 @@ def _csr_arrays(rows, grid):
 
 class _Block(NamedTuple):
     """One block of consecutive controls of the m-control operator, `size`
-    rows, one per (control, node), control major.  B holds its CSR rows, or
-    is None; `rows` numbers the block rows that B's rows are, None when they
-    are all of them in order.  `diagonals` lists (t, offsets, data) for each
-    control held as diagonals: its 2^d diagonals in the (2^d, N) `data`
-    and their offsets (_diagonals).  `shifted` lists (t, _ShiftedRows) for
-    each control applied matrix-free.  t is a position in the block.  c is
-    the stage cost: one number for a minimum-time problem, else one per
-    row.  `outside` numbers, ascending and as int32, the rows whose
-    arrivals leave the box: the empty rows, which take the exterior value
-    in a sweep."""
+    rows, one per (control, node), control major, or the frozen-policy
+    operator, one row per node (_Sweeper.policy_rows).  B holds its CSR
+    rows, or is None; `rows` numbers the block rows that B's rows are, None
+    when they are all of them in order.  `diagonals` lists (t, offsets,
+    data) for each control held as diagonals: its 2^d diagonals in the
+    (2^d, N) `data` and their offsets (_diagonals).  `shifted` lists (t,
+    _ShiftedRows) for each control applied matrix-free.  t is a position in
+    the block.  c is the stage cost: one number for a minimum-time problem,
+    else one per row.  `outside` numbers, ascending and as int32, the rows
+    whose arrivals leave the box: the empty rows, but for the pinned nodes'
+    rows of the frozen-policy operator, which take the exterior value in a
+    sweep."""
 
     B: Optional[sp.csr_matrix]
     rows: Optional[np.ndarray]
@@ -752,8 +753,8 @@ class _Sweeper:
     every other control has CSR rows in B.  A block is kept for
     later sweeps when the entry bound fits the budget or when it has no CSR
     entry; over the budget every other block is rebuilt in every sweep.
-    evaluate() builds the frozen-policy rows by the same row writer, once
-    per call.
+    evaluate() builds the frozen-policy rows, a _Block of their own, by the
+    same row writer, once per call.
     `build_seconds` is the wall time during which a block was being set up,
     `nnz` counts the CSR entries of a sweep, `operator_bytes` the bytes its
     blocks hold, `separable` marks the separable controls, `diagonal` those
@@ -954,6 +955,15 @@ class _Sweeper:
             shifted_rows.apply(transposed, q[t * n:(t + 1) * n], self._buffers)
         return q
 
+    def _add_stage(self, q, block):
+        """q = B @ values over the _Block `block`'s rows, made discount * q + c
+        in place, with discount * exterior value x in place of discount * 0
+        on the rows in `outside`: x + c is the double 0 + (c + x)."""
+        q *= self.discount
+        q[block.outside] = self.discount * self.spec.exterior_value
+        q += block.c
+        return q
+
     def _sweep_block(self, js, block, arrays, values, policy, transposed):
         """Block `js`'s part of a Bellman sweep: the per-node minimum of
         discount * (B @ values) + c over its controls, the lowest control
@@ -961,17 +971,12 @@ class _Sweeper:
         of its build (None for a kept block).  `block` is a kept block;
         None builds it first, into `arrays` when they are given.
         Matrix-free rows read `transposed`, the values with the grid axes
-        reversed.  An empty row, in `outside`, takes discount * exterior
-        value x in place of discount * 0, before c is added: x + c is the
-        double 0 + (c + x), a per-row constant with x folded in."""
+        reversed."""
         span = None
         if block is None:
             block, span = self._fill_block(js, arrays)
         n = self.grid.num_nodes
-        q = self._product(block, values, transposed)
-        q *= self.discount
-        q[block.outside] = self.discount * self.spec.exterior_value
-        q += block.c
+        q = self._add_stage(self._product(block, values, transposed), block)
         if not np.isfinite(q).all():
             bad = int(np.flatnonzero(~np.isfinite(q))[0])
             raise SolverError(
@@ -1048,37 +1053,38 @@ class _Sweeper:
         return best, best_idx, self.active_count * len(self.controls)
 
     def policy_rows(self, policy):
-        """The frozen-policy operator (B, c): row i is node i's row under
-        control policy[i]; pinned nodes get empty rows and c = 0.  A
-        non-pinned node whose index is not a control index raises."""
+        """The frozen-policy operator, a _Block of N rows in node order: row
+        i is node i's row under control policy[i], empty for a pinned node,
+        whose stage cost is 0 when it is one per node and which `outside`
+        omits.  A non-pinned node whose index is no control index raises."""
         m = len(self.controls)
         idx = np.where(self.pinned, UNSET_POLICY, policy.indices)
         bad = np.flatnonzero(~self.pinned & ((idx < 0) | (idx >= m)))
         if bad.size:
             raise SolverError(f"policy index {idx[bad[0]]} at non-pinned node "
                               f"{bad[0]} is not a control index in [0, {m})")
-        grid, n = self.grid, self.grid.num_nodes
+        spec, grid, n = self.spec, self.grid, self.grid.num_nodes
         # Pinned nodes keep NaN arrivals, which lie outside the box.
         arrivals = np.full((n, grid.dim), np.nan)
-        c = np.zeros(n)
+        c = _stage(spec, self.nodes, None, self.dt) if spec.minimum_time else np.zeros(n)
         for j in range(m):
             sel = np.flatnonzero(idx == j)
             if sel.size:
-                arrivals[sel], c[sel] = _step(self.spec, self.nodes[sel],
-                                              self.controls.vectors[j], self.dt, j)
+                arrivals[sel], stage = _step(spec, self.nodes[sel], self.controls.vectors[j],
+                                             self.dt, j)
+                if not spec.minimum_time:
+                    c[sel] = stage
         bases, locals_, inside = _located(grid, arrivals)
-        c[~(inside | self.pinned)] += self.discount * self.spec.exterior_value
+        outside = np.flatnonzero(~(inside | self.pinned)).astype(np.int32)
         indptr, indices, data = _csr_arrays(n, grid)
         _fill_rows(grid, bases, locals_, inside, indptr, indices, data)
         end = indptr[-1]
-        return sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, n)), c
+        B = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, n))
+        return _Block(B, None, [], [], c, outside, n)
 
     def evaluation_sweep(self, values, rows):
-        """One frozen-policy sweep; returns the new values."""
-        B, c = rows
-        out = B @ values
-        out *= self.discount
-        out += c
+        """One frozen-policy sweep over policy_rows' _Block `rows`."""
+        out = self._add_stage(self._product(rows, values, None), rows)
         self.apply_pins(out)
         if not np.isfinite(out).all():
             bad = int(np.flatnonzero(~np.isfinite(out))[0])
@@ -1089,24 +1095,27 @@ class _Sweeper:
         """The values of the frozen `policy` by the `backend` of
         policy_evaluation_fixed_point, from the pinned values `v`, or of
         policy_evaluation_direct, which ignores `v`: (flat values, sweep or
-        Krylov count, whether the evaluation met its test).  A non-finite c
-        raises before any sweep or Krylov step, naming the node and its
-        control."""
-        B, c = self.policy_rows(policy)
-        bad = np.flatnonzero(~np.isfinite(c))
+        Krylov count, whether the evaluation met its test).  A non-finite
+        stage cost raises before any sweep or Krylov step, naming the node
+        and its control."""
+        rows = self.policy_rows(policy)
+        bad = np.flatnonzero(~np.isfinite(rows.c))
         if bad.size:
             raise SolverError(f"non-finite stage cost at node {bad[0]} under control "
                               f"{policy.indices[bad[0]]}")
         eps = config.epsilon(self.grid)
         if backend == "fixed_point":
-            v, history, converged = _iterate(partial(self.evaluation_sweep, rows=(B, c)),
+            v, history, converged = _iterate(partial(self.evaluation_sweep, rows=rows),
                                              v, eps, config.inner_cap())
             return v, len(history), converged
 
         import scipy.sparse.linalg as spla
 
-        matrix = sp.identity(self.grid.num_nodes, format="csr") - self.discount * B
-        c[self.pins] = self.pin_values
+        matrix = sp.identity(self.grid.num_nodes, format="csr") - self.discount * rows.B
+        # the stage costs, discount * exterior value added on `outside`, pins
+        rhs = np.full(self.grid.num_nodes, rows.c)
+        rhs[rows.outside] += self.discount * self.spec.exterior_value
+        rhs[self.pins] = self.pin_values
 
         iters = 0
 
@@ -1116,10 +1125,10 @@ class _Sweeper:
 
         tol = eps / 10.0
         x, info = spla.bicgstab(
-            matrix, c, rtol=0.0, atol=tol, maxiter=config.inner_cap(),
+            matrix, rhs, rtol=0.0, atol=tol, maxiter=config.inner_cap(),
             callback=count_iters,
         )
-        residual = float(np.max(np.abs(matrix @ x - c)))
+        residual = float(np.max(np.abs(matrix @ x - rhs)))
         if info != 0 or residual > tol:
             raise SolverError(
                 f"direct policy evaluation stalled: achieved residual {residual:.3e}, "

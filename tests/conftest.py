@@ -108,7 +108,8 @@ def block_product():
 
 def block_rows(sweeper, block):
     """(indptr, indices, data) of every row of a _Block without matrix-free
-    rows, laid out as the general row writer lays them out: 2^d entries per
+    rows, of the m-control operator or of the frozen-policy rows, laid out
+    as the general row writer lays them out: 2^d entries per
     in-box row in corner order, none for a row outside the box.  B's rows
     are read at `rows`, and a row held as diagonals at its 2^d columns,
     r + offsets[k], a row whose diagonal entries are all 0 being outside
@@ -155,9 +156,10 @@ def block_rows(sweeper, block):
 
 
 def block_constant(sweeper, block):
-    """The constant of every row of a _Block, as one float64 vector: its
-    stage cost plus, on the rows in `outside`, discount times the exterior
-    value, the sum a frozen-policy row's constant holds."""
+    """The constant of every row of a _Block, of the m-control operator or
+    of the frozen-policy rows, as one float64 vector: its stage cost plus,
+    on the rows in `outside`, discount times the exterior value, as the
+    direct backend's right-hand side holds it off the pinned nodes."""
     c = np.empty(block.size)
     c[:] = block.c
     c[block.outside] += sweeper.discount * sweeper.spec.exterior_value

@@ -159,6 +159,20 @@ class TestTrajectories:
         assert traj.status == HORIZON_EXCEEDED
         assert len(traj.samples) >= 1
 
+    @pytest.mark.parametrize("name,n", [("test4_eik2d", 11), ("test4_eik2d", 21),
+                                        ("test6_eik3d", 7), ("test6_eik3d", 9)])
+    def test_rollout_from_a_node_reaches_the_target_where_the_mask_flags_it(self, name, n):
+        """A rollout started on a node stops at once on the target exactly
+        when target_mask flags the node."""
+        entry = h.catalog(name)
+        grid = entry.spec.domain_grid(n)
+        flags = h.target_mask(entry.spec, grid).flags
+        V = h.default_initial_field(entry.spec, grid)
+        reached = [h.synthesize_trajectory(entry.spec, V, entry.controls, node,
+                                           entry.dt_for(grid), max_time=0.0).status
+                   == REACHED_TARGET for node in grid.nodes()]
+        assert np.array_equal(reached, flags) and np.count_nonzero(flags) == 1
+
     def test_left_domain_status(self):
         # a single rightward control with the target on the left: the state
         # has no choice but to exit through the right face

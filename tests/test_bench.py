@@ -374,6 +374,25 @@ class TestCli:
         assert "outside domain" in err
         assert not slice_path.exists()
 
+    def test_export_slice_needs_one_axis_number(self, exported_run, capsys):
+        """An axis is one optional x or X and an integer: without the number,
+        or with two x's, the slice is refused, and X2 and 2 take the second
+        axis as x2 does."""
+        slice_path = exported_run / "slice.txt"
+        for plane in ("=0.5", "x=0.5", "xx2=0"):
+            capsys.readouterr()
+            assert cli.main(["export", str(exported_run), "--format", "slice",
+                             "--slice", plane, "--out", str(slice_path)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"configuration error: --slice: cannot parse {plane!r}\n"
+            assert not slice_path.exists()
+        texts = []
+        for plane in ("x2=0", "X2=0", "2=0"):
+            assert cli.main(["export", str(exported_run), "--format", "slice",
+                             "--slice", plane, "--out", str(slice_path)]) == 0
+            texts.append(slice_path.read_text())
+        assert texts[0].startswith("x1 value\n") and texts[1] == texts[2] == texts[0]
+
     @pytest.mark.parametrize("damage", [
         lambda lines: lines[:100],
         lambda lines: lines[:5] + ["-1 -0.8 fast"] + lines[6:],

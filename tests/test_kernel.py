@@ -1,5 +1,5 @@
-"""The multilinear kernel (locate_points, multilinear_corners) against the
-per-corner reference formula, bit for bit."""
+"""The multilinear kernel (locate_points, cell_index, corner_offsets and
+corner_weights) against the per-corner reference formula, bit for bit."""
 
 import itertools
 import warnings
@@ -11,11 +11,15 @@ import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.grid import (
     RegularGrid,
+    cell_index,
+    corner_offsets,
+    corner_weights,
     interpolate_values,
     locate_points,
-    multilinear_corners,
 )
 from hjbsolve.solvers import _Sweeper
+
+from conftest import block_constant
 
 
 def reference_locate(grid, points):
@@ -88,7 +92,9 @@ def test_kernel_matches_reference_bit_for_bit(dim, n):
         assert np.array_equal(inside, ref_inside)
         if n > 1:
             assert inside.any() and not inside.all()
-        corners = multilinear_corners(grid, base, local)
+        flat = cell_index(grid, base)
+        corners = [(flat + offset, w)
+                   for offset, w in zip(corner_offsets(grid), corner_weights(local))]
         reference = reference_corners(grid, ref_base, ref_local)
         assert len(corners) == len(reference) == 2 ** dim
         for (flat, w), (ref_flat, ref_w) in zip(corners, reference):
@@ -125,7 +131,8 @@ def test_non_finite_coordinates_are_exterior_without_warnings(bad):
 def test_chunked_fill_matches_single_chunk(monkeypatch):
     """Rows written a few at a time, with out-of-box arrivals inside and
     across chunk boundaries, give the same CSR arrays, stage costs and
-    numbers of the empty rows."""
+    numbers of the empty rows, for a block of the m-control operator and
+    for the frozen-policy rows, and so the same per-row constants."""
     entry = h.catalog("test2_vdp", control_count=8)
     grid = entry.spec.domain_grid(15)
     sweeper = _Sweeper(entry.spec, grid, entry.controls,
@@ -134,14 +141,17 @@ def test_chunked_fill_matches_single_chunk(monkeypatch):
 
     def build():
         block, _ = sweeper._fill_block(range(len(entry.controls)))
-        B, P, d = block.B, *sweeper.policy_rows(policy)
-        assert block.rows is None
+        frozen = sweeper.policy_rows(policy)
+        B, P = block.B, frozen.B
+        assert block.rows is None and frozen.rows is None
         return (B.indptr, B.indices, B.data, block.c, block.outside, P.indptr, P.indices,
-                P.data, d)
+                P.data, frozen.c, frozen.outside, block_constant(sweeper, frozen))
 
     whole = build()
     assert np.diff(whole[0]).min() == 0  # some arrivals leave the box
     assert np.array_equal(whole[4], np.flatnonzero(np.diff(whole[0]) == 0))
+    assert len(whole[9]) and np.array_equal(
+        whole[9], np.setdiff1d(np.flatnonzero(np.diff(whole[5]) == 0), sweeper.pins))
     for rows in (1, 5, 64):
         monkeypatch.setattr(solvers, "_FILL_ROWS", rows)
         for a, b in zip(whole, build()):

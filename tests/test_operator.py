@@ -116,9 +116,10 @@ def check_sweeps_against_oracle(sweeper, rng, where):
 def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
                                               block_product):
     """Row i of the frozen-policy operator is row policy[i] * N + i of the
-    m-control operator, bit for bit, and so is c on the non-pinned nodes,
-    against the block's constant per row (block_constant); pinned nodes get
-    empty rows and c = 0.  The stored operator is taken
+    m-control operator, bit for bit, and so is its constant on the
+    non-pinned nodes, both read through block_rows and block_constant;
+    pinned nodes get empty rows, outside `outside`, and a discounted
+    problem's stage cost 0 there.  The stored operator is taken
     from its blocks of one control each, kept by a sweep, with its
     diagonals read back at their columns; the unstored one is built at
     once.
@@ -135,7 +136,9 @@ def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
                        h.SolverConfig(dt=entry.dt_for(grid), workers=1))
     assert sweeper.stored == (layout == "stored")
     policy = rng.integers(0, m, N)
-    P, d = sweeper.policy_rows(h.PolicyField(grid, policy))
+    frozen = sweeper.policy_rows(h.PolicyField(grid, policy))
+    P = sp.csr_matrix(block_rows(sweeper, frozen)[::-1], shape=(N, N))
+    d = block_constant(sweeper, frozen)
     free = np.flatnonzero(~sweeper.pinned)
     rows = policy[free] * N + free
     if sweeper.stored:
@@ -153,7 +156,8 @@ def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
         if block.shifted:
             assert sweeper.separable.all() and B is None
             for v in (rng.uniform(0.0, 2.0, N), rng.normal(size=N)):
-                assert (P @ v)[free].tobytes() == block_product(sweeper, block, v)[rows].tobytes()
+                got = block_product(sweeper, frozen, v)[free]
+                assert got.tobytes() == block_product(sweeper, block, v)[rows].tobytes()
         else:
             assert not sweeper.separable.any()
     if B is not None:
@@ -162,8 +166,39 @@ def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
         assert got.indices.tobytes() == want.indices.tobytes()
         assert got.data.tobytes() == want.data.tobytes()
     assert d[free].tobytes() == c[rows].tobytes()
-    assert P[np.flatnonzero(sweeper.pinned)].nnz == 0
-    assert not d[sweeper.pinned].any()
+    assert P[sweeper.pins].nnz == 0
+    assert not np.isin(frozen.outside, sweeper.pins).any()
+    assert entry.spec.minimum_time or not frozen.c[sweeper.pins].any()
+
+
+@pytest.mark.parametrize("name,n", CATALOG_CASES)
+def test_policy_rows_hold_one_stage_cost_and_number_their_empty_rows(name, n, rng):
+    """The frozen-policy _Block holds its N rows in node order as CSR rows
+    alone.  Its c is the one number 1 - e^{-dt} for a minimum-time problem
+    and, for a discounted one, dt * l(x_i, a_policy[i]) per node with 0 on
+    the pinned nodes; its `outside` is, ascending and as int32, the
+    non-pinned rows without entries."""
+    entry = h.catalog(name)
+    spec, grid = entry.spec, entry.spec.domain_grid(n)
+    m, N = len(entry.controls), grid.num_nodes
+    sweeper = _Sweeper(spec, grid, entry.controls,
+                       h.SolverConfig(dt=4 * entry.dt_for(grid), workers=1))
+    policy = rng.integers(0, m, N)
+    frozen = sweeper.policy_rows(h.PolicyField(grid, policy))
+    assert frozen.B.shape == (N, N) and frozen.rows is None and frozen.size == N
+    assert not frozen.diagonals and not frozen.shifted
+    free = ~sweeper.pinned
+    if spec.minimum_time:
+        assert type(frozen.c) is float and frozen.c == -math.expm1(-sweeper.dt)
+    else:
+        want = np.zeros(N)
+        for j in range(m):
+            at = free & (policy == j)
+            want[at] = sweeper.dt * spec.running_cost(grid.nodes()[at], entry.controls.vectors[j])
+        assert frozen.c.dtype == np.float64 and frozen.c.tobytes() == want.tobytes()
+    empty = np.flatnonzero((np.diff(frozen.B.indptr) == 0) & free)
+    assert frozen.outside.dtype == np.int32
+    assert np.array_equal(frozen.outside, empty)
 
 
 def drift_spec(dim, lower, width, drift):

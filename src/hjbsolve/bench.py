@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
-from .grid import RegularGrid, ValueField, write_field_table, read_field_table
+from .grid import (FIELD_FLOAT_FORMAT, RegularGrid, ValueField, read_field_table,
+                   write_field_table)
 from .problems import catalog, catalog_names, target_mask
 from .solvers import (
     SolverConfig,
@@ -398,18 +399,11 @@ def slice_field(field, axis, coordinate):
 
     other_axes = [i for i in range(grid.dim) if i != axis]
     header = " ".join([f"x{i + 1}" for i in other_axes] + ["value"])
-    if other_axes:
-        mesh = np.meshgrid(*[grid.axis_coords(i) for i in other_axes], indexing="ij")
-        cols = [m.reshape(-1) for m in mesh]
-    else:
-        cols = []
-    flat = taken.reshape(-1)
-    rows = []
-    for i in range(flat.size):
-        parts = ["%.17g" % c[i] for c in cols]
-        parts.append("%.17g" % flat[i])
-        rows.append(" ".join(parts))
-    return header, rows
+    mesh = np.meshgrid(*[grid.axis_coords(i) for i in other_axes], indexing="ij")
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack([m.reshape(-1) for m in mesh] + [taken.reshape(-1)]),
+               fmt=FIELD_FLOAT_FORMAT)
+    return header, buf.getvalue().splitlines()
 
 
 def export_field(result_dir, fmt, out_path, slice_axis=None, slice_value=None):

@@ -319,13 +319,8 @@ def write_field_table(field, fh):
     17 significant digits so float64 values round-trip exactly.
     """
     grid = field.grid
-    header = " ".join(f"x{i + 1}" for i in range(grid.dim)) + " value"
-    fh.write(header + "\n")
-    nodes = grid.nodes()
-    values = field.values
-    for i in range(grid.num_nodes):
-        row = " ".join(FIELD_FLOAT_FORMAT % c for c in nodes[i])
-        fh.write(f"{row} {FIELD_FLOAT_FORMAT % values[i]}\n")
+    fh.write(" ".join(f"x{i + 1}" for i in range(grid.dim)) + " value\n")
+    np.savetxt(fh, np.column_stack([grid.nodes(), field.values]), fmt=FIELD_FLOAT_FORMAT)
 
 
 def read_field_table(fh, grid):

@@ -4,7 +4,9 @@ benchmark catalog used by the solvers and the bench harness.
 Dynamics and running costs are vectorized: they accept a batch of states with
 shape (..., state_dim) together with a single control vector, and every
 catalog entry is written with plain elementwise numpy operations so that
-results do not depend on how the solver batches the nodes.
+results do not depend on how the solver batches the nodes.  Every catalog
+builder makes its spec through one box constructor, `_box_spec`: the builder's
+`domain` interval on every axis, with float exterior and boundary values.
 """
 
 from __future__ import annotations
@@ -177,9 +179,12 @@ def discretize_circle(count):
 def point_target_distances(kind, grid, points):
     """(distances, near) of the (n, d) `points` from kind.point: their
     Euclidean distances, and whether each is within half a cell diagonal of
-    `grid`, the point-target rule of target_mask and of rollouts."""
+    `grid`, the point-target rule of target_mask and of rollouts.  "Within"
+    allows a relative 1e-12, since the 2^d nodes of the cell centred on the
+    point lie half a diagonal away only up to rounding (8.3e-17 beyond it on
+    the 10^2 grid of [-1, 1]^2)."""
     dist = np.sqrt(np.sum((points - np.asarray(kind.point, dtype=float)) ** 2, axis=1))
-    return dist, dist <= 0.5 * math.sqrt(sum(h * h for h in grid.spacing))
+    return dist, dist <= 0.5 * (1.0 + 1e-12) * math.sqrt(sum(h * h for h in grid.spacing))
 
 
 def target_mask(spec, grid):
@@ -238,6 +243,22 @@ class CatalogEntry:
         return self.dt_ratio * min(grid.spacing)
 
 
+def _box_spec(dim, domain, dynamics, kind, exterior_value, running_cost=None,
+              boundary_value=None):
+    """The ProblemSpec on the box [domain[0], domain[1]]^dim, with float
+    exterior and boundary values."""
+    return ProblemSpec(
+        state_dim=dim,
+        dynamics=dynamics,
+        running_cost=running_cost,
+        kind=kind,
+        lower=(domain[0],) * dim,
+        upper=(domain[1],) * dim,
+        exterior_value=float(exterior_value),
+        boundary_value=None if boundary_value is None else float(boundary_value),
+    )
+
+
 # Each builder's keyword parameters, with their defaults, are the overrides
 # its problem accepts; it returns the CatalogEntry fields other than the name.
 
@@ -251,22 +272,18 @@ def _test1(control_count=20, dt_ratio=0.5, domain=(-1.0, 1.0), exterior_value=0.
     def cost(x, a):
         return 3.0 * (1.0 - np.abs(x[..., 0]))
 
-    spec = ProblemSpec(
-        state_dim=1,
-        dynamics=dyn,
-        running_cost=cost,
-        kind=InfiniteHorizon(float(lam)),
-        lower=(domain[0],),
-        upper=(domain[1],),
-        exterior_value=float(exterior_value),
-        boundary_value=float(boundary_value),
-    )
+    spec = _box_spec(1, domain, dyn, InfiniteHorizon(float(lam)), exterior_value,
+                     cost, boundary_value)
     controls = discretize_control_box([(-1.0, 1.0)], [int(control_count)])
 
     def exact(x):
         return 1.5 * (1.0 - np.abs(np.asarray(x)[..., 0]))
 
     return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), exact_value=exact)
+
+
+def _planar_cost(p, a):
+    return p[..., 0] ** 2 + p[..., 1] ** 2
 
 
 def _test2(control_count=32, dt_ratio=0.3, domain=(-2.0, 2.0), exterior_value=3.5,
@@ -276,19 +293,8 @@ def _test2(control_count=32, dt_ratio=0.3, domain=(-2.0, 2.0), exterior_value=3.
         y = p[..., 1]
         return np.stack([y, (1.0 - x * x) * y - x + a[0]], axis=-1)
 
-    def cost(p, a):
-        return p[..., 0] ** 2 + p[..., 1] ** 2
-
-    spec = ProblemSpec(
-        state_dim=2,
-        dynamics=dyn,
-        running_cost=cost,
-        kind=InfiniteHorizon(float(lam)),
-        lower=(domain[0],) * 2,
-        upper=(domain[1],) * 2,
-        exterior_value=float(exterior_value),
-        boundary_value=float(boundary_value),
-    )
+    spec = _box_spec(2, domain, dyn, InfiniteHorizon(float(lam)), exterior_value,
+                     _planar_cost, boundary_value)
     controls = discretize_control_box([(-1.0, 1.0)], [int(control_count)])
     return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio))
 
@@ -300,19 +306,8 @@ def _test3(control_count=11, dt_ratio=0.2, domain=(-2.0, 2.0), exterior_value=3.
         turn = np.broadcast_to(a[0], z.shape)
         return np.stack([np.cos(z), np.sin(z), turn], axis=-1)
 
-    def cost(p, a):
-        return p[..., 0] ** 2 + p[..., 1] ** 2
-
-    spec = ProblemSpec(
-        state_dim=3,
-        dynamics=dyn,
-        running_cost=cost,
-        kind=InfiniteHorizon(float(lam)),
-        lower=(domain[0],) * 3,
-        upper=(domain[1],) * 3,
-        exterior_value=float(exterior_value),
-        boundary_value=float(boundary_value),
-    )
+    spec = _box_spec(3, domain, dyn, InfiniteHorizon(float(lam)), exterior_value,
+                     _planar_cost, boundary_value)
     controls = discretize_control_box([(-1.0, 1.0)], [int(control_count)])
     return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio))
 
@@ -324,55 +319,6 @@ def _heading_dynamics(p, a):
     return out
 
 
-def _point_target(point):
-    point = np.asarray(point, dtype=float)
-
-    def predicate(p):
-        return np.all(np.asarray(p) == point, axis=-1)
-
-    return predicate
-
-
-def _test4(control_count=64, dt_ratio=0.8, domain=(-1.0, 1.0), exterior_value=1.0):
-    point = np.zeros(2)
-    spec = ProblemSpec(
-        state_dim=2,
-        dynamics=_heading_dynamics,
-        running_cost=None,
-        kind=MinimumTime(_point_target(point), point=point),
-        lower=(domain[0],) * 2,
-        upper=(domain[1],) * 2,
-        exterior_value=float(exterior_value),
-    )
-    controls = discretize_circle(int(control_count))
-
-    def ref(p):
-        return np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1))
-
-    return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), reference_time=ref)
-
-
-def _test5(control_count=72, dt_ratio=0.8, domain=(-2.0, 2.0), exterior_value=1.0):
-    def inside_disk(p):
-        return np.sum(np.asarray(p) ** 2, axis=-1) <= 1.0
-
-    spec = ProblemSpec(
-        state_dim=2,
-        dynamics=_heading_dynamics,
-        running_cost=None,
-        kind=MinimumTime(inside_disk),
-        lower=(domain[0],) * 2,
-        upper=(domain[1],) * 2,
-        exterior_value=float(exterior_value),
-    )
-    controls = discretize_circle(int(control_count))
-
-    def ref(p):
-        return np.maximum(np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1)) - 1.0, 0.0)
-
-    return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), reference_time=ref)
-
-
 def _sphere_dynamics(p, a):
     out = np.empty_like(p)
     s1 = math.sin(a[0])
@@ -382,23 +328,44 @@ def _sphere_dynamics(p, a):
     return out
 
 
-def _test6(control_counts=(16, 8), dt_ratio=0.8, domain=(-1.0, 1.0), exterior_value=1.0):
-    point = np.zeros(3)
-    spec = ProblemSpec(
-        state_dim=3,
-        dynamics=_sphere_dynamics,
-        running_cost=None,
-        kind=MinimumTime(_point_target(point), point=point),
-        lower=(domain[0],) * 3,
-        upper=(domain[1],) * 3,
-        exterior_value=float(exterior_value),
-    )
-    controls = discretize_control_box([(-math.pi, math.pi), (0.0, math.pi)], control_counts)
+def _origin_target(dim):
+    """Minimum time to the origin of the dim-dimensional box, a point target."""
+    point = np.zeros(dim)
+
+    def at_point(p):
+        return np.all(np.asarray(p) == point, axis=-1)
+
+    return MinimumTime(at_point, point=point)
+
+
+def _distance(p):
+    """Euclidean distance of the states `p` from the origin."""
+    return np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1))
+
+
+def _test4(control_count=64, dt_ratio=0.8, domain=(-1.0, 1.0), exterior_value=1.0):
+    spec = _box_spec(2, domain, _heading_dynamics, _origin_target(2), exterior_value)
+    controls = discretize_circle(int(control_count))
+    return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), reference_time=_distance)
+
+
+def _test5(control_count=72, dt_ratio=0.8, domain=(-2.0, 2.0), exterior_value=1.0):
+    def inside_disk(p):
+        return np.sum(np.asarray(p) ** 2, axis=-1) <= 1.0
+
+    spec = _box_spec(2, domain, _heading_dynamics, MinimumTime(inside_disk), exterior_value)
+    controls = discretize_circle(int(control_count))
 
     def ref(p):
-        return np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1))
+        return np.maximum(_distance(p) - 1.0, 0.0)
 
     return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), reference_time=ref)
+
+
+def _test6(control_counts=(16, 8), dt_ratio=0.8, domain=(-1.0, 1.0), exterior_value=1.0):
+    spec = _box_spec(3, domain, _sphere_dynamics, _origin_target(3), exterior_value)
+    controls = discretize_control_box([(-math.pi, math.pi), (0.0, math.pi)], control_counts)
+    return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), reference_time=_distance)
 
 
 _TEST7_CENTERS = (np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
@@ -412,23 +379,12 @@ def _test7(control_counts=(16, 8), dt_ratio=0.8, domain=(-6.0, 6.0), exterior_va
             hit |= np.sum((p - c) ** 2, axis=-1) <= 1.0
         return hit
 
-    spec = ProblemSpec(
-        state_dim=3,
-        dynamics=_sphere_dynamics,
-        running_cost=None,
-        kind=MinimumTime(in_spheres),
-        lower=(domain[0],) * 3,
-        upper=(domain[1],) * 3,
-        exterior_value=float(exterior_value),
-    )
+    spec = _box_spec(3, domain, _sphere_dynamics, MinimumTime(in_spheres), exterior_value)
     controls = discretize_control_box([(-math.pi, math.pi), (0.0, math.pi)], control_counts)
 
     def ref(p):
         p = np.asarray(p)
-        d = np.minimum(
-            np.sqrt(np.sum((p - _TEST7_CENTERS[0]) ** 2, axis=-1)),
-            np.sqrt(np.sum((p - _TEST7_CENTERS[1]) ** 2, axis=-1)),
-        )
+        d = np.minimum(_distance(p - _TEST7_CENTERS[0]), _distance(p - _TEST7_CENTERS[1]))
         return np.maximum(d - 1.0, 0.0)
 
     return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), reference_time=ref)
@@ -444,15 +400,7 @@ def _test8(dt_ratio=0.8, domain=(-1.0, 1.0), exterior_value=1.0):
     def dyn(p, a):
         return np.broadcast_to(a, np.asarray(p).shape)
 
-    spec = ProblemSpec(
-        state_dim=4,
-        dynamics=dyn,
-        running_cost=None,
-        kind=MinimumTime(on_boundary),
-        lower=(lo,) * 4,
-        upper=(hi,) * 4,
-        exterior_value=float(exterior_value),
-    )
+    spec = _box_spec(4, (lo, hi), dyn, MinimumTime(on_boundary), exterior_value)
     dirs = []
     for axis in range(4):
         for sign in (1.0, -1.0):
@@ -502,15 +450,7 @@ def _heat3(dt_ratio=0.1, domain=(-1.0, 1.0), exterior_value=1.0, target_radius=0
     def in_ball(p):
         return np.sum(np.asarray(p) ** 2, axis=-1) <= r0 * r0
 
-    spec = ProblemSpec(
-        state_dim=3,
-        dynamics=dyn,
-        running_cost=None,
-        kind=MinimumTime(in_ball),
-        lower=(domain[0],) * 3,
-        upper=(domain[1],) * 3,
-        exterior_value=float(exterior_value),
-    )
+    spec = _box_spec(3, domain, dyn, MinimumTime(in_ball), exterior_value)
     controls = ControlSet(np.array([[-1.0], [0.0], [1.0]]))
     # Unlike the eikonal problems this system is not unit speed (|f| reaches
     # ~7.3 on the box), so the default ratio keeps arrival steps within one

@@ -807,12 +807,12 @@ class _Sweeper:
     def _pool(self):
         return ThreadPoolExecutor(self.threads, thread_name_prefix="hjbsolve")
 
-    def _block_arrays(self, js, csr=True):
-        """Uninitialized CSR arrays (None for each without `csr`) and stage
-        costs for the rows of the controls `js`: the stage costs are None
-        for a minimum-time problem, whose stage cost is one number."""
+    def _block_arrays(self, js):
+        """Uninitialized CSR arrays (None for each on a matrix-free sweeper)
+        and stage costs for the rows of the controls `js`: the stage costs
+        are None for a minimum-time problem, whose stage cost is one number."""
         rows = len(js) * self.grid.num_nodes
-        arrays = _csr_arrays(rows, self.grid) if csr else (None,) * 3
+        arrays = (None,) * 3 if self.matrix_free else _csr_arrays(rows, self.grid)
         return arrays + (None if self.spec.minimum_time else np.empty(rows),)
 
     def _fill_block(self, js, arrays=None):
@@ -841,7 +841,7 @@ class _Sweeper:
         t0 = time.perf_counter()
         grid, spec, nodes = self.grid, self.spec, self.nodes
         n, width = grid.num_nodes, 2 ** grid.dim
-        indptr, indices, data, c = arrays or self._block_arrays(js, csr=not self.matrix_free)
+        indptr, indices, data, c = arrays or self._block_arrays(js)
         shifted, diagonals, remainders, outside = [], [], [], []
         starts = []  # the first block row of each control with CSR rows
         count = 0  # B's rows so far
@@ -1017,7 +1017,7 @@ class _Sweeper:
         # their CSR arrays only for the controls that need them.  Diagonals
         # are written into the CSR data arrays, so nothing more is allocated
         # for them.
-        arrays = [self._block_arrays(js, csr=not self.matrix_free)
+        arrays = [self._block_arrays(js)
                   if self.stored and block is None else None
                   for js, block in zip(self.blocks, kept)]
         # one copy of the values, with the grid axes reversed, for all the

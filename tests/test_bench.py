@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import io
 import math
 import os
 import pathlib
@@ -172,6 +173,20 @@ class TestSliceExport:
         field = ValueField.full(grid, 1.0)
         with pytest.raises(ConfigError):
             slice_field(field, axis=0, coordinate=2.0)
+
+    def test_table_and_slice_bytes(self):
+        """Tables and slices write every number with 17 significant digits,
+        signed zeros and extreme exponents included."""
+        field = ValueField(RegularGrid((0.0, -1.0), (1.0, 1.0), (2, 2)),
+                           [-0.0, 1e-300, 1e300, 0.1])
+        buf = io.StringIO()
+        h.write_field_table(field, buf)
+        assert buf.getvalue() == ("x1 x2 value\n0 -1 -0\n0 1 1e-300\n"
+                                  "1 -1 1.0000000000000001e+300\n1 1 0.10000000000000001\n")
+        assert slice_field(field, axis=1, coordinate=-1.0) == (
+            "x1 value", ["0 -0", "1 1.0000000000000001e+300"])
+        line = ValueField(RegularGrid((0.0,), (1.0,), (3,)), [1e300, -0.0, 1e-300])
+        assert slice_field(line, axis=0, coordinate=0.5) == ("value", ["-0"])
 
     def test_constant_field_constant_column(self):
         grid = RegularGrid((0.0, 0.0), (1.0, 1.0), (5, 5))

@@ -154,8 +154,8 @@ def check_blocks_allocated_on_the_calling_thread(name, monkeypatch, rng):
     allocated, builders, copied = [], set(), []
     block_arrays, fill, replace = _Sweeper._block_arrays, _Sweeper._fill_block, _Block._replace
 
-    def spied_arrays(self, js, csr=True):
-        arrays = block_arrays(self, js, csr)
+    def spied_arrays(self, js):
+        arrays = block_arrays(self, js)
         allocated.append((threading.get_ident(), js, arrays))
         return arrays
 

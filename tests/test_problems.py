@@ -141,6 +141,23 @@ class TestCatalog:
         assert spec.exterior_value == exterior
         assert spec.boundary_value == boundary
 
+    @pytest.mark.parametrize("name", sorted(h.catalog_names()))
+    def test_overridden_domains_and_values(self, name):
+        """Every builder puts an overridden domain on every axis and makes an
+        overridden exterior value, and boundary value where it takes one,
+        floats."""
+        overrides = {"domain": (-3, 5), "exterior_value": 2}
+        if h.catalog(name).spec.boundary_value is not None:
+            overrides["boundary_value"] = 7
+        spec = h.catalog(name, **overrides).spec
+        assert spec.lower == (-3.0,) * spec.state_dim
+        assert spec.upper == (5.0,) * spec.state_dim
+        assert type(spec.exterior_value) is float and spec.exterior_value == 2.0
+        if "boundary_value" in overrides:
+            assert type(spec.boundary_value) is float and spec.boundary_value == 7.0
+        else:
+            assert spec.boundary_value is None
+
     @pytest.mark.parametrize("name,allowed", [
         ("test1_1d", ["boundary_value", "control_count", "domain", "dt_ratio",
                       "exterior_value", "lam"]),
@@ -186,6 +203,23 @@ class TestTargetMask:
         grid = entry.spec.domain_grid(40)
         mask = h.target_mask(entry.spec, grid)
         assert mask.flags.any()
+
+    @pytest.mark.parametrize("name,n", [
+        ("test4_eik2d", 10), ("test4_eik2d", 40), ("test6_eik3d", 6),
+        ("test4_eik2d", 11), ("test4_eik2d", 21), ("test4_eik2d", 41), ("test4_eik2d", 81),
+        ("test4_eik2d", 161), ("test4_eik2d", 321),
+        ("test6_eik3d", 7), ("test6_eik3d", 21), ("test6_eik3d", 41), ("test6_eik3d", 81),
+    ])
+    def test_point_target_flags_the_nodes_nearest_the_point(self, name, n):
+        """The origin is a node at odd counts, flagged alone, and a cell
+        centre at even ones, where all 2^d nodes of the cell are flagged,
+        though rounding puts some of them just beyond half a cell diagonal."""
+        entry = h.catalog(name)
+        grid = entry.spec.domain_grid(n)
+        flags = h.target_mask(entry.spec, grid).flags
+        nearest = np.all(np.abs(grid.nodes()) < 0.75 * grid.spacing[0], axis=1)
+        assert np.count_nonzero(nearest) == (2 ** grid.dim if n % 2 == 0 else 1)
+        assert np.array_equal(flags, nearest)
 
     def test_infinite_horizon_all_false(self):
         entry = h.catalog("test2_vdp")

@@ -37,7 +37,7 @@ EIKONAL_CASES = [
 def fill_block(sweeper, js):
     """The block of the controls `js`, built into arrays that hold NaN, so
     that an entry the build should write, or zero, and does not shows."""
-    arrays = sweeper._block_arrays(js, csr=not sweeper.matrix_free)
+    arrays = sweeper._block_arrays(js)
     for array in arrays:
         if array is not None and array.dtype == np.float64:
             array.fill(np.nan)

@@ -18,6 +18,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -334,14 +335,12 @@ def run_experiment(config, out_dir=None):
     result = ExperimentResult(config, report, V, error_record)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_atomic(os.path.join(out_dir, "config.txt"), config.echo_text())
+        _write_atomic(os.path.join(out_dir, "config.txt"), _text(config.echo_text()))
         result.files.append(os.path.join(out_dir, "config.txt"))
-        _write_atomic(os.path.join(out_dir, "report.txt"), report.to_text())
+        _write_atomic(os.path.join(out_dir, "report.txt"), _text(report.to_text()))
         result.files.append(os.path.join(out_dir, "report.txt"))
         if config.write_field:
-            buf = io.StringIO()
-            write_field_table(V, buf)
-            _write_atomic(os.path.join(out_dir, "field.txt"), buf.getvalue())
+            _write_atomic(os.path.join(out_dir, "field.txt"), partial(write_field_table, V))
             result.files.append(os.path.join(out_dir, "field.txt"))
         if error_record is not None:
             text = (
@@ -350,16 +349,28 @@ def run_experiment(config, out_dir=None):
                 f"{error_record.dx:.17g} {error_record.l1_error:.17g} "
                 f"{error_record.sup_error:.17g}\n"
             )
-            _write_atomic(os.path.join(out_dir, "errors.txt"), text)
+            _write_atomic(os.path.join(out_dir, "errors.txt"), _text(text))
             result.files.append(os.path.join(out_dir, "errors.txt"))
     return result
 
 
-def _write_atomic(path, text):
+def _write_atomic(path, write):
+    """Write `path` through a temporary file that replaces it once
+    `write(fh)` returns; the temporary file is removed if it raises."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            write(fh)
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
+
+
+def _text(text):
+    """A writer for _write_atomic that writes `text`."""
+    return lambda fh: fh.write(text)
 
 
 def load_result_field(result_dir):
@@ -410,14 +421,12 @@ def export_field(result_dir, fmt, out_path, slice_axis=None, slice_value=None):
     """Post-process a result directory: full table copy or an axis slice."""
     entry, grid, field = load_result_field(result_dir)
     if fmt == "table":
-        buf = io.StringIO()
-        write_field_table(field, buf)
-        _write_atomic(out_path, buf.getvalue())
+        _write_atomic(out_path, partial(write_field_table, field))
     elif fmt == "slice":
         if slice_axis is None or slice_value is None:
             raise ConfigError("slice export needs --slice axis=value")
         header, rows = slice_field(field, slice_axis, slice_value)
-        _write_atomic(out_path, header + "\n" + "\n".join(rows) + "\n")
+        _write_atomic(out_path, _text(header + "\n" + "\n".join(rows) + "\n"))
     else:
         raise ConfigError(f"unknown export format {fmt!r}")
     return out_path
@@ -512,7 +521,8 @@ def _run_paper_tables(out_dir, workers, include_large, only):
                 except Exception as exc:  # noqa: BLE001 - suite must continue
                     ok = False
                     lines.append(f"{nodes} - {algorithm} error: {exc}")
-        _write_atomic(os.path.join(out_dir, f"table_{problem}.txt"), "\n".join(lines) + "\n")
+        _write_atomic(os.path.join(out_dir, f"table_{problem}.txt"),
+                      _text("\n".join(lines) + "\n"))
     return ok
 
 
@@ -544,7 +554,7 @@ def _run_rates(out_dir, workers, include_large):
             f"{nodes}^2 {rec.dx:.17g} {rec.l1_error:.3e} {l1r} "
             f"{rec.sup_error:.3e} {supr}"
         )
-    _write_atomic(os.path.join(out_dir, "table_rates.txt"), "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(out_dir, "table_rates.txt"), _text("\n".join(lines) + "\n"))
     return not any(isinstance(rec, Exception) for rec in records.values())
 
 
@@ -608,7 +618,7 @@ def _run_invariants(out_dir):
     for label, passed in checks:
         lines.append(f"{label}: {'PASS' if passed else 'FAIL'}")
         ok = ok and passed
-    _write_atomic(os.path.join(out_dir, "invariants.txt"), "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(out_dir, "invariants.txt"), _text("\n".join(lines) + "\n"))
     for line in lines:
         print(line)
     return ok

@@ -12,13 +12,19 @@ entries; an arrival outside the box gets an empty row.  The stage cost c
 is one number, 1 - e^{-dt}, for a minimum-time problem and one per row for
 a discounted one.  A Bellman sweep is the min over controls of
 discount * (B_j @ v) + c_j, where the empty rows take discount times the
-exterior value in place of B_j @ v.  A frozen-policy evaluation, by
-fixed-point sweeps or by a sparse linear solve, uses the rows
-(policy[i], i), with the same stage cost and empty rows; both backends
-run in _Sweeper.evaluate, for policy iteration and for the two public
-evaluation functions alike.  The greedy step at an arbitrary state
-takes the same discount, stage costs and arrivals, and interpolates instead
-of using B.
+exterior value in place of B_j @ v.  Where the argmin is not wanted, a
+minimum-time sweep takes the min of B_j @ v first and forms discount *
+min + c once per node, the same bits, as rounding is monotone; and a
+minimum-time sweep of finite values of modulus at most 1e300 scans no
+update for non-finite ones, as it can make none.  A frozen-policy
+evaluation, by fixed-point sweeps or by a sparse linear solve, uses the
+rows (policy[i], i), with the same stage cost and empty rows; both
+backends run in _Sweeper.evaluate, for policy iteration and for the two
+public evaluation functions alike.  Policy iteration hands it the
+Bellman sweep that chose the policy, its first fixed-point sweep, which
+ends an evaluation that needs no other.  The greedy step at an arbitrary
+state takes the same discount, stage costs and arrivals, and interpolates
+instead of using B.
 
 Value iteration and cold-started policy iteration store the operator,
 whose one build pays off over their many sweeps.  A separable control,
@@ -106,6 +112,9 @@ _MIN_THREAD_ROWS = 2 ** 19
 # 10-15% slower, and one slab per control no faster, with temporaries of 2^d
 # corners per row (~0.5 GB per thread at 41^4).
 _FILL_ROWS = 2 ** 16
+# A minimum-time Bellman sweep of values of modulus at most this has only
+# finite updates (_Sweeper.bellman_sweep): far below overflow.
+_FINITE_BOUND = 1e300
 
 
 class SolverError(RuntimeError):
@@ -964,20 +973,27 @@ class _Sweeper:
         q += block.c
         return q
 
-    def _sweep_block(self, js, block, arrays, values, policy, transposed):
+    def _sweep_block(self, js, block, arrays, values, policy, transposed, finite):
         """Block `js`'s part of a Bellman sweep: the per-node minimum of
         discount * (B @ values) + c over its controls, the lowest control
         index attaining it (None unless `policy`), the _Block and the span
         of its build (None for a kept block).  `block` is a kept block;
         None builds it first, into `arrays` when they are given.
         Matrix-free rows read `transposed`, the values with the grid axes
-        reversed."""
+        reversed.  `finite` says that every update is known to be finite
+        (bellman_sweep), so that none is scanned; a value-only sweep then
+        returns the minimum of B @ values, with the exterior value on the
+        rows in `outside`, and leaves discount * min + c to bellman_sweep."""
         span = None
         if block is None:
             block, span = self._fill_block(js, arrays)
         n = self.grid.num_nodes
-        q = self._add_stage(self._product(block, values, transposed), block)
-        if not np.isfinite(q).all():
+        q = self._product(block, values, transposed)
+        if finite and not policy:
+            q[block.outside] = self.spec.exterior_value
+            return np.minimum.reduce(q.reshape(len(js), n), axis=0), None, block, span
+        q = self._add_stage(q, block)
+        if not finite and not np.isfinite(q).all():
             bad = int(np.flatnonzero(~np.isfinite(q))[0])
             raise SolverError(
                 f"non-finite update at node {bad % n} under control {js[bad // n]}"
@@ -1007,7 +1023,20 @@ class _Sweeper:
         policy=False the argmin is skipped and None is returned in its place;
         the values are the same bits, since the merge of the block minima is
         unchanged.
+
+        A minimum-time sweep of finite values of modulus at most 1e300 has
+        only finite updates, so it scans none: a row's weights are in
+        [0, 1] and sum to 1 up to rounding, and c and the exterior value are
+        finite.  Its value-only form takes the minimum first: the blocks
+        give the minima of B @ values, with the exterior value on the rows
+        that leave the box, and discount * min + c is formed once per node
+        after the merge.  Rounding is monotone, so fl(fl(discount * p) + c)
+        never decreases as p grows and commutes with the minimum: the same
+        bits.  Any other sweep, and a minimum-time one from other values,
+        forms and scans every update.
         """
+        finite = (self.spec.minimum_time
+                  and -_FINITE_BOUND <= values.min() and values.max() <= _FINITE_BOUND)
         kept = self.kept
         # The calling thread allocates the arrays of every block that will be
         # kept before it is queued.  Allocated on the pool's threads, they
@@ -1024,8 +1053,8 @@ class _Sweeper:
         # matrix-free rows of the sweep
         transposed = (np.ascontiguousarray(values.reshape(self.grid.shape).T)
                       if self.matrix_free else None)
-        results = self._map(self._sweep_block, self.blocks, kept, arrays,
-                            repeat(values), repeat(policy), repeat(transposed))
+        results = self._map(self._sweep_block, self.blocks, kept, arrays, repeat(values),
+                            repeat(policy), repeat(transposed), repeat(finite))
         best = best_idx = None
         nnz = held = 0
         spans = []
@@ -1049,6 +1078,9 @@ class _Sweeper:
                     np.copyto(best_idx, low_idx, where=better)
         self.build_seconds += _covered_seconds(spans)
         self.nnz, self.operator_bytes = nnz, held
+        if finite and not policy:
+            best *= self.discount
+            best += block.c  # every block's one stage cost
         self.apply_pins(best, best_idx)
         return best, best_idx, self.active_count * len(self.controls)
 
@@ -1091,19 +1123,26 @@ class _Sweeper:
             raise SolverError(f"non-finite evaluation update at node {bad}")
         return out
 
-    def evaluate(self, policy, v, config, backend):
+    def evaluate(self, policy, v, config, backend, first=None):
         """The values of the frozen `policy` by the `backend` of
         policy_evaluation_fixed_point, from the pinned values `v`, or of
         policy_evaluation_direct, which ignores `v`: (flat values, sweep or
         Krylov count, whether the evaluation met its test).  A non-finite
         stage cost raises before any sweep or Krylov step, naming the node
-        and its control."""
+        and its control.
+
+        `first`, when given, is the Bellman sweep of `v` whose argmin
+        `policy` is, and so the first fixed-point sweep, bit for bit.  When
+        it already meets the test, it is returned as that one sweep, and no
+        rows are built."""
+        eps = config.epsilon(self.grid)
+        if backend == "fixed_point" and first is not None and _sup_distance(first, v) <= eps:
+            return first, 1, True
         rows = self.policy_rows(policy)
         bad = np.flatnonzero(~np.isfinite(rows.c))
         if bad.size:
             raise SolverError(f"non-finite stage cost at node {bad[0]} under control "
                               f"{policy.indices[bad[0]]}")
-        eps = config.epsilon(self.grid)
         if backend == "fixed_point":
             v, history, converged = _iterate(partial(self.evaluation_sweep, rows=rows),
                                              v, eps, config.inner_cap())
@@ -1277,23 +1316,28 @@ def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None)
     Without `V_init` the run starts from default_initial_field and the
     constant policy 0.  With it, the run starts from the pinned `V_init` and
     its greedy policy, from one Bellman sweep that node_updates counts.
-    Evaluations are warm-started from the previous value iterate.  The
-    evaluated value sequence is nodewise nonincreasing up to the evaluation
-    tolerance.  sub_iteration_history records the evaluation effort per outer
-    step (sweeps, or linear-solver iterations for the direct backend).
+    Evaluations are warm-started from the previous value iterate.  A
+    fixed-point evaluation whose first sweep, the Bellman sweep that chose
+    its policy, already meets the test returns that sweep, counted as one,
+    without building its rows.  The evaluated value sequence is nodewise
+    nonincreasing up to the evaluation tolerance.  sub_iteration_history
+    records the evaluation effort per outer step (sweeps, or linear-solver
+    iterations for the direct backend).
     `on_iterate`, when given, receives every evaluated value field.  The
     reported wall time includes the operator build.
     """
     t0 = time.perf_counter()
     with _Sweeper(spec, grid, controls, config, store_separable=V_init is None) as sweeper:
         updates = 0
+        # the last Bellman sweep T v, of the v that `policy` is greedy for
+        Tv = None
         if V_init is None:
             V = default_initial_field(spec, grid)
             policy = PolicyField.constant(grid, 0)
             policy.indices[sweeper.pinned] = UNSET_POLICY
         else:
             V = sweeper.pinned_copy(V_init)
-            _, pol, updates = sweeper.bellman_sweep(V.values)
+            Tv, pol, updates = sweeper.bellman_sweep(V.values)
             policy = PolicyField(grid, pol)
 
         subs = []
@@ -1302,8 +1346,9 @@ def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None)
 
         def step(v):
             """Evaluate the policy from v, then improve it."""
-            nonlocal policy, residual
-            v_new, inner, _ = sweeper.evaluate(policy, v, config, config.eval_backend)
+            nonlocal policy, residual, Tv
+            v_new, inner, _ = sweeper.evaluate(policy, v, config, config.eval_backend,
+                                               first=Tv)
             subs.append(inner)
             if on_iterate is not None:
                 on_iterate(ValueField(grid, v_new, copy=False))

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import hjbsolve as h
-from hjbsolve.solvers import _csr_arrays, _fill_rows, _located, _step
+from hjbsolve.solvers import _Sweeper, _csr_arrays, _fill_rows, _located, _step
 
 
 class SolveCache:
@@ -201,15 +201,61 @@ def general_rows(sweeper, js):
     return indptr, indices[:end], data[:end], c
 
 
-def oracle_sweep(sweeper, values):
-    """A Bellman sweep over the general rows of every control."""
+def oracle_updates(sweeper, values):
+    """discount * (B @ values) + c over the general rows of every control,
+    as an (m, N) array, every update formed, finite or not."""
     m, n = len(sweeper.controls), sweeper.grid.num_nodes
     indptr, indices, data, c = general_rows(sweeper, range(m))
     q = sp.csr_matrix((data, indices, indptr), shape=(m * n, n)) @ values
     q *= sweeper.discount
     q += c
-    q = q.reshape(m, n)
+    return q.reshape(m, n)
+
+
+def oracle_sweep(sweeper, values):
+    """A Bellman sweep over the general rows of every control."""
+    q = oracle_updates(sweeper, values)
     low = q.min(axis=0)
     policy = (q == low).argmax(axis=0).astype(np.int32)
     sweeper.apply_pins(low, policy)
     return low, policy
+
+
+# Values for one node of a minimum-time field: the non-finite ones, which
+# fail the finiteness proof of a Bellman sweep and raise, and finite ones
+# just above its bound, which fail it and do not raise, or at it.
+POISONED_VALUES = [np.nan, np.inf, -np.inf, np.nextafter(1e300, np.inf),
+                   -np.nextafter(1e300, np.inf), 1e300]
+
+
+def poisoned_outcome(spec, grid, controls, config, poison):
+    """A field of 0.5 with `poison` at one non-pinned node, given to
+    bellman_update, value_iteration(V0=...) and a warm policy_iteration.
+    When the oracle's updates, every one formed, hold a non-finite one,
+    bellman_update raises naming the lowest such control and its lowest
+    node, and the other two reject the field before any sweep, as
+    ValueField holds finite values; else bellman_update gives the oracle
+    sweep's bits, and the others run.  Returns the message or the bits."""
+    sweeper = _Sweeper(spec, grid, controls, config)
+    free = np.flatnonzero(~sweeper.pinned)
+    V = h.ValueField.full(grid, 0.5)
+    V.values[free[len(free) // 3]] = poison
+    # (control, node) of the non-finite updates, in control-major order
+    bad = np.argwhere(~np.isfinite(oracle_updates(sweeper, V.values)))
+    solves = (lambda: h.value_iteration(spec, grid, controls, config, V0=V),
+              lambda: h.policy_iteration(spec, grid, controls, config, V_init=V))
+    if not len(bad):
+        T, P = h.bellman_update(spec, grid, V, controls, config)
+        want, want_policy = oracle_sweep(sweeper, V.values)
+        assert T.values.tobytes() == want.tobytes()
+        assert np.array_equal(P.indices, want_policy)
+        for solve in solves:
+            solve()
+        return T.values.tobytes()
+    message = f"non-finite update at node {bad[0][1]} under control {bad[0][0]}"
+    with pytest.raises(h.SolverError, match=f"^{message}$"):
+        h.bellman_update(spec, grid, V, controls, config)
+    for solve in solves:
+        with pytest.raises(h.GridError, match="non-finite entries"):
+            solve()
+    return message

@@ -4,6 +4,8 @@ import io
 import math
 import os
 import pathlib
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hjbsolve.bench import (
     _KNOWN_KEYS,
     _OVERRIDE_PARSERS,
     _SETTING_PARSERS,
+    _write_atomic,
     ConfigError,
     ExperimentConfig,
     parse_config_text,
@@ -115,6 +118,39 @@ class TestRunExperiment:
         for p in result.files:
             assert os.path.exists(p)
             assert not os.path.exists(p + ".tmp")
+        buf = io.StringIO()
+        h.write_field_table(result.value_field, buf)
+        with open(tmp_path / "run" / "field.txt") as fh:
+            assert fh.read() == buf.getvalue()
+
+    def test_field_tables_stream_to_the_file(self, tmp_path):
+        """A field table goes to its temporary file as it is written: the
+        bytes of write_field_table, with less memory at the peak than the
+        text takes, where a copy of the text would take twice that."""
+        grid = RegularGrid((0.0, 0.0), (1.0, 1.0), (301, 301))
+        field = ValueField(grid, np.random.default_rng(5).uniform(size=grid.num_nodes))
+        buf = io.StringIO()
+        h.write_field_table(field, buf)
+        text = buf.getvalue()
+        del buf
+        path = tmp_path / "field.txt"
+        tracemalloc.start()
+        try:
+            _write_atomic(str(path), partial(h.write_field_table, field))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text() == text
+        assert peak < len(text)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        def failing(fh):
+            fh.write("x1 value\n")
+            raise OSError("no space left")
+
+        with pytest.raises(OSError, match="no space left"):
+            _write_atomic(str(tmp_path / "field.txt"), failing)
+        assert os.listdir(tmp_path) == []
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg = ExperimentConfig.from_text(SMALL_API)

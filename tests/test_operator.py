@@ -15,7 +15,7 @@ from hjbsolve.problems import InfiniteHorizon, ProblemSpec
 from hjbsolve.solvers import _Sweeper
 
 from conftest import (CATALOG_CASES, DIAGONAL_CASES, ORACLE_PATHS, block_constant,
-                      block_rows)
+                      block_rows, general_rows)
 
 SMALL_CASES = [
     ("test1_1d", 21, {}),
@@ -318,6 +318,75 @@ def test_values_only_sweep_is_bit_identical(name, n, overrides, path, rng,
         assert none is None
         assert only.tobytes() == full.tobytes()
         assert evals_only == evals == sweeper.active_count * len(entry.controls)
+
+
+MINIMUM_TIME_CASES = [(name, n) for name, n in CATALOG_CASES
+                      if h.catalog(name).spec.minimum_time]
+
+
+def ulp_fields(rng, N):
+    """Fields whose neighbouring values lie a few ulps apart, near 0 (signed
+    zeros and subnormals) and just below 1, so that distinct products round
+    to one update."""
+    steps = rng.integers(0, 4, N)
+    return [np.where(rng.random(N) < 0.5, -0.0, 0.0),
+            steps * np.spacing(0.0),
+            1.0 - steps * np.spacing(0.5)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("path", sorted(ORACLE_PATHS))
+@pytest.mark.parametrize("name,n", MINIMUM_TIME_CASES)
+def test_minimum_time_values_only_sweep_takes_the_minimum_first(name, n, path, workers,
+                                                                monkeypatch, rng):
+    """A value-only sweep of a minimum-time problem takes the minimum of
+    B @ v before discount * min + c, forming no update per row, and gives
+    the bits of the policy sweep, which forms them all: on every path of
+    ORACLE_PATHS (CSR rows, diagonals, matrix-free rows, rebuilt over the
+    budget, one control per block), at 1 and 2 workers, with rows that
+    leave the box, from random fields and from fields whose distinct
+    products round to one update."""
+    entry = h.catalog(name)
+    grid = entry.spec.domain_grid(n)
+    settings, store_separable = ORACLE_PATHS[path]
+    for attr, value in settings.items():
+        monkeypatch.setattr(solvers, attr, value)
+    if workers > 1:
+        monkeypatch.setattr(solvers, "_MIN_THREAD_ROWS", 1)
+        monkeypatch.setattr(solvers, "_BLOCK_ROWS", min(solvers._BLOCK_ROWS, 4 * grid.num_nodes))
+    stages = []
+    add_stage = _Sweeper._add_stage
+
+    def spied(self, q, block):
+        stages.append(block.size)
+        return add_stage(self, q, block)
+
+    monkeypatch.setattr(_Sweeper, "_add_stage", spied)
+    N, m = grid.num_nodes, len(entry.controls)
+    cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=workers)
+    with _Sweeper(entry.spec, grid, entry.controls, cfg,
+                  store_separable=store_separable) as sweeper:
+        assert sweeper.threads == workers
+        assert len(sweeper._fill_block(range(m))[0].outside)  # rows leave the box
+        fields = [rng.uniform(0.0, 2.0, N), rng.normal(size=N), *ulp_fields(rng, N)]
+        for values in fields:
+            full, _, _ = sweeper.bellman_sweep(values)
+            assert sum(stages) == m * N
+            stages.clear()
+            only, none, _ = sweeper.bellman_sweep(values, policy=False)
+            assert none is None and not stages
+            assert only.tobytes() == full.tobytes()
+    # near 1, distinct products do round to one update
+    indptr, indices, data, c = general_rows(sweeper, range(m))
+    products = sp.csr_matrix((data, indices, indptr), shape=(m * N, N)) @ fields[-1]
+    updates = sweeper.discount * products + c
+    assert distinct(products, m) > distinct(updates, m)
+
+
+def distinct(rows, m):
+    """The number of distinct values among a node's m rows, less one,
+    summed over the nodes."""
+    return int(np.count_nonzero(np.diff(np.sort(rows.reshape(m, -1), axis=0), axis=0)))
 
 
 @pytest.mark.parametrize("name,n", [("test1_1d", 81), ("test4_eik2d", 41),

@@ -338,7 +338,7 @@ def test_block_argmin_takes_the_lowest_tied_control(controls, rng):
     js = range(11, 11 + controls)
     block = _Block(sp.csr_matrix((controls * n, n)), None, [], [], q.reshape(-1).copy(),
                    np.empty(0, dtype=np.int32), controls * n)
-    low, low_idx, _, _ = sweeper._sweep_block(js, block, None, np.ones(n), True, None)
+    low, low_idx, _, _ = sweeper._sweep_block(js, block, None, np.ones(n), True, None, False)
     assert low.tobytes() == q.min(axis=0).tobytes()
     want = (q == q.min(axis=0)).argmax(axis=0).astype(np.int32) + js.start
     assert low_idx.dtype == np.int32

@@ -402,6 +402,48 @@ class TestPolicyIteration:
         assert rep.node_updates == active * (sum(rep.sub_iteration_history)
                                              + (rep.outer_iterations + 1) * 8)
 
+    @pytest.mark.parametrize("backend", ["fixed_point", "direct"])
+    @pytest.mark.parametrize("name", ["test2_vdp", "test4_eik2d", "heat3_rom"])
+    def test_one_sweep_evaluation_reuses_the_bellman_sweep(self, name, backend,
+                                                           monkeypatch):
+        """A fixed-point evaluation whose first sweep meets the test is the
+        Bellman sweep that chose its policy: it builds no frozen-policy
+        rows, still counts one sweep, and the run has the bits of one that
+        builds them.  The direct backend builds them for every evaluation."""
+        entry = h.catalog(name)
+        fine = entry.spec.domain_grid(21)
+        coarse = entry.spec.domain_grid(11)
+        cfg = h.SolverConfig(dt=entry.dt_for(fine), workers=1, eval_backend=backend)
+        Vc, _, _ = h.value_iteration(entry.spec, coarse, entry.controls,
+                                     h.SolverConfig(dt=entry.dt_for(coarse), workers=1))
+        guess = h.prolongate(Vc, fine)
+        built = []
+        policy_rows, evaluate = _Sweeper.policy_rows, _Sweeper.evaluate
+
+        def counted(self, policy):
+            built.append(1)
+            return policy_rows(self, policy)
+
+        def solve():
+            built.clear()
+            V, P, rep = h.policy_iteration(entry.spec, fine, entry.controls, cfg, guess)
+            return (V.values.tobytes(), P.indices.tobytes(), rep.residual_history,
+                    rep.sub_iteration_history, rep.node_updates, rep.policy_changes,
+                    rep.bellman_residual)
+
+        monkeypatch.setattr(_Sweeper, "policy_rows", counted)
+        reused = solve()
+        subs = reused[3]
+        assert len(built) == (len(subs) - subs.count(1) if backend == "fixed_point"
+                              else len(subs))
+        monkeypatch.setattr(_Sweeper, "evaluate",
+                            lambda self, *args, first=None: evaluate(self, *args))
+        rebuilt = solve()
+        assert len(built) == len(subs)
+        assert reused == rebuilt
+        if backend == "fixed_point":
+            assert subs[-1] == 1
+
 
 class TestApiSolve:
     def test_fine_phase_band_161(self, solved):

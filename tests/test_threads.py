@@ -17,6 +17,8 @@ import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.solvers import _Sweeper
 
+from conftest import POISONED_VALUES, poisoned_outcome
+
 WORKERS = (1, 2, 3)
 PATHS = {"stored": {}, "unstored": {"_OPERATOR_NNZ_LIMIT": 0}}
 NODES = 21
@@ -132,8 +134,24 @@ def test_api_is_bit_identical_across_workers(path, monkeypatch):
     assert runs[1] == runs[2] == runs[3]
 
 
+@pytest.mark.parametrize("poison", ["cost"] + POISONED_VALUES)
 @pytest.mark.parametrize("path", sorted(PATHS))
-def test_non_finite_update_names_the_lowest_failing_control(path, monkeypatch):
+def test_non_finite_update_names_the_lowest_failing_control(path, poison, monkeypatch):
+    """A running cost that is inf at some nodes, or a minimum-time field
+    with one poisoned value (poisoned_outcome): every worker count raises
+    the same message, naming the lowest failing control, or returns the
+    same bits."""
+    if poison != "cost":
+        entry, grid = problem()
+        small_blocks(monkeypatch, path)
+        outcomes = set()
+        for w in WORKERS:
+            cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=w, max_iterations=5)
+            before = threading.active_count()
+            outcomes.add(poisoned_outcome(entry.spec, grid, entry.controls, cfg, poison))
+            assert threading.active_count() == before
+        assert len(outcomes) == 1
+        return
     entry, grid = problem("test2_vdp")
     controls = entry.controls
     # controls with a > 0.1 cost inf at nodes with x > 0.3; the first of them

@@ -23,8 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import analysis
-from .grid import (FIELD_FLOAT_FORMAT, RegularGrid, ValueField, read_field_table,
-                   write_field_table)
+from .grid import FIELD_FLOAT_FORMAT, ValueField, read_field_table, write_field_table
 from .problems import catalog, catalog_names, target_mask
 from .solvers import (
     SolverConfig,
@@ -466,14 +465,16 @@ def _experiment(problem, algorithm, nodes, workers, backend="fixed_point",
 
 
 def run_suite(name, out_dir, workers=None, include_large=False, only=None):
-    """Run a named suite and write its aggregated tables.
+    """Run the suite `name`, paper_tables or rates, and write its tables.
 
     `workers` defaults to the available CPUs.  `only` restricts paper_tables
-    to the named problems; an unknown name, or `only` on another suite, is a
-    ConfigError raised before anything is written.  Partial failures are
+    to the named problems; an unknown suite or problem name, or `only` on
+    rates, is a ConfigError raised before anything is written.  Partial failures are
     recorded per row and the suite continues.  Returns True when every
     attempted row succeeded.
     """
+    if name not in ("paper_tables", "rates"):
+        raise ConfigError(f"unknown suite {name!r}; valid suites: paper_tables, rates")
     if only is not None:
         if name != "paper_tables":
             raise ConfigError(f"--only applies to paper_tables, not {name}")
@@ -486,13 +487,7 @@ def run_suite(name, out_dir, workers=None, include_large=False, only=None):
     os.makedirs(out_dir, exist_ok=True)
     if name == "paper_tables":
         return _run_paper_tables(out_dir, workers, include_large, only)
-    if name == "rates":
-        return _run_rates(out_dir, workers, include_large)
-    if name == "invariants":
-        return _run_invariants(out_dir)
-    raise ConfigError(
-        f"unknown suite {name!r}; valid suites: invariants, paper_tables, rates"
-    )
+    return _run_rates(out_dir, workers, include_large)
 
 
 def _run_paper_tables(out_dir, workers, include_large, only):
@@ -557,68 +552,3 @@ def _run_rates(out_dir, workers, include_large):
     _write_atomic(os.path.join(out_dir, "table_rates.txt"), _text("\n".join(lines) + "\n"))
     return not any(isinstance(rec, Exception) for rec in records.values())
 
-
-def _run_invariants(out_dir):
-    """Fast self-checks of the core numerical properties."""
-    from .grid import interpolate, prolongate, sup_diff as _sup
-
-    rng = np.random.default_rng(20240817)
-    checks = []
-
-    grid = RegularGrid((-1.0, -1.0), (1.0, 1.0), (9, 9))
-    coef = rng.normal(size=3)
-    vals = coef[0] + coef[1] * grid.nodes()[:, 0] + coef[2] * grid.nodes()[:, 1]
-    fld = ValueField(grid, vals)
-    pts = rng.uniform(-1, 1, size=(64, 2))
-    exact = coef[0] + coef[1] * pts[:, 0] + coef[2] * pts[:, 1]
-    got = np.array([interpolate(fld, p, 0.0) for p in pts])
-    checks.append(("interpolation_affine_exact", np.max(np.abs(got - exact)) < 1e-12))
-
-    fine = grid.refined()
-    worst = 0.0
-    for _ in range(50):
-        a = ValueField(grid, rng.normal(size=grid.num_nodes))
-        b = ValueField(grid, rng.normal(size=grid.num_nodes))
-        worst = max(worst, _sup(prolongate(a, fine), prolongate(b, fine)) - _sup(a, b))
-    checks.append(("prolongation_sup_preserving", worst <= 1e-15))
-
-    # The 64-control operator at 161^2 runs on several threads; five sweeps
-    # and the final argmin sweep on it must give the same bits as on one.
-    entry = catalog("test4_eik2d")
-    g = entry.spec.domain_grid(161)
-    runs = []
-    for workers in (1, 4):
-        cfg = SolverConfig(dt=entry.dt_for(g), workers=workers, max_iterations=5)
-        runs.append(value_iteration(entry.spec, g, entry.controls, cfg))
-    (v1, p1, r1), (v4, p4, r4) = runs
-    checks.append((
-        "determinism_across_workers",
-        r1.workers == 1 and r4.workers > 1
-        and v1.values.tobytes() == v4.values.tobytes()
-        and np.array_equal(p1.indices, p4.indices)
-        and r1.residual_history == r4.residual_history,
-    ))
-
-    from .solvers import bellman_update
-    entry = catalog("test4_eik2d", control_count=16)
-    g = entry.spec.domain_grid(21)
-    cfg1 = SolverConfig(dt=entry.dt_for(g), workers=1)
-    worst = 0.0
-    gamma = math.exp(-cfg1.dt)
-    for _ in range(25):
-        a = ValueField(g, rng.uniform(0, 1, size=g.num_nodes))
-        b = ValueField(g, rng.uniform(0, 1, size=g.num_nodes))
-        ta, _ = bellman_update(entry.spec, g, a, entry.controls, cfg1)
-        tb, _ = bellman_update(entry.spec, g, b, entry.controls, cfg1)
-        worst = max(worst, _sup(ta, tb) - gamma * _sup(a, b))
-    checks.append(("bellman_contraction", worst <= 1e-10))
-
-    lines = []
-    ok = True
-    for label, passed in checks:
-        lines.append(f"{label}: {'PASS' if passed else 'FAIL'}")
-        ok = ok and passed
-    _write_atomic(os.path.join(out_dir, "invariants.txt"), _text("\n".join(lines) + "\n"))
-    for line in lines:
-        print(line)
-    return ok

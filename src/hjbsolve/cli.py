@@ -2,7 +2,8 @@
 
 Verbs:
     solve  --config PATH [--out DIR] [--threads N]
-    suite  NAME [--out DIR] [--threads N] [--include-large] [--only NAMES]
+    suite  {paper_tables,rates} [--out DIR] [--threads N] [--include-large]
+           [--only NAMES]
     export RESULT_DIR --format {table,slice} [--slice axis=value] [--out PATH]
 
 Exit codes: 0 success, 2 configuration error, 3 non-convergence or solver
@@ -43,7 +44,7 @@ def _build_parser():
                             "(default: solver.workers, else the available CPUs)")
 
     suite = sub.add_parser("suite", help="run a named suite")
-    suite.add_argument("name", choices=["invariants", "paper_tables", "rates"])
+    suite.add_argument("name", choices=["paper_tables", "rates"])
     suite.add_argument("--out", default="suite_results", help="output directory")
     suite.add_argument("--threads", type=int, default=default_workers(),
                        help="threads for sweeps and operator builds "
@@ -114,20 +115,18 @@ def main(argv=None):
             print(f"suite {args.name}: {'ok' if ok else 'completed with failures'}")
             return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
-        if args.verb == "export":
-            if args.format == "slice":
-                axis, value = _parse_slice(args.slice)
-            else:
-                axis, value = None, None
-            out = args.out or os.path.join(
-                args.result_dir, "slice.txt" if args.format == "slice" else "field_export.txt"
-            )
-            path = export_field(args.result_dir, args.format, out,
-                                slice_axis=axis, slice_value=value)
-            print(f"exported {path}")
-            return EXIT_OK
-
-        parser.error(f"unknown verb {args.verb}")
+        # the last of the three verbs: export
+        if args.format == "slice":
+            axis, value = _parse_slice(args.slice)
+        else:
+            axis, value = None, None
+        out = args.out or os.path.join(
+            args.result_dir, "slice.txt" if args.format == "slice" else "field_export.txt"
+        )
+        path = export_field(args.result_dir, args.format, out,
+                            slice_axis=axis, slice_value=value)
+        print(f"exported {path}")
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -137,7 +136,6 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -635,23 +635,27 @@ class _ShiftedRows:
         tiles.reshape(count, self.chunk, self.plane)[:, 1:] = tiles[:, None, :self.plane]
         rows_out = out.reshape(self.shape)[self.box]
         planes = self.factors.shape[1]
-        for lo in range(0, planes, self.chunk):
-            k = min(self.chunk, planes - lo)
-            size = (k - 1) * self.plane + self.last_row + 1
-            near = self._near(transposed, lo, k, free)
-            # each plane's lower and upper last-axis factors, over the plane
-            spread[:, :k * self.plane].reshape(2, k, self.plane)[...] = (
-                self.factors[:, lo:lo + k, None])
-            products, sums = w[:size], acc[:size]
-            for at, offset, plane, bit in self.corners:
-                np.multiply(tiles[plane, :size], spread[bit, :size], out=products)
-                np.multiply(products, near[at][offset:offset + size], out=products)
-                if plane or bit:
-                    sums += products
-                else:
-                    np.add(products, 0.0, out=sums)  # 0 + w v, bit for bit
-            chunk = acc[:k * self.plane].reshape((k,) + self.plane_shape)
-            rows_out[..., lo:lo + k] = chunk[(slice(None),) + self.in_box].T
+        # A zero weight times an inf of v is NaN, which the sweep reports as
+        # a non-finite update, as it does on stored rows.  numpy's error
+        # state is per thread, so it is set here, on the thread that sweeps.
+        with np.errstate(invalid="ignore"):
+            for lo in range(0, planes, self.chunk):
+                k = min(self.chunk, planes - lo)
+                size = (k - 1) * self.plane + self.last_row + 1
+                near = self._near(transposed, lo, k, free)
+                # each plane's lower and upper last-axis factors, over the plane
+                spread[:, :k * self.plane].reshape(2, k, self.plane)[...] = (
+                    self.factors[:, lo:lo + k, None])
+                products, sums = w[:size], acc[:size]
+                for at, offset, plane, bit in self.corners:
+                    np.multiply(tiles[plane, :size], spread[bit, :size], out=products)
+                    np.multiply(products, near[at][offset:offset + size], out=products)
+                    if plane or bit:
+                        sums += products
+                    else:
+                        np.add(products, 0.0, out=sums)  # 0 + w v, bit for bit
+                chunk = acc[:k * self.plane].reshape((k,) + self.plane_shape)
+                rows_out[..., lo:lo + k] = chunk[(slice(None),) + self.in_box].T
 
     def _near(self, transposed, lo, k, free):
         """The values that the corners of the chunk of last-axis planes

@@ -285,20 +285,20 @@ def test_criterion_10_reduced_heat_system():
 
 
 def test_criterion_11_worker_determinism():
+    # api_direct_eik2d's configuration: its 64 x 161^2 fine rows are enough
+    # for a 4-worker sweep to take more than one thread
     entry = h.catalog("test4_eik2d")
-    fine = entry.spec.domain_grid(41)
-    coarse = entry.spec.domain_grid(21)
+    fine = entry.spec.domain_grid(161)
+    coarse = entry.spec.domain_grid(81)
     runs = []
     for w in (1, 4):
         fcfg = h.SolverConfig(dt=entry.dt_for(fine), eval_backend="direct", workers=w)
         ccfg = h.SolverConfig(dt=entry.dt_for(coarse), stop_constant=5.0, workers=w)
         V, P, rep = h.api_solve(entry.spec, coarse, fine, entry.controls, ccfg, fcfg)
-        runs.append((V.values.copy(), rep.outer_iterations,
-                     tuple(rep.sub_iteration_history)))
-    identical = (
-        np.array_equal(runs[0][0], runs[1][0])
-        and runs[0][1] == runs[1][1]
-        and runs[0][2] == runs[1][2]
-    )
-    _check(11, identical, "1-worker and 4-worker runs bit-identical"
-           if identical else "worker counts changed the results")
+        runs.append((rep.phases["fine"].workers, V.values.tobytes(), P.indices.tobytes(),
+                     rep.outer_iterations, tuple(rep.sub_iteration_history)))
+    threads = (runs[0][0], runs[1][0])
+    identical = runs[0][1:] == runs[1][1:]
+    _check(11, threads[0] == 1 and threads[1] > 1 and identical,
+           f"1-worker and 4-worker runs, fine phase on {threads[0]} and {threads[1]} "
+           f"threads: {'bit-identical' if identical else 'results differ'}")

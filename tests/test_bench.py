@@ -4,6 +4,8 @@ import io
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
 
@@ -296,7 +298,7 @@ class TestCli:
         assert err.startswith("solver error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("suite", [
-        ["paper_tables", "--only", "test1_1d"], ["invariants"]])
+        ["paper_tables", "--only", "test1_1d"], ["rates"]])
     def test_suite_threads_below_one_is_config_error(self, tmp_path, capsys, suite):
         out = tmp_path / "suite"
         rc = cli.main(["suite", *suite, "--threads", "0", "--out", str(out)])
@@ -309,7 +311,6 @@ class TestCli:
     @pytest.mark.parametrize("suite,expected", [
         (["paper_tables", "--only", "nosuch"], "valid problems: test1_1d, "),
         (["paper_tables", "--only", "test1_1d,nosuch"], "unknown problem(s) nosuch;"),
-        (["invariants", "--only", "test1_1d"], "--only applies to paper_tables"),
         (["rates", "--only", "test4_eik2d"], "--only applies to paper_tables"),
     ])
     def test_suite_only_is_checked(self, tmp_path, capsys, suite, expected):
@@ -320,8 +321,22 @@ class TestCli:
         assert expected in err
         assert not out.exists()
 
-    # a numpy warning would print a second line on stderr
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_suite_invariants_is_an_invalid_choice(self, tmp_path):
+        """The invariants self-check suite is gone (the acceptance and grid
+        tests make its checks): argparse refuses the name with exit 2 and no
+        traceback."""
+        out = tmp_path / "suite"
+        src = str(pathlib.Path(h.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-m", "hjbsolve.cli", "suite", "invariants",
+                              "--out", str(out)], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 2 and run.stdout == ""
+        assert "argument name: invalid choice: 'invariants'" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert not out.exists()
+
+    # a numpy warning would print a second line on stderr; the RuntimeWarning
+    # filter in pyproject.toml makes one fail the test
     @pytest.mark.parametrize("problem,nodes,line", [
         ("test2_vdp", 11, "problem.control_count = 0"),
         ("test2_vdp", 11, "problem.lam = -1"),
@@ -390,7 +405,7 @@ class TestCli:
 
     def test_threads_default_to_the_available_cpus(self):
         cpus = len(os.sched_getaffinity(0))
-        args = cli._build_parser().parse_args(["suite", "invariants"])
+        args = cli._build_parser().parse_args(["suite", "rates"])
         assert args.threads == cpus
         assert ExperimentConfig.from_text(SMALL_API).workers == cpus
         assert ExperimentConfig(problem="test1_1d", algorithm="vi",
@@ -462,10 +477,12 @@ class TestCli:
 
 
 class TestSuites:
-    def test_invariants_suite(self, tmp_path):
-        assert run_suite("invariants", str(tmp_path))
-        text = (tmp_path / "invariants.txt").read_text()
-        assert "FAIL" not in text
+    def test_unknown_suite_is_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "suite"
+        with pytest.raises(ConfigError, match="^unknown suite 'nosuch'; "
+                                              "valid suites: paper_tables, rates$"):
+            run_suite("nosuch", str(out))
+        assert not out.exists()
 
     def test_paper_tables_restricted(self, tmp_path):
         ok = run_suite("paper_tables", str(tmp_path), only=["test1_1d"])

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis
 from .grid import FIELD_FLOAT_FORMAT, ValueField, read_field_table, write_field_table
-from .problems import catalog, catalog_names, target_mask
+from .problems import catalog, catalog_defaults, target_mask
 from .solvers import (
     SolverConfig,
     api_solve,
@@ -68,55 +68,59 @@ def parse_config_text(text):
     return out
 
 
-def _parse_int(kv, key):
+def _parse_int(key, text):
     try:
-        return int(kv[key])
+        return int(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {kv[key]!r}") from None
+        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
 
 
-def _parse_float(kv, key):
+def _parse_float(key, text):
     try:
-        return float(kv[key])
+        return float(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected a real number, got {kv[key]!r}") from None
+        raise ConfigError(f"{key}: expected a real number, got {text!r}") from None
 
 
-def _parse_bool(kv, key):
-    v = kv[key].lower()
+def _parse_bool(key, text):
+    v = text.lower()
     if v in ("1", "true", "yes", "on"):
         return True
     if v in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {kv[key]!r}")
+    raise ConfigError(f"{key}: expected a boolean, got {text!r}")
 
 
-def _parse_ints(kv, key):
-    if key not in kv:
-        return None
+def _parse_ints(key, text):
     try:
-        return tuple(int(p) for p in kv[key].split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {kv[key]!r}") from None
+        raise ConfigError(f"{key}: expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_backend(kv, key):
-    if kv[key] not in ("fixed_point", "direct"):
+def _parse_backend(key, text):
+    if text not in ("fixed_point", "direct"):
         raise ConfigError(f"{key}: must be fixed_point or direct")
-    return kv[key]
+    return text
 
 
-# The problem.* keys other than name and domain, by catalog override name.
-_OVERRIDE_PARSERS = {
-    "control_count": _parse_int, "control_counts": _parse_ints,
-    "dt_ratio": _parse_float, "exterior_value": _parse_float,
-    "boundary_value": _parse_float, "target_radius": _parse_float,
-    "lam": _parse_float,
-}
+def _parse_like(default, key, text):
+    """`text` read as the type of `default`, a catalog builder's default: an
+    int, a float, or a tuple of as many comma-separated items, each read as
+    the default's item in its place."""
+    if not isinstance(default, tuple):
+        return (_parse_int if isinstance(default, int) else _parse_float)(key, text)
+    parts = text.split(",")
+    if len(parts) != len(default):
+        raise ConfigError(f"{key}: expected {len(default)} comma-separated values, got {text!r}")
+    return tuple(_parse_like(d, key, part) for d, part in zip(default, parts))
 
-# The solver and output keys: (ExperimentConfig field, parser).  An absent
-# key leaves the field's default.
+
+# The grid, solver and output keys: (ExperimentConfig field, parser).  An
+# absent key leaves the field's default.
 _SETTING_PARSERS = {
+    "grid.fine.nodes": ("fine_nodes", _parse_ints),
+    "grid.coarse.nodes": ("coarse_nodes", _parse_ints),
     "solver.backend": ("backend", _parse_backend),
     "stop.fine_constant": ("fine_constant", _parse_float),
     "stop.coarse_constant": ("coarse_constant", _parse_float),
@@ -127,16 +131,12 @@ _SETTING_PARSERS = {
     "limits.allow_large": ("allow_large", _parse_bool),
 }
 
-_KNOWN_KEYS = {
-    "problem.name", "problem.domain", *(f"problem.{name}" for name in _OVERRIDE_PARSERS),
-    "algorithm", "grid.fine.nodes", "grid.coarse.nodes", *_SETTING_PARSERS,
-}
-
 
 @dataclass
 class ExperimentConfig:
-    """An experiment: problem, algorithm, grids, and solver knobs.  from_text
-    checks it; run_experiment checks it again before it solves."""
+    """An experiment: problem, algorithm, grids, and solver knobs.  The
+    coarse grid of an api run defaults to (n + 1) // 2 nodes per axis for n
+    fine ones.  run_experiment checks the config before it solves."""
 
     problem: str
     algorithm: str
@@ -151,70 +151,44 @@ class ExperimentConfig:
     write_field: bool = False
     write_errors: bool = True
     allow_large: bool = False
-    raw_text: str = ""
 
     @classmethod
     def from_text(cls, text):
+        """Parse config text, a problem.* key as the type of its catalog
+        default, raising ConfigError for what it cannot read; run_experiment
+        checks what the values mean.  A problem.* key the problem's builder
+        lacks is kept as text, for that check to name."""
         kv = parse_config_text(text)
-        unknown = set(kv) - _KNOWN_KEYS
+        unknown = [key for key in sorted(kv) if key not in ("algorithm", *_SETTING_PARSERS)
+                   and not key.startswith("problem.")]
         if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-        name = kv.get("problem.name")
+        name = kv.pop("problem.name", None)
         if not name:
             raise ConfigError("problem.name: missing")
-        if name not in catalog_names():
-            raise ConfigError(
-                f"problem.name: unknown problem {name!r}; valid: {', '.join(catalog_names())}"
-            )
-        algorithm = kv.get("algorithm")
-        if algorithm not in ("vi", "pi", "api"):
-            raise ConfigError("algorithm: must be one of vi, pi, api")
-
-        fine = _parse_ints(kv, "grid.fine.nodes")
-        if fine is None:
+        with _config_errors("problem.name: "):
+            defaults = catalog_defaults(name)
+        if "grid.fine.nodes" not in kv:
             raise ConfigError("grid.fine.nodes: missing")
-        coarse = _parse_ints(kv, "grid.coarse.nodes")
-        if algorithm == "api" and coarse is None:
-            coarse = tuple((n + 1) // 2 for n in fine)
-
-        overrides = {
-            name: parse(kv, f"problem.{name}")
-            for name, parse in _OVERRIDE_PARSERS.items() if f"problem.{name}" in kv
-        }
-        if "problem.domain" in kv:
-            parts = kv["problem.domain"].split(",")
-            if len(parts) != 2:
-                raise ConfigError("problem.domain: expected 'lower,upper'")
-            try:
-                overrides["domain"] = (float(parts[0]), float(parts[1]))
-            except ValueError:
-                raise ConfigError("problem.domain: expected reals") from None
-
+        overrides = {key[len("problem."):]: value
+                     for key, value in kv.items() if key.startswith("problem.")}
+        for key in overrides:
+            if key in defaults:
+                overrides[key] = _parse_like(defaults[key], f"problem.{key}", overrides[key])
         settings = {
-            attr: parse(kv, key)
+            attr: parse(key, kv[key])
             for key, (attr, parse) in _SETTING_PARSERS.items() if key in kv
         }
-        cfg = cls(problem=name, algorithm=algorithm, fine_nodes=fine, coarse_nodes=coarse,
-                  overrides=overrides, raw_text=text, **settings)
-        _setup(cfg)
-        return cfg
+        return cls(problem=name, algorithm=kv.get("algorithm"), overrides=overrides, **settings)
 
     def echo_text(self):
-        """The config as text: verbatim when it was read from text, else
-        every key that is set, which from_text reads back to an equal config."""
-        if self.raw_text:
-            return self.raw_text
-        lines = [
-            f"problem.name = {self.problem}",
-            f"algorithm = {self.algorithm}",
-            f"grid.fine.nodes = {_echo(self.fine_nodes)}",
-        ]
-        if self.coarse_nodes:
-            lines.append(f"grid.coarse.nodes = {_echo(self.coarse_nodes)}")
+        """The config as text, every key that is set, which from_text reads
+        back to an equal config."""
+        lines = [f"problem.name = {self.problem}", f"algorithm = {self.algorithm}"]
         lines += [f"problem.{key} = {_echo(val)}" for key, val in sorted(self.overrides.items())]
-        lines += [f"{key} = {_echo(getattr(self, attr))}"
-                  for key, (attr, _) in _SETTING_PARSERS.items()]
+        lines += [f"{key} = {_echo(value)}" for key, (attr, _) in _SETTING_PARSERS.items()
+                  if (value := getattr(self, attr)) is not None]
         return "\n".join(lines) + "\n"
 
 
@@ -237,8 +211,6 @@ class ExperimentResult:
 
 
 def _axis_counts(nodes, dim, key):
-    if nodes is None:
-        raise ConfigError(f"{key}: missing")
     if len(nodes) not in (1, dim):
         raise ConfigError(f"{key}: expected 1 or {dim} counts, got {len(nodes)}")
     if min(nodes) < 2:
@@ -250,8 +222,11 @@ def _setup(config):
     """Check a config and build what its run needs: (entry, fine grid, coarse
     grid, fine SolverConfig, coarse SolverConfig), the coarse pair None unless
     the algorithm is api.  What the problem, a grid, its target set or the
-    solver settings reject raises ConfigError, as do a fine grid above the
-    desk-scale cap and api grids that do not nest."""
+    solver settings reject raises ConfigError, as do an algorithm other than
+    vi, pi and api, a fine grid above the desk-scale cap and api grids that
+    do not nest."""
+    if config.algorithm not in ("vi", "pi", "api"):
+        raise ConfigError("algorithm: must be one of vi, pi, api")
     with _config_errors():
         entry = catalog(config.problem, **config.overrides)
     dim = entry.spec.state_dim
@@ -275,7 +250,8 @@ def _setup(config):
         coarse_grid = None
         if config.algorithm == "api":
             coarse_grid = entry.spec.domain_grid(
-                _axis_counts(config.coarse_nodes, dim, "grid.coarse.nodes"))
+                tuple((n + 1) // 2 for n in fine) if config.coarse_nodes is None
+                else _axis_counts(config.coarse_nodes, dim, "grid.coarse.nodes"))
     if coarse_grid is not None and not coarse_grid.nests(fine_grid):
         raise ConfigError(
             "grid.coarse.nodes: accelerated runs need nested grids (fine = 2*coarse - 1 "
@@ -332,24 +308,24 @@ def run_experiment(config, out_dir=None):
         )
 
     result = ExperimentResult(config, report, V, error_record)
+
+    def emit(name, write):
+        path = os.path.join(out_dir, name)
+        _write_atomic(path, write)
+        result.files.append(path)
+
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_atomic(os.path.join(out_dir, "config.txt"), _text(config.echo_text()))
-        result.files.append(os.path.join(out_dir, "config.txt"))
-        _write_atomic(os.path.join(out_dir, "report.txt"), _text(report.to_text()))
-        result.files.append(os.path.join(out_dir, "report.txt"))
+        emit("config.txt", _text(config.echo_text()))
+        emit("report.txt", _text(report.to_text()))
         if config.write_field:
-            _write_atomic(os.path.join(out_dir, "field.txt"), partial(write_field_table, V))
-            result.files.append(os.path.join(out_dir, "field.txt"))
+            emit("field.txt", partial(write_field_table, V))
         if error_record is not None:
-            text = (
+            emit("errors.txt", _text(
                 "nodes dx l1_error sup_error\n"
                 f"{'x'.join(str(n) for n in fine_grid.nodes_per_axis)} "
                 f"{error_record.dx:.17g} {error_record.l1_error:.17g} "
-                f"{error_record.sup_error:.17g}\n"
-            )
-            _write_atomic(os.path.join(out_dir, "errors.txt"), _text(text))
-            result.files.append(os.path.join(out_dir, "errors.txt"))
+                f"{error_record.sup_error:.17g}\n"))
     return result
 
 
@@ -453,7 +429,6 @@ def _experiment(problem, algorithm, nodes, workers, backend="fixed_point",
         problem=problem,
         algorithm=algorithm,
         fine_nodes=(nodes,),
-        coarse_nodes=((nodes + 1) // 2,) if algorithm == "api" else None,
         overrides=overrides,
         backend=backend,
         allow_large=allow_large,
@@ -465,35 +440,33 @@ def _experiment(problem, algorithm, nodes, workers, backend="fixed_point",
 
 
 def run_suite(name, out_dir, workers=None, include_large=False, only=None):
-    """Run the suite `name`, paper_tables or rates, and write its tables.
+    """Run the suite `name`, one of SUITES, and write its tables.
 
     `workers` defaults to the available CPUs.  `only` restricts paper_tables
-    to the named problems; an unknown suite or problem name, or `only` on
-    rates, is a ConfigError raised before anything is written.  Partial failures are
-    recorded per row and the suite continues.  Returns True when every
-    attempted row succeeded.
+    to the named problems; an unknown suite or problem name, an `only` that
+    names none, or `only` on rates, is a ConfigError raised before anything
+    is written.  Partial failures are recorded per row and the suite
+    continues.  Returns True when every attempted row succeeded.
     """
-    if name not in ("paper_tables", "rates"):
-        raise ConfigError(f"unknown suite {name!r}; valid suites: paper_tables, rates")
+    if name not in SUITES:
+        raise ConfigError(f"unknown suite {name!r}; valid suites: {', '.join(SUITES)}")
+    run = SUITES[name]
     if only is not None:
         if name != "paper_tables":
             raise ConfigError(f"--only applies to paper_tables, not {name}")
         unknown = sorted(set(only) - set(_PAPER_ROWS))
-        if unknown:
-            raise ConfigError(
-                f"--only: unknown problem(s) {', '.join(unknown)}; "
-                f"valid problems: {', '.join(_PAPER_ROWS)}"
-            )
+        if unknown or not only:
+            named = f"unknown problem(s) {', '.join(unknown)}" if unknown else "names no problem"
+            raise ConfigError(f"--only: {named}; valid problems: {', '.join(_PAPER_ROWS)}")
+        run = partial(run, only=only)
     os.makedirs(out_dir, exist_ok=True)
-    if name == "paper_tables":
-        return _run_paper_tables(out_dir, workers, include_large, only)
-    return _run_rates(out_dir, workers, include_large)
+    return run(out_dir, workers, include_large)
 
 
-def _run_paper_tables(out_dir, workers, include_large, only):
+def _run_paper_tables(out_dir, workers, include_large, only=None):
     ok = True
     for problem, rows in _PAPER_ROWS.items():
-        if only and problem not in only:
+        if only is not None and problem not in only:
             continue
         lines = ["nodes dx algorithm wall_seconds iterations node_updates epsilon converged"]
         for nodes, large in rows:
@@ -552,3 +525,6 @@ def _run_rates(out_dir, workers, include_large):
     _write_atomic(os.path.join(out_dir, "table_rates.txt"), _text("\n".join(lines) + "\n"))
     return not any(isinstance(rec, Exception) for rec in records.values())
 
+
+# The suites by name: each runner takes (out_dir, workers, include_large).
+SUITES = {"paper_tables": _run_paper_tables, "rates": _run_rates}

@@ -20,7 +20,7 @@ import os
 import re
 import sys
 
-from .bench import ConfigError, ExperimentConfig, export_field, run_experiment, run_suite
+from .bench import SUITES, ConfigError, ExperimentConfig, export_field, run_experiment, run_suite
 from .solvers import SolverError, default_workers
 
 EXIT_OK = 0
@@ -44,7 +44,7 @@ def _build_parser():
                             "(default: solver.workers, else the available CPUs)")
 
     suite = sub.add_parser("suite", help="run a named suite")
-    suite.add_argument("name", choices=["paper_tables", "rates"])
+    suite.add_argument("name", choices=list(SUITES))
     suite.add_argument("--out", default="suite_results", help="output directory")
     suite.add_argument("--threads", type=int, default=default_workers(),
                        help="threads for sweeps and operator builds "
@@ -82,6 +82,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # solve and suite take --threads (None on solve defers to solver.workers)
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise ConfigError("--threads: must be at least 1")
         if args.verb == "solve":
             try:
                 with open(args.config) as fh:
@@ -107,9 +110,7 @@ def main(argv=None):
             return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
         if args.verb == "suite":
-            if args.threads < 1:
-                raise ConfigError("--threads: must be at least 1")
-            only = args.only.split(",") if args.only else None
+            only = None if args.only is None else [name for name in args.only.split(",") if name]
             ok = run_suite(args.name, args.out, workers=args.threads,
                            include_large=args.include_large, only=only)
             print(f"suite {args.name}: {'ok' if ok else 'completed with failures'}")

@@ -20,6 +20,15 @@ class GridError(ValueError):
     """Invalid grid construction or an operation across mismatched grids."""
 
 
+def whole_counts(counts, error):
+    """`counts`, a number or a sequence, as a tuple of ints; raises `error`
+    for one that is not a whole number (numpy integers and integral floats are)."""
+    counts = np.atleast_1d(counts)
+    if not all(float(c).is_integer() for c in counts):
+        raise error(f"counts must be whole numbers, got {counts.tolist()}")
+    return tuple(int(c) for c in counts)
+
+
 class RegularGrid:
     """Equidistant node lattice on a box.
 
@@ -30,7 +39,7 @@ class RegularGrid:
     def __init__(self, lower, upper, nodes_per_axis, node_cap=DEFAULT_NODE_CAP):
         lower = tuple(float(v) for v in np.atleast_1d(lower))
         upper = tuple(float(v) for v in np.atleast_1d(upper))
-        nodes = tuple(int(n) for n in np.atleast_1d(nodes_per_axis))
+        nodes = whole_counts(nodes_per_axis, GridError)
         if not (len(lower) == len(upper) == len(nodes)):
             raise GridError("lower, upper and nodes_per_axis must have equal length")
         if not 1 <= len(lower) <= 4:
@@ -131,7 +140,8 @@ class ValueField:
     """One scalar per grid node, flat row-major storage, always finite."""
 
     def __init__(self, grid, values, copy=True):
-        values = np.array(values, dtype=float, copy=copy).reshape(-1)
+        values = (np.array(values, dtype=float) if copy
+                  else np.asarray(values, dtype=float)).reshape(-1)
         if values.size != grid.num_nodes:
             raise GridError(
                 f"field length {values.size} does not match grid with {grid.num_nodes} nodes"

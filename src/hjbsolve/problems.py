@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import RegularGrid
+from .grid import RegularGrid, whole_counts
 
 
 class ProblemError(ValueError):
@@ -110,7 +110,7 @@ class ProblemSpec:
         """A regular grid spanning the problem domain."""
         n = np.atleast_1d(nodes_per_axis)
         if n.size == 1:
-            n = np.full(self.state_dim, int(n[0]))
+            n = np.full(self.state_dim, n[0])
         return RegularGrid(self.lower, self.upper, n)
 
 
@@ -145,7 +145,7 @@ def discretize_control_box(bounds, counts):
     over the axes, first axis slowest.
     """
     bounds = list(bounds)
-    counts = [int(c) for c in np.atleast_1d(counts)]
+    counts = whole_counts(counts, ProblemError)
     if not bounds:
         raise ProblemError("control box needs at least one interval")
     if len(bounds) != len(counts):
@@ -169,7 +169,7 @@ def discretize_circle(count):
     -pi would duplicate the same physical direction and break the dihedral
     symmetry of the sampled direction set.
     """
-    count = int(count)
+    (count,) = whole_counts(count, ProblemError)
     if count < 1:
         raise ProblemError("need at least one angle")
     k = np.arange(count, dtype=float)
@@ -274,7 +274,7 @@ def _test1(control_count=20, dt_ratio=0.5, domain=(-1.0, 1.0), exterior_value=0.
 
     spec = _box_spec(1, domain, dyn, InfiniteHorizon(float(lam)), exterior_value,
                      cost, boundary_value)
-    controls = discretize_control_box([(-1.0, 1.0)], [int(control_count)])
+    controls = discretize_control_box([(-1.0, 1.0)], [control_count])
 
     def exact(x):
         return 1.5 * (1.0 - np.abs(np.asarray(x)[..., 0]))
@@ -295,7 +295,7 @@ def _test2(control_count=32, dt_ratio=0.3, domain=(-2.0, 2.0), exterior_value=3.
 
     spec = _box_spec(2, domain, dyn, InfiniteHorizon(float(lam)), exterior_value,
                      _planar_cost, boundary_value)
-    controls = discretize_control_box([(-1.0, 1.0)], [int(control_count)])
+    controls = discretize_control_box([(-1.0, 1.0)], [control_count])
     return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio))
 
 
@@ -308,7 +308,7 @@ def _test3(control_count=11, dt_ratio=0.2, domain=(-2.0, 2.0), exterior_value=3.
 
     spec = _box_spec(3, domain, dyn, InfiniteHorizon(float(lam)), exterior_value,
                      _planar_cost, boundary_value)
-    controls = discretize_control_box([(-1.0, 1.0)], [int(control_count)])
+    controls = discretize_control_box([(-1.0, 1.0)], [control_count])
     return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio))
 
 
@@ -345,7 +345,7 @@ def _distance(p):
 
 def _test4(control_count=64, dt_ratio=0.8, domain=(-1.0, 1.0), exterior_value=1.0):
     spec = _box_spec(2, domain, _heading_dynamics, _origin_target(2), exterior_value)
-    controls = discretize_circle(int(control_count))
+    controls = discretize_circle(control_count)
     return dict(spec=spec, controls=controls, dt_ratio=float(dt_ratio), reference_time=_distance)
 
 
@@ -354,7 +354,7 @@ def _test5(control_count=72, dt_ratio=0.8, domain=(-2.0, 2.0), exterior_value=1.
         return np.sum(np.asarray(p) ** 2, axis=-1) <= 1.0
 
     spec = _box_spec(2, domain, _heading_dynamics, MinimumTime(inside_disk), exterior_value)
-    controls = discretize_circle(int(control_count))
+    controls = discretize_circle(control_count)
 
     def ref(p):
         return np.maximum(_distance(p) - 1.0, 0.0)
@@ -475,19 +475,25 @@ def catalog_names():
     return sorted(_CATALOG)
 
 
-def catalog(name, **overrides):
-    """Build a catalog problem by name, applying any parameter overrides; the
-    overrides a problem accepts are its builder's keyword parameters."""
+def catalog_defaults(name):
+    """The overrides problem `name` accepts, its builder's keyword
+    parameters, mapped to their defaults."""
     try:
         builder = _CATALOG[name]
     except KeyError:
         raise ProblemError(
             f"unknown problem {name!r}; valid names: {', '.join(catalog_names())}"
         ) from None
-    allowed = inspect.signature(builder).parameters
+    return {key: param.default for key, param in inspect.signature(builder).parameters.items()}
+
+
+def catalog(name, **overrides):
+    """Build a catalog problem by name, applying any parameter overrides; the
+    overrides a problem accepts are its builder's keyword parameters."""
+    allowed = catalog_defaults(name)
     unknown = set(overrides) - set(allowed)
     if unknown:
         raise ProblemError(
             f"unknown override(s) {sorted(unknown)} for {name}; allowed: {sorted(allowed)}"
         )
-    return CatalogEntry(name=name, **builder(**overrides))
+    return CatalogEntry(name=name, **_CATALOG[name](**overrides))

@@ -1182,11 +1182,16 @@ class _Sweeper:
         return v, max(iters, 1), True
 
 
+def _start_field(spec, grid):
+    """default_initial_field before its pins: 1 (minimum time) or 0 everywhere."""
+    return ValueField.full(grid, 1.0 if spec.minimum_time else 0.0)
+
+
 def default_initial_field(spec, grid):
     """Standard initial iterate: 0 everywhere (discounted problems) or the
     transform's range endpoints 1 off target / 0 on target (minimum time),
     with any fixed boundary values applied."""
-    v = np.full(grid.num_nodes, 1.0 if spec.minimum_time else 0.0)
+    v = _start_field(spec, grid).values
     pinned, pinned_values = _pins(spec, grid)
     v[pinned] = pinned_values[pinned]
     return ValueField(grid, v, copy=False)
@@ -1269,7 +1274,7 @@ def value_iteration(spec, grid, controls, config, V0=None):
     """
     t0 = time.perf_counter()
     with _Sweeper(spec, grid, controls, config) as sweeper:
-        V = default_initial_field(spec, grid) if V0 is None else sweeper.pinned_copy(V0)
+        V = sweeper.pinned_copy(_start_field(spec, grid) if V0 is None else V0)
         v, history, converged = _iterate(
             lambda values: sweeper.bellman_sweep(values, policy=False)[0], V.values,
             config.epsilon(grid), config.max_iterations)
@@ -1336,7 +1341,7 @@ def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None)
         # the last Bellman sweep T v, of the v that `policy` is greedy for
         Tv = None
         if V_init is None:
-            V = default_initial_field(spec, grid)
+            V = sweeper.pinned_copy(_start_field(spec, grid))
             policy = PolicyField.constant(grid, 0)
             policy.indices[sweeper.pinned] = UNSET_POLICY
         else:

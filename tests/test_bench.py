@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import io
 import math
@@ -13,11 +12,11 @@ import numpy as np
 import pytest
 
 import hjbsolve as h
-from hjbsolve import cli
+from hjbsolve import bench, cli, solvers
 from hjbsolve.bench import (
-    _KNOWN_KEYS,
-    _OVERRIDE_PARSERS,
     _SETTING_PARSERS,
+    _echo,
+    _setup,
     _write_atomic,
     ConfigError,
     ExperimentConfig,
@@ -59,9 +58,10 @@ class TestConfigParsing:
 
     def test_coarse_default_derived(self):
         cfg = ExperimentConfig.from_text(
-            "problem.name = test4_eik2d\nalgorithm = api\ngrid.fine.nodes = 81\n"
+            "problem.name = test4_eik2d\nalgorithm = api\ngrid.fine.nodes = 81,41\n"
         )
-        assert cfg.coarse_nodes == (41,)
+        assert cfg.coarse_nodes is None
+        assert _setup(cfg)[2].nodes_per_axis == (41, 21)
 
     def test_missing_grid_names_key(self):
         with pytest.raises(ConfigError, match="grid.fine.nodes"):
@@ -79,35 +79,67 @@ class TestConfigParsing:
                 "problem.name = nope\nalgorithm = vi\ngrid.fine.nodes = 5\n"
             )
 
-    def test_non_nested_api_grids(self):
-        with pytest.raises(ConfigError, match="nested"):
-            ExperimentConfig.from_text(
-                "problem.name = test4_eik2d\nalgorithm = api\n"
-                "grid.fine.nodes = 41\ngrid.coarse.nodes = 20\n"
-            )
+    def test_unknown_algorithm(self):
+        """A missing or unknown algorithm is refused before the run, in a
+        config read from text or built in code."""
+        for cfg in (ExperimentConfig.from_text("problem.name = test1_1d\ngrid.fine.nodes = 21\n"),
+                    ExperimentConfig("test1_1d", "xyz", (21,))):
+            with pytest.raises(ConfigError, match="^algorithm: must be one of vi, pi, api$"):
+                run_experiment(cfg)
 
-    def test_override_keys_are_the_builders_parameters(self):
-        # problem.domain has its own parser; every other problem.* key is one
-        # entry of _OVERRIDE_PARSERS
-        params = set()
-        for builder in _CATALOG.values():
-            params |= set(inspect.signature(builder).parameters)
-        assert set(_OVERRIDE_PARSERS) | {"domain"} == params
+    def test_non_nested_api_grids(self):
+        cfg = ExperimentConfig.from_text(
+            "problem.name = test4_eik2d\nalgorithm = api\n"
+            "grid.fine.nodes = 41\ngrid.coarse.nodes = 20\n"
+        )
+        with pytest.raises(ConfigError, match="nested"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("name", sorted(_CATALOG))
+    def test_override_keys_are_the_builders_parameters(self, name):
+        """Every keyword parameter of a builder is a problem.* key, read as
+        its default's type; a malformed value names the key, and a key the
+        builder lacks is refused with the keys it accepts."""
+        base = f"problem.name = {name}\nalgorithm = vi\ngrid.fine.nodes = 5\n"
+        params = inspect.signature(_CATALOG[name]).parameters
+        for key, param in params.items():
+            default = param.default
+            value = ExperimentConfig.from_text(
+                f"{base}problem.{key} = {_echo(default)}\n").overrides[key]
+            assert value == default and type(value) is type(default), key
+            if isinstance(default, tuple):
+                assert [type(v) for v in value] == [type(d) for d in default], key
+            bads = ["x", _echo(default) + ",1"]
+            if isinstance(default, tuple):
+                bads.append(",".join("x" * len(default)))
+            for bad in bads:
+                with pytest.raises(ConfigError, match=f"^problem.{key}: expected "):
+                    ExperimentConfig.from_text(f"{base}problem.{key} = {bad}\n")
+        cfg = ExperimentConfig.from_text(f"{base}problem.bogus = 1\n")
+        with pytest.raises(ConfigError) as info:
+            run_experiment(cfg)
+        assert str(info.value) == (
+            f"unknown override(s) ['bogus'] for {name}; allowed: {sorted(params)}")
 
     def test_readme_lists_every_config_key(self):
         block = README.read_text().split("Config keys", 1)[1].split("```")[1]
-        assert [key for key in sorted(_KNOWN_KEYS) if f"{key} =" not in block] == []
+        keys = {"problem.name", "algorithm", *_SETTING_PARSERS}
+        for builder in _CATALOG.values():
+            keys |= {f"problem.{name}" for name in inspect.signature(builder).parameters}
+        assert [key for key in sorted(keys) if f"{key} =" not in block] == []
 
     def test_desk_scale_cap(self):
+        cfg = ExperimentConfig.from_text(
+            "problem.name = test4_eik2d\nalgorithm = vi\ngrid.fine.nodes = 1001\n"
+        )
         with pytest.raises(ConfigError, match="cap"):
-            ExperimentConfig.from_text(
-                "problem.name = test4_eik2d\nalgorithm = vi\ngrid.fine.nodes = 1001\n"
-            )
+            run_experiment(cfg)
         cfg = ExperimentConfig.from_text(
             "problem.name = test4_eik2d\nalgorithm = vi\ngrid.fine.nodes = 1001\n"
             "limits.allow_large = true\n"
         )
         assert cfg.allow_large
+        assert _setup(cfg)[1].nodes_per_axis == (1001, 1001)
 
 
 class TestRunExperiment:
@@ -312,6 +344,7 @@ class TestCli:
         (["paper_tables", "--only", "nosuch"], "valid problems: test1_1d, "),
         (["paper_tables", "--only", "test1_1d,nosuch"], "unknown problem(s) nosuch;"),
         (["rates", "--only", "test4_eik2d"], "--only applies to paper_tables"),
+        (["paper_tables", "--only", ""], "--only: names no problem; valid problems: "),
     ])
     def test_suite_only_is_checked(self, tmp_path, capsys, suite, expected):
         out = tmp_path / "suite"
@@ -367,7 +400,7 @@ class TestCli:
                                                      nodes, line):
         text = f"problem.name = {problem}\nalgorithm = vi\ngrid.fine.nodes = {nodes}\n{line}\n"
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_text(text)
+            run_experiment(ExperimentConfig.from_text(text))
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(text)
         out = tmp_path / "out"
@@ -400,8 +433,85 @@ class TestCli:
         default = ExperimentConfig(problem="test2_vdp", algorithm="api", fine_nodes=(21,))
         for attr, _ in _SETTING_PARSERS.values():
             assert getattr(cfg, attr) != getattr(default, attr), attr
-        again = ExperimentConfig.from_text(cfg.echo_text())
-        assert dataclasses.replace(again, raw_text="") == cfg
+        assert ExperimentConfig.from_text(cfg.echo_text()) == cfg
+
+    @pytest.mark.parametrize("verb", ["solve", "export"])
+    def test_one_setup_per_run(self, exported_run, monkeypatch, verb):
+        """solve and export each check and build their run once."""
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return setup(config)
+
+        setup = bench._setup
+        monkeypatch.setattr(bench, "_setup", counted)
+        if verb == "solve":
+            argv = ["solve", "--config", str(exported_run / "config.txt"),
+                    "--out", str(exported_run.parent / "again")]
+        else:
+            argv = ["export", str(exported_run)]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+
+    def test_api_solve_builds_four_target_masks(self, tmp_path, monkeypatch):
+        """One api solve flags the target on each grid twice: once when the
+        run is checked and once in the sweeper of each phase."""
+        grids = []
+
+        def counted(spec, grid):
+            grids.append(grid.nodes_per_axis)
+            return mask(spec, grid)
+
+        mask = solvers.target_mask
+        monkeypatch.setattr(bench, "target_mask", counted)
+        monkeypatch.setattr(solvers, "target_mask", counted)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("problem.name = test4_eik2d\nalgorithm = api\n"
+                            "grid.fine.nodes = 21\ngrid.coarse.nodes = 11\n")
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(grids) == [(11, 11)] * 2 + [(21, 21)] * 2
+
+    def test_unknown_problem_key_lists_the_accepted_ones(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(SMALL_API + "problem.foo = 1\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: unknown override(s) ['foo'] for test4_eik2d; allowed: "
+            "['control_count', 'domain', 'dt_ratio', 'exterior_value']\n")
+        assert not out.exists()
+
+    def test_solve_threads_below_one_names_the_flag(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(SMALL_API)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg_path), "--threads", "0",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: --threads: must be at least 1\n"
+        assert not out.exists()
+
+    def test_config_echo_is_the_config_that_ran(self, tmp_path, monkeypatch):
+        """config.txt holds the settings of the run, --threads among them,
+        and reads back to the config that ran; the text's comments are not
+        kept."""
+        ran = []
+
+        def recorded(config, out_dir=None):
+            ran.append(config)
+            return run(config, out_dir=out_dir)
+
+        run = cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment", recorded)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("# threads come from the command line\n" + SMALL_API)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg_path), "--threads", "1",
+                         "--out", str(out)]) == 0
+        echo = (out / "config.txt").read_text()
+        assert "solver.workers = 1\n" in echo and "#" not in echo
+        assert ran[0].workers == 1
+        assert ExperimentConfig.from_text(echo) == ran[0]
 
     def test_threads_default_to_the_available_cpus(self):
         cpus = len(os.sched_getaffinity(0))

@@ -45,6 +45,13 @@ class TestRegularGrid:
         with pytest.raises(GridError):
             RegularGrid((0.0,) * 5, (1.0,) * 5, (3,) * 5)
 
+    def test_node_counts_must_be_whole_numbers(self):
+        with pytest.raises(GridError, match="whole numbers"):
+            RegularGrid((0.0,), (1.0,), (2.7,))
+        g = RegularGrid((0.0, 0.0), (1.0, 1.0), (np.int64(3), 4.0))
+        assert g.nodes_per_axis == (3, 4)
+        assert all(type(n) is int for n in g.nodes_per_axis)
+
     def test_node_cap_rejects_infeasible_4d(self):
         with pytest.raises(GridError, match="cap"):
             RegularGrid((0.0,) * 4, (1.0,) * 4, (321,) * 4)
@@ -239,6 +246,17 @@ class TestValueField:
     def test_length_checked(self):
         with pytest.raises(GridError):
             ValueField(grid1d(3), [1.0, 2.0])
+
+    def test_uncopied_values_of_ints_or_a_list(self):
+        """copy=False takes any numbers as floats, and float64 values as they
+        are, without a copy."""
+        for values in (np.arange(3), [0, 1, 2]):
+            field = ValueField(grid1d(3), values, copy=False)
+            assert field.values.dtype == np.float64
+            assert field.values.tolist() == [0.0, 1.0, 2.0]
+        floats = np.array([0.5, -0.0, 2.0])
+        field = ValueField(grid1d(3), floats, copy=False)
+        assert np.shares_memory(field.values, floats)
 
     def test_finiteness_checked(self):
         with pytest.raises(GridError):

@@ -62,6 +62,14 @@ class TestDiscretize:
         assert np.allclose(np.diff(angles), 2 * math.pi / 64)
         assert angles[-1] < math.pi - 1e-9
 
+    def test_sample_counts_must_be_whole_numbers(self):
+        with pytest.raises(ProblemError, match="whole numbers"):
+            h.discretize_control_box([(0.0, 1.0)], [2.9])
+        with pytest.raises(ProblemError, match="whole numbers"):
+            h.discretize_circle(7.5)
+        assert len(h.discretize_control_box([(0.0, 1.0)], [np.int64(3)])) == 3
+        assert len(h.discretize_circle(8.0)) == 8
+
     def test_duplicate_controls_rejected(self):
         with pytest.raises(ProblemError):
             h.ControlSet([[1.0], [1.0]])
@@ -112,6 +120,13 @@ class TestCatalog:
         assert entry.spec.kind.lam == 0.1
         with pytest.raises(ProblemError):
             h.catalog("test1_1d", bogus=1)
+
+    def test_non_integer_control_count_rejected(self):
+        with pytest.raises(ProblemError, match="whole numbers"):
+            h.catalog("test4_eik2d", control_count=2.5)
+        with pytest.raises(ProblemError, match="whole numbers"):
+            h.catalog("test6_eik3d", control_counts=(16, 7.5))
+        assert len(h.catalog("test1_1d", control_count=np.int32(5)).controls) == 5
 
     def test_control_counts(self):
         assert len(h.catalog("test1_1d").controls) == 20

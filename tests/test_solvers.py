@@ -93,6 +93,26 @@ class TestValueIteration:
         assert V.values[0] == 0.0 and V.values[-1] == 0.0
         assert P.indices[0] == UNSET_POLICY
 
+    @pytest.mark.parametrize("solve", [h.value_iteration, h.policy_iteration])
+    def test_cold_start_flags_the_target_once(self, monkeypatch, solve):
+        """A cold run pins its start field with its sweeper's pins, so it
+        flags the target once."""
+        from hjbsolve import solvers
+
+        calls = []
+
+        def counted(spec, grid):
+            calls.append(grid)
+            return mask(spec, grid)
+
+        mask = solvers.target_mask
+        monkeypatch.setattr(solvers, "target_mask", counted)
+        entry = h.catalog("test4_eik2d", control_count=8)
+        grid = entry.spec.domain_grid(11)
+        solve(entry.spec, grid, entry.controls,
+              h.SolverConfig(dt=entry.dt_for(grid), max_iterations=2))
+        assert calls == [grid]
+
     def test_eikonal_iteration_band(self, solved):
         V, P, rep = solved.vi("test4_eik2d", 41)
         assert rep.converged

@@ -17,7 +17,7 @@ import io
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -98,9 +98,7 @@ def _parse_ints(key, text):
         raise ConfigError(f"{key}: expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_backend(key, text):
-    if text not in ("fixed_point", "direct"):
-        raise ConfigError(f"{key}: must be fixed_point or direct")
+def _parse_text(key, text):
     return text
 
 
@@ -121,7 +119,7 @@ def _parse_like(default, key, text):
 _SETTING_PARSERS = {
     "grid.fine.nodes": ("fine_nodes", _parse_ints),
     "grid.coarse.nodes": ("coarse_nodes", _parse_ints),
-    "solver.backend": ("backend", _parse_backend),
+    "solver.backend": ("backend", _parse_text),
     "stop.fine_constant": ("fine_constant", _parse_float),
     "stop.coarse_constant": ("coarse_constant", _parse_float),
     "solver.max_iterations": ("max_iterations", _parse_int),
@@ -227,6 +225,10 @@ def _setup(config):
     do not nest."""
     if config.algorithm not in ("vi", "pi", "api"):
         raise ConfigError("algorithm: must be one of vi, pi, api")
+    with _config_errors("solver: "):
+        # the settings both grids share; each grid sets its own dt and stop
+        solver = SolverConfig(dt=1.0, max_iterations=config.max_iterations,
+                              eval_backend=config.backend, workers=config.workers)
     with _config_errors():
         entry = catalog(config.problem, **config.overrides)
     dim = entry.spec.state_dim
@@ -237,10 +239,6 @@ def _setup(config):
             f"grid.fine.nodes: {max(fine)} exceeds the desk-scale cap of "
             f"{cap} per axis in {dim}D; set limits.allow_large = true to override"
         )
-    if config.workers < 1:
-        raise ConfigError("solver.workers: must be at least 1")
-    if config.max_iterations < 1:
-        raise ConfigError("solver.max_iterations: must be at least 1")
     with _config_errors():
         fine_grid = entry.spec.domain_grid(fine)
         if config.problem == "heat3_rom" and "target_radius" not in config.overrides:
@@ -261,9 +259,7 @@ def _setup(config):
 
     def solver_config(label, grid, stop_constant):
         with _config_errors(f"{label} grid: "):
-            cfg = SolverConfig(dt=entry.dt_for(grid), stop_constant=stop_constant,
-                               max_iterations=config.max_iterations,
-                               eval_backend=config.backend, workers=config.workers)
+            cfg = replace(solver, dt=entry.dt_for(grid), stop_constant=stop_constant)
             try:
                 finite = math.isfinite(cfg.epsilon(grid))
             except OverflowError:

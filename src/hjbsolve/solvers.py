@@ -63,7 +63,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from functools import cached_property, partial
 from itertools import product, repeat
 from typing import NamedTuple, Optional
@@ -157,7 +157,8 @@ class SolverConfig:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.eval_backend not in ("fixed_point", "direct"):
-            raise ValueError(f"unknown eval_backend {self.eval_backend!r}")
+            raise ValueError("eval_backend must be fixed_point or direct, "
+                             f"got {self.eval_backend!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -185,45 +186,49 @@ class PolicyField:
         return cls(grid, np.full(grid.num_nodes, index, dtype=np.int32))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunReport:
-    """Instrumentation for one solve.
+    """Instrumentation for one solve, and the text of its report.txt.
 
-    node_updates counts single-node, single-control evaluations: a Bellman or
-    improvement sweep contributes (active nodes) * (control count), a frozen-
-    policy evaluation sweep contributes (active nodes).  This is the portable
-    work metric; wall time is reported but machine dependent.
+    The fields are declared in text order.  to_text writes `key = value` for
+    each field that is not None, the key being the field's name or its
+    metadata "key", and then each phase's lines, prefixed by the phase name
+    and a dot.  Reals are written to 17 significant digits (to the
+    microsecond in a `*_seconds` field), sequences as comma lists, anything
+    else by str.  So a new report line is one new field.
 
-    The operator_* fields describe the m-control transition operator of a
-    VI or PI run: whether its entry bound fits the budget, so that it was
-    stored (else rebuilt in every sweep), its CSR entries (12 bytes each:
-    float64 weight, int32 column; 0 for rows held as diagonals or applied
-    matrix-free), the bytes that a sweep's blocks hold (operator_bytes: the
-    diagonals and their offsets, the CSR entries, row pointers and row
-    numbers; not the stage costs or the numbers of the empty rows) and the
-    wall time spent setting it up.  That is the time during which at least
-    one block was being set up, on any thread: the union of the build
-    spans, whose builds overlap the sweeps of other blocks.  A stored
-    operator is built once, by the first sweep; an unstored one in every
-    sweep, so its time sums over them.  A matrix-free control counts its
-    one setup (dynamics, per-axis locations, stage cost and empty rows),
-    not its sweeps.  `workers` is the number of
-    threads the run's sweeps used.  `operator_separable_controls` counts
-    the controls whose velocity is the same at every node, so that their
-    rows come from per-axis cell locations, and
-    `operator_matrix_free_controls` those of them applied matrix-free and
-    `operator_diagonal_controls` those whose regular rows are held as
-    diagonals.  These fields stay None on the aggregate API report, whose
-    phases carry their own.
+    node_updates counts single-node, single-control evaluations: (active
+    nodes) * (control count) per Bellman or improvement sweep, (active
+    nodes) per frozen-policy evaluation sweep.  It is the portable work
+    metric; wall time is machine dependent.
+
+    The operator_* fields describe the transition operator of a VI or PI
+    run; they stay None on the aggregate API report, whose phases carry
+    their own.  operator_stored says whether its entry bound fits the
+    budget, so that it was stored rather than rebuilt in every sweep;
+    operator_nnz counts its CSR entries (12 bytes each: float64 weight,
+    int32 column; none for rows held as diagonals or applied matrix-free);
+    operator_bytes is what the sweep's blocks hold (diagonals and their
+    offsets, CSR entries, row pointers and row numbers; not the stage
+    costs or the numbers of the empty rows).  The build wall time is the
+    union of the spans during which a block was being set up, on any
+    thread, which overlap the sweeps of other blocks.  A stored operator is
+    built once, by the first sweep, an unstored one in every sweep, so its
+    time sums over them; a matrix-free control counts its one setup
+    (dynamics, per-axis locations, stage cost and empty rows).
+    operator_separable_controls counts the controls whose velocity is the
+    same at every node, so that their rows come from per-axis cell
+    locations, operator_matrix_free_controls those of them applied
+    matrix-free and operator_diagonal_controls those whose regular rows are
+    held as diagonals.  workers is the number of threads the sweeps used.
 
     policy_changes, on PI reports (so on API's fine phase), holds per
     improvement the number of non-pinned nodes whose control changed.
-
     bellman_residual, on VI and PI reports (so on both API phases), is
     rho = ||T V - V|| in the sup norm for the returned field V and the
     Bellman update T, read from the run's last min-over-controls sweep: VI's
     final argmin sweep, PI's last improvement.  T contracts by the discount
-    gamma, so the fixed point V* of T lies within fixed_point_gap_bound =
+    gamma, so the fixed point of T lies within fixed_point_gap_bound =
     rho / (1 - gamma) of V.
     """
 
@@ -233,64 +238,45 @@ class RunReport:
     dt: float
     control_count: int
     epsilon: float
-    outer_iterations: int
+    outer_iterations: int = dataclass_field(metadata={"key": "iterations"})
+    sub_iteration_history: list = dataclass_field(default_factory=list,
+                                                  metadata={"key": "sub_iterations"})
     node_updates: int
-    wall_time_seconds: float
     converged: bool
+    wall_time_seconds: float
     residual_history: list = dataclass_field(default_factory=list)
-    sub_iteration_history: list = dataclass_field(default_factory=list)
-    phases: Optional[dict] = None
     operator_stored: Optional[bool] = None
     operator_nnz: Optional[int] = None
+    operator_bytes: Optional[int] = None
     operator_build_wall_time_seconds: Optional[float] = None
     operator_separable_controls: Optional[int] = None
+    operator_matrix_free_controls: Optional[int] = None
+    operator_diagonal_controls: Optional[int] = None
     policy_changes: Optional[list] = None
     workers: Optional[int] = None
-    operator_matrix_free_controls: Optional[int] = None
     bellman_residual: Optional[float] = None
     fixed_point_gap_bound: Optional[float] = None
-    operator_bytes: Optional[int] = None
-    operator_diagonal_controls: Optional[int] = None
+    phases: Optional[dict] = None
 
     def to_text(self):
-        lines = [
-            f"algorithm = {self.algorithm}",
-            f"grid_shape = {','.join(str(n) for n in self.grid_shape)}",
-            f"dx = {self.dx:.17g}",
-            f"dt = {self.dt:.17g}",
-            f"control_count = {self.control_count}",
-            f"epsilon = {self.epsilon:.17g}",
-            f"iterations = {self.outer_iterations}",
-            f"sub_iterations = {','.join(str(m) for m in self.sub_iteration_history)}",
-            f"node_updates = {self.node_updates}",
-            f"converged = {self.converged}",
-            f"wall_time_seconds = {self.wall_time_seconds:.6f}",
-            "residual_history = "
-            + ",".join("%.17g" % r for r in self.residual_history),
-        ]
-        if self.operator_stored is not None:
-            lines += [
-                f"operator_stored = {self.operator_stored}",
-                f"operator_nnz = {self.operator_nnz}",
-                f"operator_bytes = {self.operator_bytes}",
-                "operator_build_wall_time_seconds = "
-                f"{self.operator_build_wall_time_seconds:.6f}",
-                f"operator_separable_controls = {self.operator_separable_controls}",
-                f"operator_matrix_free_controls = {self.operator_matrix_free_controls}",
-                f"operator_diagonal_controls = {self.operator_diagonal_controls}",
-            ]
-        if self.policy_changes is not None:
-            lines.append("policy_changes = " + ",".join(map(str, self.policy_changes)))
-        if self.workers is not None:
-            lines.append(f"workers = {self.workers}")
-        if self.bellman_residual is not None:
-            lines += [f"bellman_residual = {self.bellman_residual:.17g}",
-                      f"fixed_point_gap_bound = {self.fixed_point_gap_bound:.17g}"]
-        if self.phases:
-            for key, sub in self.phases.items():
-                for line in sub.to_text().splitlines():
-                    lines.append(f"{key}.{line}")
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                lines += [f"{phase}.{line}" for phase, sub in value.items()
+                          for line in sub.to_text().splitlines()]
+            elif value is not None:
+                lines.append(f"{f.metadata.get('key', f.name)} = {_report_text(f.name, value)}")
         return "\n".join(lines) + "\n"
+
+
+def _report_text(name, value):
+    """A report value as text, by the rule of RunReport's docstring."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(_report_text(name, item) for item in value)
+    if isinstance(value, float):
+        return ("%.6f" if name.endswith("_seconds") else "%.17g") % value
+    return str(value)
 
 
 def _pins(spec, grid):
@@ -309,12 +295,15 @@ def _pins(spec, grid):
     return pin, pin_values
 
 
+def _rate(spec):
+    """lam of the one-step discount e^{-lam dt}: 1 for minimum time (the
+    Kruzkhov transform), the discount rate of a discounted problem."""
+    return 1.0 if spec.minimum_time else spec.kind.lam
+
+
 def _discount(spec, dt):
-    """The discount of one step: e^{-dt} for minimum time (the Kruzkhov
-    transform), e^{-lam dt} for a discounted problem."""
-    if spec.minimum_time:
-        return math.exp(-dt)
-    return math.exp(-spec.kind.lam * dt)
+    """The discount of one step, e^{-lam dt}."""
+    return math.exp(-_rate(spec) * dt)
 
 
 def _stage(spec, points, a, dt):
@@ -775,7 +764,8 @@ class _Sweeper:
     matrix-free, and `threads` is the number of threads the blocks run on,
     at most config.workers.  With more than one, the thread pool starts with
     the first block; use the sweeper as a context manager, whose exit joins
-    the pool's threads.
+    the pool's threads.  A one-step discount that rounds to 1 raises
+    SolverError.
     """
 
     def __init__(self, spec, grid, controls, config, store_separable=True):
@@ -783,13 +773,17 @@ class _Sweeper:
         self.grid = grid
         self.controls = controls
         self.dt = config.dt
+        self.discount = _discount(spec, self.dt)
+        if self.discount == 1.0:
+            # the scheme no longer contracts, and the gap bound divides by 0
+            raise SolverError(f"lam*dt = {_rate(spec) * self.dt:.3g} is too small: the "
+                              "one-step discount exp(-lam*dt) rounds to 1")
         self.nodes = grid.nodes()
         self.pinned, values = _pins(spec, grid)
         # the pinned nodes and their values, which every sweep sets by index
         self.pins = np.flatnonzero(self.pinned)
         self.pin_values = values[self.pins]
         self.active_count = grid.num_nodes - len(self.pins)
-        self.discount = _discount(spec, self.dt)
 
         m, n = len(controls), grid.num_nodes
         self.stored = m * n * 2 ** grid.dim <= _OPERATOR_NNZ_LIMIT

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import io
 import math
@@ -127,6 +128,12 @@ class TestConfigParsing:
         for builder in _CATALOG.values():
             keys |= {f"problem.{name}" for name in inspect.signature(builder).parameters}
         assert [key for key in sorted(keys) if f"{key} =" not in block] == []
+
+    def test_readme_lists_every_report_key(self):
+        section = README.read_text().split("`report.txt` has one", 1)[1].split("\n## ", 1)[0]
+        keys = [f.metadata.get("key", f.name) for f in dataclasses.fields(h.RunReport)
+                if f.name != "phases"]
+        assert [key for key in keys if f"`{key}`" not in section] == []
 
     def test_desk_scale_cap(self):
         cfg = ExperimentConfig.from_text(
@@ -368,7 +375,7 @@ class TestCli:
         assert "Traceback" not in run.stderr
         assert not out.exists()
 
-    # a numpy warning would print a second line on stderr; the RuntimeWarning
+    # a numpy warning would print a second line on stderr; the warning
     # filter in pyproject.toml makes one fail the test
     @pytest.mark.parametrize("problem,nodes,line", [
         ("test2_vdp", 11, "problem.control_count = 0"),
@@ -489,6 +496,41 @@ class TestCli:
         assert cli.main(["solve", "--config", str(cfg_path), "--threads", "0",
                          "--out", str(out)]) == 2
         assert capsys.readouterr().err == "configuration error: --threads: must be at least 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,setting", [
+        ("solver.workers = 0", "workers"),
+        ("solver.max_iterations = 0", "max_iterations"),
+        ("solver.backend = lu", "backend"),
+    ])
+    def test_rejected_solver_setting_is_named_once(self, tmp_path, capsys, line, setting):
+        """SolverConfig's rule, checked once for both grids of an api run."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(SMALL_API + line + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: solver: ") and err.count("\n") == 1
+        assert setting in err and "grid" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem,algorithm,lines", [
+        ("test2_vdp", "vi", "problem.lam = 1e-17"),
+        ("test2_vdp", "pi", "problem.lam = 1e-17"),
+        ("test2_vdp", "api", "problem.lam = 1e-17\nsolver.backend = direct"),
+        ("test4_eik2d", "pi", "problem.dt_ratio = 1e-17"),
+        ("test4_eik2d", "vi", "problem.domain = 0,1e-200"),
+    ])
+    def test_discount_that_rounds_to_one_is_a_solver_error(self, tmp_path, capsys, problem,
+                                                           algorithm, lines):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"problem.name = {problem}\nalgorithm = {algorithm}\n"
+                            f"grid.fine.nodes = 11\n{lines}\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: lam*dt = ") and err.count("\n") == 1
+        assert err.endswith(" is too small: the one-step discount exp(-lam*dt) rounds to 1\n")
         assert not out.exists()
 
     def test_config_echo_is_the_config_that_ran(self, tmp_path, monkeypatch):

@@ -118,6 +118,16 @@ class TestValueIteration:
         assert rep.converged
         assert 26 <= rep.outer_iterations <= 48  # 37 +- 30%
 
+    def test_discount_that_rounds_to_one_is_refused(self):
+        """e^(-lam*dt) = 1 would end the run dividing by 1 - gamma = 0; the
+        sweeper refuses it before any sweep."""
+        entry = h.catalog("test2_vdp", lam=1e-17)
+        grid = entry.spec.domain_grid(11)
+        cfg = h.SolverConfig(dt=entry.dt_for(grid))
+        with pytest.raises(h.SolverError, match=r"^lam\*dt = 1\.2e-18 is too small: "
+                                                r"the one-step discount exp\(-lam\*dt\) rounds to 1$"):
+            h.value_iteration(entry.spec, grid, entry.controls, cfg)
+
     def test_non_convergence_flagged(self):
         entry = h.catalog("test4_eik2d", control_count=8)
         grid = entry.spec.domain_grid(21)

@@ -20,7 +20,9 @@ update for non-finite ones, as it can make none.  A frozen-policy
 evaluation, by fixed-point sweeps or by a sparse linear solve, uses the
 rows (policy[i], i), with the same stage cost and empty rows; both
 backends run in _Sweeper.evaluate, for policy iteration and for the two
-public evaluation functions alike.  Policy iteration hands it the
+public evaluation functions alike.  The linear solve is the package's own
+BiCGStab loop, _bicgstab: scipy 1.17's bicgstab step for step and bit for
+bit, without importing scipy.sparse.linalg.  Policy iteration hands it the
 Bellman sweep that chose the policy, its first fixed-point sweep, which
 ends an evaluation that needs no other.  The greedy step at an arbitrary
 state takes the same discount, stage costs and arrivals, and interpolates
@@ -70,9 +72,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-# scipy's DIA matvec kernel, the one behind dia_matrix @ v, called to add
-# into a slice of a block's product
-from scipy.sparse._sparsetools import dia_matvec
+# scipy's DIA and CSR matvec kernels, the ones behind dia_matrix @ v and
+# csr_matrix @ v, called to add into a slice of a block's product or into a
+# Krylov work vector
+from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 
 from .grid import (
     RegularGrid,
@@ -687,16 +690,19 @@ def _thread_buffer(buffers, size):
 
 
 def _csr_arrays(rows, grid):
-    """Zeroed indptr plus uninitialized indices and data for `rows` rows of
-    at most 2^d entries each.  indptr is int32 when the entries allow it, as
-    scipy would otherwise copy it to int32.  data is allocated first: it
-    also takes the diagonals, which are all written, while the other arrays
-    of separable controls stay mostly unwritten, so that it takes the
-    memory earlier solves freed."""
+    """indptr, indices and data for `rows` rows of at most 2^d entries
+    each, uninitialized but for indptr[0] = 0: the row writers write every
+    later row pointer before it is read.  indptr is int32 when the entries
+    allow it, as scipy would otherwise copy it to int32.  data is allocated
+    first: it also takes the diagonals, which are all written, while the
+    other arrays of separable controls stay mostly unwritten, so that it
+    takes the memory earlier solves freed."""
     data = np.empty(rows * 2 ** grid.dim)
     index = np.int32 if data.size < 2 ** 31 else np.int64
     indices = np.empty(data.size, dtype=np.int32)
-    return np.zeros(rows + 1, dtype=index), indices, data
+    indptr = np.empty(rows + 1, dtype=index)
+    indptr[0] = 0
+    return indptr, indices, data
 
 
 class _Block(NamedTuple):
@@ -878,6 +884,7 @@ class _Sweeper:
             if indptr is None:
                 indptr, indices, data = _csr_arrays(len(js) * n, grid)
                 count = lo
+                indptr[:lo + 1] = 0  # the empty rows of the controls before
             held = None
             if box is not None:
                 top = data.size - len(diagonals) * width * n
@@ -1112,6 +1119,16 @@ class _Sweeper:
         B = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, n))
         return _Block(B, None, [], [], c, outside, n)
 
+    def _direct_system(self, rows):
+        """I - discount * B over policy_rows' _Block `rows`, as CSR, and its
+        right-hand side: the stage costs, discount * exterior value added on
+        `outside`, and the pins."""
+        matrix = sp.identity(self.grid.num_nodes, format="csr") - self.discount * rows.B
+        rhs = np.full(self.grid.num_nodes, rows.c)
+        rhs[rows.outside] += self.discount * self.spec.exterior_value
+        rhs[self.pins] = self.pin_values
+        return matrix, rhs
+
     def evaluation_sweep(self, values, rows):
         """One frozen-policy sweep over policy_rows' _Block `rows`."""
         out = self._add_stage(self._product(rows, values, None), rows)
@@ -1146,34 +1163,76 @@ class _Sweeper:
                                              v, eps, config.inner_cap())
             return v, len(history), converged
 
-        import scipy.sparse.linalg as spla
-
-        matrix = sp.identity(self.grid.num_nodes, format="csr") - self.discount * rows.B
-        # the stage costs, discount * exterior value added on `outside`, pins
-        rhs = np.full(self.grid.num_nodes, rows.c)
-        rhs[rows.outside] += self.discount * self.spec.exterior_value
-        rhs[self.pins] = self.pin_values
-
-        iters = 0
-
-        def count_iters(_):
-            nonlocal iters
-            iters += 1
-
+        matrix, rhs = self._direct_system(rows)
         tol = eps / 10.0
-        x, info = spla.bicgstab(
-            matrix, rhs, rtol=0.0, atol=tol, maxiter=config.inner_cap(),
-            callback=count_iters,
-        )
+        x, info, iters = _bicgstab(matrix, rhs, tol, config.inner_cap())
         residual = float(np.max(np.abs(matrix @ x - rhs)))
         if info != 0 or residual > tol:
             raise SolverError(
                 f"direct policy evaluation stalled: achieved residual {residual:.3e}, "
                 f"required {tol:.3e}"
             )
-        v = x.copy()
-        self.apply_pins(v)
-        return v, max(iters, 1), True
+        self.apply_pins(x)
+        return x, max(iters, 1), True
+
+
+def _bicgstab(matrix, b, atol, maxiter):
+    """Unpreconditioned BiCGStab (van der Vorst 1992; Saad 2003, ch. 7) for
+    the CSR `matrix` from x = 0: scipy 1.17's
+    scipy.sparse.linalg.bicgstab(matrix, b, rtol=0, atol=atol,
+    maxiter=maxiter) step for step, with the same np.dot and
+    np.linalg.norm reductions in the same order, the same breakdown tests
+    and the same bits.  Returns (x, info, iterations): info is 0 when a
+    residual norm fell below `atol`, -10 or -11 on a rho or omega
+    breakdown and `maxiter` when the iterations ran out; `iterations`
+    counts the completed ones, those after which scipy calls its callback.
+
+    b is not written; when it is 0 it is returned as x.  Every product goes
+    into a work vector kept for the call, so that an iteration allocates
+    nothing.  scipy's rtilde is b, and its s, the residual after the alpha
+    step, is r itself, which nothing writes before the omega step."""
+    n = len(b)
+    if np.linalg.norm(b) == 0:
+        return b, 0, 0
+    tiny = np.finfo(np.float64).eps ** 2  # scipy's rhotol and omegatol
+    x, r = np.zeros(n), b.copy()
+    p, v, t, work = (np.empty(n) for _ in range(4))
+
+    def matvec(vector, out):
+        out.fill(0.0)
+        csr_matvec(n, n, matrix.indptr, matrix.indices, matrix.data, vector, out)
+
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0, iteration
+        rho = np.dot(b, r)
+        if abs(rho) < tiny:
+            return x, -10, iteration
+        if iteration:  # alpha, omega and rho_prev are set
+            if abs(omega) < tiny:
+                return x, -11, iteration
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= np.multiply(omega, v, out=work)
+            p *= beta
+            p += r
+        else:
+            p[:] = r
+        matvec(p, v)
+        rv = np.dot(b, v)
+        if rv == 0:
+            return x, -11, iteration
+        alpha = rho / rv
+        r -= np.multiply(alpha, v, out=work)
+        if np.linalg.norm(r) < atol:
+            x += np.multiply(alpha, p, out=work)
+            return x, 0, iteration
+        matvec(r, t)
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += np.multiply(alpha, p, out=work)
+        x += np.multiply(omega, r, out=work)
+        r -= np.multiply(omega, t, out=work)
+        rho_prev = rho
+    return x, maxiter, maxiter
 
 
 def _start_field(spec, grid):
@@ -1300,11 +1359,13 @@ def policy_evaluation_direct(spec, grid, policy, controls, config):
     Solves (I - discount * B) V = c, where B holds the frozen-policy rows
     (at most 2^d nonnegative entries per row summing to at most 1; the
     discount makes the system strictly diagonally dominant) and c the stage
-    cost plus discount * exterior mass, with BiCGStab to residual eps/10.
-    Stagnation raises, carrying the achieved residual.  Returns (field,
-    solver iteration count).  BiCGStab's dot products and norms run through
-    OpenBLAS, whose sums round differently with its thread count, so the
-    iteration count and the field's bits are repeatable only for a fixed
+    cost plus discount * exterior mass, to residual eps/10 with the
+    package's own BiCGStab loop (_bicgstab), which gives the bits of scipy
+    1.17's bicgstab.  Stagnation raises, carrying the achieved residual.
+    Returns (field, solver iteration count).  The loop's dot products and
+    norms are np.dot and np.linalg.norm, which run through OpenBLAS, whose
+    sums round differently with its thread count, so the iteration count
+    and the field's bits are repeatable only for a fixed
     OPENBLAS_NUM_THREADS.
     """
     sweeper = _Sweeper(spec, grid, controls, config)

@@ -336,6 +336,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("solver error: ") and err.count("\n") == 1
 
+    def test_capped_direct_solve_is_solver_error(self, tmp_path, capsys):
+        # Two outer steps cap BiCGStab at 20 iterations, far from eps / 10
+        # on the first frozen-policy solve however its sums round.
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(
+            "problem.name = test4_eik2d\nalgorithm = pi\ngrid.fine.nodes = 41\n"
+            "solver.backend = direct\nsolver.max_iterations = 2\n"
+        )
+        assert cli.main(["solve", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "solver error: direct policy evaluation stalled: achieved residual "
+            "2.524e+00, required 5.000e-05\n")
+
     @pytest.mark.parametrize("suite", [
         ["paper_tables", "--only", "test1_1d"], ["rates"]])
     def test_suite_threads_below_one_is_config_error(self, tmp_path, capsys, suite):

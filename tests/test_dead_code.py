@@ -17,7 +17,10 @@ reason.  Calls are matched by function name, so no other function or method
 in src/ or perfbench/ may share the name of an audited one.  Every name in
 hjbsolve.__all__ must be read by a module of the package other than
 __init__.py, or by perfbench/, or be named in the code of README.md (a
-fenced block or an inline `span`).
+fenced block or an inline `span`).  No module under src/ may load
+scipy.sparse.linalg, by an import or by reading it as an attribute of
+scipy.sparse, which imports it: the direct backend runs its own BiCGStab
+loop, and that module costs every process about 10 MB.
 """
 
 import ast
@@ -172,6 +175,37 @@ def passed_parameters(trees, defaulted):
     return passed
 
 
+def loaded_modules(tree):
+    """The dotted names a module's absolute imports load, and those its
+    attribute chains read from a name an import binds, as scipy.sparse's
+    lazy submodules load on such a read: (name, line) pairs."""
+    bound, loaded = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                loaded.append((alias.name, node.lineno))
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = alias.name if alias.asname else name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                loaded.append((f"{node.module}.{alias.name}", node.lineno))
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        chain, base = [], node
+        while isinstance(base, ast.Attribute):
+            chain.append(base.attr)
+            base = base.value
+        if chain and isinstance(base, ast.Name) and base.id in bound:
+            loaded.append((".".join([bound[base.id], *reversed(chain)]), node.lineno))
+    return loaded
+
+
+def sparse_linalg_lines(tree):
+    """The lines of a module that load scipy.sparse.linalg."""
+    return sorted({line for name, line in loaded_modules(tree)
+                   if f"{name}.".startswith("scipy.sparse.linalg.")})
+
+
 def test_the_package_has_modules():
     assert len(MODULES) >= 5
 
@@ -319,6 +353,31 @@ def package_defaults():
     """defaulted_parameters of every module of the package but __init__.py."""
     return {key: position for module in MODULES
             for key, position in defaulted_parameters(TREES[module.name]).items()}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_loads_scipy_sparse_linalg(path):
+    lines = sparse_linalg_lines(CALLERS[path])
+    assert not lines, f"{path.name} loads scipy.sparse.linalg on lines {lines}"
+
+
+def test_the_linalg_audit_catches_every_way_in():
+    tree = ast.parse(
+        "import scipy.sparse as sp\n"
+        "import scipy.sparse.linalg\n"
+        "from scipy import sparse\n"
+        "from scipy.sparse._sparsetools import csr_matvec\n"
+        "from scipy.sparse import linalg as la\n"
+        "from scipy.sparse.linalg import bicgstab\n"
+        "def solve(A, b):\n"
+        "    import scipy.sparse.linalg as spla\n"
+        "    return sp.csr_matrix(A) @ b, sparse.linalg.splu(A)\n"
+        "def factor(A):\n"
+        "    return sp.linalg.splu(A), csr_matvec, sp.identity(3)\n"
+        "lin = 'scipy.sparse.linalg'\n"
+    )
+    assert sparse_linalg_lines(tree) == [2, 5, 6, 8, 9, 11]
 
 
 def test_every_solver_default_is_passed_somewhere():

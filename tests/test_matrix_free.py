@@ -176,6 +176,37 @@ def test_edge_controls_match_the_stored_operator(dynamics, workers, monkeypatch)
     assert (B is None) == (dynamics is constant_drift)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_row_pointers_are_written_before_they_are_read(workers, monkeypatch):
+    """_csr_arrays leaves every row pointer but the first unwritten.  With
+    those poisoned, every mode gives the unpoisoned stored bits.  The first
+    control is separable and the second is not, so that a matrix-free block
+    of both allocates its CSR arrays at the second, which must zero the
+    pointers of the first's empty rows."""
+    controls = h.ControlSet([[0.1, -0.3, 0], [-0.5, 0.2, 1], [0.25, 0.0, 0],
+                             [-1.0, -0.1, 1]])
+    spec = square_spec(mixed_drift)
+    fine, coarse = spec.domain_grid(9), spec.domain_grid(5)
+
+    def run(mode):
+        with monkeypatch.context() as patch:
+            set_mode(patch, mode, fine)
+            return solve_all(spec, controls, fine, coarse, lambda g: 1.0, workers,
+                             np.random.default_rng(5))[0]
+
+    reference = run("stored")
+    csr_arrays = solvers._csr_arrays
+
+    def poisoned(rows, grid):
+        indptr, indices, data = csr_arrays(rows, grid)
+        indptr[1:] = np.iinfo(indptr.dtype).max
+        return indptr, indices, data
+
+    monkeypatch.setattr(solvers, "_csr_arrays", poisoned)
+    for mode in MODES:
+        assert run(mode) == reference, mode
+
+
 def matrix_free_rows(spec, grid, controls, dt):
     """The _ShiftedRows of the separable controls that have in-box rows."""
     sweeper = _Sweeper(spec, grid, controls, h.SolverConfig(dt=dt, workers=1),

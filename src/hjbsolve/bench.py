@@ -5,7 +5,6 @@ Configs are flat key/value text with dotted keys, one assignment per line:
     problem.name = test4_eik2d
     algorithm = api
     grid.fine.nodes = 161
-    grid.coarse.nodes = 81
 
 Everything is deterministic: re-running a config reproduces the report
 numerics byte for byte (wall-time lines excluded).
@@ -118,7 +117,6 @@ def _parse_like(default, key, text):
 # absent key leaves the field's default.
 _SETTING_PARSERS = {
     "grid.fine.nodes": ("fine_nodes", _parse_ints),
-    "grid.coarse.nodes": ("coarse_nodes", _parse_ints),
     "solver.backend": ("backend", _parse_text),
     "stop.fine_constant": ("fine_constant", _parse_float),
     "stop.coarse_constant": ("coarse_constant", _parse_float),
@@ -133,13 +131,12 @@ _SETTING_PARSERS = {
 @dataclass
 class ExperimentConfig:
     """An experiment: problem, algorithm, grids, and solver knobs.  The
-    coarse grid of an api run defaults to (n + 1) // 2 nodes per axis for n
-    fine ones.  run_experiment checks the config before it solves."""
+    coarse grid of an api run has (n + 1) // 2 nodes per axis for n fine
+    ones.  run_experiment checks the config before it solves."""
 
     problem: str
     algorithm: str
     fine_nodes: tuple
-    coarse_nodes: tuple = None
     overrides: dict = field(default_factory=dict)
     fine_constant: float = SolverConfig.stop_constant
     coarse_constant: float = 5.0
@@ -221,8 +218,8 @@ def _setup(config):
     grid, fine SolverConfig, coarse SolverConfig), the coarse pair None unless
     the algorithm is api.  What the problem, a grid, its target set or the
     solver settings reject raises ConfigError, as do an algorithm other than
-    vi, pi and api, a fine grid above the desk-scale cap and api grids that
-    do not nest."""
+    vi, pi and api, a fine grid above the desk-scale cap and an api fine
+    grid that is no midpoint refinement, with an even count on an axis."""
     if config.algorithm not in ("vi", "pi", "api"):
         raise ConfigError("algorithm: must be one of vi, pi, api")
     with _config_errors("solver: "):
@@ -233,6 +230,10 @@ def _setup(config):
         entry = catalog(config.problem, **config.overrides)
     dim = entry.spec.state_dim
     fine = _axis_counts(config.fine_nodes, dim, "grid.fine.nodes")
+    if config.algorithm == "api" and any(n % 2 == 0 for n in fine):
+        raise ConfigError(
+            "grid.fine.nodes: accelerated runs need an odd count per axis, the midpoint "
+            f"refinement 2 * coarse - 1 of the coarse grid; got {fine}")
     cap = DESK_SCALE_CAPS[dim]
     if max(fine) > cap and not config.allow_large:
         raise ConfigError(
@@ -247,15 +248,7 @@ def _setup(config):
                             **config.overrides)
         coarse_grid = None
         if config.algorithm == "api":
-            coarse_grid = entry.spec.domain_grid(
-                tuple((n + 1) // 2 for n in fine) if config.coarse_nodes is None
-                else _axis_counts(config.coarse_nodes, dim, "grid.coarse.nodes"))
-    if coarse_grid is not None and not coarse_grid.nests(fine_grid):
-        raise ConfigError(
-            "grid.coarse.nodes: accelerated runs need nested grids (fine = 2*coarse - 1 "
-            f"per axis; got coarse {coarse_grid.nodes_per_axis}, "
-            f"fine {fine_grid.nodes_per_axis})"
-        )
+            coarse_grid = entry.spec.domain_grid(tuple((n + 1) // 2 for n in fine))
 
     def solver_config(label, grid, stop_constant):
         with _config_errors(f"{label} grid: "):

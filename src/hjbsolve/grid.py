@@ -11,6 +11,8 @@ from itertools import repeat
 
 import numpy as np
 
+# Every grid, a refined one too, has at most this many nodes, so that one
+# control's operator rows, at most 2^4 entries per node, take int32 pointers.
 DEFAULT_NODE_CAP = 20_000_000
 
 FIELD_FLOAT_FORMAT = "%.17g"
@@ -36,7 +38,7 @@ class RegularGrid:
     ``spacing[i] = (upper[i] - lower[i]) / (nodes_per_axis[i] - 1)``.
     """
 
-    def __init__(self, lower, upper, nodes_per_axis, node_cap=DEFAULT_NODE_CAP):
+    def __init__(self, lower, upper, nodes_per_axis):
         lower = tuple(float(v) for v in np.atleast_1d(lower))
         upper = tuple(float(v) for v in np.atleast_1d(upper))
         nodes = whole_counts(nodes_per_axis, GridError)
@@ -53,8 +55,8 @@ class RegularGrid:
         total = 1
         for n in nodes:
             total *= n
-        if total > node_cap:
-            raise GridError(f"grid with {total} nodes exceeds the cap of {node_cap}")
+        if total > DEFAULT_NODE_CAP:
+            raise GridError(f"grid with {total} nodes exceeds the cap of {DEFAULT_NODE_CAP}")
 
         self.dim = len(lower)
         self.lower = lower
@@ -108,7 +110,7 @@ class RegularGrid:
     def refined(self):
         """The nested midpoint refinement: 2n - 1 nodes per axis, same box."""
         fine = tuple(2 * n - 1 for n in self.nodes_per_axis)
-        return RegularGrid(self.lower, self.upper, fine, node_cap=DEFAULT_NODE_CAP * 16)
+        return RegularGrid(self.lower, self.upper, fine)
 
     def nests(self, fine):
         """True when `fine` is this grid's midpoint refinement."""

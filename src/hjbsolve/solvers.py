@@ -42,8 +42,9 @@ bellman_update (one sweep), policy iteration warm-started from V_init
 (API's fine phase, a few sweeps) and any operator over the nnz budget apply
 separable controls matrix-free.  State-dependent controls are stored, or
 rebuilt in every sweep over the budget.  A block of controls is one record,
-_Block: its CSR rows, its diagonals, its matrix-free controls, its stage
-cost and the numbers of its empty rows.  So are the frozen-policy rows.
+_Block: one row set per control, which applies that control's rows as CSR
+rows, as diagonals or matrix-free, its stage cost and the numbers of its
+empty rows.  So are the frozen-policy rows, one CSR row set.
 
 All sweeps have Jacobi semantics: every node update reads only the previous
 iterate, argmin ties break toward the lowest control index, and the sup-norm
@@ -212,13 +213,15 @@ class RunReport:
     operator_nnz counts its CSR entries (12 bytes each: float64 weight,
     int32 column; none for rows held as diagonals or applied matrix-free);
     operator_bytes is what the sweep's blocks hold (diagonals and their
-    offsets, CSR entries, row pointers and row numbers; not the stage
-    costs or the numbers of the empty rows).  The build wall time is the
-    union of the spans during which a block was being set up, on any
-    thread, which overlap the sweeps of other blocks.  A stored operator is
-    built once, by the first sweep, an unstored one in every sweep, so its
-    time sums over them; a matrix-free control counts its one setup
-    (dynamics, per-axis locations, stage cost and empty rows).
+    offsets, CSR entries, the row pointers of each CSR row set, one more
+    than its rows, and the node numbers of the irregular rows beside
+    diagonals; not the stage costs or the numbers of the empty rows).  The
+    build wall time is the union of the spans during which a block was
+    being set up, on any thread, which overlap the sweeps of other blocks.
+    A stored operator is built once, by the first sweep, an unstored one in
+    every sweep, so its time sums over them; a matrix-free control counts
+    its one setup (dynamics, per-axis locations, stage cost and empty
+    rows).
     operator_separable_controls counts the controls whose velocity is the
     same at every node, so that their rows come from per-axis cell
     locations, operator_matrix_free_controls those of them applied
@@ -353,40 +356,40 @@ def _iterate(step, v, eps, cap):
 
 
 def _fill_rows(grid, bases, locals_, inside, indptr, indices, data):
-    """Write the rows of located arrivals into CSR arrays: row r holds the
-    2^d multilinear weights of arrival r when inside[r] and is empty else.
+    """The _CsrRows of located arrivals, written into CSR arrays from their
+    first entries: row r holds the 2^d multilinear weights of arrival r
+    when inside[r] and is empty else.
 
     `bases` and `locals_` hold per axis the cell bases and local coordinates
     of the in-box arrivals only, as arrays that broadcast to those rows in
     flat order: a (k,) row per axis, or per-axis rows of an in-box sub-box.
-    indptr[0] must hold the position of the first entry, a multiple of 2^d;
-    indptr[1:] is filled.  Each corner's column and weight are written
-    straight into the (rows..., 2^d) views of indices and data, one
+    Every row pointer is written.  Each corner's column and weight are
+    written straight into the (rows..., 2^d) views of indices and data, one
     first-axis slab of about _FILL_ROWS rows at a time, so that the slab's
     temporaries stay in cache.
     """
     width = 2 ** grid.dim
-    ends = indptr[1:]
-    np.cumsum(inside, out=ends)
-    ends *= width
-    ends += indptr[0]
-    first, last = indptr[0] // width, indptr[-1] // width
-    if last == first:
-        return
+    indptr[0] = 0
+    np.cumsum(inside, out=indptr[1:])
+    indptr[1:] *= width
+    end = int(indptr[-1])
+    rows = _CsrRows(indptr, indices[:end], data[:end])
+    if not end:
+        return rows
     box = np.broadcast_shapes(*(b.shape for b in bases)) + (width,)
-    cols = indices.reshape(-1, width)[first:last].reshape(box)
-    vals = data.reshape(-1, width)[first:last].reshape(box)
+    cols, vals = rows.indices.reshape(box), rows.data.reshape(box)
     offsets = corner_offsets(grid)
-    slab = max(1, _FILL_ROWS * box[0] // int(last - first))
+    slab = max(1, _FILL_ROWS * box[0] // (end // width))
     for lo in range(0, box[0], slab):
-        rows = slice(lo, lo + slab)
+        part = slice(lo, lo + slab)
         # Only the arrays that span the first axis are cut; the others broadcast.
-        b, w = ([a[rows] if len(a) > 1 else a for a in arrays] for arrays in (bases, locals_))
+        b, w = ([a[part] if len(a) > 1 else a for a in arrays] for arrays in (bases, locals_))
         flat = cell_index(grid, b)
         # each weight is written into its view of data as it is yielded
-        weights = corner_weights(w, out=[vals[rows, ..., k] for k in range(width)])
+        weights = corner_weights(w, out=[vals[part, ..., k] for k in range(width)])
         for k, (offset, _) in enumerate(zip(offsets, weights)):
-            np.add(flat, offset, out=cols[rows, ..., k])
+            np.add(flat, offset, out=cols[part, ..., k])
+    return rows
 
 
 def _located(grid, arrivals):
@@ -444,12 +447,12 @@ def _shifted(grid, shift, j):
     return bases, locals_, inside.reshape(-1), tuple(box)
 
 
-def _diagonals(grid, bases, locals_, box, out, pointer_bytes):
-    """Write a separable control's rows as 2^d diagonals into `out`, a
-    (2^d, N) array, from _shifted's `bases`, `locals_` and `box`.  Returns
-    (offsets, remainder), or None, writing nothing, when the diagonals
-    would hold at least the bytes of the CSR rows they replace (12 per
-    entry and `pointer_bytes` per row pointer).
+def _diagonals(grid, bases, locals_, box, out):
+    """A separable control's _DiagonalRows, from _shifted's `bases`,
+    `locals_` and `box`, its 2^d diagonals written into `out`, a (2^d, N)
+    array; or None, writing nothing, when the diagonals would hold at least
+    the bytes of the CSR rows they replace (12 per entry and 4 per row
+    pointer).
 
     A row is regular when its cell base is the node plus the offset, per
     axis, that most in-box rows share.  Corner k of every regular row r
@@ -458,11 +461,10 @@ def _diagonals(grid, bases, locals_, box, out, pointer_bytes):
     layout, in which dia_matvec adds out[k, i] * v[i] into the row
     i - offsets[k].  All other entries are 0.  `out` is zeroed, the rows
     from each axis's first regular row to its last are written through
-    corner_weights, and the irregular ones among them zeroed again.
-    `remainder` is None when every in-box row is regular, else (bases,
-    locals_, nodes) of the irregular ones: their cell bases and local
-    coordinates as one (k,) row per axis for _fill_rows, and their flat
-    node indices.
+    corner_weights, and the irregular ones among them zeroed again.  The
+    irregular in-box rows are written by _fill_rows into CSR arrays of
+    their own, from their cell bases and local coordinates as one (k,) row
+    per axis.
     """
     d = grid.dim
     if any(s.start == s.stop for s in box):
@@ -486,7 +488,7 @@ def _diagonals(grid, bases, locals_, box, out, pointer_bytes):
     shape = [s.stop - s.start for s in box]
     regular_rows = math.prod(n if m is None else int(np.count_nonzero(m))
                              for n, m in zip(shape, masks))
-    if 8 * out.size >= regular_rows * (12 * len(out) + pointer_bytes):
+    if 8 * out.size >= regular_rows * (12 * len(out) + 4):
         return None
     # per axis: the written rows, from the first regular one to the last,
     # their count and the DIA column of the first one's lower corner
@@ -505,7 +507,7 @@ def _diagonals(grid, bases, locals_, box, out, pointer_bytes):
     offsets = np.array(corner_offsets(grid), dtype=np.int32)
     offsets += sum(delta * stride for delta, stride in zip(deltas, grid.strides))
     if all(m is None for m in masks):
-        return offsets, None
+        return _DiagonalRows(offsets, out, None, None)
     regular = True
     for axis, (m, (lo, hi)) in enumerate(zip(masks, ends)):
         if m is None:
@@ -517,21 +519,79 @@ def _diagonals(grid, bases, locals_, box, out, pointer_bytes):
         regular = regular & m.reshape([-1 if k == axis else 1 for k in range(d)])
     at = np.unravel_index(np.flatnonzero(~np.broadcast_to(regular, shape)), shape)
     nodes = sum((s.start + i) * stride for s, i, stride in zip(box, at, grid.strides))
-    return offsets, ([b.reshape(-1)[i] for b, i in zip(bases, at)],
-                     [w.reshape(-1)[i] for w, i in zip(locals_, at)], nodes)
+    irregular = _fill_rows(grid, [b.reshape(-1)[i] for b, i in zip(bases, at)],
+                           [w.reshape(-1)[i] for w, i in zip(locals_, at)],
+                           np.ones(len(nodes), dtype=bool), *_csr_arrays((len(nodes),), grid))
+    return _DiagonalRows(offsets, out, irregular, nodes.astype(np.int32))
+
+
+class _CsrRows(NamedTuple):
+    """CSR rows, from entry 0.  apply(values, transposed, out, buffers)
+    adds each row's products with `values` into `out`, zeros on entry, by
+    scipy's CSR matvec, the kernel of csr_matrix @ values."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def apply(self, values, transposed, out, buffers):
+        csr_matvec(len(out), len(values), self.indptr, self.indices, self.data, values, out)
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    @property
+    def held_bytes(self):
+        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
+
+
+class _DiagonalRows(NamedTuple):
+    """A separable control's rows as 2^d diagonals (_diagonals), 0 on the
+    irregular rows, which the _CsrRows `irregular` hold for the int32
+    `nodes` (both None when there are none).  apply(values, transposed,
+    out, buffers) adds the diagonals into `out`, zeros on entry, one at a
+    time, and writes the irregular rows' products over the 0 they leave:
+    every row summed from 0 in corner order, as the CSR matvec sums it.  A
+    zero entry adds 0 to a finite sum, which leaves its bits."""
+
+    offsets: np.ndarray
+    diagonals: np.ndarray
+    irregular: Optional[_CsrRows]
+    nodes: Optional[np.ndarray]
+
+    def apply(self, values, transposed, out, buffers):
+        n = len(values)
+        dia_matvec(n, n, len(self.offsets), n, self.offsets, self.diagonals, values, out)
+        if self.irregular is not None:
+            q = np.zeros(len(self.nodes))
+            self.irregular.apply(values, transposed, q, buffers)
+            out[self.nodes] = q
+
+    @property
+    def nnz(self):
+        return 0 if self.irregular is None else self.irregular.nnz
+
+    @property
+    def held_bytes(self):
+        held = self.offsets.nbytes + self.diagonals.nbytes
+        if self.irregular is not None:
+            held += self.irregular.held_bytes + self.nodes.nbytes
+        return held
 
 
 class _ShiftedRows:
     """The rows of a separable control, applied without storing them.
 
-    `bases`, `locals_` and `box` come from _shifted.  apply(transposed, out,
-    buffers) writes into `out`, the control's N rows of B @ v (zeros on
-    entry), on the in-box sub-box 0 + sum over the corners k, in corner
-    order, of w_k * v[corner k of each row's cell].  These are the products
-    and additions of the CSR matvec over _fill_rows' rows, in the same order,
-    so the same bits; rows outside the box stay 0.  `transposed` is v with
-    the grid axes reversed, C-contiguous (one copy per Bellman sweep), so
-    that each plane of the last axis is contiguous.
+    `bases`, `locals_` and `box` come from _shifted.  apply(values,
+    transposed, out, buffers) writes into `out`, the control's N rows of
+    B @ v (zeros on entry), on the in-box sub-box 0 + sum over the corners
+    k, in corner order, of w_k * v[corner k of each row's cell].  These are
+    the products and additions of the CSR matvec over _fill_rows' rows, in
+    the same order, so the same bits; rows outside the box stay 0.  It
+    reads v as `transposed`, v with the grid axes reversed, C-contiguous
+    (one copy per Bellman sweep), so that each plane of the last axis is
+    contiguous.
 
     The sub-box goes in chunks of whole last-axis planes, about _FILL_ROWS
     rows each, in a layout where every pass is one contiguous run.  Its
@@ -553,6 +613,8 @@ class _ShiftedRows:
     values and added into a sum, whose in-box rows are copied, transposed
     back, into `out`.  Every buffer belongs to the calling thread.
     """
+
+    nnz = held_bytes = 0
 
     def __init__(self, grid, bases, locals_, box):
         self.shape = grid.shape
@@ -607,7 +669,7 @@ class _ShiftedRows:
         taken = (2 ** (len(self.gathered) + 1) - 2) * (self.chunk + 1) * math.prod(grid.shape[:-1])
         self.buffer_size = (4 + 2 ** (d - 1)) * self.chunk * self.plane + taken
 
-    def apply(self, transposed, out, buffers):
+    def apply(self, values, transposed, out, buffers):
         if self.empty:
             return
         count, rows = len(self.corners) // 2, self.chunk * self.plane
@@ -689,54 +751,36 @@ def _thread_buffer(buffers, size):
     return buffers.buffer
 
 
-def _csr_arrays(rows, grid):
-    """indptr, indices and data for `rows` rows of at most 2^d entries
-    each, uninitialized but for indptr[0] = 0: the row writers write every
-    later row pointer before it is read.  indptr is int32 when the entries
-    allow it, as scipy would otherwise copy it to int32.  data is allocated
-    first: it also takes the diagonals, which are all written, while the
-    other arrays of separable controls stay mostly unwritten, so that it
-    takes the memory earlier solves freed."""
-    data = np.empty(rows * 2 ** grid.dim)
-    index = np.int32 if data.size < 2 ** 31 else np.int64
-    indices = np.empty(data.size, dtype=np.int32)
-    indptr = np.empty(rows + 1, dtype=index)
-    indptr[0] = 0
+def _csr_arrays(shape, grid):
+    """Uninitialized indptr, indices and data, along the last axis, of one
+    row set of shape[-1] rows of at most 2^d entries per index of
+    shape[:-1].  indptr is int32, as the node cap keeps a row set's entries
+    below 2^31.  data is allocated first: it also takes the diagonals,
+    which are all written, while the other arrays of separable controls
+    stay mostly unwritten, so that it takes the memory earlier solves
+    freed."""
+    *sets, rows = shape
+    data = np.empty((*sets, rows * 2 ** grid.dim))
+    indices = np.empty(data.shape, dtype=np.int32)
+    indptr = np.empty((*sets, rows + 1), dtype=np.int32)
     return indptr, indices, data
 
 
 class _Block(NamedTuple):
     """One block of consecutive controls of the m-control operator, `size`
     rows, one per (control, node), control major, or the frozen-policy
-    operator, one row per node (_Sweeper.policy_rows).  B holds its CSR
-    rows, or is None; `rows` numbers the block rows that B's rows are, None
-    when they are all of them in order.  `diagonals` lists (t, offsets,
-    data) for each control held as diagonals: its 2^d diagonals in the
-    (2^d, N) `data` and their offsets (_diagonals).  `shifted` lists (t,
-    _ShiftedRows) for each control applied matrix-free.  t is a position in
-    the block.  c is the stage cost: one number for a minimum-time problem,
-    else one per row.  `outside` numbers, ascending and as int32, the rows
-    whose arrivals leave the box: the empty rows, but for the pinned nodes'
-    rows of the frozen-policy operator, which take the exterior value in a
-    sweep."""
+    operator, one row per node (_Sweeper.policy_rows).  `controls` holds
+    per control of the block, in order, the row set that applies its N
+    rows: _CsrRows, _DiagonalRows or _ShiftedRows.  c is the stage cost:
+    one number for a minimum-time problem, else one per row.  `outside`
+    numbers, ascending and as int32, the rows whose arrivals leave the box:
+    the empty rows, but for the pinned nodes' rows of the frozen-policy
+    operator, which take the exterior value in a sweep."""
 
-    B: Optional[sp.csr_matrix]
-    rows: Optional[np.ndarray]
-    diagonals: list
-    shifted: list
+    controls: list
     c: float | np.ndarray
     outside: np.ndarray
     size: int
-
-    def held_bytes(self):
-        """The bytes of the diagonals and offsets, the CSR entries and row
-        pointers and the row numbers; c and `outside` are not counted."""
-        held = sum(offsets.nbytes + data.nbytes for _, offsets, data in self.diagonals)
-        if self.B is not None:
-            held += self.B.data.nbytes + self.B.indices.nbytes + self.B.indptr.nbytes
-        if self.rows is not None:
-            held += self.rows.nbytes
-        return held
 
 
 def _covered_seconds(spans):
@@ -755,12 +799,13 @@ class _Sweeper:
     The m-control operator is a list of blocks of consecutive controls,
     each one _Block record that the first Bellman sweep to need it builds
     (_fill_block).  A separable control (velocity bitwise the same at every
-    node) is applied matrix-free (_ShiftedRows, in `shifted`) when
-    `store_separable` is False or the operator's entry bound exceeds the
-    budget, and is otherwise held as diagonals where they take fewer bytes;
-    every other control has CSR rows in B.  A block is kept for
-    later sweeps when the entry bound fits the budget or when it has no CSR
-    entry; over the budget every other block is rebuilt in every sweep.
+    node) is applied matrix-free (_ShiftedRows) when `store_separable` is
+    False or the operator's entry bound exceeds the budget, and is
+    otherwise held as diagonals where they take fewer bytes
+    (_DiagonalRows); every other control has CSR rows (_CsrRows).  A block
+    is kept for later sweeps when the entry bound fits the budget or when
+    it has no CSR entry; over the budget every other block is rebuilt in
+    every sweep.
     evaluate() builds the frozen-policy rows, a _Block of their own, by the
     same row writer, once per call.
     `build_seconds` is the wall time during which a block was being set up,
@@ -821,17 +866,18 @@ class _Sweeper:
         return ThreadPoolExecutor(self.threads, thread_name_prefix="hjbsolve")
 
     def _block_arrays(self, js):
-        """Uninitialized CSR arrays (None for each on a matrix-free sweeper)
-        and stage costs for the rows of the controls `js`: the stage costs
-        are None for a minimum-time problem, whose stage cost is one number."""
-        rows = len(js) * self.grid.num_nodes
-        arrays = (None,) * 3 if self.matrix_free else _csr_arrays(rows, self.grid)
-        return arrays + (None if self.spec.minimum_time else np.empty(rows),)
+        """(CSR arrays, stage costs) for the controls `js`: one row set per
+        control (None on a matrix-free sweeper), and the stage costs, None
+        for a minimum-time problem, whose stage cost is one number."""
+        n = self.grid.num_nodes
+        csr = None if self.matrix_free else _csr_arrays((len(js), n), self.grid)
+        return csr, None if self.spec.minimum_time else np.empty(len(js) * n)
 
     def _fill_block(self, js, arrays=None):
         """The _Block of the controls `js` and the (start, end) of its
-        build.  The rows go into `arrays` (by default new ones; a
-        matrix-free sweeper's CSR arrays only once a control needs them).
+        build.  Control t's rows go into the t-th CSR arrays of `arrays`
+        (by default new ones; a matrix-free sweeper's only once a control
+        needs them).
 
         The dynamics are called once per control, and so is the running
         cost of a discounted problem; a minimum-time problem's c is its one
@@ -839,27 +885,20 @@ class _Sweeper:
         `outside`.  A control whose velocity is bitwise the same at every
         node has its arrivals located per axis (_shifted) and is marked in
         `separable`; any other control has its N arrivals located
-        (_located).  Both give the same bits in _fill_rows.
-        A matrix-free sweeper keeps a separable control's located sub-box in
-        `shifted` and leaves its rows of B empty.  Any other sweeper holds a
-        separable control's regular rows as diagonals when they take fewer
-        bytes (_diagonals), and marks it in `diagonal`.  The diagonals go
-        into the top of the CSR data array, the first control's 2^d N
-        entries highest, so that no new array is allocated for them; the
-        other controls' CSR rows fill it from the bottom, at most 2^d N
-        entries each, and never reach the diagonals.  The irregular rows of
-        the controls held as diagonals are then written last, into arrays of
-        their own, and B's rows, numbered in `rows`, are copied together.
+        (_located).  Both give the same bits in _fill_rows.  A matrix-free
+        sweeper applies a separable control's located sub-box
+        (_ShiftedRows).  Any other sweeper holds a separable control's
+        regular rows as diagonals in the control's part of the CSR data
+        array when they take fewer bytes (_diagonals), and marks it in
+        `diagonal`.  Every other control's rows are CSR rows in its part of
+        the arrays.
         """
         t0 = time.perf_counter()
         grid, spec, nodes = self.grid, self.spec, self.nodes
-        n, width = grid.num_nodes, 2 ** grid.dim
-        indptr, indices, data, c = arrays or self._block_arrays(js)
-        shifted, diagonals, remainders, outside = [], [], [], []
-        starts = []  # the first block row of each control with CSR rows
-        count = 0  # B's rows so far
+        n = grid.num_nodes
+        csr, c = arrays or self._block_arrays(js)
+        controls, outside = [], []
         for t, j in enumerate(js):
-            lo = t * n
             a = self.controls.vectors[j]
             velocity = np.asarray(spec.dynamics(nodes, a))
             if _same_velocity(velocity, nodes.shape):
@@ -873,62 +912,22 @@ class _Sweeper:
             if spec.minimum_time:
                 c = stage
             else:
-                c[lo:lo + n] = stage
-            outside.append(np.flatnonzero(~inside) + lo)
+                c[t * n:(t + 1) * n] = stage
+            outside.append(np.flatnonzero(~inside) + t * n)
             if box is not None and self.matrix_free:
-                shifted.append((t, _ShiftedRows(grid, bases, locals_, box)))
-                if indptr is not None:
-                    indptr[count + 1:count + n + 1] = indptr[count]
-                    count += n
+                controls.append(_ShiftedRows(grid, bases, locals_, box))
                 continue
-            if indptr is None:
-                indptr, indices, data = _csr_arrays(len(js) * n, grid)
-                count = lo
-                indptr[:lo + 1] = 0  # the empty rows of the controls before
-            held = None
-            if box is not None:
-                top = data.size - len(diagonals) * width * n
-                diagonal = data[top - width * n:top].reshape(width, n)
-                held = _diagonals(grid, bases, locals_, box, diagonal, indptr.itemsize)
-            if held is None:
-                _fill_rows(grid, bases, locals_, inside, indptr[count:count + n + 1],
-                           indices, data)
-                starts.append(lo)
-                count += n
-                continue
-            offsets, remainder = held
-            diagonals.append((t, offsets, diagonal))
-            self.diagonal[j] = True
-            if remainder is not None:
-                bases, locals_, where = remainder
-                remainders.append((bases, locals_, where + lo))
-        B = rows = None
-        if diagonals:
-            end = indptr[count]
-            parts = [(indptr[:count + 1], indices[:end], data[:end])]
-            numbers = [np.arange(lo, lo + n) for lo in starts]
-            if remainders:
-                # the irregular rows, written in one call rather than one
-                # per control
-                bases = [np.concatenate(axis) for axis in zip(*(r[0] for r in remainders))]
-                locals_ = [np.concatenate(axis) for axis in zip(*(r[1] for r in remainders))]
-                where = np.concatenate([r[2] for r in remainders])
-                more = _csr_arrays(len(where), grid)
-                _fill_rows(grid, bases, locals_, np.ones(len(where), dtype=bool), *more)
-                stop = more[0][-1]
-                parts.append((more[0][1:] + end, more[1][:stop], more[2][:stop]))
-                numbers.append(where)
-            if numbers:
-                # copies, which keep nothing of the block's arrays
-                pointers, indices, data = (np.concatenate(part) for part in zip(*parts))
-                rows = np.concatenate(numbers, dtype=pointers.dtype)
-                B = sp.csr_matrix((data, indices, pointers), shape=(len(rows), n))
-        elif indptr is not None:
-            end = indptr[count]
-            B = sp.csr_matrix((data[:end], indices[:end], indptr[:count + 1]), shape=(count, n))
+            if csr is None:
+                csr = _csr_arrays((len(js), n), grid)
+            indptr, indices, data = (array[t] for array in csr)
+            rows = None if box is None else _diagonals(grid, bases, locals_, box,
+                                                       data.reshape(-1, n))
+            self.diagonal[j] = rows is not None
+            if rows is None:
+                rows = _fill_rows(grid, bases, locals_, inside, indptr, indices, data)
+            controls.append(rows)
         outside = np.concatenate(outside, dtype=np.int32)
-        return (_Block(B, rows, diagonals, shifted, c, outside, len(js) * n),
-                (t0, time.perf_counter()))
+        return _Block(controls, c, outside, len(js) * n), (t0, time.perf_counter())
 
     def _map(self, fn, *iterables):
         """fn over the blocks' arguments, results in block order: the builtin
@@ -950,23 +949,15 @@ class _Sweeper:
             policy[self.pins] = UNSET_POLICY
 
     def _product(self, block, values, transposed):
-        """B @ values over every row of the _Block `block`, each row's
-        products added from 0 in corner order, as scipy's CSR matvec adds
-        them: first the diagonals, one call per control, which adds one
-        diagonal at a time; then B's rows, which take the place of the 0
-        the diagonals leave in them; then the matrix-free rows, which read
-        `transposed`, the values with the grid axes reversed.  A diagonal's
-        zero entries add 0 to a sum of finite values, which leaves its
-        bits."""
-        B, rows, diagonals, shifted = block.B, block.rows, block.diagonals, block.shifted
+        """B @ values over every row of the _Block `block`: each control's
+        row set applies itself into the control's N rows of zeros, each
+        row's products added from 0 in corner order, as scipy's CSR matvec
+        adds them.  Matrix-free rows read `transposed`, the values with the
+        grid axes reversed."""
         n = self.grid.num_nodes
-        q = B @ values if B is not None and rows is None else np.zeros(block.size)
-        for t, offsets, data in diagonals:
-            dia_matvec(n, n, len(offsets), n, offsets, data, values, q[t * n:(t + 1) * n])
-        if rows is not None:
-            q[rows] = B @ values
-        for t, shifted_rows in shifted:
-            shifted_rows.apply(transposed, q[t * n:(t + 1) * n], self._buffers)
+        q = np.zeros(block.size)
+        for t, rows in enumerate(block.controls):
+            rows.apply(values, transposed, q[t * n:(t + 1) * n], self._buffers)
         return q
 
     def _add_stage(self, q, block):
@@ -1048,9 +1039,9 @@ class _Sweeper:
         # come from per-thread malloc arenas, whose freed memory other
         # threads do not reuse: the api_eik3d benchmark's peak RSS rose from
         # ~1005 MB to 1018-1398 MB.  A matrix-free sweeper's blocks allocate
-        # their CSR arrays only for the controls that need them.  Diagonals
-        # are written into the CSR data arrays, so nothing more is allocated
-        # for them.
+        # their CSR arrays only once a control needs them.  Diagonals are
+        # written into the CSR data arrays, so nothing more is allocated for
+        # them.
         arrays = [self._block_arrays(js)
                   if self.stored and block is None else None
                   for js, block in zip(self.blocks, kept)]
@@ -1064,9 +1055,9 @@ class _Sweeper:
         nnz = held = 0
         spans = []
         for i, (low, low_idx, block, span) in enumerate(results):
-            entries = 0 if block.B is None else block.B.nnz
+            entries = sum(rows.nnz for rows in block.controls)
             nnz += entries
-            held += block.held_bytes()
+            held += sum(rows.held_bytes for rows in block.controls)
             if span is not None:
                 spans.append(span)
                 if self.stored or not entries:
@@ -1113,17 +1104,17 @@ class _Sweeper:
                     c[sel] = stage
         bases, locals_, inside = _located(grid, arrivals)
         outside = np.flatnonzero(~(inside | self.pinned)).astype(np.int32)
-        indptr, indices, data = _csr_arrays(n, grid)
-        _fill_rows(grid, bases, locals_, inside, indptr, indices, data)
-        end = indptr[-1]
-        B = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, n))
-        return _Block(B, None, [], [], c, outside, n)
+        rows = _fill_rows(grid, bases, locals_, inside, *_csr_arrays((n,), grid))
+        return _Block([rows], c, outside, n)
 
     def _direct_system(self, rows):
         """I - discount * B over policy_rows' _Block `rows`, as CSR, and its
         right-hand side: the stage costs, discount * exterior value added on
         `outside`, and the pins."""
-        matrix = sp.identity(self.grid.num_nodes, format="csr") - self.discount * rows.B
+        n = self.grid.num_nodes
+        indptr, indices, data = rows.controls[0]
+        B = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        matrix = sp.identity(n, format="csr") - self.discount * B
         rhs = np.full(self.grid.num_nodes, rows.c)
         rhs[rows.outside] += self.discount * self.spec.exterior_value
         rhs[self.pins] = self.pin_values

@@ -1,11 +1,24 @@
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import hjbsolve as h
-from hjbsolve.solvers import _Sweeper, _csr_arrays, _fill_rows, _located, _step
+from hjbsolve.solvers import (_CsrRows, _DiagonalRows, _ShiftedRows, _Sweeper, _csr_arrays,
+                              _fill_rows, _located, _step)
+
+# On a failing example hypothesis's pytest plugin imports this module, whose
+# libcst import warns (a mypy_extensions DeprecationWarning); under
+# filterwarnings = error that ends the whole run with an INTERNALERROR.
+# Imported once here with that warning silenced, it is cached by then.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 
 class SolveCache:
@@ -96,8 +109,8 @@ def rng():
 @pytest.fixture
 def block_product():
     """A function giving B @ v of a sweeper's _Block over all its rows, as
-    a Bellman sweep forms it: its diagonals, CSR rows and matrix-free
-    rows."""
+    a Bellman sweep forms it: every control's row set, CSR, diagonal or
+    matrix-free."""
 
     def product(sweeper, block, values):
         transposed = np.ascontiguousarray(values.reshape(sweeper.grid.shape).T)
@@ -106,51 +119,81 @@ def block_product():
     return product
 
 
+def csr_rows(rows, width):
+    """(cols, vals, full) of the _CsrRows `rows`: per row its 2^d columns
+    and weights, 0 for an empty row, and whether it has entries.  Fails
+    unless its arrays start at entry 0 and end at its last row's, and every
+    row has 0 or 2^d entries."""
+    counts = np.diff(rows.indptr)
+    assert rows.indptr.dtype == rows.indices.dtype == np.int32
+    assert rows.indptr[0] == 0 and rows.indptr[-1] == len(rows.indices) == len(rows.data)
+    assert set(counts.tolist()) <= {0, width}
+    full = counts == width
+    cols = np.zeros((len(counts), width), dtype=np.int64)
+    vals = np.zeros((len(counts), width))
+    cols[full] = rows.indices.reshape(-1, width)
+    vals[full] = rows.data.reshape(-1, width)
+    return cols, vals, full
+
+
+def diagonal_rows(rows, n, in_box):
+    """(cols, vals, full) of the _DiagonalRows `rows` of a control whose
+    rows have the (n,) mask `in_box`: a row held as diagonals is read at
+    its 2^d columns, r + offsets[k], a row whose diagonal entries are all 0
+    not being held, and an irregular row from its CSR rows.  Fails unless
+    the diagonals are 0 but at the columns of the rows they hold, whose
+    columns lie in the grid, and the irregular rows, 2^d entries each, are
+    exactly the in-box rows that the diagonals do not hold."""
+    offsets, data = rows.offsets, rows.diagonals
+    width = len(offsets)
+    assert data.shape == (width, n) and offsets.dtype == np.int32
+    r = np.arange(n)
+    col = r[:, None] + offsets[None, :]
+    valid = (col >= 0) & (col < n)
+    w = np.where(valid, data[np.arange(width)[None, :], np.clip(col, 0, n - 1)], 0.0)
+    held = (w != 0.0).any(axis=1)
+    assert valid[held].all() and in_box[held].all()
+    # every other entry of the diagonals is 0
+    for k in range(width):
+        other = np.ones(n, dtype=bool)
+        other[col[held, k]] = False
+        assert not data[k, other].any()
+    cols = np.where(held[:, None], col, 0)
+    vals = np.where(held[:, None], w, 0.0)
+    skipped = np.flatnonzero(in_box & ~held)
+    if rows.irregular is None:
+        assert rows.nodes is None and not len(skipped)
+        return cols, vals, in_box
+    assert rows.nodes.dtype == np.int32 and np.array_equal(rows.nodes, skipped)
+    assert len(rows.irregular.indptr) == len(skipped) + 1
+    irregular_cols, irregular_vals, irregular_full = csr_rows(rows.irregular, width)
+    assert irregular_full.all()
+    cols[skipped], vals[skipped] = irregular_cols, irregular_vals
+    return cols, vals, in_box
+
+
 def block_rows(sweeper, block):
     """(indptr, indices, data) of every row of a _Block without matrix-free
     rows, of the m-control operator or of the frozen-policy rows, laid out
-    as the general row writer lays them out: 2^d entries per
-    in-box row in corner order, none for a row outside the box.  B's rows
-    are read at `rows`, and a row held as diagonals at its 2^d columns,
-    r + offsets[k], a row whose diagonal entries are all 0 being outside
-    the box.  Fails unless the diagonals are 0 but at the columns of the
-    rows they hold, which B does not hold and whose columns lie in the
-    grid."""
-    B, rows, diagonals = block.B, block.rows, block.diagonals
-    assert not block.shifted
+    as the general row writer lays them out: 2^d entries per in-box row in
+    corner order, none for a row outside the box.  Each control's N rows
+    are read from its row set, CSR (csr_rows) or diagonals (diagonal_rows,
+    whose in-box rows are those not in `outside`)."""
     n, width = sweeper.grid.num_nodes, 2 ** sweeper.grid.dim
-    cols = np.zeros((block.size, width), dtype=np.int64)
-    vals = np.zeros((block.size, width))
-    full = np.zeros(block.size, dtype=bool)
-    in_b = np.zeros(block.size, dtype=bool)
-    if B is not None:
-        at = np.arange(B.shape[0]) if rows is None else rows
-        assert len(np.unique(at)) == len(at)
-        counts = np.diff(B.indptr)
-        assert set(counts.tolist()) <= {0, width}
-        in_b[at] = True
-        has = at[counts == width]
-        cols[has] = B.indices.reshape(-1, width)
-        vals[has] = B.data.reshape(-1, width)
-        full[has] = True
-    for t, offsets, data in diagonals:
-        assert data.shape == (width, n)
-        # the control's rows, and their columns
-        r = np.arange(n)
-        col = r[:, None] + offsets[None, :]
-        valid = (col >= 0) & (col < n)
-        w = np.where(valid, data[np.arange(width)[None, :], np.clip(col, 0, n - 1)], 0.0)
-        held = (w != 0.0).any(axis=1)
-        assert valid[held].all()
-        assert not (held & in_b[t * n + r]).any()
-        # every other entry of the diagonals is 0
-        for k in range(width):
-            other = np.ones(n, dtype=bool)
-            other[col[held, k]] = False
-            assert not data[k, other].any()
-        cols[t * n + r[held]] = col[held]
-        vals[t * n + r[held]] = w[held]
-        full[t * n + r[held]] = True
+    assert block.size == len(block.controls) * n
+    parts = []
+    for t, rows in enumerate(block.controls):
+        assert not isinstance(rows, _ShiftedRows)
+        if isinstance(rows, _CsrRows):
+            assert len(rows.indptr) == n + 1
+            parts.append(csr_rows(rows, width))
+        else:
+            assert isinstance(rows, _DiagonalRows)
+            in_box = np.ones(n, dtype=bool)
+            in_box[block.outside[(block.outside >= t * n) & (block.outside < (t + 1) * n)]
+                   - t * n] = False
+            parts.append(diagonal_rows(rows, n, in_box))
+    cols, vals, full = (np.concatenate(arrays) for arrays in zip(*parts))
     indptr = np.concatenate(([0], np.cumsum(full * width)))
     return indptr, cols[full].reshape(-1), vals[full].reshape(-1)
 
@@ -168,19 +211,20 @@ def block_constant(sweeper, block):
 
 def empty_rows(sweeper, block):
     """The numbers of a _Block's rows without entries, ascending: those of
-    block_rows, or, for a block with matrix-free rows, B's empty rows less
-    the matrix-free controls' rows in their in-box sub-boxes."""
-    if not block.shifted:
+    block_rows, and for a control applied matrix-free, its rows outside
+    its in-box sub-box."""
+    if not any(isinstance(rows, _ShiftedRows) for rows in block.controls):
         return np.flatnonzero(np.diff(block_rows(sweeper, block)[0]) == 0)
-    assert block.rows is None and not block.diagonals
-    grid, n = sweeper.grid, sweeper.grid.num_nodes
-    full = np.zeros(block.size, dtype=bool) if block.B is None else np.diff(block.B.indptr) > 0
-    for t, shifted in block.shifted:
-        in_box = np.zeros(grid.shape, dtype=bool)
-        in_box[shifted.box] = True
-        assert not (full[t * n:(t + 1) * n] & in_box.reshape(-1)).any()
-        full[t * n:(t + 1) * n] |= in_box.reshape(-1)
-    return np.flatnonzero(~full)
+    grid, width = sweeper.grid, 2 ** sweeper.grid.dim
+    full = []
+    for rows in block.controls:
+        if isinstance(rows, _ShiftedRows):
+            in_box = np.zeros(grid.shape, dtype=bool)
+            in_box[rows.box] = True
+            full.append(in_box.reshape(-1))
+        else:
+            full.append(csr_rows(rows, width)[2])
+    return np.flatnonzero(~np.concatenate(full))
 
 
 def general_rows(sweeper, js):
@@ -188,17 +232,20 @@ def general_rows(sweeper, js):
     `js`, built by locating every node's arrival: c is the stage cost plus,
     for an arrival outside the box, discount times the exterior value."""
     grid, n = sweeper.grid, sweeper.grid.num_nodes
-    indptr, indices, data = _csr_arrays(len(js) * n, grid)
     c = np.empty(len(js) * n)
+    parts = []
     for t, j in enumerate(js):
         lo = t * n
         arrivals, c[lo:lo + n] = _step(sweeper.spec, sweeper.nodes,
                                        sweeper.controls.vectors[j], sweeper.dt, j)
         bases, locals_, inside = _located(grid, arrivals)
         c[lo:lo + n][~inside] += sweeper.discount * sweeper.spec.exterior_value
-        _fill_rows(grid, bases, locals_, inside, indptr[lo:lo + n + 1], indices, data)
-    end = indptr[-1]
-    return indptr, indices[:end], data[:end], c
+        parts.append(_fill_rows(grid, bases, locals_, inside, *_csr_arrays((n,), grid)))
+    ends = np.cumsum([0] + [rows.nnz for rows in parts])
+    indptr = np.concatenate([[0]] + [rows.indptr[1:] + end for rows, end in zip(parts, ends)],
+                            dtype=np.int32)
+    return (indptr, np.concatenate([rows.indices for rows in parts]),
+            np.concatenate([rows.data for rows in parts]), c)
 
 
 def oracle_updates(sweeper, values):

@@ -35,7 +35,6 @@ SMALL_API = """
 problem.name = test4_eik2d
 algorithm = api
 grid.fine.nodes = 41
-grid.coarse.nodes = 21
 problem.control_count = 16
 """
 
@@ -54,15 +53,19 @@ class TestConfigParsing:
         assert cfg.problem == "test4_eik2d"
         assert cfg.algorithm == "api"
         assert cfg.fine_nodes == (41,)
-        assert cfg.coarse_nodes == (21,)
         assert cfg.overrides == {"control_count": 16}
 
     def test_coarse_default_derived(self):
         cfg = ExperimentConfig.from_text(
             "problem.name = test4_eik2d\nalgorithm = api\ngrid.fine.nodes = 81,41\n"
         )
-        assert cfg.coarse_nodes is None
         assert _setup(cfg)[2].nodes_per_axis == (41, 21)
+
+    def test_coarse_node_key_is_unknown(self):
+        """The coarse grid of an api run is always the fine one's (n + 1) // 2
+        per axis, so a config that sets its nodes is refused."""
+        with pytest.raises(ConfigError, match="^unknown config key\\(s\\): grid.coarse.nodes$"):
+            ExperimentConfig.from_text(SMALL_API + "grid.coarse.nodes = 21\n")
 
     def test_missing_grid_names_key(self):
         with pytest.raises(ConfigError, match="grid.fine.nodes"):
@@ -88,13 +91,20 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match="^algorithm: must be one of vi, pi, api$"):
                 run_experiment(cfg)
 
-    def test_non_nested_api_grids(self):
-        cfg = ExperimentConfig.from_text(
-            "problem.name = test4_eik2d\nalgorithm = api\n"
-            "grid.fine.nodes = 41\ngrid.coarse.nodes = 20\n"
-        )
-        with pytest.raises(ConfigError, match="nested"):
-            run_experiment(cfg)
+    @pytest.mark.parametrize("nodes", ["40", "2", "41,40"])
+    def test_non_nested_api_grids(self, nodes, tmp_path, capsys):
+        """An even fine count is no midpoint refinement of a coarse grid: an
+        api run refuses it, naming the key, with exit code 2."""
+        text = f"problem.name = test4_eik2d\nalgorithm = api\ngrid.fine.nodes = {nodes}\n"
+        with pytest.raises(ConfigError, match="^grid.fine.nodes: .* odd count per axis"):
+            run_experiment(ExperimentConfig.from_text(text))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: grid.fine.nodes: accelerated runs need an odd count")
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", sorted(_CATALOG))
     def test_override_keys_are_the_builders_parameters(self, name):
@@ -221,7 +231,7 @@ class TestRunExperiment:
     def test_api_experiment_fine_phase_band(self):
         cfg = ExperimentConfig.from_text(
             "problem.name = test4_eik2d\nalgorithm = api\n"
-            "grid.fine.nodes = 161\ngrid.coarse.nodes = 81\n"
+            "grid.fine.nodes = 161\n"
             "problem.control_count = 64\n"
         )
         result = run_experiment(cfg)
@@ -433,7 +443,6 @@ class TestCli:
     @pytest.mark.parametrize("key,lines", [
         ("grid.fine.nodes", "grid.fine.nodes = 1"),
         ("grid.fine.nodes", "grid.fine.nodes = 21,0"),
-        ("grid.coarse.nodes", "grid.fine.nodes = 21\ngrid.coarse.nodes = 1"),
     ])
     def test_rejected_node_count_names_its_key(self, tmp_path, capsys, key, lines):
         cfg_path = tmp_path / "cfg.txt"
@@ -446,7 +455,7 @@ class TestCli:
 
     def test_echo_of_a_config_built_in_code_reads_back_equal(self):
         cfg = ExperimentConfig(
-            problem="test2_vdp", algorithm="api", fine_nodes=(21, 41), coarse_nodes=(11, 21),
+            problem="test2_vdp", algorithm="api", fine_nodes=(21, 41),
             overrides={"control_count": 4, "dt_ratio": 0.25, "domain": (-1.5, 1.5),
                        "exterior_value": 2.5, "boundary_value": 2.0, "lam": 0.5},
             fine_constant=0.3, coarse_constant=4.0, max_iterations=7, backend="direct",
@@ -489,7 +498,7 @@ class TestCli:
         monkeypatch.setattr(solvers, "target_mask", counted)
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text("problem.name = test4_eik2d\nalgorithm = api\n"
-                            "grid.fine.nodes = 21\ngrid.coarse.nodes = 11\n")
+                            "grid.fine.nodes = 21\n")
         assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
         assert sorted(grids) == [(11, 11)] * 2 + [(21, 21)] * 2
 

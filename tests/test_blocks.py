@@ -9,11 +9,12 @@ is what bounds the blocks in flight, and so the memory of a sweep: at most
 operator budget and the block and thread sizes are patched as in
 test_threads.
 
-A block's matrix keeps the arrays it was built into: scipy copies an index
-array whose dtype it would change.  A block's diagonals are kept in the top
-of its CSR data array.  A stored operator's blocks are built on the pool's
-threads into arrays that the calling thread allocated, and the numbers of
-their empty rows are copied on the calling thread.
+A block holds one row set per control.  A control's CSR rows keep the
+part of the block's arrays they were built into, and a control's
+diagonals are kept in its part of the CSR data array.  A stored operator's
+blocks are built on the pool's threads into arrays that the calling thread
+allocated, and the numbers of their empty rows are copied on the calling
+thread.
 
 A block holds its stage cost, one number for a minimum-time problem, and
 the numbers of its empty rows, `outside`.  Expanded to one constant per
@@ -37,7 +38,7 @@ import pytest
 import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
-from hjbsolve.solvers import _Block, _Sweeper
+from hjbsolve.solvers import _Block, _CsrRows, _DiagonalRows, _ShiftedRows, _Sweeper
 
 from conftest import (CATALOG_CASES, DIAGONAL_CASES, ORACLE_PATHS, PEAK_SOURCE, block_constant,
                       empty_rows, general_rows, oracle_sweep)
@@ -110,36 +111,48 @@ def block_and_arrays(name):
     return sweeper, block, arrays
 
 
-def test_block_matrix_keeps_its_arrays():
-    _, block, (indptr, indices, data, c) = block_and_arrays("test2_vdp")
-    assert not block.diagonals and block.rows is None
-    for kept, allocated in zip((block.B.indptr, block.B.indices, block.B.data, block.c),
-                               (indptr, indices, data, c)):
-        assert np.shares_memory(kept, allocated)
+def check_rows_keep_their_arrays(block, csr):
+    """Every control of `block` has CSR rows, which keep the arrays of its
+    part of the block's CSR arrays `csr`, and none of another's."""
+    for t, rows in enumerate(block.controls):
+        assert type(rows) is _CsrRows
+        for kept, allocated in zip(rows, csr):
+            assert np.shares_memory(kept, allocated[t])
+            assert not np.shares_memory(kept, allocated[:t])
+            assert not np.shares_memory(kept, allocated[t + 1:])
+
+
+def test_block_rows_keep_their_arrays():
+    _, block, (csr, c) = block_and_arrays("test2_vdp")
+    check_rows_keep_their_arrays(block, csr)
+    assert np.shares_memory(block.c, c)
 
 
 def check_diagonals_in_the_data_array(block, data, n):
-    """Every control of `block` is held as diagonals, the first in the top
-    2^d n entries of the CSR data array `data` it was built into, the next
-    below it, and so on; B's rows, if any, are in arrays of their own."""
-    width = data.size // block.size
-    assert [t for t, _, _ in block.diagonals] == list(range(block.size // n))
-    for s, (_, _, diagonals) in enumerate(block.diagonals):
-        top = data.size - s * width * n
-        assert diagonals.shape == (width, n)
-        assert np.shares_memory(diagonals, data[top - width * n:top])
-        assert not np.shares_memory(diagonals, data[:top - width * n])
-    assert block.B is None or not np.shares_memory(block.B.data, data)
+    """Every control of `block` is held as diagonals, control t's in the
+    t-th part of the CSR data array `data` it was built into; its irregular
+    rows, if any, are in arrays of their own."""
+    assert len(data) == len(block.controls)
+    for t, rows in enumerate(block.controls):
+        assert type(rows) is _DiagonalRows
+        assert rows.diagonals.shape == (data.shape[1] // n, n)
+        assert np.shares_memory(rows.diagonals, data[t])
+        assert not np.shares_memory(rows.diagonals, data[:t])
+        assert not np.shares_memory(rows.diagonals, data[t + 1:])
+        if rows.irregular is not None:
+            assert not any(np.shares_memory(array, data) for array in rows.irregular)
 
 
 def test_block_diagonals_are_kept_in_the_data_array():
     """test4_eik2d's rows are diagonals, kept in the CSR data array they
     were built into, and the CSR rows of the unshifted axes' last node in
     arrays of their length."""
-    sweeper, block, (_, _, data, c) = block_and_arrays("test4_eik2d")
+    sweeper, block, ((_, _, data), c) = block_and_arrays("test4_eik2d")
     assert c is None and block.c == -math.expm1(-sweeper.dt)
     check_diagonals_in_the_data_array(block, data, sweeper.grid.num_nodes)
-    assert 0 < block.B.nnz == block.B.data.size
+    irregular = [rows.irregular for rows in block.controls if rows.irregular is not None]
+    assert irregular and all(len(rows.data) for rows in irregular)
+    assert sum(rows.nnz for rows in block.controls) == sum(len(rows.data) for rows in irregular)
 
 
 def check_blocks_allocated_on_the_calling_thread(name, monkeypatch, rng):
@@ -195,12 +208,9 @@ def test_kept_blocks_are_allocated_on_the_calling_thread(monkeypatch, rng):
     """A stored operator's blocks are built on the pool's threads, into
     arrays that the calling thread allocated before it queued them: from
     the workers' malloc arenas, freed memory would not be reused."""
-    for block, (indptr, indices, data, _) in check_blocks_allocated_on_the_calling_thread(
+    for block, (csr, _) in check_blocks_allocated_on_the_calling_thread(
             "test2_vdp", monkeypatch, rng):
-        assert not block.diagonals
-        for kept, allocated in zip((block.B.indptr, block.B.indices, block.B.data),
-                                   (indptr, indices, data)):
-            assert np.shares_memory(kept, allocated)
+        check_rows_keep_their_arrays(block, csr)
 
 
 def test_kept_diagonals_are_allocated_on_the_calling_thread(monkeypatch, rng):
@@ -208,7 +218,7 @@ def test_kept_diagonals_are_allocated_on_the_calling_thread(monkeypatch, rng):
     the calling thread allocated, as in
     test_block_diagonals_are_kept_in_the_data_array."""
     kept = check_blocks_allocated_on_the_calling_thread("test4_eik2d", monkeypatch, rng)
-    for block, (_, _, data, _) in kept:
+    for block, ((_, _, data), _) in kept:
         check_diagonals_in_the_data_array(block, data, NODES ** 2)
 
 
@@ -262,7 +272,8 @@ def check_block_constants(spec, grid, controls, dt, monkeypatch):
                 assert block.c == -math.expm1(-dt), where
             else:
                 assert block.c.shape == (block.size,), where
-            assert bool(block.shifted) == (sweeper.matrix_free and sweeper.separable[js].any())
+            assert [type(rows) is _ShiftedRows for rows in block.controls] == [
+                sweeper.matrix_free and sweeper.separable[j] for j in js], where
         every += [block for _, block in built]
     return every
 
@@ -275,7 +286,8 @@ def test_block_constants_expand_to_the_general_rows(name, n, monkeypatch):
     grid = entry.spec.domain_grid(n)
     blocks = check_block_constants(entry.spec, grid, entry.controls, entry.dt_for(grid),
                                    monkeypatch)
-    assert any(block.diagonals for block in blocks) == (name in DIAGONAL_CASES)
+    assert any(type(rows) is _DiagonalRows
+               for block in blocks for rows in block.controls) == (name in DIAGONAL_CASES)
 
 
 def test_block_constants_when_every_arrival_leaves(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hjbsolve.grid import (
+    DEFAULT_NODE_CAP,
     GridError,
     RegularGrid,
     ValueField,
@@ -55,6 +56,12 @@ class TestRegularGrid:
     def test_node_cap_rejects_infeasible_4d(self):
         with pytest.raises(GridError, match="cap"):
             RegularGrid((0.0,) * 4, (1.0,) * 4, (321,) * 4)
+
+    def test_refinement_past_the_node_cap_raises(self):
+        g = RegularGrid((0.0,) * 4, (1.0,) * 4, (40,) * 4)
+        assert g.num_nodes <= DEFAULT_NODE_CAP < 79 ** 4
+        with pytest.raises(GridError, match="cap"):
+            g.refined()
 
     def test_boundary_mask(self):
         g = RegularGrid((0.0, 0.0), (1.0, 1.0), (4, 4))

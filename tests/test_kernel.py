@@ -19,7 +19,7 @@ from hjbsolve.grid import (
 )
 from hjbsolve.solvers import _Sweeper
 
-from conftest import block_constant
+from conftest import block_constant, block_rows
 
 
 def reference_locate(grid, points):
@@ -142,10 +142,11 @@ def test_chunked_fill_matches_single_chunk(monkeypatch):
     def build():
         block, _ = sweeper._fill_block(range(len(entry.controls)))
         frozen = sweeper.policy_rows(policy)
-        B, P = block.B, frozen.B
-        assert block.rows is None and frozen.rows is None
-        return (B.indptr, B.indices, B.data, block.c, block.outside, P.indptr, P.indices,
-                P.data, frozen.c, frozen.outside, block_constant(sweeper, frozen))
+        [P] = frozen.controls
+        # every control's CSR arrays, and then the frozen-policy rows'
+        return (*block_rows(sweeper, block), block.c, block.outside, *P, frozen.c,
+                frozen.outside, block_constant(sweeper, frozen),
+                *(array for rows in block.controls for array in rows))
 
     whole = build()
     assert np.diff(whole[0]).min() == 0  # some arrivals leave the box

@@ -21,7 +21,7 @@ import pytest
 import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
-from hjbsolve.solvers import _Sweeper
+from hjbsolve.solvers import _CsrRows, _ShiftedRows, _Sweeper
 
 from conftest import PEAK_SOURCE, POISONED_VALUES, poisoned_outcome
 
@@ -164,25 +164,24 @@ def test_edge_controls_match_the_stored_operator(dynamics, workers, monkeypatch)
     sweeper = _Sweeper(spec, fine, controls, h.SolverConfig(dt=1.0, workers=1),
                        store_separable=False)
     block, _ = sweeper._fill_block(range(len(controls)))
-    B, rows = block.B, dict(block.shifted)
     separable = len(EDGE_SHIFTS) + (2 if dynamics is constant_drift else 0)
-    assert sorted(rows) == list(range(separable))
+    assert [type(rows) for rows in block.controls] == (
+        [_ShiftedRows] * separable + [_CsrRows] * (len(controls) - separable))
+    rows = block.controls
     # the one-cell shift clamps its last arrivals onto the upper face of the
     # first axis, and every arrival of the unshifted second axis lies on a
     # node, so both are gathered; the last two edge shifts have no in-box row
     assert rows[0].gathered == [0, 1] and rows[2].gathered == [0, 1]
     assert rows[3].gathered == []
     assert rows[4].empty and rows[5].empty
-    assert (B is None) == (dynamics is constant_drift)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_row_pointers_are_written_before_they_are_read(workers, monkeypatch):
-    """_csr_arrays leaves every row pointer but the first unwritten.  With
-    those poisoned, every mode gives the unpoisoned stored bits.  The first
+    """_csr_arrays leaves every row pointer unwritten.  With all of them
+    poisoned, every mode gives the unpoisoned stored bits.  The first
     control is separable and the second is not, so that a matrix-free block
-    of both allocates its CSR arrays at the second, which must zero the
-    pointers of the first's empty rows."""
+    of both allocates its CSR arrays at the second."""
     controls = h.ControlSet([[0.1, -0.3, 0], [-0.5, 0.2, 1], [0.25, 0.0, 0],
                              [-1.0, -0.1, 1]])
     spec = square_spec(mixed_drift)
@@ -197,9 +196,9 @@ def test_row_pointers_are_written_before_they_are_read(workers, monkeypatch):
     reference = run("stored")
     csr_arrays = solvers._csr_arrays
 
-    def poisoned(rows, grid):
-        indptr, indices, data = csr_arrays(rows, grid)
-        indptr[1:] = np.iinfo(indptr.dtype).max
+    def poisoned(shape, grid):
+        indptr, indices, data = csr_arrays(shape, grid)
+        indptr[...] = np.iinfo(indptr.dtype).max
         return indptr, indices, data
 
     monkeypatch.setattr(solvers, "_csr_arrays", poisoned)
@@ -212,7 +211,7 @@ def matrix_free_rows(spec, grid, controls, dt):
     sweeper = _Sweeper(spec, grid, controls, h.SolverConfig(dt=dt, workers=1),
                        store_separable=False)
     block, _ = sweeper._fill_block(range(len(controls)))
-    return [rows for _, rows in block.shifted if not rows.empty]
+    return [rows for rows in block.controls if type(rows) is _ShiftedRows and not rows.empty]
 
 
 def chunked_runs(spec, controls, fine, coarse, dt, workers, monkeypatch):

@@ -12,7 +12,7 @@ import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.grid import interpolate_values
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
-from hjbsolve.solvers import _Sweeper
+from hjbsolve.solvers import _CsrRows, _DiagonalRows, _ShiftedRows, _Sweeper
 
 from conftest import (CATALOG_CASES, DIAGONAL_CASES, ORACLE_PATHS, block_constant,
                       block_rows, general_rows)
@@ -111,6 +111,53 @@ def check_sweeps_against_oracle(sweeper, rng, where):
     assert out[pinned].tobytes() == sweeper.pin_values.tobytes(), where
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("path", sorted(ORACLE_PATHS))
+@pytest.mark.parametrize("name,n", CATALOG_CASES)
+def test_each_row_set_applies_its_control_alone(name, n, path, workers, monkeypatch, rng):
+    """Each control's row set, applied alone into zeros, gives that
+    control's general rows @ v bit for bit, on every path of ORACLE_PATHS
+    at 1 and 2 workers, from random fields and from fields of signed
+    zeros: the CSR, diagonal and matrix-free kernels each sum every row
+    from 0 in corner order.  The row sets are those of the blocks a Bellman
+    sweep kept, and where it kept none, a new build's."""
+    entry = h.catalog(name)
+    grid = entry.spec.domain_grid(n)
+    settings, store_separable = ORACLE_PATHS[path]
+    for attr, value in settings.items():
+        monkeypatch.setattr(solvers, attr, value)
+    if workers > 1:
+        monkeypatch.setattr(solvers, "_MIN_THREAD_ROWS", 1)
+        monkeypatch.setattr(solvers, "_BLOCK_ROWS", min(solvers._BLOCK_ROWS, 4 * grid.num_nodes))
+    N, m = grid.num_nodes, len(entry.controls)
+    fields = [rng.uniform(0.0, 2.0, N), rng.normal(size=N),
+              np.where(rng.random(N) < 0.5, -0.0, 0.0), rng.choice([-1.0, -0.0, 0.0, 1.0], N)]
+    cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=workers)
+    with _Sweeper(entry.spec, grid, entry.controls, cfg,
+                  store_separable=store_separable) as sweeper:
+        assert sweeper.threads == workers
+        sweeper.bellman_sweep(fields[0])
+        blocks = [block or sweeper._fill_block(js)[0]
+                  for js, block in zip(sweeper.blocks, sweeper.kept)]
+    indptr, indices, data, _ = general_rows(sweeper, range(m))
+    general = sp.csr_matrix((data, indices, indptr), shape=(m * N, N))
+    kinds = []
+    for js, block in zip(sweeper.blocks, blocks):
+        assert len(block.controls) == len(js)
+        for j, rows in zip(js, block.controls):
+            kinds.append(type(rows))
+            for v in fields:
+                out = np.zeros(N)
+                transposed = np.ascontiguousarray(v.reshape(grid.shape).T)
+                rows.apply(v, transposed, out, sweeper._buffers)
+                want = general[j * N:(j + 1) * N] @ v
+                assert out.tobytes() == want.tobytes(), f"control {j}, {kinds[-1].__name__}"
+    assert kinds == [_ShiftedRows if sweeper.matrix_free and separable
+                     else _DiagonalRows if diagonal else _CsrRows
+                     for separable, diagonal in zip(sweeper.separable, sweeper.diagonal)]
+    assert (_DiagonalRows in kinds) == (name in DIAGONAL_CASES and not sweeper.matrix_free)
+
+
 @pytest.mark.parametrize("layout", ["stored", "unstored"])
 @pytest.mark.parametrize("name,n", CATALOG_CASES)
 def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
@@ -144,22 +191,24 @@ def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
     if sweeper.stored:
         sweeper.bellman_sweep(np.zeros(N))
         assert len(sweeper.kept) == m
-        assert not any(block.shifted for block in sweeper.kept)
+        assert not any(type(rows) is _ShiftedRows
+                       for block in sweeper.kept for rows in block.controls)
         assert sweeper.diagonal.any() == (name in DIAGONAL_CASES)
         B = sp.vstack([sp.csr_matrix(block_rows(sweeper, block)[::-1], shape=(N, N))
                        for block in sweeper.kept], format="csr")
         c = np.concatenate([block_constant(sweeper, block) for block in sweeper.kept])
     else:
         block, _ = sweeper._fill_block(range(m))
-        B, c = block.B, block_constant(sweeper, block)
-        assert block.rows is None and not block.diagonals
-        if block.shifted:
-            assert sweeper.separable.all() and B is None
+        c = block_constant(sweeper, block)
+        if sweeper.separable.any():
+            assert sweeper.separable.all()
+            assert all(type(rows) is _ShiftedRows for rows in block.controls)
+            B = None
             for v in (rng.uniform(0.0, 2.0, N), rng.normal(size=N)):
                 got = block_product(sweeper, frozen, v)[free]
                 assert got.tobytes() == block_product(sweeper, block, v)[rows].tobytes()
         else:
-            assert not sweeper.separable.any()
+            B = sp.csr_matrix(block_rows(sweeper, block)[::-1], shape=(m * N, N))
     if B is not None:
         got, want = P[free], B[rows]
         assert np.array_equal(np.diff(got.indptr), np.diff(want.indptr))
@@ -173,8 +222,8 @@ def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
 
 @pytest.mark.parametrize("name,n", CATALOG_CASES)
 def test_policy_rows_hold_one_stage_cost_and_number_their_empty_rows(name, n, rng):
-    """The frozen-policy _Block holds its N rows in node order as CSR rows
-    alone.  Its c is the one number 1 - e^{-dt} for a minimum-time problem
+    """The frozen-policy _Block holds its N rows in node order as one CSR
+    row set.  Its c is the one number 1 - e^{-dt} for a minimum-time problem
     and, for a discounted one, dt * l(x_i, a_policy[i]) per node with 0 on
     the pinned nodes; its `outside` is, ascending and as int32, the
     non-pinned rows without entries."""
@@ -185,8 +234,8 @@ def test_policy_rows_hold_one_stage_cost_and_number_their_empty_rows(name, n, rn
                        h.SolverConfig(dt=4 * entry.dt_for(grid), workers=1))
     policy = rng.integers(0, m, N)
     frozen = sweeper.policy_rows(h.PolicyField(grid, policy))
-    assert frozen.B.shape == (N, N) and frozen.rows is None and frozen.size == N
-    assert not frozen.diagonals and not frozen.shifted
+    [rows] = frozen.controls
+    assert type(rows) is _CsrRows and len(rows.indptr) == N + 1 and frozen.size == N
     free = ~sweeper.pinned
     if spec.minimum_time:
         assert type(frozen.c) is float and frozen.c == -math.expm1(-sweeper.dt)
@@ -196,7 +245,7 @@ def test_policy_rows_hold_one_stage_cost_and_number_their_empty_rows(name, n, rn
             at = free & (policy == j)
             want[at] = sweeper.dt * spec.running_cost(grid.nodes()[at], entry.controls.vectors[j])
         assert frozen.c.dtype == np.float64 and frozen.c.tobytes() == want.tobytes()
-    empty = np.flatnonzero((np.diff(frozen.B.indptr) == 0) & free)
+    empty = np.flatnonzero((np.diff(rows.indptr) == 0) & free)
     assert frozen.outside.dtype == np.int32
     assert np.array_equal(frozen.outside, empty)
 
@@ -271,7 +320,8 @@ def test_unstored_and_blocked_sweeps_match_stored(monkeypatch):
     sweeper = _Sweeper(entry.spec, grid, entry.controls, cfg)
     sweeper.bellman_sweep(np.zeros(grid.num_nodes))
     # every control is separable, so every block is matrix-free and kept
-    assert not sweeper.stored and all(block.B is None for block in sweeper.kept)
+    assert not sweeper.stored
+    assert all(type(rows) is _ShiftedRows for block in sweeper.kept for rows in block.controls)
     unstored = solve()
     # one control per block exercises the cross-block merge
     monkeypatch.setattr(solvers, "_BLOCK_ROWS", 1)
@@ -493,7 +543,8 @@ def test_diagonal_rows_match_the_oracle(case, workers, monkeypatch, rng):
                 check_sweeps_against_oracle(sweeper, rng, where)
                 assert sweeper.diagonal.tolist() == diagonal, where
                 if case in ("zero_shift", "leaving", "three_d"):
-                    assert any(block.rows is not None for block in sweeper.kept), where
+                    assert any(type(rows) is _DiagonalRows and rows.irregular is not None
+                               for block in sweeper.kept for rows in block.controls), where
 
 
 def test_dia_matvec_adds_one_diagonal_at_a_time():

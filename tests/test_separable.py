@@ -21,7 +21,8 @@ import scipy.sparse as sp
 import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
-from hjbsolve.solvers import SolverError, _Block, _Sweeper
+from hjbsolve.solvers import (SolverError, _Block, _CsrRows, _DiagonalRows, _ShiftedRows,
+                              _Sweeper)
 
 from conftest import block_constant, block_rows, empty_rows, general_rows, oracle_sweep
 
@@ -37,20 +38,24 @@ EIKONAL_CASES = [
 def fill_block(sweeper, js):
     """The block of the controls `js`, built into arrays that hold NaN, so
     that an entry the build should write, or zero, and does not shows."""
-    arrays = sweeper._block_arrays(js)
-    for array in arrays:
+    csr, c = arrays = sweeper._block_arrays(js)
+    for array in (c,) + (csr or ()):
         if array is not None and array.dtype == np.float64:
             array.fill(np.nan)
     return sweeper._fill_block(js, arrays)[0]
 
 
+def kinds(block):
+    """The type of each control's row set in `block`."""
+    return [type(rows) for rows in block.controls]
+
+
 def assert_same_rows(sweeper, js, block_product):
     """The block's rows are the general rows, bit for bit: as CSR arrays
-    when they are stored (B's own rows where CSR rows remain, and the rows
-    held as diagonals read back at their columns), and on every path
-    through their products with fields that tie, vary in sign and hold
-    huge values.  So is its per-row constant, and `outside` numbers its
-    empty rows."""
+    when they are stored (each control's CSR rows, and the rows held as
+    diagonals read back at their columns), and on every path through their
+    products with fields that tie, vary in sign and hold huge values.  So
+    is its per-row constant, and `outside` numbers its empty rows."""
     block = fill_block(sweeper, js)
     indptr, indices, data, want_c = general_rows(sweeper, js)
     assert block.size == len(want_c)
@@ -60,25 +65,28 @@ def assert_same_rows(sweeper, js, block_product):
     assert np.array_equal(block.outside, np.flatnonzero(np.diff(indptr) == 0))
     n = sweeper.grid.num_nodes
     want = sp.csr_matrix((data, indices, indptr), shape=(len(want_c), n))
-    if block.shifted:
-        assert sweeper.matrix_free and not block.diagonals
-        assert [t for t, _ in block.shifted] == [t for t, j in enumerate(js)
-                                                 if sweeper.separable[j]]
+    if sweeper.matrix_free:
+        assert kinds(block) == [_ShiftedRows if sweeper.separable[j] else _CsrRows for j in js]
     else:
-        assert [t for t, _, _ in block.diagonals] == [t for t, j in enumerate(js)
-                                                    if sweeper.diagonal[j]]
+        assert kinds(block) == [_DiagonalRows if sweeper.diagonal[j] else _CsrRows for j in js]
         for got, expected in zip(block_rows(sweeper, block), (indptr, indices, data)):
             assert np.array_equal(got, expected)
             assert got.tobytes() == expected.astype(got.dtype).tobytes()
-        B = block.B
-        if B is not None:
-            rows = np.arange(len(want_c)) if block.rows is None else block.rows
-            assert (block.rows is None) == (not block.diagonals)
-            expected = want[rows]
-            assert B.indptr.dtype == B.indices.dtype == indptr.dtype
-            assert np.array_equal(B.indptr, expected.indptr)
-            assert B.indices.tobytes() == expected.indices.astype(B.indices.dtype).tobytes()
-            assert B.data.tobytes() == expected.data.tobytes()
+    for t, rows in enumerate(block.controls):
+        # a control's CSR rows, whole or the irregular ones beside its
+        # diagonals, are the general rows' own
+        if type(rows) is _DiagonalRows:
+            if rows.irregular is None:
+                continue
+            rows, at = rows.irregular, rows.nodes
+        else:
+            at = np.arange(n)
+        if type(rows) is _CsrRows:
+            expected = want[t * n + at]
+            assert rows.indptr.dtype == rows.indices.dtype == np.int32
+            assert np.array_equal(rows.indptr, expected.indptr)
+            assert rows.indices.tobytes() == expected.indices.astype(np.int32).tobytes()
+            assert rows.data.tobytes() == expected.data.tobytes()
     rng = np.random.default_rng(js.start)
     for v in (rng.uniform(0.0, 2.0, n), rng.normal(size=n), np.full(n, 0.5),
               rng.choice([-1e308, 0.0, 1e308], n)):
@@ -165,13 +173,14 @@ def test_rows_written_in_slabs(slab, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "_FILL_ROWS", slab)
             block = fill_block(sweeper, js)
-        assert sweeper.separable.all() and not block.shifted
+        assert sweeper.separable.all() and _ShiftedRows not in kinds(block)
         if name == "test6_eik3d":
             # the three controls nearest each pole keep CSR rows
             assert sweeper.diagonal.tolist() == [False] * 3 + [True] * 6 + [False] * 3
-            assert block.rows is not None
+            assert any(rows.irregular is not None for rows in block.controls[3:9])
         else:
-            assert not sweeper.diagonal.any() and block.rows is None
+            assert not sweeper.diagonal.any()
+        assert kinds(block) == [_DiagonalRows if d else _CsrRows for d in sweeper.diagonal]
         for got in (block_rows(sweeper, block) + (block_constant(sweeper, block),),
                     general_rows(sweeper, js)):
             for a, b in zip(got, want):
@@ -185,8 +194,8 @@ def test_mixed_block(block_product):
 
 
 def test_mixed_block_matrix_free(block_product):
-    """Applied matrix-free, the separable controls of a mixed block leave
-    empty CSR rows between the others'."""
+    """Applied matrix-free, the separable controls of a mixed block hold no
+    CSR rows between the others'."""
     check_mixed_block(False, block_product)
 
 
@@ -206,20 +215,16 @@ def check_mixed_block(store_separable, block_product):
     assert_same_rows(sweeper, range(len(controls)), block_product)
     assert sweeper.separable.tolist() == [True, False, True, False]
     block = fill_block(sweeper, range(len(controls)))
-    assert [t for t, _ in block.shifted] == ([] if store_separable else [0, 2])
     n = grid.num_nodes
     if not store_separable:
-        assert block.rows is None and not block.diagonals
-        rows = np.diff(block.B.indptr).reshape(len(controls), n)
-        assert not rows[[0, 2]].any() and rows[[1, 3]].any()
+        assert kinds(block) == [_ShiftedRows, _CsrRows] * 2
+        assert all(np.diff(block.controls[t].indptr).any() for t in (1, 3))
         return
     # the small shift is held as diagonals; 2.4 cells take most arrivals
     # out of the box, so that CSR rows take fewer bytes
-    assert [t for t, _, _ in block.diagonals] == [0]
+    assert kinds(block) == [_DiagonalRows] + [_CsrRows] * 3
     assert sweeper.diagonal.tolist() == [True, False, False, False]
-    owner = block.rows // n
-    assert np.array_equal(np.unique(owner), [1, 2, 3])
-    assert all(np.count_nonzero(owner == t) == n for t in (1, 2, 3))
+    assert all(len(rows.indptr) == n + 1 for rows in block.controls[1:])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -261,11 +266,11 @@ def check_arrivals_leaving_the_box(dim, store_separable, block_product):
         assert sweeper.diagonal.tolist() == {1: [True, True, False, False, True, False, False],
                                              2: [False] * 4 + [True, False, False],
                                              3: [False] * 7}[dim]
-        assert sweeper.diagonal.any() == (block.rows is not None)
+        assert kinds(block) == [_DiagonalRows if d else _CsrRows for d in sweeper.diagonal]
     else:
-        assert block.B is None
+        assert kinds(block) == [_ShiftedRows] * len(controls)
         full = np.zeros((len(controls),) + grid.shape, dtype=bool)
-        for t, rows in block.shifted:
+        for t, rows in enumerate(block.controls):
             full[t][rows.box] = True
             assert rows.empty == (not full[t].any())
         full = full.reshape(len(controls), n)
@@ -336,8 +341,9 @@ def test_block_argmin_takes_the_lowest_tied_control(controls, rng):
     q = rng.integers(0, 3, (controls, n)).astype(float)
     q[:, 0] = 1.0  # a tie across every control
     js = range(11, 11 + controls)
-    block = _Block(sp.csr_matrix((controls * n, n)), None, [], [], q.reshape(-1).copy(),
-                   np.empty(0, dtype=np.int32), controls * n)
+    zero = _CsrRows(np.zeros(n + 1, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))
+    block = _Block([zero] * controls, q.reshape(-1).copy(), np.empty(0, dtype=np.int32),
+                   controls * n)
     low, low_idx, _, _ = sweeper._sweep_block(js, block, None, np.ones(n), True, None, False)
     assert low.tobytes() == q.min(axis=0).tobytes()
     want = (q == q.min(axis=0)).argmax(axis=0).astype(np.int32) + js.start

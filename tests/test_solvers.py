@@ -222,7 +222,7 @@ class TestPolicyEvaluation:
         cfg = h.SolverConfig(dt=entry.dt_for(grid))
         sweeper = _Sweeper(entry.spec, grid, entry.controls, cfg)
         frozen = sweeper.policy_rows(h.PolicyField.constant(grid, 3))
-        rows = sp.csr_matrix(block_rows(sweeper, frozen)[::-1], shape=frozen.B.shape)
+        rows = sp.csr_matrix(block_rows(sweeper, frozen)[::-1], shape=(grid.num_nodes,) * 2)
         row_mass = sweeper.discount * np.asarray(rows.sum(axis=1)).ravel()
         assert np.all(row_mass < 1.0)
         assert np.all(rows.data >= 0.0)
@@ -618,13 +618,13 @@ class TestProperties:
         assert r_fine <= r_coarse + 1e-15
 
 
-def held_bytes(diagonal_controls, nodes, dim, nnz, rows, blocks, numbered):
+def held_bytes(diagonal_controls, nodes, dim, nnz, rows, sets, numbered):
     """The bytes of a stored operator: 2^d diagonals of N float64 and 2^d
     int32 offsets per control held as diagonals, 12 per CSR entry, an int32
-    pointer per CSR row plus one per block with CSR rows, and an int32
-    number for each CSR row of a block that holds diagonals."""
+    pointer per CSR row plus one per CSR row set, and an int32 number for
+    each irregular row of a control held as diagonals."""
     return ((8 * nodes + 4) * 2 ** dim * diagonal_controls + 12 * nnz
-            + 4 * (rows + blocks) + 4 * numbered)
+            + 4 * (rows + sets) + 4 * numbered)
 
 
 class TestRunReport:
@@ -651,12 +651,13 @@ class TestRunReport:
             assert rep.operator_build_wall_time_seconds > 0.0
         for rep, n in ((vi, 41), (api.phases["coarse"], 21)):
             # every heading is held as diagonals, and the rows that the
-            # unshifted axes' last node clamps onto the upper face are CSR
-            # rows, 4 entries each, in the one block
+            # unshifted axis's last node clamps onto the upper face are CSR
+            # rows, 4 entries each, in a row set of each of the four
+            # headings along an axis
             assert rep.operator_diagonal_controls == m
             assert 0 < rep.operator_nnz < m * n ** 2 * 4 / 20
             assert rep.operator_bytes == held_bytes(m, n ** 2, 2, rep.operator_nnz,
-                                                    rows=rep.operator_nnz // 4, blocks=1,
+                                                    rows=rep.operator_nnz // 4, sets=4,
                                                     numbered=rep.operator_nnz // 4)
             assert rep.operator_matrix_free_controls == 0
         # the warm-started fine PI applies its separable rows matrix-free
@@ -681,7 +682,7 @@ class TestRunReport:
         assert vdp_fine.operator_matrix_free_controls == 0
         assert vdp_fine.operator_nnz == vdp_vi.operator_nnz > 0
         assert vdp_fine.operator_bytes == vdp_vi.operator_bytes == held_bytes(
-            0, 41 ** 2, 2, vdp_vi.operator_nnz, rows=32 * 41 ** 2, blocks=1, numbered=0)
+            0, 41 ** 2, 2, vdp_vi.operator_nnz, rows=32 * 41 ** 2, sets=32, numbered=0)
         assert vdp_vi.operator_diagonal_controls == vdp_fine.operator_diagonal_controls == 0
         assert f"fine.operator_nnz = {vdp_fine.operator_nnz}\n" in vdp.to_text()
 
@@ -695,7 +696,7 @@ class TestRunReport:
         assert vi.operator_separable_controls == 8
         assert vi.operator_diagonal_controls == 0
         assert vi.operator_bytes == held_bytes(0, 11 ** 4, 4, vi.operator_nnz,
-                                               rows=8 * 11 ** 4, blocks=1, numbered=0)
+                                               rows=8 * 11 ** 4, sets=8, numbered=0)
         assert "\noperator_diagonal_controls = 0\n" in vi.to_text()
 
     def test_operator_separable_controls(self, solved):

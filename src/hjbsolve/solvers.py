@@ -22,11 +22,14 @@ rows (policy[i], i), with the same stage cost and empty rows; both
 backends run in _Sweeper.evaluate, for policy iteration and for the two
 public evaluation functions alike.  The linear solve is the package's own
 BiCGStab loop, _bicgstab: scipy 1.17's bicgstab step for step and bit for
-bit, without importing scipy.sparse.linalg.  Policy iteration hands it the
-Bellman sweep that chose the policy, its first fixed-point sweep, which
-ends an evaluation that needs no other.  The greedy step at an arbitrary
-state takes the same discount, stage costs and arrivals, and interpolates
-instead of using B.
+bit, without importing scipy.sparse.linalg, on I - discount * B as scipy's
+csr_minus_csr forms it.  That kernel and the CSR and DIA matvecs are the
+package's only scipy code: scipy.sparse._sparsetools, which
+_load_sparsetools runs from its extension file without initializing
+scipy.sparse.  Policy iteration hands evaluate the Bellman sweep that chose
+the policy, its first fixed-point sweep, which ends an evaluation that
+needs no other.  The greedy step at an arbitrary state takes the same
+discount, stage costs and arrivals, and interpolates instead of using B.
 
 Value iteration and cold-started policy iteration store the operator,
 whose one build pays off over their many sweeps.  A separable control,
@@ -60,9 +63,12 @@ bits.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import mmap
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -72,11 +78,7 @@ from itertools import product, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
-# scipy's DIA and CSR matvec kernels, the ones behind dia_matrix @ v and
-# csr_matrix @ v, called to add into a slice of a block's product or into a
-# Krylov work vector
-from scipy.sparse._sparsetools import csr_matvec, dia_matvec
+import scipy
 
 from .grid import (
     RegularGrid,
@@ -89,6 +91,37 @@ from .grid import (
     prolongate,
 )
 from .problems import target_mask
+
+
+def _load_sparsetools(folder):
+    """scipy.sparse._sparsetools, scipy's C kernels of sparse matrices, run
+    from its extension file in `folder` without scipy/sparse/__init__.py,
+    whose numpy namespace clones cost a process ~0.15 s and ~20 MB.  It is
+    entered in sys.modules under its own name, where the from-imports of a
+    later scipy.sparse find it (though that package then lacks it as an
+    attribute), and a module already entered there is returned, so that a
+    process holds one.  No such file raises ImportError."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    paths = (os.path.join(folder, "_sparsetools" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's _sparsetools extension module is not in {folder}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# scipy's CSR and DIA matvec kernels, the ones behind csr_matrix @ v and
+# dia_matrix @ v, called to add into a slice of a block's product or into a
+# Krylov work vector, and its CSR subtraction, the one behind A - B
+_sparsetools = _load_sparsetools(os.path.join(os.path.dirname(scipy.__file__), "sparse"))
+csr_matvec, csr_minus_csr, dia_matvec = (
+    _sparsetools.csr_matvec, _sparsetools.csr_minus_csr, _sparsetools.dia_matvec)
 
 UNSET_POLICY = -1
 
@@ -1108,14 +1141,23 @@ class _Sweeper:
         return _Block([rows], c, outside, n)
 
     def _direct_system(self, rows):
-        """I - discount * B over policy_rows' _Block `rows`, as CSR, and its
-        right-hand side: the stage costs, discount * exterior value added on
-        `outside`, and the pins."""
+        """I - discount * B over policy_rows' _Block `rows`, a _CsrRows, and
+        its right-hand side: the stage costs, discount * exterior value added
+        on `outside`, and the pins.  The matrix is csr_minus_csr of the
+        identity and discount * B, on the arrays that scipy's
+        identity(n, format="csr") - discount * B passes it, and so has its
+        bits: int32 identity rows, and output arrays of n + nnz entries, cut
+        to the entries written."""
         n = self.grid.num_nodes
-        indptr, indices, data = rows.controls[0]
-        B = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        matrix = sp.identity(n, format="csr") - self.discount * B
-        rhs = np.full(self.grid.num_nodes, rows.c)
+        B = rows.controls[0]
+        identity = np.arange(n + 1, dtype=np.int32)
+        indptr = np.empty(n + 1, dtype=np.int32)
+        indices = np.empty(n + B.nnz, dtype=np.int32)
+        data = np.empty(n + B.nnz)
+        csr_minus_csr(n, n, identity, identity[:n], np.ones(n), B.indptr, B.indices,
+                      B.data * self.discount, indptr, indices, data)
+        matrix = _CsrRows(indptr, indices[:indptr[-1]], data[:indptr[-1]])
+        rhs = np.full(n, rows.c)
         rhs[rows.outside] += self.discount * self.spec.exterior_value
         rhs[self.pins] = self.pin_values
         return matrix, rhs
@@ -1157,7 +1199,9 @@ class _Sweeper:
         matrix, rhs = self._direct_system(rows)
         tol = eps / 10.0
         x, info, iters = _bicgstab(matrix, rhs, tol, config.inner_cap())
-        residual = float(np.max(np.abs(matrix @ x - rhs)))
+        ax = np.zeros(len(x))
+        matrix.apply(x, None, ax, None)
+        residual = float(np.max(np.abs(ax - rhs)))
         if info != 0 or residual > tol:
             raise SolverError(
                 f"direct policy evaluation stalled: achieved residual {residual:.3e}, "
@@ -1169,7 +1213,7 @@ class _Sweeper:
 
 def _bicgstab(matrix, b, atol, maxiter):
     """Unpreconditioned BiCGStab (van der Vorst 1992; Saad 2003, ch. 7) for
-    the CSR `matrix` from x = 0: scipy 1.17's
+    the _CsrRows `matrix` from x = 0: scipy 1.17's
     scipy.sparse.linalg.bicgstab(matrix, b, rtol=0, atol=atol,
     maxiter=maxiter) step for step, with the same np.dot and
     np.linalg.norm reductions in the same order, the same breakdown tests
@@ -1191,7 +1235,7 @@ def _bicgstab(matrix, b, atol, maxiter):
 
     def matvec(vector, out):
         out.fill(0.0)
-        csr_matvec(n, n, matrix.indptr, matrix.indices, matrix.data, vector, out)
+        matrix.apply(vector, None, out, None)
 
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
@@ -1352,7 +1396,9 @@ def policy_evaluation_direct(spec, grid, policy, controls, config):
     discount makes the system strictly diagonally dominant) and c the stage
     cost plus discount * exterior mass, to residual eps/10 with the
     package's own BiCGStab loop (_bicgstab), which gives the bits of scipy
-    1.17's bicgstab.  Stagnation raises, carrying the achieved residual.
+    1.17's bicgstab.  I - discount * B is formed by scipy's csr_minus_csr
+    kernel, with the bits of scipy's own subtraction.  Stagnation raises,
+    carrying the achieved residual.
     Returns (field, solver iteration count).  The loop's dot products and
     norms are np.dot and np.linalg.norm, which run through OpenBLAS, whose
     sums round differently with its thread count, so the iteration count

@@ -1,64 +1,94 @@
-"""The direct backend's BiCGStab loop, solvers._bicgstab, against
-scipy.sparse.linalg.bicgstab, which only this module imports.
+"""The direct backend's system and BiCGStab loop against scipy.sparse:
+_Sweeper._direct_system against scipy's I - discount * B, and
+solvers._bicgstab against scipy.sparse.linalg.bicgstab, which only the
+tests import.
 
-The systems are frozen-policy ones, as _Sweeper.evaluate assembles them:
-policy iteration's first policy, 0 at every node, on test1_1d, and the
-greedy policy of the default initial field on the 2-D and 3-D problems.
-Each is solved as evaluated (test1_1d at 321 breaks down with info -10),
-with b = 0 and with maxiter = 3, which it exhausts.  The two loops must
-give the same bits, the same info and as many iterations as scipy calls
-its callback.  The package itself must not import scipy.sparse.linalg.
+The systems are frozen-policy ones, as _Sweeper.evaluate assembles them,
+under policy iteration's first policy, 0 at every node, or the greedy
+policy of the default initial field.  Every catalog problem's system under
+either policy must have the bytes and products of scipy's subtraction.  The
+BiCGStab systems are test1_1d's under the first policy and the 2-D and 3-D
+problems' under the greedy one.  Each is solved as evaluated (test1_1d at
+321 breaks down with info -10), with b = 0 and with maxiter = 3, which it
+exhausts.  The two loops must give the same bits, the same info and as
+many iterations as scipy calls its callback.
 """
 
 import functools
-import json
-import os
-import pathlib
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import hjbsolve as h
 from hjbsolve.solvers import _bicgstab, _Sweeper
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+from conftest import CATALOG_CASES
+
 # (problem, nodes per axis, info as evaluated)
 SYSTEMS = [("test1_1d", 81, 0), ("test1_1d", 161, 0), ("test1_1d", 321, -10),
            ("test4_eik2d", 41, 0), ("test2_vdp", 41, 0), ("test6_eik3d", 11, 0)]
 
 
+# the direct systems: every catalog problem under both policies, and the
+# system that breaks down
+DIRECT_CASES = [(name, n, policy) for name, n in CATALOG_CASES
+                for policy in ("first", "greedy")] + [("test1_1d", 321, "first")]
+
+
 @functools.cache
-def frozen_system(name, n):
-    """(I - discount * B, rhs, eps / 10, the inner iteration cap) of the
-    frozen policy of `name` on its n-node grid."""
+def frozen_system(name, n, policy):
+    """(B, I - discount * B, rhs, discount, eps / 10, the inner iteration
+    cap) of `name` on its n-node grid under the `policy` "first" or
+    "greedy", B and I - discount * B as _CsrRows."""
     entry = h.catalog(name)
     grid = entry.spec.domain_grid(n)
     config = h.SolverConfig(dt=entry.dt_for(grid), workers=1)
     with _Sweeper(entry.spec, grid, entry.controls, config) as sweeper:
-        if grid.dim == 1:
-            policy = h.PolicyField.constant(grid, 0)
+        if policy == "first":
+            frozen = h.PolicyField.constant(grid, 0)
         else:
             start = sweeper.pinned_copy(h.default_initial_field(entry.spec, grid))
-            policy = h.PolicyField(grid, sweeper.bellman_sweep(start.values)[1])
-        matrix, rhs = sweeper._direct_system(sweeper.policy_rows(policy))
-    return matrix, rhs, config.epsilon(grid) / 10.0, config.inner_cap()
+            frozen = h.PolicyField(grid, sweeper.bellman_sweep(start.values)[1])
+        rows = sweeper.policy_rows(frozen)
+        matrix, rhs = sweeper._direct_system(rows)
+    return (rows.controls[0], matrix, rhs, sweeper.discount, config.epsilon(grid) / 10.0,
+            config.inner_cap())
+
+
+def scipy_csr(rows):
+    """The _CsrRows `rows` as a square scipy csr_matrix, on their arrays."""
+    n = len(rows.indptr) - 1
+    return sp.csr_matrix((rows.data, rows.indices, rows.indptr), shape=(n, n))
 
 
 def scipy_bicgstab(matrix, b, atol, maxiter):
     calls = []
-    x, info = spla.bicgstab(matrix, b, rtol=0.0, atol=atol, maxiter=maxiter,
+    x, info = spla.bicgstab(scipy_csr(matrix), b, rtol=0.0, atol=atol, maxiter=maxiter,
                             callback=calls.append)
     return x, info, len(calls)
+
+
+@pytest.mark.parametrize("name,n,policy", DIRECT_CASES)
+def test_direct_system_matches_scipy_subtraction(name, n, policy, rng):
+    B, matrix, _, discount, _, _ = frozen_system(name, n, policy)
+    expected = sp.identity(len(B.indptr) - 1, format="csr") - discount * scipy_csr(B)
+    assert [a.tobytes() for a in matrix] == [
+        a.tobytes() for a in (expected.indptr, expected.indices, expected.data)]
+    v = rng.standard_normal(len(matrix.indptr) - 1)
+    product = np.zeros(len(v))
+    matrix.apply(v, None, product, None)
+    assert product.tobytes() == (expected @ v).tobytes()
 
 
 @pytest.mark.parametrize("variant", ["as_evaluated", "zero_rhs", "three_steps"])
 @pytest.mark.parametrize("name,n,info", SYSTEMS)
 def test_bicgstab_matches_scipy_bit_for_bit(name, n, info, variant):
-    matrix, rhs, atol, maxiter = frozen_system(name, n)
+    # test1_1d under policy iteration's first policy, the others under the
+    # default field's greedy one
+    policy = "first" if name == "test1_1d" else "greedy"
+    _, matrix, rhs, _, atol, maxiter = frozen_system(name, n, policy)
     if variant == "zero_rhs":
         rhs, info = np.zeros_like(rhs), 0
     elif variant == "three_steps":
@@ -69,31 +99,3 @@ def test_bicgstab_matches_scipy_bit_for_bit(name, n, info, variant):
     expected = scipy_bicgstab(matrix, rhs, atol, maxiter)
     assert (x.tobytes(), got, iterations) == (expected[0].tobytes(), *expected[1:])
     assert got == info
-
-
-def test_solves_do_not_import_scipy_sparse_linalg():
-    """hjbsolve, a direct policy_evaluation_direct and a direct api_solve,
-    run in a fresh interpreter, leave scipy.sparse.linalg unimported."""
-    script = textwrap.dedent("""
-        import json
-        import sys
-        import hjbsolve as h
-
-        def loaded():
-            return [m for m in sys.modules if m.startswith("scipy.sparse.linalg")]
-
-        seen = {"import": loaded()}
-        entry = h.catalog("test4_eik2d")
-        fine, coarse = entry.spec.domain_grid(21), entry.spec.domain_grid(11)
-        config = h.SolverConfig(dt=entry.dt_for(fine), eval_backend="direct")
-        policy = h.PolicyField.constant(fine, 0)
-        h.policy_evaluation_direct(entry.spec, fine, policy, entry.controls, config)
-        seen["policy_evaluation_direct"] = loaded()
-        coarse_config = h.SolverConfig(dt=entry.dt_for(coarse), stop_constant=5.0)
-        h.api_solve(entry.spec, coarse, fine, entry.controls, coarse_config, config)
-        seen["api_solve"] = loaded()
-        print(json.dumps(seen))
-    """)
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
-    assert json.loads(out) == {"import": [], "policy_evaluation_direct": [], "api_solve": []}

@@ -20,7 +20,11 @@ __init__.py, or by perfbench/, or be named in the code of README.md (a
 fenced block or an inline `span`).  No module under src/ may load
 scipy.sparse.linalg, by an import or by reading it as an attribute of
 scipy.sparse, which imports it: the direct backend runs its own BiCGStab
-loop, and that module costs every process about 10 MB.
+loop, and that module costs every process about 10 MB.  Nor may any load
+scipy.sparse itself, by an import of it or of a module in it or by reading
+`sparse` off a name bound to scipy: solvers loads scipy's sparse kernels
+from their extension file, as initializing scipy.sparse costs every
+process about 0.15 s and 20 MB.
 """
 
 import ast
@@ -206,6 +210,12 @@ def sparse_linalg_lines(tree):
                    if f"{name}.".startswith("scipy.sparse.linalg.")})
 
 
+def scipy_sparse_lines(tree):
+    """The lines of a module that load scipy.sparse or a module in it."""
+    return sorted({line for name, line in loaded_modules(tree)
+                   if f"{name}.".startswith("scipy.sparse.")})
+
+
 def test_the_package_has_modules():
     assert len(MODULES) >= 5
 
@@ -378,6 +388,29 @@ def test_the_linalg_audit_catches_every_way_in():
         "lin = 'scipy.sparse.linalg'\n"
     )
     assert sparse_linalg_lines(tree) == [2, 5, 6, 8, 9, 11]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_loads_scipy_sparse(path):
+    lines = scipy_sparse_lines(CALLERS[path])
+    assert not lines, f"{path.name} loads scipy.sparse on lines {lines}"
+
+
+def test_the_sparse_audit_catches_every_way_in():
+    tree = ast.parse(
+        "import scipy\n"
+        "import scipy.sparse\n"
+        "from scipy import sparse, linalg\n"
+        "from scipy.sparse._sparsetools import csr_matvec\n"
+        "import scipy.sparse.linalg as spla\n"
+        "def kernels():\n"
+        "    import scipy.sparse as sp\n"
+        "    return scipy.sparse.csr_matrix, scipy.__file__, linalg.norm\n"
+        "def folder():\n"
+        "    return scipy.__file__, scipy.linalg, 'scipy.sparse._sparsetools'\n"
+    )
+    assert scipy_sparse_lines(tree) == [2, 3, 4, 5, 7, 8]
 
 
 def test_every_solver_default_is_passed_somewhere():

@@ -52,11 +52,10 @@ def test_solves_never_initialize_scipy_sparse(tmp_path):
         policy = h.PolicyField.constant(fine, 0)
         h.policy_evaluation_direct(entry.spec, fine, policy, entry.controls, direct)
         seen["policy_evaluation_direct"] = loaded()
+        h.value_iteration(entry.spec, fine, entry.controls, h.SolverConfig(dt=direct.dt))
+        seen["vi"] = loaded()
         for backend in ("fixed_point", "direct"):
-            config = h.SolverConfig(dt=entry.dt_for(fine), eval_backend=backend)
-            if backend == "fixed_point":
-                h.value_iteration(entry.spec, fine, entry.controls, config)
-                seen["vi"] = loaded()
+            config = h.SolverConfig(dt=direct.dt, eval_backend=backend)
             h.policy_iteration(entry.spec, fine, entry.controls, config)
             seen["pi " + backend] = loaded()
             h.api_solve(entry.spec, coarse, fine, entry.controls, coarse_config, config)

@@ -22,7 +22,6 @@ from .problems import (
     MinimumTime,
     ProblemError,
     ProblemSpec,
-    TargetMask,
     catalog,
     catalog_names,
     discretize_circle,
@@ -74,7 +73,6 @@ __all__ = [
     "RunReport",
     "SolverConfig",
     "SolverError",
-    "TargetMask",
     "Trajectory",
     "ValueField",
     "api_solve",

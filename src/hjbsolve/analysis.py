@@ -28,7 +28,7 @@ class ErrorRecord:
     sup_error: float
 
     def __post_init__(self):
-        if self.l1_error < 0 or self.sup_error < 0:
+        if not (self.l1_error >= 0 and self.sup_error >= 0):  # NaN fails too
             raise ValueError("errors must be nonnegative")
 
 
@@ -46,7 +46,7 @@ def kruzkhov_to_time(v):
     """Invert the bounded transform: T = -log(1 - v), with v >= 1 mapping to
     infinity.  Accepts scalars or arrays; values must lie in [0, 1 + 1e-12]."""
     arr = np.asarray(v, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1.0 + 1e-12):
+    if not np.all((arr >= 0) & (arr <= 1.0 + 1e-12)):  # NaN fails too
         raise ValueError("transformed values must lie in [0, 1]")
     flat = np.atleast_1d(arr).astype(float).copy()
     finite = flat < _INFINITY_CUTOFF
@@ -61,7 +61,7 @@ def time_to_kruzkhov(T):
     """The bounded transform 1 - exp(-T) of a nonnegative (possibly infinite)
     time.  Accepts scalars or arrays."""
     arr = np.asarray(T, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):  # NaN fails too
         raise ValueError("times must be nonnegative")
     out = np.where(np.isinf(arr), 1.0, -np.expm1(-np.where(np.isinf(arr), 0.0, arr)))
     if np.isscalar(T) or np.ndim(T) == 0:
@@ -97,7 +97,8 @@ def convergence_rates(records):
     """log2 error ratios across successively halved resolutions.
 
     Records must be sorted by decreasing dx with exact halving between
-    successive entries; returns one (l1_rate, sup_rate) pair per step.
+    successive entries; returns one (l1_rate, sup_rate) pair per step, +inf
+    to a zero error and -inf from a zero error to a nonzero one.
     """
     records = list(records)
     if len(records) < 2:
@@ -109,9 +110,9 @@ def convergence_rates(records):
         ratio = a.dx / b.dx
         if abs(ratio - 2.0) > 1e-9:
             raise ValueError(f"resolutions must halve exactly, got ratio {ratio}")
-        l1 = math.log2(a.l1_error / b.l1_error) if b.l1_error > 0 else math.inf
-        sup = math.log2(a.sup_error / b.sup_error) if b.sup_error > 0 else math.inf
-        rates.append((l1, sup))
+        rates.append(tuple(
+            math.inf if fine == 0 else math.log2(coarse / fine) if coarse > 0 else -math.inf
+            for coarse, fine in ((a.l1_error, b.l1_error), (a.sup_error, b.sup_error))))
     return rates
 
 

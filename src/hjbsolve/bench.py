@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis
 from .grid import FIELD_FLOAT_FORMAT, ValueField, read_field_table, write_field_table
-from .problems import catalog, catalog_defaults, target_mask
+from .problems import ProblemError, catalog, catalog_defaults
 from .solvers import (
     SolverConfig,
     api_solve,
@@ -40,12 +40,12 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def _config_errors(context=""):
+def _config_errors(context="", errors=ValueError):
     """Re-raise what the problem, grid and solver settings reject as
     ConfigError, its message prefixed by `context`."""
     try:
         yield
-    except ValueError as exc:  # ProblemError, GridError and SolverConfig's checks
+    except errors as exc:  # ProblemError, GridError and SolverConfig's checks
         raise ConfigError(f"{context}{exc}") from None
 
 
@@ -216,10 +216,11 @@ def _axis_counts(nodes, dim, key):
 def _setup(config):
     """Check a config and build what its run needs: (entry, fine grid, coarse
     grid, fine SolverConfig, coarse SolverConfig), the coarse pair None unless
-    the algorithm is api.  What the problem, a grid, its target set or the
-    solver settings reject raises ConfigError, as do an algorithm other than
-    vi, pi and api, a fine grid above the desk-scale cap and an api fine
-    grid that is no midpoint refinement, with an even count on an axis."""
+    the algorithm is api.  What the problem, a grid or the solver settings
+    reject raises ConfigError, as do an algorithm other than vi, pi and api,
+    a fine grid above the desk-scale cap and an api fine grid that is no
+    midpoint refinement, with an even count on an axis.  Each grid's sweeper
+    checks its target set."""
     if config.algorithm not in ("vi", "pi", "api"):
         raise ConfigError("algorithm: must be one of vi, pi, api")
     with _config_errors("solver: "):
@@ -260,7 +261,6 @@ def _setup(config):
             if not finite:
                 raise ValueError("the stopping tolerance stop constant * dx^2 is not "
                                  f"finite (dx = {min(grid.spacing):g})")
-            target_mask(entry.spec, grid)
             return cfg
 
     fine_cfg = solver_config("fine", fine_grid, config.fine_constant)
@@ -274,19 +274,19 @@ def run_experiment(config, out_dir=None):
 
     Writes config.txt, report.txt, and optionally field.txt / errors.txt into
     out_dir (atomically, temp-then-rename).  Returns the ExperimentResult;
-    convergence is reported, not raised.
+    convergence is reported, not raised.  A target set the first sweeper
+    rejects, before any sweep, raises ConfigError.
     """
     entry, fine_grid, coarse_grid, fine_cfg, coarse_cfg = _setup(config)
     spec = entry.spec
 
-    if config.algorithm == "vi":
-        V, _, report = value_iteration(spec, fine_grid, entry.controls, fine_cfg)
-    elif config.algorithm == "pi":
-        V, _, report = policy_iteration(spec, fine_grid, entry.controls, fine_cfg)
-    else:
-        V, _, report = api_solve(
-            spec, coarse_grid, fine_grid, entry.controls, coarse_cfg, fine_cfg
-        )
+    with _config_errors(errors=ProblemError):
+        if config.algorithm == "api":
+            V, _, report = api_solve(spec, coarse_grid, fine_grid, entry.controls,
+                                     coarse_cfg, fine_cfg)
+        else:
+            solve = value_iteration if config.algorithm == "vi" else policy_iteration
+            V, _, report = solve(spec, fine_grid, entry.controls, fine_cfg)
 
     assert math.isclose(report.epsilon, fine_cfg.epsilon(fine_grid))
 
@@ -412,15 +412,13 @@ _PAPER_ROWS = {
 _RATES_SIZES = (41, 81, 161, 321)
 
 
-def _experiment(problem, algorithm, nodes, workers, backend="fixed_point",
-                allow_large=False, **overrides):
+def _experiment(problem, algorithm, nodes, workers, backend="fixed_point", **overrides):
     cfg = ExperimentConfig(
         problem=problem,
         algorithm=algorithm,
         fine_nodes=(nodes,),
         overrides=overrides,
         backend=backend,
-        allow_large=allow_large,
         write_errors=False,
     )
     if workers is not None:
@@ -465,8 +463,7 @@ def _run_paper_tables(out_dir, workers, include_large, only=None):
                 # Even axis counts cannot nest a coarse grid; note 5 uses
                 # 2^k + 1 style sizes so the accelerated runs stay nested.
                 try:
-                    cfg = _experiment(problem, algorithm, nodes, workers,
-                                      allow_large=include_large)
+                    cfg = _experiment(problem, algorithm, nodes, workers)
                     result = run_experiment(cfg)
                     rep = result.report
                     dim = result.value_field.grid.dim
@@ -493,7 +490,7 @@ def _run_rates(out_dir, workers, include_large):
             # discrete fixed point; the fixed-point backend's stopping gap
             # would otherwise dominate the coarse-grid error rows.
             cfg = _experiment("test4_eik2d", "api", nodes, workers,
-                              backend="direct", allow_large=True, control_count=64)
+                              backend="direct", control_count=64)
             cfg.write_errors = True
             records[nodes] = run_experiment(cfg).error_record
         except Exception as exc:  # noqa: BLE001

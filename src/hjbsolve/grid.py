@@ -336,7 +336,8 @@ def write_field_table(field, fh):
 
 
 def read_field_table(fh, grid):
-    """Read a table written by write_field_table back onto `grid`."""
+    """Read a table written by write_field_table back onto `grid`; its
+    coordinate columns must be the grid's nodes exactly (17 digits round-trip)."""
     header = fh.readline()
     expected = " ".join(f"x{i + 1}" for i in range(grid.dim)) + " value"
     if header.strip() != expected:
@@ -344,4 +345,6 @@ def read_field_table(fh, grid):
     data = np.loadtxt(fh, ndmin=2)
     if data.shape[0] != grid.num_nodes or data.shape[1] != grid.dim + 1:
         raise GridError("field table does not match the grid")
+    if not np.array_equal(data[:, :-1], grid.nodes()):
+        raise GridError("field table coordinates are not the grid's nodes")
     return ValueField(grid, data[:, -1])

@@ -114,14 +114,6 @@ class ProblemSpec:
         return RegularGrid(self.lower, self.upper, n)
 
 
-@dataclass
-class TargetMask:
-    """Per-node target membership; flagged nodes are pinned to value 0."""
-
-    grid: RegularGrid
-    flags: np.ndarray
-
-
 def euler_arrival(spec, x, a, dt):
     """One explicit Euler step along the dynamics: x + dt * f(x, a).
 
@@ -188,18 +180,21 @@ def point_target_distances(kind, grid, points):
 
 
 def target_mask(spec, grid):
-    """Flag the grid nodes belonging to the target set.
+    """Flag the grid nodes belonging to the target set: an (N,) bool array,
+    True on the nodes that sweeps pin to value 0.
 
     Infinite-horizon problems yield an all-false mask.  Point targets are
     realized as the node nearest to the point plus every node within half a
     cell diagonal, so the discrete target is never empty on its own account.
     An empty mask for a minimum-time problem is an error: the mesh cannot
     represent the target and must be refined.  So is a target predicate or a
-    node distance to a point target that overflows on the grid's nodes.
+    node distance to a point target that overflows on the grid's nodes,
+    each named by the grid's node counts.
     """
     if not spec.minimum_time:
-        return TargetMask(grid, np.zeros(grid.num_nodes, dtype=bool))
+        return np.zeros(grid.num_nodes, dtype=bool)
     kind = spec.kind
+    name = "x".join(map(str, grid.nodes_per_axis))
     nodes = grid.nodes()
     try:
         with np.errstate(over="raise"):
@@ -208,7 +203,7 @@ def target_mask(spec, grid):
                 dist, near = point_target_distances(kind, grid, nodes)
     except FloatingPointError:
         raise ProblemError(
-            "the target set overflows on this grid's nodes; shrink the domain"
+            f"the target set overflows on the {name} grid's nodes; shrink the domain"
         ) from None
     if flags.size != grid.num_nodes:
         raise ProblemError("target predicate returned a wrong-size mask")
@@ -217,10 +212,10 @@ def target_mask(spec, grid):
         flags[int(np.argmin(dist))] = True
     if not flags.any():
         raise ProblemError(
-            "target mask is empty on this grid; refine the mesh until it "
+            f"target mask is empty on the {name} grid; refine the mesh until it "
             "resolves the target"
         )
-    return TargetMask(grid, flags)
+    return flags
 
 
 @dataclass

@@ -328,7 +328,7 @@ def _pins(spec, grid):
         pin |= bmask
         pin_values[bmask] = spec.boundary_value
     if spec.minimum_time:
-        tmask = target_mask(spec, grid).flags
+        tmask = target_mask(spec, grid)
         pin |= tmask
         pin_values[tmask] = 0.0
     return pin, pin_values
@@ -848,8 +848,9 @@ class _Sweeper:
     matrix-free, and `threads` is the number of threads the blocks run on,
     at most config.workers.  With more than one, the thread pool starts with
     the first block; use the sweeper as a context manager, whose exit joins
-    the pool's threads.  A one-step discount that rounds to 1 raises
-    SolverError.
+    the pool's threads.  A target set that target_mask rejects raises its
+    ProblemError, and then a one-step discount that rounds to 1 raises
+    SolverError, both before any sweep.
     """
 
     def __init__(self, spec, grid, controls, config, store_separable=True):
@@ -857,13 +858,13 @@ class _Sweeper:
         self.grid = grid
         self.controls = controls
         self.dt = config.dt
+        self.pinned, values = _pins(spec, grid)
         self.discount = _discount(spec, self.dt)
         if self.discount == 1.0:
             # the scheme no longer contracts, and the gap bound divides by 0
             raise SolverError(f"lam*dt = {_rate(spec) * self.dt:.3g} is too small: the "
                               "one-step discount exp(-lam*dt) rounds to 1")
         self.nodes = grid.nodes()
-        self.pinned, values = _pins(spec, grid)
         # the pinned nodes and their values, which every sweep sets by index
         self.pins = np.flatnonzero(self.pinned)
         self.pin_values = values[self.pins]
@@ -1071,7 +1072,7 @@ class _Sweeper:
         # kept before it is queued.  Allocated on the pool's threads, they
         # come from per-thread malloc arenas, whose freed memory other
         # threads do not reuse: the api_eik3d benchmark's peak RSS rose from
-        # ~1005 MB to 1018-1398 MB.  A matrix-free sweeper's blocks allocate
+        # 138-140 MB to 166-182 MB.  A matrix-free sweeper's blocks allocate
         # their CSR arrays only once a control needs them.  Diagonals are
         # written into the CSR data arrays, so nothing more is allocated for
         # them.

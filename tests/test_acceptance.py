@@ -217,7 +217,7 @@ def test_criterion_8_minimum_time_range_and_symmetry(solved):
     problems = []
     if not (np.all(V.values >= 0.0) and np.all(V.values <= 1.0)):
         problems.append("values escape [0, 1]")
-    mask = h.target_mask(entry.spec, V.grid).flags
+    mask = h.target_mask(entry.spec, V.grid)
     if not np.all(V.values[mask] == 0.0):
         problems.append("target nodes not exactly 0")
     sq = V.reshaped()

@@ -59,6 +59,18 @@ class TestKruzkhovTransforms:
         with pytest.raises(ValueError):
             h.time_to_kruzkhov(-1.0)
 
+    def test_nan_transformed_value_is_a_domain_error(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            h.kruzkhov_to_time(math.nan)
+
+    def test_nan_in_a_transformed_array_is_a_domain_error(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            h.kruzkhov_to_time(np.array([0.5, math.nan]))
+
+    def test_nan_time_is_a_domain_error(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            h.time_to_kruzkhov(math.nan)
+
     def test_array_support(self):
         v = h.time_to_kruzkhov(np.array([0.0, math.log(2.0), np.inf]))
         assert v == pytest.approx([0.0, 0.5, 1.0])
@@ -122,6 +134,14 @@ class TestConvergenceRates:
             assert l1_rate == pytest.approx(p, abs=1e-12)
             assert sup_rate == pytest.approx(p, abs=1e-12)
 
+    def test_zero_to_nonzero_error_is_minus_infinity(self):
+        recs = [h.ErrorRecord(0.1, 0.0, 0.0), h.ErrorRecord(0.05, 1e-3, 1e-3)]
+        assert h.convergence_rates(recs) == [(-math.inf, -math.inf)]
+
+    def test_nan_error_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            h.ErrorRecord(0.1, math.nan, 1.0)
+
     def test_requires_two_records(self):
         with pytest.raises(ValueError):
             h.convergence_rates([h.ErrorRecord(0.1, 1e-2, 1e-2)])
@@ -169,7 +189,7 @@ class TestTrajectories:
         45, 54 and 55 at 10^2)."""
         entry = h.catalog(name)
         grid = entry.spec.domain_grid(n)
-        flags = h.target_mask(entry.spec, grid).flags
+        flags = h.target_mask(entry.spec, grid)
         V = h.default_initial_field(entry.spec, grid)
         reached = [h.synthesize_trajectory(entry.spec, V, entry.controls, node,
                                            entry.dt_for(grid), max_time=0.0).status

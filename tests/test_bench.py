@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hjbsolve as h
-from hjbsolve import bench, cli, solvers
+from hjbsolve import bench, cli, problems, solvers
 from hjbsolve.bench import (
     _SETTING_PARSERS,
     _echo,
@@ -484,23 +484,70 @@ class TestCli:
         assert cli.main(argv) == 0
         assert len(calls) == 1
 
-    def test_api_solve_builds_four_target_masks(self, tmp_path, monkeypatch):
-        """One api solve flags the target on each grid twice: once when the
-        run is checked and once in the sweeper of each phase."""
+    @pytest.fixture
+    def mask_grids(self, monkeypatch):
+        """The node counts of the grid of every target mask built, in order,
+        by whichever module of the package builds it."""
         grids = []
 
         def counted(spec, grid):
             grids.append(grid.nodes_per_axis)
             return mask(spec, grid)
 
-        mask = solvers.target_mask
-        monkeypatch.setattr(bench, "target_mask", counted)
-        monkeypatch.setattr(solvers, "target_mask", counted)
+        mask = problems.target_mask
+        for module in (problems, solvers, bench):
+            if getattr(module, "target_mask", None) is mask:
+                monkeypatch.setattr(module, "target_mask", counted)
+        return grids
+
+    @pytest.mark.parametrize("algorithm,grids", [
+        ("api", [(11, 11), (21, 21)]), ("vi", [(21, 21)]), ("pi", [(21, 21)])])
+    def test_solve_builds_one_target_mask_per_grid(self, tmp_path, mask_grids,
+                                                    algorithm, grids):
+        """The sweeper of each phase flags its grid's target, and nothing
+        else does."""
         cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text("problem.name = test4_eik2d\nalgorithm = api\n"
-                            "grid.fine.nodes = 21\n")
+        cfg_path.write_text(f"problem.name = test4_eik2d\nalgorithm = {algorithm}\n"
+                            "grid.fine.nodes = 21\nproblem.control_count = 8\n")
         assert cli.main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
-        assert sorted(grids) == [(11, 11)] * 2 + [(21, 21)] * 2
+        assert mask_grids == grids
+
+    def test_export_builds_no_target_mask(self, exported_run, mask_grids):
+        assert cli.main(["export", str(exported_run)]) == 0
+        assert mask_grids == []
+
+    @pytest.mark.parametrize("problem,nodes,line,error", [
+        # the coarse stopping tolerance 5 * (1e154)^2 overflows first ...
+        ("test4_eik2d", 21, "problem.domain = 0,1e155",
+         "coarse grid: the stopping tolerance"),
+        # ... and with a finite one, the coarse node (1e155, 1e155)'s
+        # squared distance to the origin does
+        ("test4_eik2d", 21, "problem.domain = 0,1e155\nstop.coarse_constant = 1",
+         "the target set overflows on the 11x11 grid's nodes"),
+        # no node of the 10^3 coarse grid lies within 1e-9 of the origin
+        ("heat3_rom", 19, "problem.target_radius = 1e-9",
+         "target mask is empty on the 10x10x10 grid"),
+    ])
+    def test_api_target_error_comes_before_any_sweep(self, tmp_path, capsys, monkeypatch,
+                                                     problem, nodes, line, error):
+        sweeps = []
+
+        def counted(self, *args, **kwargs):
+            sweeps.append(self.grid.nodes_per_axis)
+            return sweep(self, *args, **kwargs)
+
+        sweep = solvers._Sweeper.bellman_sweep
+        monkeypatch.setattr(solvers._Sweeper, "bellman_sweep", counted)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"problem.name = {problem}\nalgorithm = api\n"
+                            f"grid.fine.nodes = {nodes}\n{line}\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert error in err
+        assert sweeps == []
+        assert not out.exists()
 
     def test_unknown_problem_key_lists_the_accepted_ones(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
@@ -637,18 +684,23 @@ class TestCli:
     @pytest.mark.parametrize("damage", [
         lambda lines: lines[:100],
         lambda lines: lines[:5] + ["-1 -0.8 fast"] + lines[6:],
-    ], ids=["truncated", "non_numeric_row"])
+        # the header and row count of the run, on its nodes shifted by +5
+        lambda lines: lines[:1] + [" ".join([repr(float(x) + 5) for x in row.split()[:-1]]
+                                            + row.split()[-1:]) for row in lines[1:]],
+    ], ids=["truncated", "non_numeric_row", "another_grid"])
     def test_export_of_a_damaged_field(self, exported_run, capsys, damage):
         field_path = exported_run / "field.txt"
         lines = field_path.read_text().splitlines()
         field_path.write_text("\n".join(damage(lines)) + "\n")
         capsys.readouterr()
+        out = exported_run / "export.txt"
         for fmt in ("table", "slice"):
             assert cli.main(["export", str(exported_run), "--format", fmt,
-                             "--slice", "x1=0"]) == 2
+                             "--slice", "x1=0", "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"configuration error: {field_path}: ")
             assert err.count("\n") == 1
+            assert not out.exists()
 
 
 class TestSuites:

@@ -248,6 +248,15 @@ class TestFieldTable:
         assert lines[0] == "x1 x2 x3 value"
         assert len(lines) == 1 + g.num_nodes
 
+    def test_table_of_another_grid_is_rejected(self):
+        """Same header and row count, coordinates shifted by +5."""
+        buf = io.StringIO()
+        write_field_table(ValueField.full(RegularGrid((5.0, 5.0), (6.0, 6.0), (3, 3)), 1.0),
+                          buf)
+        buf.seek(0)
+        with pytest.raises(GridError, match="coordinates"):
+            read_field_table(buf, RegularGrid((0.0, 0.0), (1.0, 1.0), (3, 3)))
+
 
 class TestValueField:
     def test_length_checked(self):

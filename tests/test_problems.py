@@ -202,22 +202,22 @@ class TestTargetMask:
         mask = h.target_mask(entry.spec, grid)
         nodes = grid.nodes()
         inside = np.sqrt((nodes ** 2).sum(axis=1)) <= 1.0
-        assert np.array_equal(mask.flags, inside)
-        assert mask.flags.any()
+        assert np.array_equal(mask, inside)
+        assert mask.any()
 
     def test_point_target_center_node(self):
         entry = h.catalog("test4_eik2d")
         grid = entry.spec.domain_grid(41)
         mask = h.target_mask(entry.spec, grid)
-        assert np.count_nonzero(mask.flags) == 1
-        center = np.flatnonzero(mask.flags)[0]
+        assert np.count_nonzero(mask) == 1
+        center = np.flatnonzero(mask)[0]
         assert np.allclose(grid.nodes()[center], [0.0, 0.0])
 
     def test_point_target_even_grid_nonempty(self):
         entry = h.catalog("test4_eik2d")
         grid = entry.spec.domain_grid(40)
         mask = h.target_mask(entry.spec, grid)
-        assert mask.flags.any()
+        assert mask.any()
 
     @pytest.mark.parametrize("name,n", [
         ("test4_eik2d", 10), ("test4_eik2d", 40), ("test6_eik3d", 6),
@@ -231,7 +231,7 @@ class TestTargetMask:
         though rounding puts some of them just beyond half a cell diagonal."""
         entry = h.catalog(name)
         grid = entry.spec.domain_grid(n)
-        flags = h.target_mask(entry.spec, grid).flags
+        flags = h.target_mask(entry.spec, grid)
         nearest = np.all(np.abs(grid.nodes()) < 0.75 * grid.spacing[0], axis=1)
         assert np.count_nonzero(nearest) == (2 ** grid.dim if n % 2 == 0 else 1)
         assert np.array_equal(flags, nearest)
@@ -240,19 +240,26 @@ class TestTargetMask:
         entry = h.catalog("test2_vdp")
         grid = entry.spec.domain_grid(11)
         mask = h.target_mask(entry.spec, grid)
-        assert not mask.flags.any()
+        assert mask.dtype == bool and mask.shape == (grid.num_nodes,)
+        assert not mask.any()
 
     def test_empty_mask_is_error(self):
         entry = h.catalog("heat3_rom", target_radius=1e-6)
         grid = entry.spec.domain_grid(4)  # even: no node at the origin
-        with pytest.raises(ProblemError, match="refine"):
+        with pytest.raises(ProblemError, match="empty on the 4x4x4 grid; refine"):
+            h.target_mask(entry.spec, grid)
+
+    def test_overflow_names_the_grid(self):
+        entry = h.catalog("test4_eik2d", domain=(0.0, 1e155))
+        grid = entry.spec.domain_grid((11, 21))
+        with pytest.raises(ProblemError, match="overflows on the 11x21 grid's nodes"):
             h.target_mask(entry.spec, grid)
 
     def test_boundary_target_test8(self):
         entry = h.catalog("test8_min4d")
         grid = entry.spec.domain_grid(5)
         mask = h.target_mask(entry.spec, grid)
-        assert np.array_equal(mask.flags, grid.boundary_mask())
+        assert np.array_equal(mask, grid.boundary_mask())
 
 
 class TestDynamicsProperties:

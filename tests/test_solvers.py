@@ -47,7 +47,7 @@ class TestBellmanUpdate:
         cfg = h.SolverConfig(dt=entry.dt_for(grid))
         V0 = h.ValueField.full(grid, 0.0)
         V1, P = h.bellman_update(entry.spec, grid, V0, entry.controls, cfg)
-        mask = h.target_mask(entry.spec, grid).flags
+        mask = h.target_mask(entry.spec, grid)
         stage = -math.expm1(-cfg.dt)
         assert V1.values[~mask] == pytest.approx(np.full((~mask).sum(), stage))
         assert np.all(V1.values[mask] == 0.0)
@@ -139,7 +139,7 @@ class TestValueIteration:
     def test_minimum_time_range(self, solved):
         V, P, rep = solved.vi("test4_eik2d", 41)
         assert np.all(V.values >= 0.0) and np.all(V.values <= 1.0)
-        mask = h.target_mask(solved.entry("test4_eik2d").spec, V.grid).flags
+        mask = h.target_mask(solved.entry("test4_eik2d").spec, V.grid)
         assert np.all(V.values[mask] == 0.0)
 
     def test_fixed_boundary_values_pinned(self):
@@ -349,7 +349,7 @@ class TestPolicyImprovement:
                                      entry.controls, h.SolverConfig(dt=dt))
         nodes = grid.nodes()
         interior = np.max(np.abs(nodes), axis=1) < 1.0 - dt
-        mask = h.target_mask(entry.spec, grid).flags
+        mask = h.target_mask(entry.spec, grid)
         check = interior & ~mask
         assert np.all(policy.indices[check] == 0)
 
@@ -747,7 +747,7 @@ class TestRunReport:
         _, _, rep = h.policy_iteration(entry.spec, grid, entry.controls, cfg,
                                        on_iterate=evaluated.append)
         active = grid.num_nodes - int(np.count_nonzero(
-            h.target_mask(entry.spec, grid).flags))
+            h.target_mask(entry.spec, grid)))
         assert len(rep.policy_changes) == rep.outer_iterations == len(evaluated)
         assert all(0 <= k <= active for k in rep.policy_changes)
         # recount: greedy policies of the evaluated fields, from the constant 0

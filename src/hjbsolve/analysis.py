@@ -4,6 +4,7 @@ transforms, residual-history diagnostics, and feedback-trajectory synthesis."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -98,7 +99,8 @@ def convergence_rates(records):
 
     Records must be sorted by decreasing dx with exact halving between
     successive entries; returns one (l1_rate, sup_rate) pair per step, +inf
-    to a zero error and -inf from a zero error to a nonzero one.
+    to a zero error and -inf from a zero error to a nonzero one.  A ratio
+    that leaves the normal float range is taken as a difference of logs.
     """
     records = list(records)
     if len(records) < 2:
@@ -110,10 +112,21 @@ def convergence_rates(records):
         ratio = a.dx / b.dx
         if abs(ratio - 2.0) > 1e-9:
             raise ValueError(f"resolutions must halve exactly, got ratio {ratio}")
-        rates.append(tuple(
-            math.inf if fine == 0 else math.log2(coarse / fine) if coarse > 0 else -math.inf
-            for coarse, fine in ((a.l1_error, b.l1_error), (a.sup_error, b.sup_error))))
+        rates.append(tuple(_rate(coarse, fine) for coarse, fine in (
+            (a.l1_error, b.l1_error), (a.sup_error, b.sup_error))))
     return rates
+
+
+def _rate(coarse, fine):
+    """log2(coarse / fine) for two nonnegative errors."""
+    if fine == 0:
+        return math.inf
+    if coarse == 0:
+        return -math.inf
+    ratio = coarse / fine
+    if sys.float_info.min <= ratio < math.inf:
+        return math.log2(ratio)
+    return math.log2(coarse) - math.log2(fine)
 
 
 def _reached(spec, grid, x):

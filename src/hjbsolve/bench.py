@@ -10,13 +10,11 @@ Everything is deterministic: re-running a config reproduces the report
 numerics byte for byte (wall-time lines excluded).
 """
 
-from __future__ import annotations
-
 import io
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -50,8 +48,9 @@ def _config_errors(context="", errors=ValueError):
 
 
 def parse_config_text(text):
-    """Parse flat `key = value` lines; '#' starts a comment."""
-    out = {}
+    """Parse flat `key = value` lines; '#' starts a comment.  A key may be
+    set once."""
+    out, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -63,132 +62,122 @@ def parse_config_text(text):
         value = value.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        out[key] = value
+        if key in out:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {first[key]}")
+        out[key], first[key] = value, lineno
     return out
 
 
-def _parse_int(key, text):
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a real number",
+             tuple[int, ...]: "comma-separated integers"}
+
+
+def _read(kind, key, text):
+    """`text` read as `kind`: str, bool (in any case), int, float,
+    tuple[int, ...] (any number of comma-separated integers), or a tuple of
+    kinds (as many comma-separated items, each read as the kind in its
+    place).  What it cannot read raises ConfigError naming `key`."""
+    if isinstance(kind, tuple):
+        parts = text.split(",")
+        if len(parts) != len(kind):
+            raise ConfigError(f"{key}: expected {len(kind)} comma-separated values, got {text!r}")
+        return tuple(_read(item, key, part) for item, part in zip(kind, parts))
     try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+        if kind is bool:
+            return _BOOLEANS[text.lower()]
+        if kind == tuple[int, ...]:
+            return tuple(int(part) for part in text.split(","))
+        return kind(text)  # str, int or float
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {text!r}") from None
 
 
-def _parse_float(key, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a real number, got {text!r}") from None
+def _kind(default):
+    """The kind _read reads a value replacing `default` as: its type, or a
+    tuple's item kinds."""
+    return tuple(map(_kind, default)) if isinstance(default, tuple) else type(default)
 
 
-def _parse_bool(key, text):
-    v = text.lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {text!r}")
+def _config_key(key, **kwargs):
+    """An ExperimentConfig field that the line `key = value` sets."""
+    return field(metadata={"key": key}, **kwargs)
 
 
-def _parse_ints(key, text):
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_text(key, text):
-    return text
-
-
-def _parse_like(default, key, text):
-    """`text` read as the type of `default`, a catalog builder's default: an
-    int, a float, or a tuple of as many comma-separated items, each read as
-    the default's item in its place."""
-    if not isinstance(default, tuple):
-        return (_parse_int if isinstance(default, int) else _parse_float)(key, text)
-    parts = text.split(",")
-    if len(parts) != len(default):
-        raise ConfigError(f"{key}: expected {len(default)} comma-separated values, got {text!r}")
-    return tuple(_parse_like(d, key, part) for d, part in zip(default, parts))
-
-
-# The grid, solver and output keys: (ExperimentConfig field, parser).  An
-# absent key leaves the field's default.
-_SETTING_PARSERS = {
-    "grid.fine.nodes": ("fine_nodes", _parse_ints),
-    "solver.backend": ("backend", _parse_text),
-    "stop.fine_constant": ("fine_constant", _parse_float),
-    "stop.coarse_constant": ("coarse_constant", _parse_float),
-    "solver.max_iterations": ("max_iterations", _parse_int),
-    "solver.workers": ("workers", _parse_int),
-    "output.field": ("write_field", _parse_bool),
-    "output.errors": ("write_errors", _parse_bool),
-    "limits.allow_large": ("allow_large", _parse_bool),
-}
-
-
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    """An experiment: problem, algorithm, grids, and solver knobs.  The
-    coarse grid of an api run has (n + 1) // 2 nodes per axis for n fine
-    ones.  run_experiment checks the config before it solves."""
+    """An experiment: problem, algorithm, grids, and solver knobs.
 
-    problem: str
-    algorithm: str
-    fine_nodes: tuple
+    The fields are the config in config.txt order: each but `overrides` is
+    set by the key in its metadata, and its value is read as the field's
+    type.  `overrides` holds the problem.* keys but problem.name, each read
+    as the type of the catalog builder's default it replaces.  The coarse
+    grid of an api run has (n + 1) // 2 nodes per axis for n fine ones.
+    run_experiment checks the config before it solves; it refuses a missing
+    algorithm."""
+
+    # from_text reads each value as its field's type, so this module keeps
+    # its annotations evaluated: no `from __future__ import annotations`
+    problem: str = _config_key("problem.name")
+    algorithm: str = _config_key("algorithm", default=None)
     overrides: dict = field(default_factory=dict)
-    fine_constant: float = SolverConfig.stop_constant
-    coarse_constant: float = 5.0
-    max_iterations: int = SolverConfig.max_iterations
-    backend: str = SolverConfig.eval_backend
-    workers: int = field(default_factory=default_workers)
-    write_field: bool = False
-    write_errors: bool = True
-    allow_large: bool = False
+    fine_nodes: tuple[int, ...] = _config_key("grid.fine.nodes")
+    backend: str = _config_key("solver.backend", default=SolverConfig.eval_backend)
+    fine_constant: float = _config_key("stop.fine_constant", default=SolverConfig.stop_constant)
+    coarse_constant: float = _config_key("stop.coarse_constant", default=5.0)
+    max_iterations: int = _config_key("solver.max_iterations", default=SolverConfig.max_iterations)
+    workers: int = _config_key("solver.workers", default_factory=default_workers)
+    write_field: bool = _config_key("output.field", default=False)
+    write_errors: bool = _config_key("output.errors", default=True)
+    allow_large: bool = _config_key("limits.allow_large", default=False)
 
     @classmethod
     def from_text(cls, text):
-        """Parse config text, a problem.* key as the type of its catalog
-        default, raising ConfigError for what it cannot read; run_experiment
-        checks what the values mean.  A problem.* key the problem's builder
-        lacks is kept as text, for that check to name."""
+        """Parse config text, raising ConfigError for what it cannot read,
+        the first fault in config.txt order; run_experiment checks what the
+        values mean.  A problem.* key the problem's builder lacks is kept as
+        text, for that check to name."""
         kv = parse_config_text(text)
-        unknown = [key for key in sorted(kv) if key not in ("algorithm", *_SETTING_PARSERS)
-                   and not key.startswith("problem.")]
+        keys = {f.metadata["key"] for f in fields(cls) if "key" in f.metadata}
+        unknown = [key for key in sorted(kv) if key not in keys and not key.startswith("problem.")]
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-
-        name = kv.pop("problem.name", None)
-        if not name:
+        if not kv.get("problem.name"):
             raise ConfigError("problem.name: missing")
         with _config_errors("problem.name: "):
-            defaults = catalog_defaults(name)
-        if "grid.fine.nodes" not in kv:
-            raise ConfigError("grid.fine.nodes: missing")
-        overrides = {key[len("problem."):]: value
-                     for key, value in kv.items() if key.startswith("problem.")}
-        for key in overrides:
-            if key in defaults:
-                overrides[key] = _parse_like(defaults[key], f"problem.{key}", overrides[key])
-        settings = {
-            attr: parse(key, kv[key])
-            for key, (attr, parse) in _SETTING_PARSERS.items() if key in kv
-        }
-        return cls(problem=name, algorithm=kv.get("algorithm"), overrides=overrides, **settings)
+            defaults = catalog_defaults(kv["problem.name"])
+        values = {}
+        for f in fields(cls):
+            key = f.metadata.get("key")
+            if f.name == "overrides":  # the problem.* keys that no field has
+                values[f.name] = overrides = {}
+                for given, text in kv.items():
+                    if given not in keys:
+                        name = given.removeprefix("problem.")
+                        overrides[name] = (_read(_kind(defaults[name]), given, text)
+                                           if name in defaults else text)
+            elif key in kv:
+                values[f.name] = _read(f.type, key, kv[key])
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{key}: missing")
+        return cls(**values)
 
     def echo_text(self):
         """The config as text, every key that is set, which from_text reads
         back to an equal config."""
-        lines = [f"problem.name = {self.problem}", f"algorithm = {self.algorithm}"]
-        lines += [f"problem.{key} = {_echo(val)}" for key, val in sorted(self.overrides.items())]
-        lines += [f"{key} = {_echo(value)}" for key, (attr, _) in _SETTING_PARSERS.items()
-                  if (value := getattr(self, attr)) is not None]
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "overrides":
+                lines += [f"problem.{key} = {_echo(val)}" for key, val in sorted(value.items())]
+            elif value is not None:
+                lines.append(f"{f.metadata['key']} = {_echo(value)}")
         return "\n".join(lines) + "\n"
 
 
 def _echo(value):
-    """A config value as its parser reads it: sequences as comma lists."""
+    """A config value as _read reads it: sequences as comma lists."""
     return ",".join(map(str, value)) if isinstance(value, (tuple, list)) else str(value)
 
 
@@ -353,19 +342,22 @@ def load_result_field(result_dir):
 
 
 def slice_field(field, axis, coordinate):
-    """Axis-aligned slice through the nearest node plane.
+    """Axis-aligned slice through the nearest node plane of `axis`, from 0;
+    errors name the axis by its column, x1 for axis 0.
 
     Returns (header, rows): the remaining coordinate columns plus the value,
     in flat row-major order over the remaining axes.
     """
     grid = field.grid
     if not 0 <= axis < grid.dim:
-        raise ConfigError(f"slice axis {axis} out of range for a {grid.dim}D grid")
+        columns = " ".join(f"x{i + 1}" for i in range(grid.dim))
+        raise ConfigError(f"slice axis x{axis + 1} out of range: the {grid.dim}D grid's "
+                          f"axes are {columns}")
     coordinate = float(coordinate)
     if not grid.lower[axis] <= coordinate <= grid.upper[axis]:
         raise ConfigError(
             f"slice coordinate {coordinate} outside domain "
-            f"[{grid.lower[axis]}, {grid.upper[axis]}] on axis {axis}"
+            f"[{grid.lower[axis]}, {grid.upper[axis]}] on axis x{axis + 1}"
         )
     coords = grid.axis_coords(axis)
     plane = int(np.argmin(np.abs(coords - coordinate)))

@@ -72,7 +72,7 @@ def _parse_slice(text):
     # one optional x or X, then the axis number from 1
     axis = re.fullmatch(r"[xX]?([0-9]+)", axis_text.strip())
     try:
-        if axis is not None:
+        if axis is not None and int(axis[1]) > 0:
             return int(axis[1]) - 1, float(value_text)
     except ValueError:
         pass

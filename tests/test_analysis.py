@@ -138,6 +138,28 @@ class TestConvergenceRates:
         recs = [h.ErrorRecord(0.1, 0.0, 0.0), h.ErrorRecord(0.05, 1e-3, 1e-3)]
         assert h.convergence_rates(recs) == [(-math.inf, -math.inf)]
 
+    def test_ratio_that_underflows_is_finite(self):
+        """1e-320 / 1e10 rounds to 0, whose log2 is a domain error."""
+        recs = [h.ErrorRecord(0.1, 1e-320, 1e-3), h.ErrorRecord(0.05, 1e10, 1e-3)]
+        l1_rate, sup_rate = h.convergence_rates(recs)[0]
+        assert l1_rate == math.log2(1e-320) - math.log2(1e10)
+        assert l1_rate == pytest.approx(-1096.2, abs=0.1)
+        assert sup_rate == 0.0
+
+    def test_ratio_that_overflows_is_finite(self):
+        recs = [h.ErrorRecord(0.1, 1e300, 1e300), h.ErrorRecord(0.05, 1e-300, 1e300)]
+        l1_rate, sup_rate = h.convergence_rates(recs)[0]
+        assert l1_rate == math.log2(1e300) - math.log2(1e-300)
+        assert l1_rate == pytest.approx(1993.2, abs=0.1)
+        assert sup_rate == 0.0
+
+    def test_normal_ratio_keeps_the_log_of_the_quotient(self):
+        """Within the normal range a rate is log2 of the quotient, bit for
+        bit, whatever the difference of logs would round to."""
+        recs = [h.ErrorRecord(0.1, 3e-2, 7e-3), h.ErrorRecord(0.05, 1.1e-2, 2.9e-3)]
+        assert h.convergence_rates(recs) == [(math.log2(3e-2 / 1.1e-2),
+                                              math.log2(7e-3 / 2.9e-3))]
+
     def test_nan_error_is_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             h.ErrorRecord(0.1, math.nan, 1.0)

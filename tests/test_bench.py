@@ -15,7 +15,6 @@ import pytest
 import hjbsolve as h
 from hjbsolve import bench, cli, problems, solvers
 from hjbsolve.bench import (
-    _SETTING_PARSERS,
     _echo,
     _setup,
     _write_atomic,
@@ -30,6 +29,9 @@ from hjbsolve.grid import RegularGrid, ValueField
 from hjbsolve.problems import _CATALOG
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+# the config keys the fields of ExperimentConfig declare, by field name
+CONFIG_KEYS = {f.name: f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)
+               if "key" in f.metadata}
 
 SMALL_API = """
 problem.name = test4_eik2d
@@ -43,6 +45,11 @@ class TestConfigParsing:
     def test_key_value_lines(self):
         kv = parse_config_text("a.b = 1\n# comment\nc = two  # trailing\n")
         assert kv == {"a.b": "1", "c": "two"}
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text("a = 1\nb = 2\n# a = 3\n\n a = 1 # the same value\n")
+        assert str(info.value) == "line 5: a is already set on line 1"
 
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -87,7 +94,7 @@ class TestConfigParsing:
         """A missing or unknown algorithm is refused before the run, in a
         config read from text or built in code."""
         for cfg in (ExperimentConfig.from_text("problem.name = test1_1d\ngrid.fine.nodes = 21\n"),
-                    ExperimentConfig("test1_1d", "xyz", (21,))):
+                    ExperimentConfig(problem="test1_1d", algorithm="xyz", fine_nodes=(21,))):
             with pytest.raises(ConfigError, match="^algorithm: must be one of vi, pi, api$"):
                 run_experiment(cfg)
 
@@ -134,7 +141,7 @@ class TestConfigParsing:
 
     def test_readme_lists_every_config_key(self):
         block = README.read_text().split("Config keys", 1)[1].split("```")[1]
-        keys = {"problem.name", "algorithm", *_SETTING_PARSERS}
+        keys = set(CONFIG_KEYS.values())
         for builder in _CATALOG.values():
             keys |= {f"problem.{name}" for name in inspect.signature(builder).parameters}
         assert [key for key in sorted(keys) if f"{key} =" not in block] == []
@@ -144,6 +151,100 @@ class TestConfigParsing:
         keys = [f.metadata.get("key", f.name) for f in dataclasses.fields(h.RunReport)
                 if f.name != "phases"]
         assert [key for key in keys if f"`{key}`" not in section] == []
+
+    @pytest.mark.parametrize("line,message", [
+        # an empty value is malformed, not missing
+        ("grid.fine.nodes =", "grid.fine.nodes: expected comma-separated integers, got ''"),
+        ("grid.fine.nodes = 11,", "grid.fine.nodes: expected comma-separated integers, "
+                                  "got '11,'"),
+        ("grid.fine.nodes = 11, x", "grid.fine.nodes: expected comma-separated integers, "
+                                    "got '11, x'"),
+        ("grid.fine.nodes = 1.5", "grid.fine.nodes: expected comma-separated integers, "
+                                  "got '1.5'"),
+        ("stop.fine_constant =", "stop.fine_constant: expected a real number, got ''"),
+        ("stop.fine_constant = 1,2", "stop.fine_constant: expected a real number, got '1,2'"),
+        ("stop.coarse_constant =", "stop.coarse_constant: expected a real number, got ''"),
+        ("stop.coarse_constant = fast",
+         "stop.coarse_constant: expected a real number, got 'fast'"),
+        ("solver.max_iterations =", "solver.max_iterations: expected an integer, got ''"),
+        ("solver.max_iterations = 1.5",
+         "solver.max_iterations: expected an integer, got '1.5'"),
+        ("solver.workers =", "solver.workers: expected an integer, got ''"),
+        ("solver.workers = 2.0", "solver.workers: expected an integer, got '2.0'"),
+        ("output.field =", "output.field: expected a boolean, got ''"),
+        ("output.field = 2", "output.field: expected a boolean, got '2'"),
+        ("output.errors =", "output.errors: expected a boolean, got ''"),
+        ("output.errors = y", "output.errors: expected a boolean, got 'y'"),
+        ("limits.allow_large =", "limits.allow_large: expected a boolean, got ''"),
+        ("limits.allow_large = ja", "limits.allow_large: expected a boolean, got 'ja'"),
+        ("problem.control_count =", "problem.control_count: expected an integer, got ''"),
+        ("problem.dt_ratio = 0.8.1", "problem.dt_ratio: expected a real number, got '0.8.1'"),
+        ("problem.domain =", "problem.domain: expected 2 comma-separated values, got ''"),
+        # a tuple item is named as written, spaces kept
+        ("problem.domain = -1, x", "problem.domain: expected a real number, got ' x'"),
+    ])
+    def test_malformed_value_message(self, line, message):
+        key = line.split("=")[0].strip()
+        base = {"problem.name": "test4_eik2d", "algorithm": "vi", "grid.fine.nodes": "11"}
+        text = "".join(f"{k} = {v}\n" for k, v in base.items() if k != key) + line + "\n"
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_text(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,message", [
+        ("algorithm = vi\ngrid.fine.nodes = 11\n", "problem.name: missing"),
+        ("problem.name =\nalgorithm = vi\ngrid.fine.nodes = 11\n", "problem.name: missing"),
+        ("problem.name = test4_eik2d\nalgorithm = vi\n", "grid.fine.nodes: missing"),
+    ])
+    def test_missing_value_message(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_text(text)
+        assert str(info.value) == message
+
+    def test_config_echo_bytes(self, tmp_path):
+        """config.txt writes every key of the config in one order, whatever
+        the order and spelling of the text: booleans as True or False,
+        numbers as Python prints them and lists without spaces."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(
+            "# every key, in no particular order\n"
+            "limits.allow_large = TRUE\n"
+            "output.errors = Off\n"
+            "output.field = yes\n"
+            "solver.workers = 1\n"
+            "solver.max_iterations = 500\n"
+            "stop.coarse_constant = 4\n"
+            "stop.fine_constant = .25\n"
+            "solver.backend = fixed_point\n"
+            "problem.lam = 1\n"
+            "problem.boundary_value = 3.5\n"
+            "problem.exterior_value = 3.5\n"
+            "problem.domain = -2, 2\n"
+            "problem.dt_ratio = 0.3\n"
+            "problem.control_count = 8  # a comment\n"
+            "grid.fine.nodes = 11, 11\n"
+            "algorithm = api\n"
+            "problem.name = test2_vdp\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "config.txt").read_bytes() == (
+            b"problem.name = test2_vdp\n"
+            b"algorithm = api\n"
+            b"problem.boundary_value = 3.5\n"
+            b"problem.control_count = 8\n"
+            b"problem.domain = -2.0,2.0\n"
+            b"problem.dt_ratio = 0.3\n"
+            b"problem.exterior_value = 3.5\n"
+            b"problem.lam = 1.0\n"
+            b"grid.fine.nodes = 11,11\n"
+            b"solver.backend = fixed_point\n"
+            b"stop.fine_constant = 0.25\n"
+            b"stop.coarse_constant = 4.0\n"
+            b"solver.max_iterations = 500\n"
+            b"solver.workers = 1\n"
+            b"output.field = True\n"
+            b"output.errors = False\n"
+            b"limits.allow_large = True\n")
 
     def test_desk_scale_cap(self):
         cfg = ExperimentConfig.from_text(
@@ -461,8 +562,9 @@ class TestCli:
             fine_constant=0.3, coarse_constant=4.0, max_iterations=7, backend="direct",
             workers=3, write_field=True, write_errors=False, allow_large=True)
         default = ExperimentConfig(problem="test2_vdp", algorithm="api", fine_nodes=(21,))
-        for attr, _ in _SETTING_PARSERS.values():
-            assert getattr(cfg, attr) != getattr(default, attr), attr
+        for attr in CONFIG_KEYS:
+            if attr not in ("problem", "algorithm"):
+                assert getattr(cfg, attr) != getattr(default, attr), attr
         assert ExperimentConfig.from_text(cfg.echo_text()) == cfg
 
     @pytest.mark.parametrize("verb", ["solve", "export"])
@@ -547,6 +649,17 @@ class TestCli:
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert error in err
         assert sweeps == []
+        assert not out.exists()
+
+    def test_repeated_key_is_config_error(self, tmp_path, capsys):
+        """A key set twice is refused, naming both lines, before anything
+        is solved or written."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(SMALL_API + "grid.fine.nodes = 13\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: line 6: grid.fine.nodes is already set on line 4\n")
         assert not out.exists()
 
     def test_unknown_problem_key_lists_the_accepted_ones(self, tmp_path, capsys):
@@ -680,6 +793,23 @@ class TestCli:
                              "--slice", plane, "--out", str(slice_path)]) == 0
             texts.append(slice_path.read_text())
         assert texts[0].startswith("x1 value\n") and texts[1] == texts[2] == texts[0]
+
+    @pytest.mark.parametrize("plane,error", [
+        ("x0=0", "--slice: cannot parse 'x0=0'"),
+        ("0=0", "--slice: cannot parse '0=0'"),
+        ("x3=0", "slice axis x3 out of range: the 2D grid's axes are x1 x2"),
+        ("x2=5", "slice coordinate 5.0 outside domain [-1.0, 1.0] on axis x2"),
+    ])
+    def test_export_slice_errors_number_axes_from_one(self, exported_run, capsys, plane,
+                                                       error):
+        """The flag numbers axes from 1, as the table headers do, and so do
+        its errors; axis 0 is no axis."""
+        capsys.readouterr()
+        slice_path = exported_run / "slice.txt"
+        assert cli.main(["export", str(exported_run), "--format", "slice",
+                         "--slice", plane, "--out", str(slice_path)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {error}\n"
+        assert not slice_path.exists()
 
     @pytest.mark.parametrize("damage", [
         lambda lines: lines[:100],

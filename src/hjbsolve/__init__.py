@@ -26,7 +26,6 @@ from .problems import (
     catalog_names,
     discretize_circle,
     discretize_control_box,
-    euler_arrival,
     target_mask,
 )
 from .solvers import (
@@ -84,7 +83,6 @@ __all__ = [
     "discretize_circle",
     "discretize_control_box",
     "error_vs_reference",
-    "euler_arrival",
     "greedy_control_index",
     "interpolate",
     "kruzkhov_to_time",

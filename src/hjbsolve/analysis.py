@@ -11,8 +11,8 @@ from typing import Optional
 import numpy as np
 
 from .grid import l1_diff, sup_diff, ValueField
-from .problems import euler_arrival, point_target_distances
-from .solvers import greedy_control_index
+from .problems import point_target_distances, ProblemError
+from .solvers import _arrival, greedy_control_index
 
 REACHED_TARGET = "reached_target"
 HORIZON_EXCEEDED = "horizon_exceeded"
@@ -139,8 +139,9 @@ def _reached(spec, grid, x):
 def synthesize_trajectory(spec, V, controls, x0, dt, max_time):
     """Greedy closed-loop rollout under a computed value field.
 
-    Repeats greedy control selection and an Euler step until the target is
-    hit (minimum time), the state leaves the domain, or max_time elapses.
+    Repeats greedy control selection and the sweeps' Euler step (_arrival)
+    until the target is hit (minimum time), the state leaves the domain, or
+    max_time elapses; a `dt` that is not positive raises at the first move.
     """
     x = np.asarray(x0, dtype=float).reshape(-1)
     grid = V.grid
@@ -159,7 +160,9 @@ def synthesize_trajectory(spec, V, controls, x0, dt, max_time):
             break
         j = greedy_control_index(spec, V, controls, x, dt)
         samples.append((t, x.copy(), j))
-        x = euler_arrival(spec, x, controls.vectors[j], dt)
+        if not dt > 0:
+            raise ProblemError(f"time step must be positive, got {dt}")
+        x = _arrival(spec, x, controls.vectors[j], dt, j)
         t += dt
     return Trajectory(samples=samples, status=status, final_time=t, final_state=x)
 

@@ -421,28 +421,31 @@ def _experiment(problem, algorithm, nodes, workers, backend="fixed_point", **ove
 def run_suite(name, out_dir, workers=None, include_large=False, only=None):
     """Run the suite `name`, one of SUITES, and write its tables.
 
-    `workers` defaults to the available CPUs.  `only` restricts paper_tables
-    to the named problems; an unknown suite or problem name, an `only` that
-    names none, or `only` on rates, is a ConfigError raised before anything
-    is written.  Partial failures are recorded per row and the suite
+    `workers` defaults to the available CPUs.  Of paper_tables alone,
+    `include_large` adds the rows marked large and `only` keeps the named
+    problems; an unknown suite or problem name, an `only` that names none,
+    or either option on rates, is a ConfigError raised before anything is
+    written.  Partial failures are recorded per row and the suite
     continues.  Returns True when every attempted row succeeded.
     """
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; valid suites: {', '.join(SUITES)}")
     run = SUITES[name]
+    for flag, given in (("--only", only is not None), ("--include-large", include_large)):
+        if given and name != "paper_tables":
+            raise ConfigError(f"{flag} applies to paper_tables, not {name}")
     if only is not None:
-        if name != "paper_tables":
-            raise ConfigError(f"--only applies to paper_tables, not {name}")
         unknown = sorted(set(only) - set(_PAPER_ROWS))
         if unknown or not only:
             named = f"unknown problem(s) {', '.join(unknown)}" if unknown else "names no problem"
             raise ConfigError(f"--only: {named}; valid problems: {', '.join(_PAPER_ROWS)}")
-        run = partial(run, only=only)
+    if name == "paper_tables":
+        run = partial(run, include_large=include_large, only=only)
     os.makedirs(out_dir, exist_ok=True)
-    return run(out_dir, workers, include_large)
+    return run(out_dir, workers)
 
 
-def _run_paper_tables(out_dir, workers, include_large, only=None):
+def _run_paper_tables(out_dir, workers, include_large, only):
     ok = True
     for problem, rows in _PAPER_ROWS.items():
         if only is not None and problem not in only:
@@ -472,7 +475,7 @@ def _run_paper_tables(out_dir, workers, include_large, only=None):
     return ok
 
 
-def _run_rates(out_dir, workers, include_large):
+def _run_rates(out_dir, workers):
     """One row per size of _RATES_SIZES, in order; a row's rates are taken
     against the next size when both succeeded, else shown as '-'."""
     records = {}
@@ -504,5 +507,5 @@ def _run_rates(out_dir, workers, include_large):
     return not any(isinstance(rec, Exception) for rec in records.values())
 
 
-# The suites by name: each runner takes (out_dir, workers, include_large).
+# The suites by name: each takes (out_dir, workers) once run_suite binds its options.
 SUITES = {"paper_tables": _run_paper_tables, "rates": _run_rates}

@@ -10,8 +10,8 @@ Exit codes: 0 success, 2 configuration error, 3 non-convergence or solver
 failure, 4 I/O error.  --threads is the number of threads that Bellman sweeps
 and operator builds spread their blocks of controls over; it defaults to the
 CPUs the process may run on, and results are the same bits for every count.
---only applies to paper_tables and must name catalog problems;
---include-large adds its rows marked large, all within the desk-scale caps.
+--only (catalog names) and --include-large (the rows marked large, within
+the desk-scale caps) apply to paper_tables alone.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _build_parser():
                        help="threads for sweeps and operator builds "
                             "(default: the available CPUs)")
     suite.add_argument("--include-large", action="store_true",
-                       help="also run the rows marked large")
+                       help="also run the paper_tables rows marked large")
     suite.add_argument("--only", default=None,
                        help="comma-separated catalog problems to restrict paper_tables to")
 

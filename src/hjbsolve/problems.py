@@ -114,21 +114,6 @@ class ProblemSpec:
         return RegularGrid(self.lower, self.upper, n)
 
 
-def euler_arrival(spec, x, a, dt):
-    """One explicit Euler step along the dynamics: x + dt * f(x, a).
-
-    Accepts a single state (d,) or a batch (..., d).  No domain clipping is
-    applied; interpolation handles exterior arrival points.
-    """
-    if not dt > 0:
-        raise ProblemError(f"time step must be positive, got {dt}")
-    x = np.asarray(x, dtype=float)
-    out = x + dt * np.asarray(spec.dynamics(x, np.asarray(a, dtype=float)))
-    if not np.isfinite(out).all():
-        raise ProblemError(f"dynamics produced a non-finite arrival from state {x!r}")
-    return out
-
-
 def discretize_control_box(bounds, counts):
     """Tensor-product discretization of a box of controls.
 

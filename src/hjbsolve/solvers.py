@@ -356,17 +356,30 @@ def _stage(spec, points, a, dt):
     return stage
 
 
-def _step(spec, points, a, dt, j, velocity=None):
-    """Control j's (vector `a`) semi-Lagrangian step from the (n, d)
-    `points`: the explicit Euler arrivals x + dt * f(x, a) and the stage
-    costs (_stage).  `velocity` is f(points, a) when the caller already has
-    it.  A non-finite arrival raises."""
+def _require_finite(values, message):
+    """Raise SolverError(message(i)) for the first flat index i at which
+    `values` is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise SolverError(message(int(np.flatnonzero(~finite)[0])))
+
+
+def _arrival(spec, points, a, dt, j, velocity=None):
+    """Control j's (vector `a`) explicit Euler arrivals x + dt * f(x, a)
+    from the `points`, (n, d) or one state (d,), for sweeps, greedy steps
+    and rollouts alike.  `velocity` is f(points, a) when the caller already
+    has it.  A non-finite arrival raises."""
     if velocity is None:
         velocity = spec.dynamics(points, a)
     arrivals = points + dt * np.asarray(velocity)
-    if not np.isfinite(arrivals).all():
-        raise SolverError(f"non-finite arrival under control {j}")
-    return arrivals, _stage(spec, points, a, dt)
+    _require_finite(arrivals, lambda i: f"non-finite arrival under control {j}")
+    return arrivals
+
+
+def _step(spec, points, a, dt, j, velocity=None):
+    """Control j's semi-Lagrangian step from the (n, d) `points`: the
+    arrivals (_arrival) and the stage costs (_stage)."""
+    return _arrival(spec, points, a, dt, j, velocity), _stage(spec, points, a, dt)
 
 
 def _sup_distance(a, b):
@@ -464,8 +477,7 @@ def _shifted(grid, shift, j):
     points = np.tile(grid.lower, (ends[-1], 1))
     for axis in range(grid.dim):
         points[ends[axis]:ends[axis + 1], axis] = grid.axis_coords(axis) + shift[axis]
-    if not np.isfinite(points).all():
-        raise SolverError(f"non-finite arrival under control {j}")
+    _require_finite(points, lambda i: f"non-finite arrival under control {j}")
     base, local, inside_all = locate_points(grid, points)
     bases, locals_, inside, box = [], [], True, []
     for axis in range(grid.dim):
@@ -1023,11 +1035,9 @@ class _Sweeper:
             q[block.outside] = self.spec.exterior_value
             return np.minimum.reduce(q.reshape(len(js), n), axis=0), None, block, span
         q = self._add_stage(q, block)
-        if not finite and not np.isfinite(q).all():
-            bad = int(np.flatnonzero(~np.isfinite(q))[0])
-            raise SolverError(
-                f"non-finite update at node {bad % n} under control {js[bad // n]}"
-            )
+        if not finite:
+            _require_finite(q, lambda i: f"non-finite update at node {i % n} "
+                                         f"under control {js[i // n]}")
         q = q.reshape(len(js), n)
         low = np.minimum.reduce(q, axis=0)
         low_idx = None
@@ -1167,9 +1177,7 @@ class _Sweeper:
         """One frozen-policy sweep over policy_rows' _Block `rows`."""
         out = self._add_stage(self._product(rows, values, None), rows)
         self.apply_pins(out)
-        if not np.isfinite(out).all():
-            bad = int(np.flatnonzero(~np.isfinite(out))[0])
-            raise SolverError(f"non-finite evaluation update at node {bad}")
+        _require_finite(out, lambda i: f"non-finite evaluation update at node {i}")
         return out
 
     def evaluate(self, policy, v, config, backend, first=None):
@@ -1188,10 +1196,8 @@ class _Sweeper:
         if backend == "fixed_point" and first is not None and _sup_distance(first, v) <= eps:
             return first, 1, True
         rows = self.policy_rows(policy)
-        bad = np.flatnonzero(~np.isfinite(rows.c))
-        if bad.size:
-            raise SolverError(f"non-finite stage cost at node {bad[0]} under control "
-                              f"{policy.indices[bad[0]]}")
+        _require_finite(rows.c, lambda i: f"non-finite stage cost at node {i} under "
+                                          f"control {policy.indices[i]}")
         if backend == "fixed_point":
             v, history, converged = _iterate(partial(self.evaluation_sweep, rows=rows),
                                              v, eps, config.inner_cap())
@@ -1314,9 +1320,7 @@ def greedy_control_index(spec, V, controls, x, dt):
     q = interpolate_values(V.grid, V.values, np.concatenate(arrivals), spec.exterior_value)
     q *= _discount(spec, dt)
     q += np.hstack(stage)
-    bad = np.flatnonzero(~np.isfinite(q))
-    if bad.size:
-        raise SolverError(f"non-finite greedy evaluation under control {bad[0]}")
+    _require_finite(q, lambda i: f"non-finite greedy evaluation under control {i}")
     return int(np.argmin(q))
 
 
@@ -1379,9 +1383,10 @@ def policy_evaluation_fixed_point(spec, grid, policy, controls, V_init, config):
     """Frozen-policy value by warm-started fixed-point sweeps.
 
     Iterates the linear one-step update until consecutive sweeps differ by at
-    most eps in the sup norm (the same test as the outer loop).  Returns
-    (field, sweep count, converged); a False flag means the inner iteration
-    cap was hit and the caller should treat the evaluation as failed.
+    most eps in the sup norm (the same test as the outer loop), at most
+    config.inner_cap() times.  Returns (field, sweep count, converged); a
+    False flag means the cap was hit, and policy_iteration goes on from
+    such a truncated field.
     """
     sweeper = _Sweeper(spec, grid, controls, config)
     v, sweeps, converged = sweeper.evaluate(policy, sweeper.pinned_copy(V_init).values,
@@ -1424,7 +1429,9 @@ def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None)
     without building its rows.  The evaluated value sequence is nodewise
     nonincreasing up to the evaluation tolerance.  sub_iteration_history
     records the evaluation effort per outer step (sweeps, or linear-solver
-    iterations for the direct backend).
+    iterations for the direct backend), each at most config.inner_cap():
+    a capped fixed-point evaluation goes on from its truncated field, and
+    only the outer test sets `converged`.
     `on_iterate`, when given, receives every evaluated value field.  The
     reported wall time includes the operator build.
     """

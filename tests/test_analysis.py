@@ -10,6 +10,7 @@ from hjbsolve.analysis import (
     REACHED_TARGET,
     ResidualSummary,
 )
+from hjbsolve.problems import ProblemError
 from hjbsolve.solvers import RunReport
 
 
@@ -111,6 +112,43 @@ class TestErrorVsReference:
         V, _, _ = solved.api("test4_eik2d", 81, eval_backend="direct")
         rec = h.error_vs_reference(V, h.minimum_time_reference(entry))
         assert rec.sup_error == pytest.approx(5.8e-3, rel=0.30)
+
+
+# the catalog references no other test evaluates: (name, coarse and fine
+# nodes per axis)
+REFERENCE_CASES = [("test5_eik2d_disk", 33, 65), ("test7_eik3d_spheres", 13, 25),
+                   ("test8_min4d", 9, 17)]
+
+
+class TestCatalogReferences:
+    @pytest.mark.parametrize("name,coarse,fine", REFERENCE_CASES)
+    def test_reference_time_is_a_distance_to_the_flagged_nodes(self, name, coarse, fine):
+        """reference_time is 0 on the nodes target_mask flags and positive
+        on every other node, and it is 1-Lipschitz between neighbours of
+        either grid and between any two nodes of the coarse one."""
+        entry = h.catalog(name)
+        for n in (coarse, fine):
+            grid = entry.spec.domain_grid(n)
+            flags = h.target_mask(entry.spec, grid)
+            T = np.asarray(entry.reference_time(grid.nodes()))
+            assert flags.any() and np.all(T[flags] == 0.0) and np.all(T[~flags] > 0.0)
+            for axis, step in enumerate(grid.spacing):
+                gaps = np.abs(np.diff(T.reshape(grid.nodes_per_axis), axis=axis))
+                assert np.all(gaps <= step + 1e-12)
+        # every pair of coarse nodes, 64 rows at a time
+        nodes = entry.spec.domain_grid(coarse).nodes()
+        T = np.asarray(entry.reference_time(nodes))
+        for lo in range(0, len(nodes), 64):
+            distances = np.linalg.norm(nodes[lo:lo + 64, None] - nodes[None], axis=-1)
+            assert np.all(np.abs(T[lo:lo + 64, None] - T[None]) <= distances + 1e-12)
+
+    @pytest.mark.parametrize("name,coarse,fine", REFERENCE_CASES)
+    def test_value_iteration_error_falls_under_refinement(self, name, coarse, fine, solved):
+        entry = solved.entry(name)
+        ref = h.minimum_time_reference(entry)
+        errors = [h.error_vs_reference(solved.vi(name, n)[0], ref).l1_error
+                  for n in (coarse, fine)]
+        assert errors[1] < errors[0]
 
 
 class TestConvergenceRates:
@@ -238,6 +276,36 @@ class TestTrajectories:
                                        0.1, max_time=5.0)
         assert traj.status == LEFT_DOMAIN
         assert traj.final_state[0] > 1.0
+
+    @pytest.mark.parametrize("name,x0", [("test1_1d", [0.5]), ("test1_1d", [1.0]),
+                                         ("test4_eik2d", [0.5, 0.3])])
+    def test_each_move_is_one_euler_step(self, solved, name, x0):
+        """Consecutive states satisfy x_{k+1} = x_k + dt * f(x_k, a_{j_k})
+        bit for bit; from test1_1d's stationary point 1 the state stays."""
+        entry = solved.entry(name)
+        V, _, _ = solved.vi(name, 41)
+        dt = entry.dt_for(V.grid)
+        traj = h.synthesize_trajectory(entry.spec, V, entry.controls, np.array(x0), dt,
+                                       max_time=1.0)
+        assert len(traj.samples) >= 5
+        states = [x for _, x, _ in traj.samples] + [traj.final_state]
+        for (_, x, j), arrival in zip(traj.samples, states[1:]):
+            step = x + dt * np.asarray(entry.spec.dynamics(x, entry.controls.vectors[j]))
+            assert arrival.tobytes() == step.tobytes()
+        if x0 == [1.0]:
+            assert all(x.tobytes() == states[0].tobytes() for x in states)
+
+    def test_rejects_a_time_step_that_is_not_positive_at_the_first_move(self):
+        entry = h.catalog("test1_1d")
+        grid = entry.spec.domain_grid(11)
+        V = h.default_initial_field(entry.spec, grid)
+        with pytest.raises(ProblemError, match="^time step must be positive, got 0.0$"):
+            h.synthesize_trajectory(entry.spec, V, entry.controls, np.array([0.0]), 0.0,
+                                    max_time=1.0)
+        # a rollout that ends before its first move returns its Trajectory
+        traj = h.synthesize_trajectory(entry.spec, V, entry.controls, np.array([0.0]), 0.0,
+                                       max_time=0.0)
+        assert (traj.status, traj.samples, traj.final_time) == (HORIZON_EXCEEDED, [], 0.0)
 
     def test_times_step_uniformly(self, solved):
         entry = solved.entry("test4_eik2d")

@@ -426,6 +426,27 @@ class TestCli:
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.txt")]) == 4
 
+    @pytest.mark.parametrize("out,error", [
+        ("file", "[Errno 17] File exists: "), ("file/sub", "[Errno 20] Not a directory: ")],
+        ids=["a_file", "under_a_file"])
+    def test_out_that_cannot_be_a_directory_is_io_error(self, tmp_path, capsys, out, error):
+        (tmp_path / "file").write_text("")
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("problem.name = test1_1d\nalgorithm = vi\ngrid.fine.nodes = 11\n")
+        path = str(tmp_path / out)
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", path]) == 4
+        assert capsys.readouterr().err == f"i/o error: {error}{path!r}\n"
+        assert (tmp_path / "file").read_text() == ""
+
+    def test_solve_without_out_writes_under_results(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        pathlib.Path("cfg.txt").write_text(
+            "problem.name = test1_1d\nalgorithm = vi\ngrid.fine.nodes = 11\n")
+        assert cli.main(["solve", "--config", "cfg.txt"]) == 0
+        out = pathlib.Path("results", "test1_1d-vi-11")
+        assert capsys.readouterr().out.endswith(f"results written to {out}\n")
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "report.txt"]
+
     def test_non_convergence_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(
@@ -484,6 +505,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert expected in err
+        assert not out.exists()
+
+    def test_suite_rates_refuses_include_large(self, tmp_path, capsys):
+        """rates has no rows marked large, so --include-large is refused as
+        --only is, before anything is written."""
+        out = tmp_path / "suite"
+        assert cli.main(["suite", "rates", "--include-large", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: --include-large applies to paper_tables, not rates\n")
         assert not out.exists()
 
     def test_suite_invariants_is_an_invalid_choice(self, tmp_path):

@@ -10,8 +10,10 @@ either policy must have the bytes and products of scipy's subtraction.  The
 BiCGStab systems are test1_1d's under the first policy and the 2-D and 3-D
 problems' under the greedy one.  Each is solved as evaluated (test1_1d at
 321 breaks down with info -10), with b = 0 and with maxiter = 3, which it
-exhausts.  The two loops must give the same bits, the same info and as
-many iterations as scipy calls its callback.
+exhausts.  Two hand-built systems break down on omega, one on rv = 0
+before its first step ends and one on |omega| < eps^2 in its third.  The
+two loops must give the same bits, the same info and as many iterations as
+scipy calls its callback.
 """
 
 import functools
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import hjbsolve as h
-from hjbsolve.solvers import _bicgstab, _Sweeper
+from hjbsolve.solvers import _bicgstab, _CsrRows, _Sweeper
 
 from conftest import CATALOG_CASES
 
@@ -93,9 +95,34 @@ def test_bicgstab_matches_scipy_bit_for_bit(name, n, info, variant):
         rhs, info = np.zeros_like(rhs), 0
     elif variant == "three_steps":
         maxiter = info = 3
+    assert same_as_scipy(matrix, rhs, atol, maxiter)[0] == info
+
+
+# hand-built systems on which the loop breaks down on omega: (A, b,
+# completed iterations)
+OMEGA_BREAKDOWNS = {
+    # A b is orthogonal to b, so rv = 0 before the first step ends
+    "rv_zero": ([[0, 1], [1, 0]], [1, 0], 0),
+    # |omega| falls below eps^2 in the third step
+    "omega_below_eps_squared": ([[2, -1, -2], [2, 0, 1], [0, 2, 0]], [0, 2, -2], 3),
+}
+
+
+@pytest.mark.parametrize("case", OMEGA_BREAKDOWNS)
+def test_bicgstab_omega_breakdown_matches_scipy_bit_for_bit(case):
+    A, b, iterations = OMEGA_BREAKDOWNS[case]
+    csr = sp.csr_matrix(np.array(A, dtype=float))
+    matrix = _CsrRows(csr.indptr, csr.indices, csr.data)
+    assert same_as_scipy(matrix, np.array(b, dtype=float), 1e-12, 100) == (-11, iterations)
+
+
+def same_as_scipy(matrix, rhs, atol, maxiter):
+    """(info, iterations) of _bicgstab on `matrix` and `rhs`, after checking
+    that it leaves b unwritten and gives scipy's x bytes, info and callback
+    count."""
     b = rhs.copy()
-    x, got, iterations = _bicgstab(matrix, b, atol, maxiter)
+    x, info, iterations = _bicgstab(matrix, b, atol, maxiter)
     assert b.tobytes() == rhs.tobytes()  # b is not written
     expected = scipy_bicgstab(matrix, rhs, atol, maxiter)
-    assert (x.tobytes(), got, iterations) == (expected[0].tobytes(), *expected[1:])
-    assert got == info
+    assert (x.tobytes(), info, iterations) == (expected[0].tobytes(), *expected[1:])
+    return info, iterations

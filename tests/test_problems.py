@@ -7,30 +7,6 @@ import hjbsolve as h
 from hjbsolve.problems import HEAT3_A, HEAT3_B, ProblemError
 
 
-class TestEulerArrival:
-    def test_kinked_drift(self):
-        entry = h.catalog("test1_1d")
-        out = h.euler_arrival(entry.spec, np.array([0.5]), np.array([1.0]), 0.1)
-        assert out[0] == pytest.approx(0.55)
-
-    def test_stationary_point(self):
-        entry = h.catalog("test1_1d")
-        out = h.euler_arrival(entry.spec, np.array([1.0]), np.array([1.0]), 0.1)
-        assert out[0] == pytest.approx(1.0)
-
-    def test_eikonal_step(self):
-        entry = h.catalog("test4_eik2d")
-        dt = 0.8 * 0.05
-        a = np.array([0.0])
-        out = h.euler_arrival(entry.spec, np.array([0.0, 0.0]), a, dt)
-        assert out == pytest.approx([0.04, 0.0])
-
-    def test_rejects_bad_dt(self):
-        entry = h.catalog("test1_1d")
-        with pytest.raises(ProblemError):
-            h.euler_arrival(entry.spec, np.array([0.0]), np.array([1.0]), 0.0)
-
-
 class TestDiscretize:
     def test_two_points_are_endpoints(self):
         cs = h.discretize_control_box([(-1.0, 1.0)], [2])

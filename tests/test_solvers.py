@@ -295,6 +295,39 @@ class TestPolicyEvaluation:
                 run()
         assert str(raised.value) == f"non-finite stage cost at node {node} under control 0"
 
+    def test_overflowing_evaluation_update_names_its_first_node(self):
+        """Finite stage costs of 1.7e308 where x > 0.3, on a field of 1.7e308
+        with dt = 1: the discounted sum overflows, and the first sweep's scan
+        names the lowest node whose update, taken one node at a time, is
+        not finite (node 49)."""
+        entry = h.catalog("test2_vdp")
+        grid = entry.spec.domain_grid(9)
+
+        def running_cost(points, a):
+            cost = np.array(entry.spec.running_cost(points, a), dtype=float)
+            cost[np.asarray(points)[..., 0] > 0.3] = 1.7e308
+            return cost
+
+        spec = dataclasses.replace(entry.spec, running_cost=running_cost)
+        cfg = h.SolverConfig(dt=1.0)
+        a = entry.controls.vectors[0]
+        V0 = h.ValueField.full(grid, 1.7e308)
+        sweeper = _Sweeper(spec, grid, entry.controls, cfg)
+        start = sweeper.pinned_copy(V0)
+        with np.errstate(over="ignore"):
+            updates = [math.exp(-spec.kind.lam * cfg.dt)
+                       * h.interpolate(start, x + cfg.dt * spec.dynamics(x, a),
+                                       spec.exterior_value)
+                       + cfg.dt * float(running_cost(x[None, :], a)[0])
+                       for x in grid.nodes()]
+            node = next(i for i, q in enumerate(updates)
+                        if not sweeper.pinned[i] and not math.isfinite(q))
+            with pytest.raises(SolverError) as raised:
+                h.policy_evaluation_fixed_point(spec, grid, h.PolicyField.constant(grid, 0),
+                                                entry.controls, V0, cfg)
+        assert math.isfinite(max(running_cost(grid.nodes(), a)))
+        assert str(raised.value) == f"non-finite evaluation update at node {node}"
+
     def test_backend_agreement_minimum_time(self, solved):
         entry = solved.entry("test4_eik2d")
         V, P, rep = solved.vi("test4_eik2d", 41)

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import l1_diff, sup_diff, ValueField
-from .problems import point_target_distances, ProblemError
+from .problems import point_target_distances
 from .solvers import _arrival, greedy_control_index
 
 REACHED_TARGET = "reached_target"
@@ -141,7 +141,8 @@ def synthesize_trajectory(spec, V, controls, x0, dt, max_time):
 
     Repeats greedy control selection and the sweeps' Euler step (_arrival)
     until the target is hit (minimum time), the state leaves the domain, or
-    max_time elapses; a `dt` that is not positive raises at the first move.
+    max_time elapses; a `dt` that is not positive raises (_arrival) at the
+    first move.
     """
     x = np.asarray(x0, dtype=float).reshape(-1)
     grid = V.grid
@@ -160,8 +161,6 @@ def synthesize_trajectory(spec, V, controls, x0, dt, max_time):
             break
         j = greedy_control_index(spec, V, controls, x, dt)
         samples.append((t, x.copy(), j))
-        if not dt > 0:
-            raise ProblemError(f"time step must be positive, got {dt}")
         x = _arrival(spec, x, controls.vectors[j], dt, j)
         t += dt
     return Trajectory(samples=samples, status=status, final_time=t, final_state=x)

@@ -90,7 +90,7 @@ from .grid import (
     locate_points,
     prolongate,
 )
-from .problems import target_mask
+from .problems import ProblemError, target_mask
 
 
 def _load_sparsetools(folder):
@@ -261,6 +261,9 @@ class RunReport:
     matrix-free and operator_diagonal_controls those whose regular rows are
     held as diagonals.  workers is the number of threads the sweeps used.
 
+    capped_evaluations, on PI reports (so on API's fine phase and total),
+    counts the fixed-point evaluations that stopped at config.inner_cap()
+    without meeting their test; it stays None when there are none.
     policy_changes, on PI reports (so on API's fine phase), holds per
     improvement the number of non-pinned nodes whose control changed.
     bellman_residual, on VI and PI reports (so on both API phases), is
@@ -280,6 +283,7 @@ class RunReport:
     outer_iterations: int = dataclass_field(metadata={"key": "iterations"})
     sub_iteration_history: list = dataclass_field(default_factory=list,
                                                   metadata={"key": "sub_iterations"})
+    capped_evaluations: Optional[int] = None
     node_updates: int
     converged: bool
     wall_time_seconds: float
@@ -368,7 +372,10 @@ def _arrival(spec, points, a, dt, j, velocity=None):
     """Control j's (vector `a`) explicit Euler arrivals x + dt * f(x, a)
     from the `points`, (n, d) or one state (d,), for sweeps, greedy steps
     and rollouts alike.  `velocity` is f(points, a) when the caller already
-    has it.  A non-finite arrival raises."""
+    has it.  A `dt` that is not positive raises ProblemError, and a
+    non-finite arrival SolverError."""
+    if not dt > 0:
+        raise ProblemError(f"time step must be positive, got {dt}")
     if velocity is None:
         velocity = spec.dynamics(points, a)
     arrivals = points + dt * np.asarray(velocity)
@@ -838,6 +845,16 @@ def _covered_seconds(spans):
     return total
 
 
+def _fold_lowest(best, best_idx, low, low_idx):
+    """Fold later controls' values `low` (indices `low_idx`) into the running
+    minimum `best` (indices `best_idx`, or None) in place: np.minimum, as
+    np.minimum.reduce folds rows, and the index moves only where `low` is
+    strictly lower, so it stays the lowest index attaining the minimum."""
+    if best_idx is not None:
+        np.copyto(best_idx, low_idx, where=low < best)
+    np.minimum(best, low, out=best)
+
+
 class _Sweeper:
     """The transition operator of one (problem, grid, controls, dt).
 
@@ -1019,7 +1036,9 @@ class _Sweeper:
         """Block `js`'s part of a Bellman sweep: the per-node minimum of
         discount * (B @ values) + c over its controls, the lowest control
         index attaining it (None unless `policy`), the _Block and the span
-        of its build (None for a kept block).  `block` is a kept block;
+        of its build (None for a kept block).  A value-only sweep
+        min-reduces the controls; a policy sweep folds them one by one
+        (_fold_lowest), with the same values.  `block` is a kept block;
         None builds it first, into `arrays` when they are given.
         Matrix-free rows read `transposed`, the values with the grid axes
         reversed.  `finite` says that every update is known to be finite
@@ -1033,22 +1052,17 @@ class _Sweeper:
         q = self._product(block, values, transposed)
         if finite and not policy:
             q[block.outside] = self.spec.exterior_value
-            return np.minimum.reduce(q.reshape(len(js), n), axis=0), None, block, span
-        q = self._add_stage(q, block)
+        else:
+            q = self._add_stage(q, block)
         if not finite:
             _require_finite(q, lambda i: f"non-finite update at node {i % n} "
                                          f"under control {js[i // n]}")
         q = q.reshape(len(js), n)
-        low = np.minimum.reduce(q, axis=0)
-        low_idx = None
-        if policy:
-            # Control t of the block weighs len(js) - t where it attains the
-            # minimum, so the largest weight marks the lowest such index.  A
-            # max-reduce over axis 0 runs along contiguous rows, where an
-            # argmax over axis 0 would copy the transposed mask.
-            weights = np.arange(len(js), 0, -1, dtype=np.min_scalar_type(len(js)))
-            top = np.maximum.reduce((q == low) * weights[:, None], axis=0)
-            low_idx = js.stop - top.astype(np.int32)
+        if not policy:
+            return np.minimum.reduce(q, axis=0), None, block, span
+        low, low_idx = q[0].copy(), np.full(n, js.start, dtype=np.int32)
+        for t in range(1, len(js)):
+            _fold_lowest(low, low_idx, q[t], js[t])
         return low, low_idx, block, span
 
     def bellman_sweep(self, values, policy=True):
@@ -1057,12 +1071,13 @@ class _Sweeper:
         Returns (new values, argmin policy, evaluation count).  Each block of
         controls gives discount * (B @ values) + c and its lowest-index
         argmin, on a worker thread when there are threads; the calling thread
-        merges the blocks in ascending control order with a strict <, so the
-        lowest control index wins every tie, and a non-finite update raises
-        for the lowest failing control, whatever the thread count.  With
-        policy=False the argmin is skipped and None is returned in its place;
-        the values are the same bits, since the merge of the block minima is
-        unchanged.
+        folds the blocks in ascending control order by the rule that folds
+        the controls inside a block (_fold_lowest).  So the values and the
+        policy are the bits of one fold over the controls, the lowest
+        control index wins every tie, and a non-finite update raises for
+        the lowest failing control, whatever the thread count and the block
+        partition.  With policy=False the argmin is skipped and None is
+        returned in its place; the values are the same bits.
 
         A minimum-time sweep of finite values of modulus at most 1e300 has
         only finite updates, so it scans none: a row's weights are in
@@ -1110,12 +1125,8 @@ class _Sweeper:
                     kept[i] = block._replace(outside=block.outside.copy())
             if best is None:
                 best, best_idx = low, low_idx
-                better = np.empty(len(best), dtype=bool)
             else:
-                np.less(low, best, out=better)
-                np.copyto(best, low, where=better)
-                if policy:
-                    np.copyto(best_idx, low_idx, where=better)
+                _fold_lowest(best, best_idx, low, low_idx)
         self.build_seconds += _covered_seconds(spans)
         self.nnz, self.operator_bytes = nnz, held
         if finite and not policy:
@@ -1310,7 +1321,8 @@ def greedy_control_index(spec, V, controls, x, dt):
 
     The step is a Bellman sweep's: the lowest control index minimizing
     discount * V(arrival) + stage cost, with V interpolated at all arrivals
-    in one call.
+    in one call.  A `dt` that is not positive raises the sweeps'
+    ProblemError (_arrival).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if not spec.contains(x):
@@ -1325,7 +1337,7 @@ def greedy_control_index(spec, V, controls, x, dt):
 
 
 def _make_report(algorithm, sweeper, config, t0, updates, converged, history,
-                 residual, subs=None, changes=None):
+                 residual, subs=None, changes=None, capped=None):
     """The report of a VI or PI run started at `t0`, one outer iteration per
     residual in `history`; `residual` is the returned field's Bellman
     residual."""
@@ -1343,6 +1355,7 @@ def _make_report(algorithm, sweeper, config, t0, updates, converged, history,
         converged=converged,
         residual_history=history,
         sub_iteration_history=subs or [],
+        capped_evaluations=capped,
         policy_changes=changes,
         operator_stored=sweeper.stored,
         operator_nnz=sweeper.nnz,
@@ -1430,8 +1443,9 @@ def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None)
     nonincreasing up to the evaluation tolerance.  sub_iteration_history
     records the evaluation effort per outer step (sweeps, or linear-solver
     iterations for the direct backend), each at most config.inner_cap():
-    a capped fixed-point evaluation goes on from its truncated field, and
-    only the outer test sets `converged`.
+    a capped fixed-point evaluation goes on from its truncated field, the
+    report counts it in capped_evaluations, and only the outer test sets
+    `converged`.
     `on_iterate`, when given, receives every evaluated value field.  The
     reported wall time includes the operator build.
     """
@@ -1451,14 +1465,16 @@ def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None)
 
         subs = []
         changes = []
+        capped = 0
         residual = None
 
         def step(v):
             """Evaluate the policy from v, then improve it."""
-            nonlocal policy, residual, Tv
-            v_new, inner, _ = sweeper.evaluate(policy, v, config, config.eval_backend,
-                                               first=Tv)
+            nonlocal policy, residual, Tv, capped
+            v_new, inner, met = sweeper.evaluate(policy, v, config, config.eval_backend,
+                                                 first=Tv)
             subs.append(inner)
+            capped += not met
             if on_iterate is not None:
                 on_iterate(ValueField(grid, v_new, copy=False))
             Tv, pol, _ = sweeper.bellman_sweep(v_new)
@@ -1472,7 +1488,7 @@ def policy_iteration(spec, grid, controls, config, V_init=None, on_iterate=None)
                                          config.max_iterations)
     updates += (sum(subs) + len(subs) * len(controls)) * sweeper.active_count
     report = _make_report("pi", sweeper, config, t0, updates, converged, history,
-                          residual, subs, changes)
+                          residual, subs, changes, capped or None)
     return ValueField(grid, v, copy=False), policy, report
 
 
@@ -1510,6 +1526,7 @@ def api_solve(spec, coarse_grid, fine_grid, controls, coarse_config, fine_config
         residual_history=list(coarse_report.residual_history)
         + list(fine_report.residual_history),
         sub_iteration_history=list(fine_report.sub_iteration_history),
+        capped_evaluations=fine_report.capped_evaluations,
         phases={"coarse": coarse_report, "fine": fine_report},
     )
     return Vf, policy, report

@@ -9,7 +9,7 @@ import pytest
 import hjbsolve as h
 from hjbsolve import analysis
 from hjbsolve.grid import interpolate_values
-from hjbsolve.problems import InfiniteHorizon, ProblemSpec
+from hjbsolve.problems import InfiniteHorizon, ProblemError, ProblemSpec
 from hjbsolve.solvers import UNSET_POLICY, SolverError
 
 NODE_CASES = [
@@ -138,6 +138,23 @@ def test_non_finite_dynamics_raise_in_greedy_as_in_sweep():
     assert str(greedy.value) == str(sweep.value) == "non-finite arrival under control 0"
     # where the dynamics are finite the greedy step still works
     assert h.greedy_control_index(spec, V, controls, np.array([-0.5]), 0.1) in (0, 1)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.08, math.nan])
+def test_greedy_rejects_a_time_step_that_is_not_positive(dt):
+    """The sweeps' Euler step refuses the time step, so the greedy step
+    answers no index for it: not control 0 for 0, where every arrival is
+    the state itself, nor the heading opposite to dt = 0.08's for -0.08,
+    nor a non-finite arrival for nan."""
+    entry = h.catalog("test4_eik2d")
+    grid = entry.spec.domain_grid(21)
+    cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=1)
+    V, _, _ = h.value_iteration(entry.spec, grid, entry.controls, cfg)
+    x = np.array([0.5, 0.0])
+    assert h.greedy_control_index(entry.spec, V, entry.controls, x, 0.08) == 0
+    with pytest.raises(ProblemError) as info:
+        h.greedy_control_index(entry.spec, V, entry.controls, x, dt)
+    assert str(info.value) == f"time step must be positive, got {dt}"
 
 
 def test_non_finite_evaluation_names_lowest_control():

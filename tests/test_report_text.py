@@ -105,7 +105,8 @@ def test_bare_report_text():
 
 FULL = dict(
     grid_shape=(5, 9), dx=0.25, dt=0.1, control_count=2, epsilon=1e-300,
-    outer_iterations=2, sub_iteration_history=[3, 0], node_updates=12345678901234567890,
+    outer_iterations=2, sub_iteration_history=[3, 0], capped_evaluations=1,
+    node_updates=12345678901234567890,
     wall_time_seconds=12.5, converged=True, residual_history=[-0.0, 1e-300],
     operator_stored=False, operator_nnz=0, operator_bytes=48,
     operator_build_wall_time_seconds=2.5e-7, operator_separable_controls=2,
@@ -125,6 +126,7 @@ def test_full_report_text():
         "epsilon = 1e-300\n"
         "iterations = 2\n"
         "sub_iterations = 3,0\n"
+        "capped_evaluations = 1\n"
         "node_updates = 12345678901234567890\n"
         "converged = True\n"
         "wall_time_seconds = 12.500000\n"

@@ -443,6 +443,24 @@ class TestPolicyIteration:
         )
         assert worst <= 10 * eps
 
+    def test_report_counts_capped_evaluations(self):
+        entry = h.catalog("test2_vdp")
+        grid = entry.spec.domain_grid(41)
+        cfg = h.SolverConfig(dt=entry.dt_for(grid), max_iterations=10, workers=1)
+        _, _, rep = h.policy_iteration(entry.spec, grid, entry.controls, cfg)
+        assert rep.converged
+        assert rep.sub_iteration_history[:3] == [100, 100, 87]
+        assert cfg.inner_cap() == 100
+        assert rep.capped_evaluations == 2
+        assert "\ncapped_evaluations = 2\n" in rep.to_text()
+        # without a capped evaluation the field stays None and is not written
+        cfg = dataclasses.replace(cfg, max_iterations=20000)
+        _, _, rep = h.policy_iteration(entry.spec, grid, entry.controls, cfg)
+        assert rep.sub_iteration_history[:3] == [128, 116, 87]
+        assert max(rep.sub_iteration_history) < cfg.inner_cap()
+        assert rep.capped_evaluations is None
+        assert "capped_evaluations" not in rep.to_text()
+
     @pytest.mark.parametrize("name", ["test2_vdp", "test4_eik2d"])
     def test_value_guess_starts_from_its_greedy_policy(self, name):
         # The first evaluation from V_init = V is the fixed-point evaluation,

@@ -84,6 +84,74 @@ def test_sweeps_are_bit_identical_across_workers(path, monkeypatch, rng):
                 assert pol.tobytes() == ref_policy.tobytes()
 
 
+def signed_zero_problem():
+    """A discounted spec on [-1, 1]^2 whose every update is a signed zero,
+    with its 16 controls (a 4 x 4 box).  Every arrival leaves the box, the
+    exterior value is -0.0 and control a's running cost is a[1] * 0.0, so
+    the update is -0.0 under the controls with a[1] < 0 and +0.0 under the
+    others: every control ties, and the last one, with a[1] = 1, gives +0."""
+    spec = h.ProblemSpec(
+        state_dim=2,
+        dynamics=lambda pts, a: np.tile(100.0 * a, (len(pts), 1)),
+        running_cost=lambda pts, a: np.full(len(pts), a[1] * 0.0),
+        kind=h.InfiniteHorizon(1.0),
+        lower=(-1.0, -1.0),
+        upper=(1.0, 1.0),
+        exterior_value=-0.0,
+    )
+    return spec, h.discretize_control_box([(-1.0, 1.0), (-1.0, 1.0)], [4, 4])
+
+
+@pytest.mark.parametrize("partition", ["small_blocks", "one_control_per_block"])
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_signed_zero_ties_do_not_depend_on_the_block_partition(path, partition,
+                                                               monkeypatch):
+    """Inside a block and across blocks the controls fold by one rule, so
+    the sign of a tied zero is the same for every block partition."""
+    spec, controls = signed_zero_problem()
+    grid = spec.domain_grid(NODES)
+    values = np.full(grid.num_nodes, 0.5)
+    cfg = h.SolverConfig(dt=0.08, workers=1)
+    with _Sweeper(spec, grid, controls, cfg) as sweeper:
+        assert len(sweeper.blocks) == 1
+        ref_values, ref_policy, _ = sweeper.bellman_sweep(values)
+    # the later control's zero and the lowest index
+    assert ref_values.tobytes() == np.zeros(grid.num_nodes).tobytes()
+    assert not ref_policy.any()
+    small_blocks(monkeypatch, path)
+    if partition == "one_control_per_block":
+        monkeypatch.setattr(solvers, "_BLOCK_ROWS", NODES ** 2)
+    for w in WORKERS:
+        cfg = h.SolverConfig(dt=0.08, workers=w)
+        with _Sweeper(spec, grid, controls, cfg) as sweeper:
+            assert len(sweeper.blocks) == (16 if partition == "one_control_per_block"
+                                           else {1: 4, 2: 8, 3: 16}[w])
+            full, pol, _ = sweeper.bellman_sweep(values)
+            only, _, _ = sweeper.bellman_sweep(values, policy=False)
+        assert full.tobytes() == only.tobytes() == ref_values.tobytes()
+        assert pol.tobytes() == ref_policy.tobytes()
+
+
+def test_more_than_255_controls_in_one_block(monkeypatch):
+    """One block of 300 controls, with the ties of a constant field, gives
+    the bits and the policy of blocks of at most 4."""
+    entry = h.catalog("test4_eik2d", control_count=300)
+    grid = entry.spec.domain_grid(NODES)
+    values = np.full(grid.num_nodes, 0.5)
+    cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=1)
+    with _Sweeper(entry.spec, grid, entry.controls, cfg) as sweeper:
+        assert [len(js) for js in sweeper.blocks] == [300]
+        ref_values, ref_policy, _ = sweeper.bellman_sweep(values)
+    small_blocks(monkeypatch, "stored")
+    for w in WORKERS:
+        cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=w)
+        with _Sweeper(entry.spec, grid, entry.controls, cfg) as sweeper:
+            assert max(len(js) for js in sweeper.blocks) <= 4
+            out, pol, _ = sweeper.bellman_sweep(values)
+        assert out.tobytes() == ref_values.tobytes()
+        assert pol.tobytes() == ref_policy.tobytes()
+
+
 @pytest.mark.parametrize("path", sorted(PATHS))
 def test_solves_are_bit_identical_across_workers(path, monkeypatch):
     entry, grid = problem()

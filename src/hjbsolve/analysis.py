@@ -12,7 +12,7 @@ import numpy as np
 
 from .grid import l1_diff, sup_diff, ValueField
 from .problems import point_target_distances
-from .solvers import _arrival, greedy_control_index
+from .solvers import _arrival, _state, greedy_control_index
 
 REACHED_TARGET = "reached_target"
 HORIZON_EXCEEDED = "horizon_exceeded"
@@ -142,9 +142,9 @@ def synthesize_trajectory(spec, V, controls, x0, dt, max_time):
     Repeats greedy control selection and the sweeps' Euler step (_arrival)
     until the target is hit (minimum time), the state leaves the domain, or
     max_time elapses; a `dt` that is not positive raises (_arrival) at the
-    first move.
+    first move, and an `x0` of another dimension at once (_state).
     """
-    x = np.asarray(x0, dtype=float).reshape(-1)
+    x = _state(spec, x0)
     grid = V.grid
     samples = []
     t = 0.0

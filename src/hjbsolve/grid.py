@@ -65,6 +65,10 @@ class RegularGrid:
         self.spacing = tuple(
             (hi - lo) / (n - 1) for lo, hi, n in zip(lower, upper, nodes)
         )
+        for lo, hi, h in zip(lower, upper, self.spacing):
+            if not 0 < h < np.inf:
+                raise GridError(f"need finite bounds and a positive finite spacing on every "
+                                f"axis, got spacing {h} on [{lo}, {hi}]")
         self.shape = nodes
         self.num_nodes = total
         # Flat strides for row-major node numbering, last axis fastest.

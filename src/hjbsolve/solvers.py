@@ -83,6 +83,7 @@ import scipy
 from .grid import (
     RegularGrid,
     ValueField,
+    _check_same_grid,
     cell_index,
     corner_offsets,
     corner_weights,
@@ -502,79 +503,54 @@ def _shifted(grid, shift, j):
 def _diagonals(grid, bases, locals_, box, out):
     """A separable control's _DiagonalRows, from _shifted's `bases`,
     `locals_` and `box`, its 2^d diagonals written into `out`, a (2^d, N)
-    array; or None, writing nothing, when the diagonals would hold at least
-    the bytes of the CSR rows they replace (12 per entry and 4 per row
-    pointer).
+    array; or None, writing nothing, when the box is empty or the diagonals
+    would hold at least the bytes of the CSR rows they replace (12 per
+    entry and 4 per row pointer).
 
-    A row is regular when its cell base is the node plus the offset, per
-    axis, that most in-box rows share.  Corner k of every regular row r
-    then lies at one flat offset from it, offsets[k], ascending in corner
-    order, and out[k, r + offsets[k]] holds the corner's weight: DIA's
-    layout, in which dia_matvec adds out[k, i] * v[i] into the row
-    i - offsets[k].  All other entries are 0.  `out` is zeroed, the rows
-    from each axis's first regular row to its last are written through
-    corner_weights, and the irregular ones among them zeroed again.  The
-    irregular in-box rows are written by _fill_rows into CSR arrays of
-    their own, from their cell bases and local coordinates as one (k,) row
-    per axis.
+    A row's offset is its cell's lowest corner minus the row, in flat
+    indices.  Regular rows are the in-box rows at the most common offset,
+    delta: corner k of each lies at offsets[k] = delta + corner_offsets[k]
+    from it, and out[k, r + offsets[k]] holds regular row r's weight there
+    (DIA's layout: dia_matvec adds out[k, i] * v[i] into row i - offsets[k]);
+    all other entries are 0.  delta sums each axis's most common shift, cell
+    base minus node (the lowest on a tie), times its stride: the shifts vary
+    independently over the box, and an offset fixes them, as on an axis of
+    n nodes, whose cell bases never decrease, they lie within n - 1 of each
+    other.  The irregular in-box rows go to _fill_rows, into CSR arrays of
+    their own, as one (k,) row per axis.
     """
-    d = grid.dim
     if any(s.start == s.stop for s in box):
         return None
-    # per axis: the offset, the mask of the regular box rows (None when all
-    # are) and the first and last regular one
-    deltas, masks, ends = [], [], []
-    for b, s in zip(bases, box):
-        shift = b.reshape(-1) - np.arange(s.start, s.stop)
-        delta = int(shift[0])
-        if (shift == delta).all():
-            masks.append(None)
-            ends.append((0, len(shift) - 1))
-        else:
-            low = int(shift.min())
-            delta = int(np.bincount(shift - low).argmax()) + low
-            masks.append(shift == delta)
-            regular = np.flatnonzero(masks[-1])
-            ends.append((int(regular[0]), int(regular[-1])))
-        deltas.append(delta)
-    shape = [s.stop - s.start for s in box]
-    regular_rows = math.prod(n if m is None else int(np.count_nonzero(m))
-                             for n, m in zip(shape, masks))
-    if 8 * out.size >= regular_rows * (12 * len(out) + 4):
+    index = [np.arange(s.start, s.stop, dtype=np.int32).reshape(b.shape)
+             for s, b in zip(box, bases)]
+    shifts = [b - i for b, i in zip(bases, index)]
+    delta = 0
+    for shift, stride in zip(shifts, grid.strides):
+        low = int(shift.min())
+        delta += (int(np.bincount(shift.reshape(-1) - low).argmax()) + low) * stride
+    irregular = cell_index(grid, shifts) != delta
+    holes = np.count_nonzero(irregular)
+    if 8 * out.size >= (irregular.size - holes) * (12 * len(out) + 4):
         return None
-    # per axis: the written rows, from the first regular one to the last,
-    # their count and the DIA column of the first one's lower corner
-    firsts = [s.start + lo for s, (lo, _) in zip(box, ends)]
-    counts = [hi - lo + 1 for lo, hi in ends]
-    columns = [first + delta for first, delta in zip(firsts, deltas)]
-    out.fill(0.0)
-    corners = out.reshape((2,) * d + grid.shape)
-    targets = [corners[bits + tuple(slice(column + bit, column + bit + count)
-                                    for column, bit, count in zip(columns, bits, counts))]
-               for bits in product((0, 1), repeat=d)]
-    written = [w.reshape(-1)[lo:hi + 1].reshape([-1 if k == axis else 1 for k in range(d)])
-               for axis, (w, (lo, hi)) in enumerate(zip(locals_, ends))]
-    for _ in corner_weights(written, out=targets):
-        pass
-    offsets = np.array(corner_offsets(grid), dtype=np.int32)
-    offsets += sum(delta * stride for delta, stride in zip(deltas, grid.strides))
-    if all(m is None for m in masks):
+    offsets = np.array(corner_offsets(grid), dtype=np.int32) + delta
+    # each corner's weights, 0 on the irregular rows, on the box of one
+    # grid-shaped row, which is copied into out[k] shifted by offsets[k]
+    scratch = np.zeros(grid.shape)
+    row, weights = scratch.reshape(-1), scratch[box]
+    for k, (offset, _) in enumerate(zip(offsets.tolist(),
+                                        corner_weights(locals_, out=repeat(weights)))):
+        if holes:
+            np.copyto(weights, 0.0, where=irregular)
+        lo, hi = max(offset, 0), len(row) + min(offset, 0)
+        out[k, :lo] = out[k, hi:] = 0.0
+        out[k, lo:hi] = row[lo - offset:hi - offset]
+    if not holes:
         return _DiagonalRows(offsets, out, None, None)
-    regular = True
-    for axis, (m, (lo, hi)) in enumerate(zip(masks, ends)):
-        if m is None:
-            continue
-        holes = np.flatnonzero(~m[lo:hi + 1])
-        if len(holes):
-            for target in targets:
-                target[(slice(None),) * axis + (holes,)] = 0.0
-        regular = regular & m.reshape([-1 if k == axis else 1 for k in range(d)])
-    at = np.unravel_index(np.flatnonzero(~np.broadcast_to(regular, shape)), shape)
-    nodes = sum((s.start + i) * stride for s, i, stride in zip(box, at, grid.strides))
-    irregular = _fill_rows(grid, [b.reshape(-1)[i] for b, i in zip(bases, at)],
-                           [w.reshape(-1)[i] for w, i in zip(locals_, at)],
-                           np.ones(len(nodes), dtype=bool), *_csr_arrays((len(nodes),), grid))
-    return _DiagonalRows(offsets, out, irregular, nodes.astype(np.int32))
+    b, w, i = ([np.broadcast_to(a, irregular.shape)[irregular] for a in arrays]
+               for arrays in (bases, locals_, index))
+    rows = _fill_rows(grid, b, w, np.ones(len(i[0]), dtype=bool),
+                      *_csr_arrays((len(i[0]),), grid))
+    return _DiagonalRows(offsets, out, rows, cell_index(grid, i).astype(np.int32))
 
 
 class _CsrRows(NamedTuple):
@@ -1001,7 +977,9 @@ class _Sweeper:
         return self._pool.map(fn, *iterables)
 
     def pinned_copy(self, field):
-        """A copy of `field` with the pins applied."""
+        """A copy of `field` with the pins applied; a field on another grid
+        raises GridError."""
+        _check_same_grid(field, self)
         v = field.values.copy()
         self.apply_pins(v)
         return ValueField(self.grid, v, copy=False)
@@ -1139,7 +1117,9 @@ class _Sweeper:
         """The frozen-policy operator, a _Block of N rows in node order: row
         i is node i's row under control policy[i], empty for a pinned node,
         whose stage cost is 0 when it is one per node and which `outside`
-        omits.  A non-pinned node whose index is no control index raises."""
+        omits.  A policy on another grid raises GridError, and a non-pinned
+        node whose index is no control index SolverError."""
+        _check_same_grid(policy, self)
         m = len(self.controls)
         idx = np.where(self.pinned, UNSET_POLICY, policy.indices)
         bad = np.flatnonzero(~self.pinned & ((idx < 0) | (idx >= m)))
@@ -1309,11 +1289,22 @@ def bellman_update(spec, grid, V, controls, config):
     Every node reads only the input field; per node all controls are
     enumerated, the discounted interpolated continuation plus stage cost is
     minimized, and the argmin index is recorded (ties break low).  Target and
-    fixed-boundary nodes are pinned.
+    fixed-boundary nodes are pinned.  A field on another grid raises
+    GridError.
     """
     with _Sweeper(spec, grid, controls, config, store_separable=False) as sweeper:
+        _check_same_grid(V, sweeper)
         out, pol, _ = sweeper.bellman_sweep(V.values)
     return ValueField(grid, out, copy=False), PolicyField(grid, pol)
+
+
+def _state(spec, x):
+    """`x` as a flat float state; one whose length is not the problem's
+    state dimension raises SolverError."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != spec.state_dim:
+        raise SolverError(f"state has dimension {x.size}, problem has {spec.state_dim}")
+    return x
 
 
 def greedy_control_index(spec, V, controls, x, dt):
@@ -1322,9 +1313,10 @@ def greedy_control_index(spec, V, controls, x, dt):
     The step is a Bellman sweep's: the lowest control index minimizing
     discount * V(arrival) + stage cost, with V interpolated at all arrivals
     in one call.  A `dt` that is not positive raises the sweeps'
-    ProblemError (_arrival).
+    ProblemError (_arrival), and a state of another dimension SolverError
+    (_state).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _state(spec, x)
     if not spec.contains(x):
         raise SolverError(f"state {x!r} lies outside the problem domain")
     steps = [_step(spec, x[None, :], a, dt, j) for j, a in enumerate(controls.vectors)]

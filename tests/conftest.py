@@ -143,7 +143,11 @@ def diagonal_rows(rows, n, in_box):
     not being held, and an irregular row from its CSR rows.  Fails unless
     the diagonals are 0 but at the columns of the rows they hold, whose
     columns lie in the grid, and the irregular rows, 2^d entries each, are
-    exactly the in-box rows that the diagonals do not hold."""
+    exactly the in-box rows that the diagonals do not hold, and unless
+    they hold the rows at the most common flat offset, offsets[0]: an
+    in-box row's offset is its lowest corner's column minus the row, no
+    offset is shared by more in-box rows than offsets[0], and the held
+    rows are exactly the in-box rows at offsets[0]."""
     offsets, data = rows.offsets, rows.diagonals
     width = len(offsets)
     assert data.shape == (width, n) and offsets.dtype == np.int32
@@ -163,12 +167,16 @@ def diagonal_rows(rows, n, in_box):
     skipped = np.flatnonzero(in_box & ~held)
     if rows.irregular is None:
         assert rows.nodes is None and not len(skipped)
-        return cols, vals, in_box
-    assert rows.nodes.dtype == np.int32 and np.array_equal(rows.nodes, skipped)
-    assert len(rows.irregular.indptr) == len(skipped) + 1
-    irregular_cols, irregular_vals, irregular_full = csr_rows(rows.irregular, width)
-    assert irregular_full.all()
-    cols[skipped], vals[skipped] = irregular_cols, irregular_vals
+    else:
+        assert rows.nodes.dtype == np.int32 and np.array_equal(rows.nodes, skipped)
+        assert len(rows.irregular.indptr) == len(skipped) + 1
+        irregular_cols, irregular_vals, irregular_full = csr_rows(rows.irregular, width)
+        assert irregular_full.all()
+        cols[skipped], vals[skipped] = irregular_cols, irregular_vals
+    offset = cols[:, 0] - r
+    assert np.unique(offset[in_box], return_counts=True)[1].max() == (
+        np.count_nonzero(offset[in_box] == offsets[0]))
+    assert np.array_equal(held, in_box & (offset == offsets[0]))
     return cols, vals, in_box
 
 

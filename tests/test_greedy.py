@@ -172,3 +172,16 @@ def test_non_finite_evaluation_names_lowest_control():
     with pytest.raises(SolverError, match="non-finite greedy evaluation under control 1$"):
         h.greedy_control_index(spec, h.ValueField.full(grid, 0.0), controls,
                                np.array([0.5]), 0.1)
+
+
+@pytest.mark.parametrize("x", [[0.1, 0.2, 0.3], [0.1]])
+def test_a_state_of_another_dimension_is_refused(x):
+    """The greedy step and the rollout refuse a state whose length is not
+    the problem's state dimension, naming both."""
+    entry = h.catalog("test4_eik2d")
+    V = h.ValueField.full(entry.spec.domain_grid(11), 0.5)
+    message = f"^state has dimension {len(x)}, problem has 2$"
+    with pytest.raises(SolverError, match=message):
+        h.greedy_control_index(entry.spec, V, entry.controls, x, 0.1)
+    with pytest.raises(SolverError, match=message):
+        h.synthesize_trajectory(entry.spec, V, entry.controls, x, 0.1, 1.0)

@@ -46,6 +46,14 @@ class TestRegularGrid:
         with pytest.raises(GridError):
             RegularGrid((0.0,) * 5, (1.0,) * 5, (3,) * 5)
 
+    @pytest.mark.parametrize("lower,upper", [(0.0, math.inf), (-math.inf, 0.0),
+                                             (-1e308, 1e308), (0.0, 5e-324)])
+    def test_bounds_must_give_a_positive_finite_spacing(self, lower, upper):
+        """Bounds that are not finite, or whose spacing overflows or
+        underflows, are refused rather than giving nan and inf nodes."""
+        with pytest.raises(GridError, match="positive finite spacing"):
+            RegularGrid((lower,), (upper,), (3,))
+
     def test_node_counts_must_be_whole_numbers(self):
         with pytest.raises(GridError, match="whole numbers"):
             RegularGrid((0.0,), (1.0,), (2.7,))

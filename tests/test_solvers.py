@@ -589,6 +589,45 @@ class TestApiSolve:
         assert rep.node_updates == vi.node_updates + pi.node_updates
 
 
+# Per solver entry point: a call of it on `grid` with the value field V and
+# the policy P
+MISMATCH_CALLS = {
+    "value_iteration": lambda e, grid, cfg, V, P: h.value_iteration(
+        e.spec, grid, e.controls, cfg, V0=V),
+    "policy_iteration": lambda e, grid, cfg, V, P: h.policy_iteration(
+        e.spec, grid, e.controls, cfg, V_init=V),
+    "bellman_update": lambda e, grid, cfg, V, P: h.bellman_update(
+        e.spec, grid, V, e.controls, cfg),
+    "policy_evaluation_fixed_point": lambda e, grid, cfg, V, P: h.policy_evaluation_fixed_point(
+        e.spec, grid, P, e.controls, V, cfg),
+    "policy_evaluation_direct": lambda e, grid, cfg, V, P: h.policy_evaluation_direct(
+        e.spec, grid, P, e.controls, cfg),
+}
+
+
+@pytest.mark.parametrize("call,argument", [
+    ("value_iteration", "field"), ("policy_iteration", "field"), ("bellman_update", "field"),
+    ("policy_evaluation_fixed_point", "field"), ("policy_evaluation_fixed_point", "policy"),
+    ("policy_evaluation_direct", "policy")])
+@pytest.mark.parametrize("other", [(-1.0, 1.0, 11), (-1.0, 2.0, 21)])
+def test_a_field_or_policy_on_another_grid_is_refused(call, argument, other):
+    """Every solver entry point refuses a value field or a policy on another
+    grid with sup_diff's GridError: one with fewer nodes, and one with the
+    same node count on another box."""
+    entry = h.catalog("test4_eik2d")
+    grid = entry.spec.domain_grid(21)
+    lo, hi, n = other
+    elsewhere = h.RegularGrid((lo, lo), (hi, hi), (n, n))
+    V, P = h.ValueField.full(grid, 0.5), h.PolicyField.constant(grid)
+    if argument == "field":
+        V = h.ValueField.full(elsewhere, 0.5)
+    else:
+        P = h.PolicyField.constant(elsewhere)
+    cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=1)
+    with pytest.raises(h.GridError, match="^fields live on different grids$"):
+        MISMATCH_CALLS[call](entry, grid, cfg, V, P)
+
+
 class TestGreedyControl:
     def test_drives_toward_cheap_boundary(self, solved):
         entry = solved.entry("test1_1d")

@@ -44,13 +44,11 @@ from .solvers import (
 )
 from .analysis import (
     ErrorRecord,
-    ResidualSummary,
     Trajectory,
     convergence_rates,
     error_vs_reference,
     kruzkhov_to_time,
     minimum_time_reference,
-    residual_diagnostics,
     synthesize_trajectory,
     time_to_kruzkhov,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "ProblemError",
     "ProblemSpec",
     "RegularGrid",
-    "ResidualSummary",
     "RunReport",
     "SolverConfig",
     "SolverError",
@@ -92,7 +89,6 @@ __all__ = [
     "policy_evaluation_fixed_point",
     "policy_iteration",
     "prolongate",
-    "residual_diagnostics",
     "sup_diff",
     "synthesize_trajectory",
     "target_mask",

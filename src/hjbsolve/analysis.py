@@ -1,25 +1,23 @@
 """Error norms against references, empirical convergence rates, Kruzkhov
-transforms, residual-history diagnostics, and feedback-trajectory synthesis."""
+transforms, and feedback-trajectory synthesis."""
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import l1_diff, sup_diff, ValueField
 from .problems import point_target_distances
-from .solvers import _arrival, _state, greedy_control_index
+from .solvers import SolverError, _arrival, _state, greedy_control_index
 
 REACHED_TARGET = "reached_target"
 HORIZON_EXCEEDED = "horizon_exceeded"
 LEFT_DOMAIN = "left_domain"
 
 _INFINITY_CUTOFF = 1.0 - 1e-14
-_RESIDUAL_WINDOW = 5
 
 
 @dataclass
@@ -142,9 +140,13 @@ def synthesize_trajectory(spec, V, controls, x0, dt, max_time):
     Repeats greedy control selection and the sweeps' Euler step (_arrival)
     until the target is hit (minimum time), the state leaves the domain, or
     max_time elapses; a `dt` that is not positive raises (_arrival) at the
-    first move, and an `x0` of another dimension at once (_state).
+    first move, and an `x0` of another dimension (_state) or a `max_time`
+    that is not finite at once: `t >= max_time` would never stop a NaN one,
+    nor +inf while the state stays in the domain.
     """
     x = _state(spec, x0)
+    if not math.isfinite(max_time):
+        raise SolverError(f"max_time must be finite, got {max_time}")
     grid = V.grid
     samples = []
     t = 0.0
@@ -164,48 +166,3 @@ def synthesize_trajectory(spec, V, controls, x0, dt, max_time):
         x = _arrival(spec, x, controls.vectors[j], dt, j)
         t += dt
     return Trajectory(samples=samples, status=status, final_time=t, final_state=x)
-
-
-@dataclass
-class ResidualSummary:
-    """Convergence-history diagnostics for one solve."""
-
-    tail_factor: Optional[float]
-    ratios: list = field(default_factory=list)
-    superlinear_tail: Optional[bool] = None
-    iterations_to_threshold: dict = field(default_factory=dict)
-
-
-def residual_diagnostics(report):
-    """Summarize a residual history.
-
-    tail_factor is the geometric-mean contraction over the last
-    _RESIDUAL_WINDOW residuals (for plain fixed-point iterations it
-    approximates the discount factor); superlinear_tail reports whether the
-    final residual drop ratios are decreasing, the signature of locally
-    superlinear convergence.  With a history shorter than the fit window a
-    partial summary is returned.
-    """
-    hist = [r for r in report.residual_history]
-    thresholds = {}
-    for k in range(1, 13):
-        thr = 10.0 ** (-k)
-        for i, r in enumerate(hist):
-            if r <= thr:
-                thresholds[thr] = i + 1
-                break
-    tail = [r for r in hist[-_RESIDUAL_WINDOW:] if r > 0]
-    factor = None
-    if len(tail) >= 2:
-        logs = [math.log(b / a) for a, b in zip(tail, tail[1:])]
-        factor = math.exp(sum(logs) / len(logs))
-    ratios = [b / a for a, b in zip(hist, hist[1:]) if a > 0]
-    superlinear = None
-    if len(ratios) >= 2:
-        superlinear = ratios[-1] < ratios[-2]
-    return ResidualSummary(
-        tail_factor=factor,
-        ratios=ratios[-_RESIDUAL_WINDOW:],
-        superlinear_tail=superlinear,
-        iterations_to_threshold=thresholds,
-    )

@@ -90,6 +90,7 @@ from .grid import (
     interpolate_values,
     locate_points,
     prolongate,
+    whole_counts,
 )
 from .problems import ProblemError, target_mask
 
@@ -178,7 +179,8 @@ class SolverConfig:
     CPUs this process may run on, and 1 runs everything in the calling
     thread.  Results are bit-identical for every worker count.  With more
     than one worker, spec.dynamics and spec.running_cost are called from
-    worker threads and must be thread-safe.
+    worker threads and must be thread-safe.  `max_iterations` and `workers`
+    are held as int; one that is not a whole number raises ValueError.
     """
 
     dt: float
@@ -192,6 +194,13 @@ class SolverConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.stop_constant > 0:
             raise ValueError("stop_constant must be positive")
+        for name in ("max_iterations", "workers"):
+            value = getattr(self, name)
+            try:
+                [count] = whole_counts(value, ValueError)
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+            setattr(self, name, count)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.eval_backend not in ("fixed_point", "direct"):
@@ -209,15 +218,23 @@ class SolverConfig:
 
 @dataclass
 class PolicyField:
-    """One control index per grid node; pinned nodes carry UNSET_POLICY."""
+    """One control index per grid node; pinned nodes carry UNSET_POLICY.
+    Indices are held as int32; one that is not a whole number in int32
+    raises ValueError."""
 
     grid: RegularGrid
     indices: np.ndarray
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int32).reshape(-1)
+        given = np.asarray(self.indices).reshape(-1)
+        with np.errstate(invalid="ignore"):
+            self.indices = given.astype(np.int32, copy=False)
         if self.indices.size != self.grid.num_nodes:
             raise ValueError("policy length does not match grid")
+        bad = np.flatnonzero(self.indices != given)
+        if bad.size:
+            raise ValueError(f"policy index {given[bad[0]]} at node {bad[0]} is not a whole "
+                             "number in int32")
 
     @classmethod
     def constant(cls, grid, index=0):

@@ -1,3 +1,4 @@
+import math
 import textwrap
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import hjbsolve as h
+from hjbsolve import solvers
 from hjbsolve.solvers import (_CsrRows, _DiagonalRows, _ShiftedRows, _Sweeper, _csr_arrays,
                               _fill_rows, _located, _step)
 
@@ -106,133 +108,32 @@ def rng():
     return np.random.default_rng(94481)
 
 
-@pytest.fixture
-def block_product():
-    """A function giving B @ v of a sweeper's _Block over all its rows, as
-    a Bellman sweep forms it: every control's row set, CSR, diagonal or
-    matrix-free."""
-
-    def product(sweeper, block, values):
-        transposed = np.ascontiguousarray(values.reshape(sweeper.grid.shape).T)
-        return sweeper._product(block, values, transposed)
-
-    return product
-
-
-def csr_rows(rows, width):
-    """(cols, vals, full) of the _CsrRows `rows`: per row its 2^d columns
-    and weights, 0 for an empty row, and whether it has entries.  Fails
-    unless its arrays start at entry 0 and end at its last row's, and every
-    row has 0 or 2^d entries."""
-    counts = np.diff(rows.indptr)
-    assert rows.indptr.dtype == rows.indices.dtype == np.int32
-    assert rows.indptr[0] == 0 and rows.indptr[-1] == len(rows.indices) == len(rows.data)
-    assert set(counts.tolist()) <= {0, width}
-    full = counts == width
-    cols = np.zeros((len(counts), width), dtype=np.int64)
-    vals = np.zeros((len(counts), width))
-    cols[full] = rows.indices.reshape(-1, width)
-    vals[full] = rows.data.reshape(-1, width)
-    return cols, vals, full
+def poisoned_csr_arrays(shape, grid):
+    """solvers._csr_arrays' arrays, filled so that an entry a build leaves
+    unwritten shows in its products: NaN weights, column 0, and row
+    pointers at each row set's capacity, which the CSR kernel reads as an
+    empty or an overlong row, never past the arrays."""
+    indptr, indices, data = _csr_arrays(shape, grid)
+    data.fill(np.nan)
+    indices.fill(0)
+    indptr.fill(data.shape[-1])
+    return indptr, indices, data
 
 
-def diagonal_rows(rows, n, in_box):
-    """(cols, vals, full) of the _DiagonalRows `rows` of a control whose
-    rows have the (n,) mask `in_box`: a row held as diagonals is read at
-    its 2^d columns, r + offsets[k], a row whose diagonal entries are all 0
-    not being held, and an irregular row from its CSR rows.  Fails unless
-    the diagonals are 0 but at the columns of the rows they hold, whose
-    columns lie in the grid, and the irregular rows, 2^d entries each, are
-    exactly the in-box rows that the diagonals do not hold, and unless
-    they hold the rows at the most common flat offset, offsets[0]: an
-    in-box row's offset is its lowest corner's column minus the row, no
-    offset is shared by more in-box rows than offsets[0], and the held
-    rows are exactly the in-box rows at offsets[0]."""
-    offsets, data = rows.offsets, rows.diagonals
-    width = len(offsets)
-    assert data.shape == (width, n) and offsets.dtype == np.int32
-    r = np.arange(n)
-    col = r[:, None] + offsets[None, :]
-    valid = (col >= 0) & (col < n)
-    w = np.where(valid, data[np.arange(width)[None, :], np.clip(col, 0, n - 1)], 0.0)
-    held = (w != 0.0).any(axis=1)
-    assert valid[held].all() and in_box[held].all()
-    # every other entry of the diagonals is 0
-    for k in range(width):
-        other = np.ones(n, dtype=bool)
-        other[col[held, k]] = False
-        assert not data[k, other].any()
-    cols = np.where(held[:, None], col, 0)
-    vals = np.where(held[:, None], w, 0.0)
-    skipped = np.flatnonzero(in_box & ~held)
-    if rows.irregular is None:
-        assert rows.nodes is None and not len(skipped)
-    else:
-        assert rows.nodes.dtype == np.int32 and np.array_equal(rows.nodes, skipped)
-        assert len(rows.irregular.indptr) == len(skipped) + 1
-        irregular_cols, irregular_vals, irregular_full = csr_rows(rows.irregular, width)
-        assert irregular_full.all()
-        cols[skipped], vals[skipped] = irregular_cols, irregular_vals
-    offset = cols[:, 0] - r
-    assert np.unique(offset[in_box], return_counts=True)[1].max() == (
-        np.count_nonzero(offset[in_box] == offsets[0]))
-    assert np.array_equal(held, in_box & (offset == offsets[0]))
-    return cols, vals, in_box
+def poison_builds(monkeypatch):
+    """Make every build of the operator's rows write into arrays that show
+    an entry it leaves unwritten: poisoned_csr_arrays, and NaN stage
+    costs."""
+    block_arrays = _Sweeper._block_arrays
 
+    def poisoned(self, js):
+        csr, c = block_arrays(self, js)
+        if c is not None:
+            c.fill(np.nan)
+        return csr, c
 
-def block_rows(sweeper, block):
-    """(indptr, indices, data) of every row of a _Block without matrix-free
-    rows, of the m-control operator or of the frozen-policy rows, laid out
-    as the general row writer lays them out: 2^d entries per in-box row in
-    corner order, none for a row outside the box.  Each control's N rows
-    are read from its row set, CSR (csr_rows) or diagonals (diagonal_rows,
-    whose in-box rows are those not in `outside`)."""
-    n, width = sweeper.grid.num_nodes, 2 ** sweeper.grid.dim
-    assert block.size == len(block.controls) * n
-    parts = []
-    for t, rows in enumerate(block.controls):
-        assert not isinstance(rows, _ShiftedRows)
-        if isinstance(rows, _CsrRows):
-            assert len(rows.indptr) == n + 1
-            parts.append(csr_rows(rows, width))
-        else:
-            assert isinstance(rows, _DiagonalRows)
-            in_box = np.ones(n, dtype=bool)
-            in_box[block.outside[(block.outside >= t * n) & (block.outside < (t + 1) * n)]
-                   - t * n] = False
-            parts.append(diagonal_rows(rows, n, in_box))
-    cols, vals, full = (np.concatenate(arrays) for arrays in zip(*parts))
-    indptr = np.concatenate(([0], np.cumsum(full * width)))
-    return indptr, cols[full].reshape(-1), vals[full].reshape(-1)
-
-
-def block_constant(sweeper, block):
-    """The constant of every row of a _Block, of the m-control operator or
-    of the frozen-policy rows, as one float64 vector: its stage cost plus,
-    on the rows in `outside`, discount times the exterior value, as the
-    direct backend's right-hand side holds it off the pinned nodes."""
-    c = np.empty(block.size)
-    c[:] = block.c
-    c[block.outside] += sweeper.discount * sweeper.spec.exterior_value
-    return c
-
-
-def empty_rows(sweeper, block):
-    """The numbers of a _Block's rows without entries, ascending: those of
-    block_rows, and for a control applied matrix-free, its rows outside
-    its in-box sub-box."""
-    if not any(isinstance(rows, _ShiftedRows) for rows in block.controls):
-        return np.flatnonzero(np.diff(block_rows(sweeper, block)[0]) == 0)
-    grid, width = sweeper.grid, 2 ** sweeper.grid.dim
-    full = []
-    for rows in block.controls:
-        if isinstance(rows, _ShiftedRows):
-            in_box = np.zeros(grid.shape, dtype=bool)
-            in_box[rows.box] = True
-            full.append(in_box.reshape(-1))
-        else:
-            full.append(csr_rows(rows, width)[2])
-    return np.flatnonzero(~np.concatenate(full))
+    monkeypatch.setattr(solvers, "_csr_arrays", poisoned_csr_arrays)
+    monkeypatch.setattr(_Sweeper, "_block_arrays", poisoned)
 
 
 def general_rows(sweeper, js):
@@ -248,12 +149,147 @@ def general_rows(sweeper, js):
                                        sweeper.controls.vectors[j], sweeper.dt, j)
         bases, locals_, inside = _located(grid, arrivals)
         c[lo:lo + n][~inside] += sweeper.discount * sweeper.spec.exterior_value
-        parts.append(_fill_rows(grid, bases, locals_, inside, *_csr_arrays((n,), grid)))
+        parts.append(_fill_rows(grid, bases, locals_, inside,
+                                *poisoned_csr_arrays((n,), grid)))
     ends = np.cumsum([0] + [rows.nnz for rows in parts])
     indptr = np.concatenate([[0]] + [rows.indptr[1:] + end for rows, end in zip(parts, ends)],
                             dtype=np.int32)
     return (indptr, np.concatenate([rows.indices for rows in parts]),
             np.concatenate([rows.data for rows in parts]), c)
+
+
+def policy_general_rows(sweeper, policy):
+    """general_rows of the frozen-policy operator of the (N,) `policy`: row
+    i is row policy[i] * N + i of every control's, but empty for a pinned
+    node, whose constant is its stage cost, 0 for a discounted problem."""
+    n = sweeper.grid.num_nodes
+    indptr, indices, data, c = general_rows(sweeper, range(len(sweeper.controls)))
+    at = np.where(sweeper.pinned, 0, policy * n + np.arange(n))
+    starts = indptr[at]
+    counts = np.where(sweeper.pinned, 0, indptr[at + 1] - starts)
+    ends = np.cumsum(counts)
+    take = np.arange(ends[-1]) - np.repeat(ends - counts - starts, counts)
+    c = c[at]
+    c[sweeper.pinned] = -math.expm1(-sweeper.dt) if sweeper.spec.minimum_time else 0.0
+    return (np.concatenate(([0], ends)).astype(np.int32), indices[take], data[take], c)
+
+
+def contract_fields(rng, n):
+    """The fields that check_rows applies row sets to: random ones, signed
+    zeros, ties, huge values whose sums overflow, and one with +-inf at a
+    few nodes, where a zero weight gives NaN: on finite fields a zero
+    weight at the wrong column leaves every product as it is."""
+    infinite = rng.uniform(0.0, 2.0, n)
+    at = rng.choice(n, max(2, n // 16), replace=False)
+    infinite[at] = np.where(np.arange(len(at)) % 2, np.inf, -np.inf)
+    return [rng.uniform(0.0, 2.0, n), rng.normal(size=n), np.where(rng.random(n) < 0.5, -0.0, 0.0),
+            rng.choice([-1.0, -0.0, 0.0, 1.0], n), np.full(n, 0.5),
+            rng.choice([-1e308, 0.0, 1e308], n), infinite]
+
+
+def check_rows(sweeper, js, block, general, fields, pins=()):
+    """The row-set contract on one _Block, of the controls `js` of the
+    m-control operator or, with `js` None, of the frozen-policy rows, whose
+    general rows (general_rows or policy_general_rows) are `general`:
+    - each control's row set is the kind the sweeper's flags name (the
+      frozen-policy rows are CSR rows);
+    - B @ v over its rows, each control's row set applied alone into
+      zeros, as a sweep applies it, is the general rows' product, bit for
+      bit, for each of `fields`.  A NaN matches any NaN, and for a field
+      with an inf only the rows not in `outside` count: a diagonal adds
+      0 * v into those, and every sweep overwrites them;
+    - its stage cost plus, on the rows in `outside`, discount times the
+      exterior value is the general rows' constant, and `outside` numbers,
+      ascending and as int32, their empty rows but `pins`;
+    - a minimum-time problem's stage cost is one number."""
+    indptr, indices, data, c = general
+    n = sweeper.grid.num_nodes
+    kinds = [_CsrRows] if js is None else [
+        _ShiftedRows if sweeper.matrix_free and sweeper.separable[j]
+        else _DiagonalRows if sweeper.diagonal[j] else _CsrRows for j in js]
+    assert [type(rows) for rows in block.controls] == kinds
+    assert block.size == len(c) == len(block.controls) * n
+    constant = np.empty(block.size)
+    constant[:] = block.c
+    constant[block.outside] += sweeper.discount * sweeper.spec.exterior_value
+    assert constant.tobytes() == c.tobytes()
+    assert block.outside.dtype == np.int32
+    assert np.array_equal(block.outside,
+                          np.setdiff1d(np.flatnonzero(np.diff(indptr) == 0), pins))
+    if sweeper.spec.minimum_time:
+        assert type(block.c) is float and block.c == -math.expm1(-sweeper.dt)
+    else:
+        assert block.c.shape == (block.size,)
+    general = sp.csr_matrix((data, indices, indptr), shape=(block.size, n))
+    for v in fields:
+        got = sweeper._product(block, v, np.ascontiguousarray(v.reshape(sweeper.grid.shape).T))
+        want = general @ v
+        same = (got.view(np.int64) == want.view(np.int64)) | np.isnan(got) & np.isnan(want)
+        if not np.isfinite(v).all():
+            same[block.outside] = True
+        wrong = np.flatnonzero(~same)
+        assert not len(wrong), f"row set {wrong[0] // n} of the block, rows {wrong[:4] % n}"
+
+
+def check_row_set_contract(spec, grid, controls, dt, path, workers, monkeypatch):
+    """The row-set contract, which every way of storing the operator must
+    pass, on the ORACLE_PATHS `path` at `workers` workers, with every build
+    poisoned (poison_builds): two Bellman sweeps give the oracle's bits;
+    every block kept and every other block built, on any thread, pass
+    check_rows; and sweeper.nnz and sweeper.operator_bytes sum the row
+    sets' own counts over the last sweep's blocks.  The frozen-policy rows
+    take no path or thread, so check_policy_rows holds them to the same
+    contract once per problem.  Returns the sweeper and the blocks built."""
+    rng = np.random.default_rng(7)
+    n = grid.num_nodes
+    settings, store_separable = ORACLE_PATHS[path]
+    built = []
+    fill = _Sweeper._fill_block
+
+    def recorded(self, js, arrays=None):
+        block, span = fill(self, js, arrays)
+        built.append((js, block))
+        return block, span
+
+    values = rng.uniform(0.0, 2.0, n)
+    with monkeypatch.context() as patch:
+        for attr, value in settings.items():
+            patch.setattr(solvers, attr, value)
+        if workers > 1:
+            patch.setattr(solvers, "_MIN_THREAD_ROWS", 1)
+            patch.setattr(solvers, "_BLOCK_ROWS", min(solvers._BLOCK_ROWS, 4 * n))
+        poison_builds(patch)
+        patch.setattr(_Sweeper, "_fill_block", recorded)
+        cfg = h.SolverConfig(dt=dt, workers=workers)
+        with _Sweeper(spec, grid, controls, cfg, store_separable=store_separable) as sweeper:
+            assert sweeper.threads == workers
+            for _ in range(2):
+                out, best, _ = sweeper.bellman_sweep(values)
+    want, want_policy = oracle_sweep(sweeper, values)
+    assert out.tobytes() == want.tobytes() and best.tobytes() == want_policy.tobytes()
+    last = dict(built)
+    assert set(last) == set(sweeper.blocks)
+    swept = [block or last[js] for js, block in zip(sweeper.blocks, sweeper.kept)]
+    assert sweeper.nnz == sum(rows.nnz for block in swept for rows in block.controls)
+    assert sweeper.operator_bytes == sum(rows.held_bytes
+                                         for block in swept for rows in block.controls)
+    fields = contract_fields(rng, n)
+    kept = [(js, block) for js, block in zip(sweeper.blocks, sweeper.kept) if block]
+    kept_rows = {id(block.controls) for _, block in kept}
+    for js, block in kept + [(js, b) for js, b in built if id(b.controls) not in kept_rows]:
+        check_rows(sweeper, js, block, general_rows(sweeper, js), fields)
+    return sweeper, [block for _, block in built]
+
+
+def check_policy_rows(sweeper, policy, fields):
+    """The row-set contract (check_rows) on the frozen-policy rows of the
+    (N,) `policy`, built into poisoned arrays (poison_builds), against
+    policy_general_rows.  Returns the frozen-policy _Block."""
+    with pytest.MonkeyPatch.context() as patch:
+        poison_builds(patch)
+        frozen = sweeper.policy_rows(h.PolicyField(sweeper.grid, policy))
+    check_rows(sweeper, None, frozen, policy_general_rows(sweeper, policy), fields, sweeper.pins)
+    return frozen
 
 
 def oracle_updates(sweeper, values):

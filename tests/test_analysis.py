@@ -8,10 +8,8 @@ from hjbsolve.analysis import (
     HORIZON_EXCEEDED,
     LEFT_DOMAIN,
     REACHED_TARGET,
-    ResidualSummary,
 )
 from hjbsolve.problems import ProblemError
-from hjbsolve.solvers import RunReport
 
 
 class TestKruzkhovTransforms:
@@ -307,6 +305,18 @@ class TestTrajectories:
                                        max_time=0.0)
         assert (traj.status, traj.samples, traj.final_time) == (HORIZON_EXCEEDED, [], 0.0)
 
+    @pytest.mark.parametrize("max_time", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_max_time_that_is_not_finite(self, max_time):
+        """`t >= max_time` never stops a rollout at a NaN max_time, nor at
+        +inf while the state stays in the domain: each raises at once, as
+        -inf does, even from a state on the target."""
+        entry = h.catalog("test4_eik2d", control_count=8)
+        grid = entry.spec.domain_grid(11)
+        V = h.default_initial_field(entry.spec, grid)
+        with pytest.raises(h.SolverError, match=f"^max_time must be finite, got {max_time}$"):
+            h.synthesize_trajectory(entry.spec, V, entry.controls, np.zeros(2),
+                                    entry.dt_for(grid), max_time=max_time)
+
     def test_times_step_uniformly(self, solved):
         entry = solved.entry("test4_eik2d")
         V, _, _ = solved.vi("test4_eik2d", 41)
@@ -326,39 +336,3 @@ class TestTrajectories:
         slack = 2 * (1 - math.exp(-dt)) + 2 * max(V.grid.spacing)
         for a, b in zip(vals, vals[1:]):
             assert b <= a + slack
-
-
-class TestResidualDiagnostics:
-    def _report(self, history):
-        return RunReport(
-            algorithm="vi", grid_shape=(3,), dx=1.0, dt=0.1, control_count=1,
-            epsilon=1e-6, outer_iterations=len(history), node_updates=0,
-            wall_time_seconds=0.0, converged=True, residual_history=list(history),
-        )
-
-    def test_exact_geometric_history(self):
-        summary = h.residual_diagnostics(self._report([0.9 ** k for k in range(30)]))
-        assert summary.tail_factor == pytest.approx(0.9, abs=1e-6)
-
-    def test_vi_tail_matches_discount(self, solved):
-        entry = solved.entry("test1_1d")
-        _, _, rep = solved.vi("test1_1d", 161)
-        gamma = math.exp(-entry.dt_for(entry.spec.domain_grid(161)))
-        summary = h.residual_diagnostics(rep)
-        assert summary.tail_factor == pytest.approx(gamma, rel=0.10)
-
-    def test_pi_superlinear_tail(self, solved):
-        _, _, rep = solved.pi("test1_1d", 161)
-        summary = h.residual_diagnostics(rep)
-        assert summary.superlinear_tail is True
-
-    def test_short_history_partial_summary(self):
-        summary = h.residual_diagnostics(self._report([0.5]))
-        assert isinstance(summary, ResidualSummary)
-        assert summary.tail_factor is None
-        assert summary.superlinear_tail is None
-
-    def test_thresholds_recorded(self):
-        summary = h.residual_diagnostics(self._report([0.5, 0.05, 0.005]))
-        assert summary.iterations_to_threshold[0.1] == 2
-        assert summary.iterations_to_threshold[0.01] == 3

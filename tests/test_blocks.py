@@ -16,10 +16,8 @@ blocks are built on the pool's threads into arrays that the calling thread
 allocated, and the numbers of their empty rows are copied on the calling
 thread.
 
-A block holds its stage cost, one number for a minimum-time problem, and
-the numbers of its empty rows, `outside`.  Expanded to one constant per
-row, stage cost plus discount times the exterior value on the empty rows,
-they give the bits of the constant the general row builder forms.
+What the rows, stage costs and `outside` of a block hold is conftest's
+row-set contract; here it also runs where every arrival leaves the box.
 """
 
 import math
@@ -38,10 +36,10 @@ import pytest
 import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
-from hjbsolve.solvers import _Block, _CsrRows, _DiagonalRows, _ShiftedRows, _Sweeper
+from hjbsolve.solvers import _Block, _CsrRows, _DiagonalRows, _Sweeper
 
-from conftest import (CATALOG_CASES, DIAGONAL_CASES, ORACLE_PATHS, PEAK_SOURCE, block_constant,
-                      empty_rows, general_rows, oracle_sweep)
+from conftest import (ORACLE_PATHS, PEAK_SOURCE, check_policy_rows, check_row_set_contract,
+                      contract_fields)
 
 NODES = 21
 CONTROLS = 16
@@ -200,7 +198,7 @@ def check_blocks_allocated_on_the_calling_thread(name, monkeypatch, rng):
         else:
             assert np.shares_memory(block.c, arrays[-1])
         assert thread == here and block.outside is outside and outside.base is None
-        assert len(outside) and np.array_equal(outside, empty_rows(sweeper, block))
+        assert len(outside)
     return [(block, arrays) for block, (_, _, arrays) in zip(sweeper.kept, allocated)]
 
 
@@ -222,79 +220,13 @@ def test_kept_diagonals_are_allocated_on_the_calling_thread(monkeypatch, rng):
         check_diagonals_in_the_data_array(block, data, NODES ** 2)
 
 
-def check_block_constants(spec, grid, controls, dt, monkeypatch):
-    """Two Bellman sweeps on every path of ORACLE_PATHS at 1 and 2
-    workers.  Every block built, on any thread, and every block kept has
-    the stage cost and `outside` whose expansion (block_constant) is the
-    general rows' constant, bit for bit, and `outside` numbers exactly its
-    empty rows; the sweeps give the oracle's bits.  Returns the blocks
-    built."""
-    built = []
-    fill = _Sweeper._fill_block
-
-    def recorded(self, js, arrays=None):
-        block, span = fill(self, js, arrays)
-        built.append((js, block))
-        return block, span
-
-    monkeypatch.setattr(_Sweeper, "_fill_block", recorded)
-    values = np.random.default_rng(7).uniform(0.0, 2.0, grid.num_nodes)
-    every = []
-    for path, workers in product(ORACLE_PATHS, (1, 2)):
-        settings, store_separable = ORACLE_PATHS[path]
-        where = f"{path} path, {workers} workers"
-        built.clear()
-        with monkeypatch.context() as patch:
-            for attr, value in settings.items():
-                patch.setattr(solvers, attr, value)
-            if workers > 1:
-                patch.setattr(solvers, "_MIN_THREAD_ROWS", 1)
-                patch.setattr(solvers, "_BLOCK_ROWS",
-                              min(solvers._BLOCK_ROWS, 4 * grid.num_nodes))
-            cfg = h.SolverConfig(dt=dt, workers=workers)
-            with _Sweeper(spec, grid, controls, cfg, store_separable=store_separable) as sweeper:
-                assert sweeper.threads == workers, where
-                for _ in range(2):
-                    out, policy, _ = sweeper.bellman_sweep(values)
-        want, want_policy = oracle_sweep(sweeper, values)
-        assert out.tobytes() == want.tobytes(), where
-        assert policy.tobytes() == want_policy.tobytes(), where
-        kept = [(js, block) for js, block in zip(sweeper.blocks, sweeper.kept) if block]
-        assert {js for js, _ in built} == set(sweeper.blocks), where
-        for js, block in built + kept:
-            indptr, _, _, c = general_rows(sweeper, js)
-            assert block.size == len(c), where
-            assert block_constant(sweeper, block).tobytes() == c.tobytes(), where
-            assert block.outside.dtype == np.int32, where
-            assert np.array_equal(block.outside, empty_rows(sweeper, block)), where
-            assert np.array_equal(block.outside, np.flatnonzero(np.diff(indptr) == 0)), where
-            if spec.minimum_time:
-                assert block.c == -math.expm1(-dt), where
-            else:
-                assert block.c.shape == (block.size,), where
-            assert [type(rows) is _ShiftedRows for rows in block.controls] == [
-                sweeper.matrix_free and sweeper.separable[j] for j in js], where
-        every += [block for _, block in built]
-    return every
-
-
-@pytest.mark.parametrize("name,n", CATALOG_CASES)
-def test_block_constants_expand_to_the_general_rows(name, n, monkeypatch):
-    """check_block_constants on each catalog problem: CSR rows, diagonals
-    (the stored path of DIAGONAL_CASES) and matrix-free rows."""
-    entry = h.catalog(name)
-    grid = entry.spec.domain_grid(n)
-    blocks = check_block_constants(entry.spec, grid, entry.controls, entry.dt_for(grid),
-                                   monkeypatch)
-    assert any(type(rows) is _DiagonalRows
-               for block in blocks for rows in block.controls) == (name in DIAGONAL_CASES)
-
-
-def test_block_constants_when_every_arrival_leaves(monkeypatch):
-    """Every arrival leaves the box, so that every row is empty and in
-    `outside`: test4_eik2d's headings at a step of 10, and a discounted
-    problem whose state-dependent and separable controls all move every
-    node 20 or more."""
+def test_row_set_contract_when_every_arrival_leaves(monkeypatch, rng):
+    """The row-set contract, on every path of ORACLE_PATHS at 1 and 2
+    workers and on the frozen-policy rows, where every arrival leaves the
+    box, so that every row is empty and in `outside` (but the frozen-policy
+    rows of pinned nodes): test4_eik2d's headings at a step of 10, and a
+    discounted problem whose state-dependent and separable controls all
+    move every node 20 or more."""
     entry = h.catalog("test4_eik2d", control_count=8)
     drift = ProblemSpec(
         state_dim=2,
@@ -309,8 +241,14 @@ def test_block_constants_when_every_arrival_leaves(monkeypatch):
                            (drift, h.ControlSet([[1.0, 3.0], [0.0, 5.0], [1.0, -3.0],
                                                  [0.0, -2.0]]))):
         grid = spec.domain_grid(9)
-        for block in check_block_constants(spec, grid, controls, 10.0, monkeypatch):
-            assert np.array_equal(block.outside, np.arange(block.size))
+        for path, workers in product(ORACLE_PATHS, (1, 2)):
+            sweeper, blocks = check_row_set_contract(spec, grid, controls, 10.0, path, workers,
+                                                     monkeypatch)
+            for block in blocks:
+                assert np.array_equal(block.outside, np.arange(block.size))
+        frozen = check_policy_rows(sweeper, rng.integers(0, len(controls), grid.num_nodes),
+                                   contract_fields(rng, grid.num_nodes))
+        assert np.array_equal(frozen.outside, np.flatnonzero(~sweeper.pinned))
 
 
 STORED_MEMORY_SCRIPT = PEAK_SOURCE + textwrap.dedent("""

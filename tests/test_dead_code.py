@@ -24,7 +24,11 @@ loop, and that module costs every process about 10 MB.  Nor may any load
 scipy.sparse itself, by an import of it or of a module in it or by reading
 `sparse` off a name bound to scipy: solvers loads scipy's sparse kernels
 from their extension file, as initializing scipy.sparse costs every
-process about 0.15 s and 20 MB.
+process about 0.15 s and 20 MB.  Of the test modules, only conftest.py and
+those LAYOUT_TESTS lists, each with its reason, may import the operator's
+row-set types or read them off a module: the others reach the operator's
+rows through the row-set contract in conftest.py, so that a change of
+layout touches only it and them.
 """
 
 import ast
@@ -48,6 +52,16 @@ TEST_HOOKS = {
         "lets tests see every evaluated field, which no report holds",
     ("main", "argv"):
         "lets tests run the CLI in-process; the hjb-bench script reads sys.argv",
+}
+
+ROW_SET_TYPES = {"_CsrRows", "_DiagonalRows", "_ShiftedRows"}
+LAYOUT_TESTS = {
+    "test_blocks.py": "pins where the layouts keep their arrays: in the arrays they were built "
+                      "into, diagonals in the CSR data array, allocated on the calling thread",
+    "test_matrix_free.py": "checks that its cases reach the matrix-free kernel's gathered axes "
+                           "and sub-boxes of several chunks, which no product shows",
+    "test_bicgstab.py": "runs the Krylov loop on the direct backend's system matrix, CSR rows "
+                        "by design rather than a layout of the operator",
 }
 
 CONTAINERS = (np.ndarray, list, dict, str, set, tuple)
@@ -214,6 +228,37 @@ def scipy_sparse_lines(tree):
     """The lines of a module that load scipy.sparse or a module in it."""
     return sorted({line for name, line in loaded_modules(tree)
                    if f"{name}.".startswith("scipy.sparse.")})
+
+
+def row_set_lines(tree):
+    """The lines of a module that import a row-set type, or read one as an
+    attribute."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and any(alias.name in ROW_SET_TYPES for alias in node.names)
+                   or isinstance(node, ast.Attribute) and node.attr in ROW_SET_TYPES})
+
+
+def test_only_layout_tests_import_the_row_set_types():
+    found = {path.name: row_set_lines(ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted((ROOT / "tests").glob("*.py"))}
+    stray = {name: lines for name, lines in found.items()
+             if lines and name not in {"conftest.py", *LAYOUT_TESTS}}
+    assert not stray, f"test modules that import a row-set type: {stray}"
+    # a listed module that no longer imports one needs no entry
+    assert all(found.get(name) for name in LAYOUT_TESTS)
+
+
+def test_the_row_set_audit_catches_a_stray_import():
+    tree = ast.parse(
+        "from hjbsolve.solvers import _Sweeper, _DiagonalRows\n"
+        "from hjbsolve import solvers\n"
+        "def kinds(block):\n"
+        "    return [type(rows) is solvers._CsrRows for rows in block.controls]\n"
+        "names = ['_ShiftedRows']\n"
+        "from conftest import check_rows\n"
+    )
+    assert row_set_lines(tree) == [1, 4]
 
 
 def test_the_package_has_modules():

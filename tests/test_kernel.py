@@ -19,7 +19,7 @@ from hjbsolve.grid import (
 )
 from hjbsolve.solvers import _Sweeper
 
-from conftest import block_constant, block_rows
+from conftest import check_rows, contract_fields, general_rows, poison_builds, policy_general_rows
 
 
 def reference_locate(grid, points):
@@ -130,30 +130,22 @@ def test_non_finite_coordinates_are_exterior_without_warnings(bad):
 
 def test_chunked_fill_matches_single_chunk(monkeypatch):
     """Rows written a few at a time, with out-of-box arrivals inside and
-    across chunk boundaries, give the same CSR arrays, stage costs and
-    numbers of the empty rows, for a block of the m-control operator and
-    for the frozen-policy rows, and so the same per-row constants."""
+    across chunk boundaries, pass the row-set contract against the general
+    rows of one chunk: a block of the m-control operator and the
+    frozen-policy rows."""
+    poison_builds(monkeypatch)
     entry = h.catalog("test2_vdp", control_count=8)
     grid = entry.spec.domain_grid(15)
     sweeper = _Sweeper(entry.spec, grid, entry.controls,
                        h.SolverConfig(dt=4 * entry.dt_for(grid)))
-    policy = h.PolicyField(grid, np.arange(grid.num_nodes) % len(entry.controls))
-
-    def build():
-        block, _ = sweeper._fill_block(range(len(entry.controls)))
-        frozen = sweeper.policy_rows(policy)
-        [P] = frozen.controls
-        # every control's CSR arrays, and then the frozen-policy rows'
-        return (*block_rows(sweeper, block), block.c, block.outside, *P, frozen.c,
-                frozen.outside, block_constant(sweeper, frozen),
-                *(array for rows in block.controls for array in rows))
-
-    whole = build()
-    assert np.diff(whole[0]).min() == 0  # some arrivals leave the box
-    assert np.array_equal(whole[4], np.flatnonzero(np.diff(whole[0]) == 0))
-    assert len(whole[9]) and np.array_equal(
-        whole[9], np.setdiff1d(np.flatnonzero(np.diff(whole[5]) == 0), sweeper.pins))
+    js = range(len(entry.controls))
+    policy = np.arange(grid.num_nodes) % len(js)
+    general, frozen_general = general_rows(sweeper, js), policy_general_rows(sweeper, policy)
+    # some arrivals leave the box, of non-pinned nodes too
+    assert np.diff(general[0]).min() == np.diff(frozen_general[0])[~sweeper.pinned].min() == 0
+    fields = contract_fields(np.random.default_rng(3), grid.num_nodes)
     for rows in (1, 5, 64):
         monkeypatch.setattr(solvers, "_FILL_ROWS", rows)
-        for a, b in zip(whole, build()):
-            assert same_bits(a, b)
+        check_rows(sweeper, js, sweeper._fill_block(js)[0], general, fields)
+        frozen = sweeper.policy_rows(h.PolicyField(grid, policy))
+        check_rows(sweeper, None, frozen, frozen_general, fields, sweeper.pins)

@@ -21,9 +21,9 @@ import pytest
 import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
-from hjbsolve.solvers import _CsrRows, _ShiftedRows, _Sweeper
+from hjbsolve.solvers import _ShiftedRows, _Sweeper
 
-from conftest import PEAK_SOURCE, POISONED_VALUES, poisoned_outcome
+from conftest import PEAK_SOURCE, POISONED_VALUES, poison_builds, poisoned_outcome
 
 CASES = [
     ("test4_eik2d", 15, {"control_count": 12}),
@@ -165,8 +165,8 @@ def test_edge_controls_match_the_stored_operator(dynamics, workers, monkeypatch)
                        store_separable=False)
     block, _ = sweeper._fill_block(range(len(controls)))
     separable = len(EDGE_SHIFTS) + (2 if dynamics is constant_drift else 0)
-    assert [type(rows) for rows in block.controls] == (
-        [_ShiftedRows] * separable + [_CsrRows] * (len(controls) - separable))
+    assert sweeper.separable.tolist() == [True] * separable + [False] * (
+        len(controls) - separable)
     rows = block.controls
     # the one-cell shift clamps its last arrivals onto the upper face of the
     # first axis, and every arrival of the unshifted second axis lies on a
@@ -178,8 +178,9 @@ def test_edge_controls_match_the_stored_operator(dynamics, workers, monkeypatch)
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_row_pointers_are_written_before_they_are_read(workers, monkeypatch):
-    """_csr_arrays leaves every row pointer unwritten.  With all of them
-    poisoned, every mode gives the unpoisoned stored bits.  The first
+    """_csr_arrays leaves every row pointer unwritten.  With every build
+    poisoned (conftest's poison_builds: row pointers, columns, weights and
+    stage costs), every mode gives the unpoisoned stored bits.  The first
     control is separable and the second is not, so that a matrix-free block
     of both allocates its CSR arrays at the second."""
     controls = h.ControlSet([[0.1, -0.3, 0], [-0.5, 0.2, 1], [0.25, 0.0, 0],
@@ -194,14 +195,7 @@ def test_row_pointers_are_written_before_they_are_read(workers, monkeypatch):
                              np.random.default_rng(5))[0]
 
     reference = run("stored")
-    csr_arrays = solvers._csr_arrays
-
-    def poisoned(shape, grid):
-        indptr, indices, data = csr_arrays(shape, grid)
-        indptr[...] = np.iinfo(indptr.dtype).max
-        return indptr, indices, data
-
-    monkeypatch.setattr(solvers, "_csr_arrays", poisoned)
+    poison_builds(monkeypatch)
     for mode in MODES:
         assert run(mode) == reference, mode
 

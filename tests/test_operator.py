@@ -12,10 +12,10 @@ import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.grid import interpolate_values
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
-from hjbsolve.solvers import _CsrRows, _DiagonalRows, _ShiftedRows, _Sweeper
+from hjbsolve.solvers import _Sweeper
 
-from conftest import (CATALOG_CASES, DIAGONAL_CASES, ORACLE_PATHS, block_constant,
-                      block_rows, general_rows)
+from conftest import (CATALOG_CASES, DIAGONAL_CASES, ORACLE_PATHS, check_policy_rows,
+                      check_row_set_contract, contract_fields, general_rows, poison_builds)
 
 SMALL_CASES = [
     ("test1_1d", 21, {}),
@@ -28,11 +28,11 @@ SMALL_CASES = [
 
 
 def control_rows(sweeper, j):
-    """Control j's rows on every node, as a CSR matrix: its block's CSR
-    rows, or its diagonals read back at their columns."""
-    block, _ = sweeper._fill_block(range(j, j + 1))
+    """Control j's rows on every node, as a CSR matrix: its general rows,
+    which the row-set contract holds every build to."""
+    indptr, indices, data, _ = general_rows(sweeper, [j])
     n = sweeper.grid.num_nodes
-    return sp.csr_matrix(block_rows(sweeper, block)[::-1], shape=(n, n))
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def oracle(sweeper, j, values):
@@ -114,64 +114,28 @@ def check_sweeps_against_oracle(sweeper, rng, where):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("path", sorted(ORACLE_PATHS))
 @pytest.mark.parametrize("name,n", CATALOG_CASES)
-def test_each_row_set_applies_its_control_alone(name, n, path, workers, monkeypatch, rng):
-    """Each control's row set, applied alone into zeros, gives that
-    control's general rows @ v bit for bit, on every path of ORACLE_PATHS
-    at 1 and 2 workers, from random fields and from fields of signed
-    zeros: the CSR, diagonal and matrix-free kernels each sum every row
-    from 0 in corner order.  The row sets are those of the blocks a Bellman
-    sweep kept, and where it kept none, a new build's."""
+def test_row_set_contract(name, n, path, workers, monkeypatch):
+    """conftest's row-set contract on each catalog problem, on every path
+    of ORACLE_PATHS at 1 and 2 workers: CSR rows, diagonals (on the stored
+    paths of DIAGONAL_CASES) and matrix-free rows."""
     entry = h.catalog(name)
     grid = entry.spec.domain_grid(n)
-    settings, store_separable = ORACLE_PATHS[path]
-    for attr, value in settings.items():
-        monkeypatch.setattr(solvers, attr, value)
-    if workers > 1:
-        monkeypatch.setattr(solvers, "_MIN_THREAD_ROWS", 1)
-        monkeypatch.setattr(solvers, "_BLOCK_ROWS", min(solvers._BLOCK_ROWS, 4 * grid.num_nodes))
-    N, m = grid.num_nodes, len(entry.controls)
-    fields = [rng.uniform(0.0, 2.0, N), rng.normal(size=N),
-              np.where(rng.random(N) < 0.5, -0.0, 0.0), rng.choice([-1.0, -0.0, 0.0, 1.0], N)]
-    cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=workers)
-    with _Sweeper(entry.spec, grid, entry.controls, cfg,
-                  store_separable=store_separable) as sweeper:
-        assert sweeper.threads == workers
-        sweeper.bellman_sweep(fields[0])
-        blocks = [block or sweeper._fill_block(js)[0]
-                  for js, block in zip(sweeper.blocks, sweeper.kept)]
-    indptr, indices, data, _ = general_rows(sweeper, range(m))
-    general = sp.csr_matrix((data, indices, indptr), shape=(m * N, N))
-    kinds = []
-    for js, block in zip(sweeper.blocks, blocks):
-        assert len(block.controls) == len(js)
-        for j, rows in zip(js, block.controls):
-            kinds.append(type(rows))
-            for v in fields:
-                out = np.zeros(N)
-                transposed = np.ascontiguousarray(v.reshape(grid.shape).T)
-                rows.apply(v, transposed, out, sweeper._buffers)
-                want = general[j * N:(j + 1) * N] @ v
-                assert out.tobytes() == want.tobytes(), f"control {j}, {kinds[-1].__name__}"
-    assert kinds == [_ShiftedRows if sweeper.matrix_free and separable
-                     else _DiagonalRows if diagonal else _CsrRows
-                     for separable, diagonal in zip(sweeper.separable, sweeper.diagonal)]
-    assert (_DiagonalRows in kinds) == (name in DIAGONAL_CASES and not sweeper.matrix_free)
+    sweeper, _ = check_row_set_contract(entry.spec, grid, entry.controls, entry.dt_for(grid),
+                                        path, workers, monkeypatch)
+    assert sweeper.diagonal.any() == (name in DIAGONAL_CASES and not sweeper.matrix_free)
 
 
 @pytest.mark.parametrize("layout", ["stored", "unstored"])
 @pytest.mark.parametrize("name,n", CATALOG_CASES)
-def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
-                                              block_product):
-    """Row i of the frozen-policy operator is row policy[i] * N + i of the
-    m-control operator, bit for bit, and so is its constant on the
-    non-pinned nodes, both read through block_rows and block_constant;
-    pinned nodes get empty rows, outside `outside`, and a discounted
-    problem's stage cost 0 there.  The stored operator is taken
-    from its blocks of one control each, kept by a sweep, with its
-    diagonals read back at their columns; the unstored one is built at
-    once.
-    Unstored separable controls are applied matrix-free, so there their
-    rows are compared through their products with random fields."""
+def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng):
+    """The frozen-policy rows of a random policy pass the row-set contract
+    (check_policy_rows), and row i of them is row policy[i] * N + i of the
+    operator the sweeps apply, on the non-pinned nodes: the same products,
+    bit for bit, the same stage cost and the same exterior term.  The
+    stored operator is taken from its blocks of one control each, kept by
+    a sweep; the unstored one is built at once, separable controls
+    matrix-free.  Every build is poisoned (poison_builds)."""
+    poison_builds(monkeypatch)
     if layout == "stored":
         monkeypatch.setattr(solvers, "_BLOCK_ROWS", 1)
     else:
@@ -183,50 +147,37 @@ def test_policy_rows_are_rows_of_the_operator(name, n, layout, monkeypatch, rng,
                        h.SolverConfig(dt=entry.dt_for(grid), workers=1))
     assert sweeper.stored == (layout == "stored")
     policy = rng.integers(0, m, N)
-    frozen = sweeper.policy_rows(h.PolicyField(grid, policy))
-    P = sp.csr_matrix(block_rows(sweeper, frozen)[::-1], shape=(N, N))
-    d = block_constant(sweeper, frozen)
-    free = np.flatnonzero(~sweeper.pinned)
-    rows = policy[free] * N + free
+    fields = contract_fields(rng, N)
+    frozen = check_policy_rows(sweeper, policy, fields)
     if sweeper.stored:
         sweeper.bellman_sweep(np.zeros(N))
-        assert len(sweeper.kept) == m
-        assert not any(type(rows) is _ShiftedRows
-                       for block in sweeper.kept for rows in block.controls)
-        assert sweeper.diagonal.any() == (name in DIAGONAL_CASES)
-        B = sp.vstack([sp.csr_matrix(block_rows(sweeper, block)[::-1], shape=(N, N))
-                       for block in sweeper.kept], format="csr")
-        c = np.concatenate([block_constant(sweeper, block) for block in sweeper.kept])
+        blocks = sweeper.kept
+        assert len(blocks) == m
     else:
-        block, _ = sweeper._fill_block(range(m))
-        c = block_constant(sweeper, block)
-        if sweeper.separable.any():
-            assert sweeper.separable.all()
-            assert all(type(rows) is _ShiftedRows for rows in block.controls)
-            B = None
-            for v in (rng.uniform(0.0, 2.0, N), rng.normal(size=N)):
-                got = block_product(sweeper, frozen, v)[free]
-                assert got.tobytes() == block_product(sweeper, block, v)[rows].tobytes()
-        else:
-            B = sp.csr_matrix(block_rows(sweeper, block)[::-1], shape=(m * N, N))
-    if B is not None:
-        got, want = P[free], B[rows]
-        assert np.array_equal(np.diff(got.indptr), np.diff(want.indptr))
-        assert got.indices.tobytes() == want.indices.tobytes()
-        assert got.data.tobytes() == want.data.tobytes()
-    assert d[free].tobytes() == c[rows].tobytes()
-    assert P[sweeper.pins].nnz == 0
-    assert not np.isin(frozen.outside, sweeper.pins).any()
-    assert entry.spec.minimum_time or not frozen.c[sweeper.pins].any()
+        blocks = [sweeper._fill_block(range(m))[0]]
+    free = np.flatnonzero(~sweeper.pinned)
+    rows = policy[free] * N + free
+    for v in fields[:2]:
+        transposed = np.ascontiguousarray(v.reshape(grid.shape).T)
+        want = np.concatenate([sweeper._product(block, v, transposed) for block in blocks])
+        assert sweeper._product(frozen, v, transposed)[free].tobytes() == want[rows].tobytes()
+    c = np.concatenate([np.broadcast_to(block.c, block.size) for block in blocks])
+    assert np.broadcast_to(frozen.c, N)[free].tobytes() == c[rows].tobytes()
+    starts = np.cumsum([0] + [block.size for block in blocks])
+    outside = np.concatenate([block.outside + start for block, start in zip(blocks, starts)])
+    assert np.array_equal(np.isin(free, frozen.outside), np.isin(rows, outside))
 
 
 @pytest.mark.parametrize("name,n", CATALOG_CASES)
-def test_policy_rows_hold_one_stage_cost_and_number_their_empty_rows(name, n, rng):
-    """The frozen-policy _Block holds its N rows in node order as one CSR
-    row set.  Its c is the one number 1 - e^{-dt} for a minimum-time problem
+def test_policy_rows_hold_one_stage_cost_and_number_their_empty_rows(name, n, monkeypatch,
+                                                                     rng):
+    """The frozen-policy _Block holds its N rows in node order as one row
+    set.  Its c is the one number 1 - e^{-dt} for a minimum-time problem
     and, for a discounted one, dt * l(x_i, a_policy[i]) per node with 0 on
     the pinned nodes; its `outside` is, ascending and as int32, the
-    non-pinned rows without entries."""
+    non-pinned rows whose weights sum to 0, i.e. that have no entries.
+    The rows are built into poisoned arrays (poison_builds)."""
+    poison_builds(monkeypatch)
     entry = h.catalog(name)
     spec, grid = entry.spec, entry.spec.domain_grid(n)
     m, N = len(entry.controls), grid.num_nodes
@@ -234,8 +185,7 @@ def test_policy_rows_hold_one_stage_cost_and_number_their_empty_rows(name, n, rn
                        h.SolverConfig(dt=4 * entry.dt_for(grid), workers=1))
     policy = rng.integers(0, m, N)
     frozen = sweeper.policy_rows(h.PolicyField(grid, policy))
-    [rows] = frozen.controls
-    assert type(rows) is _CsrRows and len(rows.indptr) == N + 1 and frozen.size == N
+    assert len(frozen.controls) == 1 and frozen.size == N
     free = ~sweeper.pinned
     if spec.minimum_time:
         assert type(frozen.c) is float and frozen.c == -math.expm1(-sweeper.dt)
@@ -245,7 +195,8 @@ def test_policy_rows_hold_one_stage_cost_and_number_their_empty_rows(name, n, rn
             at = free & (policy == j)
             want[at] = sweeper.dt * spec.running_cost(grid.nodes()[at], entry.controls.vectors[j])
         assert frozen.c.dtype == np.float64 and frozen.c.tobytes() == want.tobytes()
-    empty = np.flatnonzero((np.diff(rows.indptr) == 0) & free)
+    ones = np.ones(N)
+    empty = np.flatnonzero((sweeper._product(frozen, ones, ones) == 0) & free)
     assert frozen.outside.dtype == np.int32
     assert np.array_equal(frozen.outside, empty)
 
@@ -320,8 +271,8 @@ def test_unstored_and_blocked_sweeps_match_stored(monkeypatch):
     sweeper = _Sweeper(entry.spec, grid, entry.controls, cfg)
     sweeper.bellman_sweep(np.zeros(grid.num_nodes))
     # every control is separable, so every block is matrix-free and kept
-    assert not sweeper.stored
-    assert all(type(rows) is _ShiftedRows for block in sweeper.kept for rows in block.controls)
+    assert not sweeper.stored and sweeper.matrix_free and sweeper.separable.all()
+    assert all(sweeper.kept)
     unstored = solve()
     # one control per block exercises the cross-block merge
     monkeypatch.setattr(solvers, "_BLOCK_ROWS", 1)
@@ -543,8 +494,10 @@ def test_diagonal_rows_match_the_oracle(case, workers, monkeypatch, rng):
                 check_sweeps_against_oracle(sweeper, rng, where)
                 assert sweeper.diagonal.tolist() == diagonal, where
                 if case in ("zero_shift", "leaving", "three_d"):
-                    assert any(type(rows) is _DiagonalRows and rows.irregular is not None
-                               for block in sweeper.kept for rows in block.controls), where
+                    # a control held as diagonals with CSR entries has irregular rows
+                    assert any(sweeper.diagonal[j] and rows.nnz
+                               for js, block in zip(sweeper.blocks, sweeper.kept)
+                               for j, rows in zip(js, block.controls)), where
 
 
 def test_dia_matvec_adds_one_diagonal_at_a_time():

@@ -3,12 +3,12 @@
 When a control's velocity is bitwise the same at every node, the operator
 build locates the arrivals per axis and writes the rows of the in-box
 sub-box from tensor-product corners: as diagonals when they take fewer
-bytes, with the irregular rows as CSR rows, else as CSR rows.  The oracle
-locates all N arrivals and hands the in-box ones to the row writer as a
-one-dimensional box: both must give the same rows and per-row constant,
-bit for bit, and the block's `outside` must number its empty rows.  The
-block argmin of a sweep is checked against numpy's argmax of the equality
-mask.
+bytes, with the irregular rows as CSR rows, else as CSR rows, or applies
+them matrix-free.  The general rows locate all N arrivals and hand the
+in-box ones to the row writer as a one-dimensional box: every block, built
+into poisoned arrays, must pass conftest's row-set contract against them.
+The block argmin of a sweep is checked against numpy's argmax of the
+equality mask.
 """
 
 import math
@@ -16,15 +16,13 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import hjbsolve as h
 from hjbsolve import solvers
 from hjbsolve.problems import InfiniteHorizon, ProblemSpec
-from hjbsolve.solvers import (SolverError, _Block, _CsrRows, _DiagonalRows, _ShiftedRows,
-                              _Sweeper)
+from hjbsolve.solvers import SolverError, _Block, _Sweeper
 
-from conftest import block_constant, block_rows, empty_rows, general_rows, oracle_sweep
+from conftest import check_rows, contract_fields, general_rows, oracle_sweep, poison_builds
 
 EIKONAL_CASES = [
     ("test4_eik2d", 15, {"control_count": 12}),
@@ -35,62 +33,14 @@ EIKONAL_CASES = [
 ]
 
 
-def fill_block(sweeper, js):
-    """The block of the controls `js`, built into arrays that hold NaN, so
-    that an entry the build should write, or zero, and does not shows."""
-    csr, c = arrays = sweeper._block_arrays(js)
-    for array in (c,) + (csr or ()):
-        if array is not None and array.dtype == np.float64:
-            array.fill(np.nan)
-    return sweeper._fill_block(js, arrays)[0]
-
-
-def kinds(block):
-    """The type of each control's row set in `block`."""
-    return [type(rows) for rows in block.controls]
-
-
-def assert_same_rows(sweeper, js, block_product):
-    """The block's rows are the general rows, bit for bit: as CSR arrays
-    when they are stored (each control's CSR rows, and the rows held as
-    diagonals read back at their columns), and on every path through their
-    products with fields that tie, vary in sign and hold huge values.  So
-    is its per-row constant, and `outside` numbers its empty rows."""
-    block = fill_block(sweeper, js)
-    indptr, indices, data, want_c = general_rows(sweeper, js)
-    assert block.size == len(want_c)
-    assert block_constant(sweeper, block).tobytes() == want_c.tobytes()
-    assert block.outside.dtype == np.int32
-    assert np.array_equal(block.outside, empty_rows(sweeper, block))
-    assert np.array_equal(block.outside, np.flatnonzero(np.diff(indptr) == 0))
-    n = sweeper.grid.num_nodes
-    want = sp.csr_matrix((data, indices, indptr), shape=(len(want_c), n))
-    if sweeper.matrix_free:
-        assert kinds(block) == [_ShiftedRows if sweeper.separable[j] else _CsrRows for j in js]
-    else:
-        assert kinds(block) == [_DiagonalRows if sweeper.diagonal[j] else _CsrRows for j in js]
-        for got, expected in zip(block_rows(sweeper, block), (indptr, indices, data)):
-            assert np.array_equal(got, expected)
-            assert got.tobytes() == expected.astype(got.dtype).tobytes()
-    for t, rows in enumerate(block.controls):
-        # a control's CSR rows, whole or the irregular ones beside its
-        # diagonals, are the general rows' own
-        if type(rows) is _DiagonalRows:
-            if rows.irregular is None:
-                continue
-            rows, at = rows.irregular, rows.nodes
-        else:
-            at = np.arange(n)
-        if type(rows) is _CsrRows:
-            expected = want[t * n + at]
-            assert rows.indptr.dtype == rows.indices.dtype == np.int32
-            assert np.array_equal(rows.indptr, expected.indptr)
-            assert rows.indices.tobytes() == expected.indices.astype(np.int32).tobytes()
-            assert rows.data.tobytes() == expected.data.tobytes()
-    rng = np.random.default_rng(js.start)
-    for v in (rng.uniform(0.0, 2.0, n), rng.normal(size=n), np.full(n, 0.5),
-              rng.choice([-1e308, 0.0, 1e308], n)):
-        assert block_product(sweeper, block, v).tobytes() == (want @ v).tobytes()
+def check_block(sweeper, js, general=None):
+    """The block of the controls `js`, built afresh, passes the row-set
+    contract (check_rows) against their general rows, by default those of
+    general_rows; returns it.  Call poison_builds first."""
+    block = sweeper._fill_block(js)[0]
+    fields = contract_fields(np.random.default_rng(js.start), sweeper.grid.num_nodes)
+    check_rows(sweeper, js, block, general or general_rows(sweeper, js), fields)
+    return block
 
 
 def drift_spec(dim, dynamics):
@@ -113,8 +63,8 @@ def constant_drift(p, a):
 
 @pytest.mark.parametrize("name,n,overrides", EIKONAL_CASES)
 @pytest.mark.parametrize("layout", ["stored", "unstored", "one_control"])
-def test_eikonal_rows_match_general_builder(name, n, overrides, layout, monkeypatch, rng,
-                                            block_product):
+def test_eikonal_rows_match_general_builder(name, n, overrides, layout, monkeypatch, rng):
+    poison_builds(monkeypatch)
     if layout == "unstored":
         monkeypatch.setattr(solvers, "_OPERATOR_NNZ_LIMIT", 0)
     if layout == "one_control":
@@ -128,7 +78,7 @@ def test_eikonal_rows_match_general_builder(name, n, overrides, layout, monkeypa
         if layout == "one_control":
             assert all(len(js) == 1 for js in sweeper.blocks)
         for js in sweeper.blocks:
-            assert_same_rows(sweeper, js, block_product)
+            check_block(sweeper, js)
         assert sweeper.separable.all()
         out, policy, _ = sweeper.bellman_sweep(values)
     want, want_policy = oracle_sweep(sweeper, values)
@@ -158,10 +108,12 @@ def test_worker_threads_mark_every_separable_control(limit, monkeypatch):
 
 @pytest.mark.parametrize("slab", [1, 7, 40])
 def test_rows_written_in_slabs(slab, monkeypatch):
-    """Rows written a few first-axis layers at a time give the bits of the
-    default slabs (test_kernel checks located rows likewise): the CSR rows
-    of test8_min4d's sub-boxes, and the irregular rows of the test6_eik3d
-    controls whose regular ones are diagonals."""
+    """Rows written a few first-axis layers at a time pass the row-set
+    contract against the general rows of the default slabs (test_kernel
+    checks located rows likewise): the CSR rows of test8_min4d's sub-boxes,
+    and the irregular rows of the test6_eik3d controls whose regular ones
+    are diagonals."""
+    poison_builds(monkeypatch)
     for name, n, overrides in [("test6_eik3d", 11, {"control_counts": (4, 3)}),
                                ("test8_min4d", 7, {})]:
         entry = h.catalog(name, **overrides)
@@ -172,77 +124,58 @@ def test_rows_written_in_slabs(slab, monkeypatch):
         want = general_rows(sweeper, js)
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "_FILL_ROWS", slab)
-            block = fill_block(sweeper, js)
-        assert sweeper.separable.all() and _ShiftedRows not in kinds(block)
+            block = check_block(sweeper, js, want)
+        assert sweeper.separable.all() and not sweeper.matrix_free
         if name == "test6_eik3d":
-            # the three controls nearest each pole keep CSR rows
+            # the three controls nearest each pole keep CSR rows, and some
+            # held as diagonals have irregular rows, CSR entries
             assert sweeper.diagonal.tolist() == [False] * 3 + [True] * 6 + [False] * 3
-            assert any(rows.irregular is not None for rows in block.controls[3:9])
+            assert any(rows.nnz for rows in block.controls[3:9])
         else:
             assert not sweeper.diagonal.any()
-        assert kinds(block) == [_DiagonalRows if d else _CsrRows for d in sweeper.diagonal]
-        for got in (block_rows(sweeper, block) + (block_constant(sweeper, block),),
-                    general_rows(sweeper, js)):
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
-                assert a.tobytes() == b.astype(a.dtype).tobytes()
 
 
-def test_mixed_block(block_product):
+def test_mixed_block(monkeypatch):
     """Same-velocity and state-dependent controls in one block."""
-    check_mixed_block(True, block_product)
+    check_mixed_block(True, monkeypatch)
 
 
-def test_mixed_block_matrix_free(block_product):
+def test_mixed_block_matrix_free(monkeypatch):
     """Applied matrix-free, the separable controls of a mixed block hold no
     CSR rows between the others'."""
-    check_mixed_block(False, block_product)
+    check_mixed_block(False, monkeypatch)
 
 
-def check_mixed_block(store_separable, block_product):
+def check_mixed_block(store_separable, monkeypatch):
 
     def dynamics(p, a):
         if a[0] > 0:
             return np.full_like(p, a[0])
         return a[0] * p[..., ::-1] + a[1]
 
+    poison_builds(monkeypatch)
     spec = drift_spec(2, dynamics)
     grid = spec.domain_grid((9, 12))
     controls = h.ControlSet([[0.5, 0.0], [-0.5, 0.1], [2.0, 0.0], [-1.0, -0.3]])
     sweeper = _Sweeper(spec, grid, controls, h.SolverConfig(dt=0.3, workers=1),
                        store_separable=store_separable)
     assert len(sweeper.blocks) == 1
-    assert_same_rows(sweeper, range(len(controls)), block_product)
+    check_block(sweeper, range(len(controls)))
     assert sweeper.separable.tolist() == [True, False, True, False]
-    block = fill_block(sweeper, range(len(controls)))
-    n = grid.num_nodes
-    if not store_separable:
-        assert kinds(block) == [_ShiftedRows, _CsrRows] * 2
-        assert all(np.diff(block.controls[t].indptr).any() for t in (1, 3))
-        return
-    # the small shift is held as diagonals; 2.4 cells take most arrivals
-    # out of the box, so that CSR rows take fewer bytes
-    assert kinds(block) == [_DiagonalRows] + [_CsrRows] * 3
-    assert sweeper.diagonal.tolist() == [True, False, False, False]
-    assert all(len(rows.indptr) == n + 1 for rows in block.controls[1:])
+    assert sweeper.matrix_free != store_separable
+    # stored, the small shift is held as diagonals; 2.4 cells take most
+    # arrivals out of the box, so that CSR rows take fewer bytes
+    assert sweeper.diagonal.tolist() == [store_separable, False, False, False]
 
 
+@pytest.mark.parametrize("store_separable", [True, False])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_arrivals_leaving_the_box(dim, block_product):
+def test_arrivals_leaving_the_box(dim, store_separable, monkeypatch):
     """Shifts that stay in the box, leave along the first axis only (by
     less than a cell, exactly one cell or more than two), leave along every
     axis, or leave the box altogether, so that the in-box sub-box is
-    empty."""
-    check_arrivals_leaving_the_box(dim, True, block_product)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_arrivals_leaving_the_box_matrix_free(dim, block_product):
-    """The same shifts applied matrix-free on the in-box sub-box."""
-    check_arrivals_leaving_the_box(dim, False, block_product)
-
-
-def check_arrivals_leaving_the_box(dim, store_separable, block_product):
+    empty: stored, and applied matrix-free on the in-box sub-box."""
+    poison_builds(monkeypatch)
     spec = drift_spec(dim, constant_drift)
     grid = spec.domain_grid(7)
     h0 = grid.spacing[0]
@@ -252,12 +185,9 @@ def check_arrivals_leaving_the_box(dim, store_separable, block_product):
     controls = h.ControlSet(shifts)
     sweeper = _Sweeper(spec, grid, controls, h.SolverConfig(dt=1.0, workers=1),
                        store_separable=store_separable)
-    assert_same_rows(sweeper, range(len(controls)), block_product)
-    assert sweeper.separable.all()
-    block = fill_block(sweeper, range(len(controls)))
-    n = grid.num_nodes
+    block = check_block(sweeper, range(len(controls)))
+    assert sweeper.separable.all() and sweeper.matrix_free != store_separable
     if store_separable:
-        full = np.diff(block_rows(sweeper, block)[0]).reshape(len(controls), n) > 0
         # At 7 nodes per axis a control takes diagonals when at least 62%
         # (2-D; 1-D 60%, 3-D 64%) of its rows are in the box and regular.
         # The unshifted control's last row clamps onto the upper face, and
@@ -266,15 +196,10 @@ def check_arrivals_leaving_the_box(dim, store_separable, block_product):
         assert sweeper.diagonal.tolist() == {1: [True, True, False, False, True, False, False],
                                              2: [False] * 4 + [True, False, False],
                                              3: [False] * 7}[dim]
-        assert kinds(block) == [_DiagonalRows if d else _CsrRows for d in sweeper.diagonal]
-    else:
-        assert kinds(block) == [_ShiftedRows] * len(controls)
-        full = np.zeros((len(controls),) + grid.shape, dtype=bool)
-        for t, rows in enumerate(block.controls):
-            full[t][rows.box] = True
-            assert rows.empty == (not full[t].any())
-        full = full.reshape(len(controls), n)
-    layer = n // 7
+    full = np.ones(block.size, dtype=bool)
+    full[block.outside] = False
+    full = full.reshape(len(controls), grid.num_nodes)
+    layer = grid.num_nodes // 7
     assert full[0].all()
     assert np.count_nonzero(~full[1]) == np.count_nonzero(~full[2]) == layer
     assert np.count_nonzero(~full[3]) == 3 * layer
@@ -329,6 +254,15 @@ def test_one_dynamics_call_per_control(name, monkeypatch):
     assert sweeper.separable.tolist() == [name == "test4_eik2d"] * 8
 
 
+class NoRows:
+    """A row set without entries: apply leaves `out` at zero."""
+
+    nnz = held_bytes = 0
+
+    def apply(self, values, transposed, out, buffers):
+        pass
+
+
 @pytest.mark.parametrize("controls", [1, 2, 255, 256, 300])
 def test_block_argmin_takes_the_lowest_tied_control(controls, rng):
     """_sweep_block's argmin on a zero operator none of whose rows leaves
@@ -341,8 +275,7 @@ def test_block_argmin_takes_the_lowest_tied_control(controls, rng):
     q = rng.integers(0, 3, (controls, n)).astype(float)
     q[:, 0] = 1.0  # a tie across every control
     js = range(11, 11 + controls)
-    zero = _CsrRows(np.zeros(n + 1, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))
-    block = _Block([zero] * controls, q.reshape(-1).copy(), np.empty(0, dtype=np.int32),
+    block = _Block([NoRows()] * controls, q.reshape(-1).copy(), np.empty(0, dtype=np.int32),
                    controls * n)
     low, low_idx, _, _ = sweeper._sweep_block(js, block, None, np.ones(n), True, None, False)
     assert low.tobytes() == q.min(axis=0).tobytes()

@@ -11,7 +11,7 @@ import hjbsolve as h
 from hjbsolve.problems import InfiniteHorizon, MinimumTime, ProblemSpec
 from hjbsolve.solvers import UNSET_POLICY, SolverError, _Sweeper
 
-from conftest import block_rows
+from conftest import policy_general_rows
 
 
 def stationary_spec(cost=1.0):
@@ -221,8 +221,9 @@ class TestPolicyEvaluation:
         grid = entry.spec.domain_grid(21)
         cfg = h.SolverConfig(dt=entry.dt_for(grid))
         sweeper = _Sweeper(entry.spec, grid, entry.controls, cfg)
-        frozen = sweeper.policy_rows(h.PolicyField.constant(grid, 3))
-        rows = sp.csr_matrix(block_rows(sweeper, frozen)[::-1], shape=(grid.num_nodes,) * 2)
+        # the frozen-policy rows, which the row-set contract holds to these
+        indptr, indices, data, _ = policy_general_rows(sweeper, np.full(grid.num_nodes, 3))
+        rows = sp.csr_matrix((data, indices, indptr), shape=(grid.num_nodes,) * 2)
         row_mass = sweeper.discount * np.asarray(rows.sum(axis=1)).ravel()
         assert np.all(row_mass < 1.0)
         assert np.all(rows.data >= 0.0)
@@ -626,6 +627,33 @@ def test_a_field_or_policy_on_another_grid_is_refused(call, argument, other):
     cfg = h.SolverConfig(dt=entry.dt_for(grid), workers=1)
     with pytest.raises(h.GridError, match="^fields live on different grids$"):
         MISMATCH_CALLS[call](entry, grid, cfg, V, P)
+
+
+@pytest.mark.parametrize("name,value", [("workers", 2.5), ("workers", "two"), ("workers", [1, 2]),
+                                        ("max_iterations", 2.5), ("max_iterations", math.nan)])
+def test_solver_counts_must_be_whole_numbers(name, value):
+    """SolverConfig takes `workers` and `max_iterations` as grid.whole_counts
+    takes a count, and holds them as int; any other value raises, naming
+    the field.  A float reached range() in the sweeper and the Krylov loop,
+    and max_iterations=2.5 let value iteration run 3 sweeps."""
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got "):
+        h.SolverConfig(dt=0.1, **{name: value})
+    cfg = h.SolverConfig(dt=0.1, workers=2.0, max_iterations=np.int64(3))
+    assert (cfg.workers, cfg.max_iterations) == (2, 3)
+    assert type(cfg.workers) is type(cfg.max_iterations) is int
+
+
+@pytest.mark.parametrize("bad", [0.7, 2 ** 31, math.nan, 3e9])
+def test_policy_indices_must_be_whole_numbers_in_int32(bad):
+    """A policy index that int32 cannot hold exactly raises: 0.7 would
+    become control 0 and 2^31 would wrap to -2^31."""
+    grid = h.RegularGrid((0.0,), (1.0,), (5,))
+    indices = np.array([0, 1, bad, 2, 0])
+    with pytest.raises(ValueError, match=f"^policy index {re.escape(str(indices[2]))} at node 2 "
+                                         "is not a whole number in int32$"):
+        h.PolicyField(grid, indices)
+    P = h.PolicyField(grid, [4.0, 3.0, 2.0, 1.0, 0.0])
+    assert P.indices.dtype == np.int32 and P.indices.tolist() == [4, 3, 2, 1, 0]
 
 
 class TestGreedyControl:
